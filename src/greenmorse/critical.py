@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import qmc
@@ -91,27 +92,29 @@ def classify(hessian: np.ndarray) -> Classification:
     return Classification(spectrum, index, margin)
 
 
-def rotation_tangent(points: np.ndarray) -> np.ndarray:
-    """Unnormalized orbit tangent (J x_1, ..., J x_N), J = rotation by +pi/2."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+def rotation_tangent(points: np.ndarray, center) -> np.ndarray:
+    """Unnormalized orbit tangent (J (x_1 - c), ..., J (x_N - c)) of rotations
+    about c, J = rotation by +pi/2."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2) - center
     return np.stack([-pts[:, 1], pts[:, 0]], axis=1).reshape(-1)
 
 
 def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
     """Tag a critical point as lying on a rotation orbit or being isolated.
 
-    The orbit tangent is a candidate Hessian null direction; the point is
-    tagged "rotation-orbit" when the margin is below the degeneracy threshold
-    and the minimal-|eigenvalue| eigenvector aligns with the tangent.
+    The tangent of the orbit under rotations about the domain's rotation
+    centre is a candidate Hessian null direction; the point is tagged
+    "rotation-orbit" when the margin is below the degeneracy threshold and
+    the minimal-|eigenvalue| eigenvector aligns with the tangent.
     """
     domain = engine.domain
     if not domain.is_disk() and domain.symmetry is None:
         raise SymmetryMismatchError(
             "orbit detection requires a disk or a symmetry-tagged domain")
-    tangent = rotation_tangent(point.configuration.points)
+    tangent = rotation_tangent(point.configuration.points, domain.rotation_center)
     norm = np.linalg.norm(tangent)
     if norm < 1e-14:
-        raise UndefinedOrbitError("all points at the origin; orbit tangent undefined")
+        raise UndefinedOrbitError("all points at the rotation centre; orbit tangent undefined")
     tangent /= norm
     H = 0.5 * (point.hessian + point.hessian.T)
     evals, evecs = np.linalg.eigh(H)
@@ -253,24 +256,19 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
     perms = _lambda_preserving_permutations(strengths.values)
 
     found = []
-    n_converged = 0
-    n_rejected = 0
+    failures = Counter()
     for x0 in starts:
         result = newton_polish(engine, strengths, spec, x0, search)
-        if not result.converged:
-            n_rejected += 1
-            continue
-        n_converged += 1
-        found.append(result)
+        if result.converged:
+            found.append(result)
+        else:
+            failures[result.failure] += 1
 
     unique = []
-    n_dedup = 0
     for result in sorted(found, key=lambda r: tuple(np.round(r.configuration, 12))):
-        if any(_config_distance(result.configuration, u.configuration, perms)
-               <= search.dedup_radius for u in unique):
-            n_dedup += 1
-            continue
-        unique.append(result)
+        if not any(_config_distance(result.configuration, u.configuration, perms)
+                   <= search.dedup_radius for u in unique):
+            unique.append(result)
 
     points = []
     can_tag = engine.domain.is_disk() or engine.domain.symmetry is not None
@@ -287,17 +285,17 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
         if can_tag:
             try:
                 tag, alignment = detect_rotation_orbit(engine, cp)
-                cp = CriticalPoint(cp.configuration, cp.residual, cp.spectrum,
-                                   cp.morse_index, cp.margin, cp.hessian, tag, alignment)
+                cp = replace(cp, orbit_tag=tag, alignment=alignment)
             except UndefinedOrbitError:
                 pass
         points.append(cp)
 
     stats = {
         "starts": len(starts),
-        "converged": n_converged,
-        "deduplicated": n_dedup,
-        "rejected_inadmissible": n_rejected,
+        "converged": len(found),
+        "deduplicated": len(found) - len(unique),
+        "rejected_inadmissible": sum(failures.values()),
+        "failures_by_reason": dict(sorted(failures.items())),
     }
     return MorseReport(tuple(points), stats,
                        _fingerprint(domain_to_dict(engine.domain)),

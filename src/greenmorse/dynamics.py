@@ -2,10 +2,10 @@
 
 The weighted symplectic form lambda_k dx_k/dt = J grad_{x_k} f (J = rotation
 by +pi/2) makes critical points of the energy exactly the equilibria and
-conserves both the energy and, on rotation-symmetric domains, the angular
-impulse sum_k lambda_k |x_k|^2.  The implicit midpoint rule preserves the
-quadratic impulse up to solver tolerance; both integrators are order 2 or
-better in the time step.
+conserves both the energy and, on disks, the angular impulse
+sum_k lambda_k |x_k - c|^2 about the centre c.  The implicit midpoint rule
+preserves the quadratic impulse up to solver tolerance; both integrators are
+order 2 or better in the time step.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
     def observables(flat):
         cfg = Configuration(flat.reshape(-1, 2))
         value = f_omega(engine, strengths, spec, cfg).value
-        pts = cfg.points
-        impulse = float(np.sum(strengths.values * np.sum(pts * pts, axis=1)))
+        rel = cfg.points - engine.domain.rotation_center
+        impulse = float(np.sum(strengths.values * np.sum(rel * rel, axis=1)))
         return value, impulse
 
     try:

@@ -145,11 +145,23 @@ class BoundaryCurve:
         return float(np.mean(speed) * TWO_PI)
 
     @cached_property
-    def diameter(self) -> float:
+    def _chord_scan(self) -> tuple[float, float, float]:
+        """Over about 512 dense samples: the largest squared chord, and the
+        smallest between samples at least ~pi/8 and ~pi/3 apart in parameter."""
         _, pts = self._dense
         sub = pts[:: max(1, len(pts) // 512)]
+        ms = len(sub)
         d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(d2.max()))
+        idx = np.arange(ms)
+        sep = np.abs(idx[:, None] - idx[None, :])
+        sep = np.minimum(sep, ms - sep)
+        far_pi8 = d2[sep >= max(2, int(np.ceil(ms / 16.0)))].min()
+        far_pi3 = d2[sep >= max(2, int(np.ceil(ms / 6.0)))].min()
+        return float(d2.max()), float(far_pi8), float(far_pi3)
+
+    @cached_property
+    def diameter(self) -> float:
+        return float(np.sqrt(self._chord_scan[0]))
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -203,23 +215,14 @@ class BoundaryCurve:
 
     def validate(self):
         """Raise MalformedCurveError unless regular, simple, counterclockwise."""
-        t, pts = self._dense
+        t, _ = self._dense
         speed = np.hypot(*self.derivative(t, 1).T)
         if speed.min() < 1e-12:
             raise MalformedCurveError("parametrization has a degenerate tangent")
         if self.signed_area <= 0:
             raise MalformedCurveError("curve is not counterclockwise (signed area <= 0)")
         # self-intersection probe: parameter-distant samples must stay apart
-        m = len(t)
-        sub = pts[:: max(1, m // 512)]
-        ms = len(sub)
-        d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
-        idx = np.arange(ms)
-        sep = np.abs(idx[:, None] - idx[None, :])
-        sep = np.minimum(sep, ms - sep)
-        window = max(2, int(np.ceil(ms / 16.0)))  # parameter separation >= ~pi/8
-        close = (sep >= window) & (d2 < 1e-18)
-        if np.any(close):
+        if self._chord_scan[1] < 1e-18:
             raise MalformedCurveError("curve self-intersects (distant parameters coincide)")
 
 
@@ -345,6 +348,11 @@ class DomainSpec:
     def is_disk(self) -> bool:
         return self._circle is not None
 
+    @property
+    def rotation_center(self) -> np.ndarray:
+        """Centre of the domain's rotations: a disk's centre, else the origin."""
+        return self._circle[0] if self._circle is not None else np.zeros(2)
+
     def signed_boundary_distance(self, point) -> float:
         """Distance to the boundary, negative outside the domain."""
         if self._circle is not None:
@@ -356,19 +364,11 @@ class DomainSpec:
 
 
 def _default_margin(curve: BoundaryCurve) -> float:
-    t, pts = curve._dense
-    sub = pts[:: max(1, len(pts) // 512)]
-    m = len(sub)
-    d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
-    idx = np.arange(m)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, m - sep)
-    window = max(2, int(np.ceil(m / 6.0)))  # parameter separation >= ~pi/3
-    mask = sep >= window
-    clearance = 0.5 * float(np.sqrt(d2[mask].min()))
-    speed = np.hypot(*curve.derivative(t, 1).T)
+    t, _ = curve._dense
+    clearance = 0.5 * float(np.sqrt(curve._chord_scan[2]))
     d1 = curve.derivative(t, 1)
     d2v = curve.derivative(t, 2)
+    speed = np.hypot(*d1.T)
     kappa = np.abs(d1[:, 0] * d2v[:, 1] - d1[:, 1] * d2v[:, 0]) / speed**3
     radius = 1.0 / max(kappa.max(), 1e-12)
     return 0.3 * min(clearance, radius)
@@ -457,14 +457,10 @@ class PerturbationField:
             arr = np.zeros(n)
             flat = np.atleast_1d(np.asarray(val, dtype=float))
             arr[: len(flat)] = flat
+            if name == "sin_coeffs":
+                arr[0] = 0.0    # sin(0 t) vanishes; its coefficient is meaningless
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        sc = np.asarray(self.sin_coeffs)
-        if len(sc) > 0 and sc[0] != 0.0:
-            tmp = sc.copy()
-            tmp[0] = 0.0
-            tmp.setflags(write=False)
-            object.__setattr__(self, "sin_coeffs", tmp)
         if self.cutoff_width <= 0:
             raise ValueError("cutoff_width must be positive")
 
@@ -670,11 +666,10 @@ def equivariant_project(field: PerturbationField, group: SymmetryGroup,
     a, b = field.cos_coeffs, field.sin_coeffs
     for const, is_refl in maps:
         ck, sk = np.cos(k * const), np.sin(k * const)
+        acc_a += a * ck + b * sk
         if is_refl:
-            acc_a += a * ck + b * sk
             acc_b += a * sk - b * ck
         else:
-            acc_a += a * ck + b * sk
             acc_b += -a * sk + b * ck
     m = len(maps)
     return PerturbationField("normal_fourier", acc_a / m, acc_b / m,

@@ -16,6 +16,13 @@ boundary traces of the normal derivative of G:
   point differentiate the representation kernel, which is smooth at interior
   points.
 
+Each engine evaluates H through one path, ``blocks(points)``: every
+H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
+(j, k) axes.  It checks each point once, computes the j <= k blocks (the
+integral engine with one LU solve for all sources x_k) and copies each j > k
+block from the (k, j) block with x and y exchanged.  ``regular_part(x, y)`` is
+the computed (0, 1) entry of ``blocks([x, y])``.
+
 Engines are immutable after construction and all evaluations are pure.
 """
 
@@ -71,14 +78,21 @@ def hess_gamma(x, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GreenEvaluation:
-    """Regular part H(x, y) with its first and second derivative blocks."""
+    """Regular part H(x, y) with its first and second derivative blocks; for
+    N points every field has two leading (j, k) axes, x = x_j and y = x_k."""
 
-    value: float
-    grad_x: np.ndarray      # (2,)
-    grad_y: np.ndarray      # (2,)
-    hess_xx: np.ndarray     # (2, 2)
-    hess_yy: np.ndarray     # (2, 2)
-    hess_xy: np.ndarray     # (2, 2), [i, j] = d^2 H / dx_i dy_j
+    value: np.ndarray       # (...)
+    grad_x: np.ndarray      # (..., 2)
+    grad_y: np.ndarray      # (..., 2)
+    hess_xx: np.ndarray     # (..., 2, 2)
+    hess_yy: np.ndarray     # (..., 2, 2)
+    hess_xy: np.ndarray     # (..., 2, 2), [i, j] = d^2 H / dx_i dy_j
+
+    def pair(self, j: int, k: int) -> "GreenEvaluation":
+        """The (j, k) entry of a block evaluation: H(x_j, x_k)."""
+        return GreenEvaluation(float(self.value[j, k]), self.grad_x[j, k],
+                               self.grad_y[j, k], self.hess_xx[j, k],
+                               self.hess_yy[j, k], self.hess_xy[j, k])
 
 
 @dataclass(frozen=True)
@@ -100,9 +114,20 @@ class BoundaryTrace:
     weights: np.ndarray     # (n,) arc-length weights
 
 
-def _holomorphic_hessian(f2: complex) -> np.ndarray:
-    """Hessian of Re f from f'' for holomorphic f; exactly trace-free."""
-    return np.array([[f2.real, -f2.imag], [-f2.imag, -f2.real]])
+def _matrix2(a, b, c, d) -> np.ndarray:
+    """Stack equal-shape arrays into [[a, b], [c, d]] on two trailing axes."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+
+def _mirrored(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy) -> GreenEvaluation:
+    """Blocks with each j > k entry copied from the (k, j) entry, x and y exchanged."""
+    lower = np.tril_indices(len(value), -1)
+    upper = lower[::-1]
+    value[lower] = value[upper]
+    grad_x[lower], grad_y[lower] = grad_y[upper], grad_x[upper]
+    hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
+    hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
+    return GreenEvaluation(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy)
 
 
 class _EngineBase:
@@ -128,7 +153,7 @@ class _EngineBase:
 
     def robin(self, x) -> RobinEvaluation:
         """h(x) = H(x, x) via the chain rule on the diagonal restriction."""
-        ev = self.regular_part(x, x)
+        ev = self.blocks([x]).pair(0, 0)
         grad = ev.grad_x + ev.grad_y
         hess = ev.hess_xx + ev.hess_yy + ev.hess_xy + ev.hess_xy.T
         return RobinEvaluation(ev.value, grad, 0.5 * (hess + hess.T))
@@ -163,27 +188,34 @@ class DiskGreenEngine(_EngineBase):
             raise OutsideDomainError(f"point {x} is not inside the disk")
         return xt
 
-    def regular_part(self, x, y) -> GreenEvaluation:
-        xt = self._reduce(x)
-        yt = self._reduce(y)
+    def blocks(self, points) -> GreenEvaluation:
+        xt = np.array([self._reduce(p) for p in points]).reshape(-1, 2)
         R = self.radius
+        X = xt[:, None, :]          # x = x_j
+        Y = xt[None, :, :]          # y = x_k
+        xx = np.sum(X * X, axis=-1, keepdims=True)
+        yy = np.sum(Y * Y, axis=-1, keepdims=True)
         eye = np.eye(2)
-        s = 1.0 - 2.0 * (xt @ yt) + (xt @ xt) * (yt @ yt)
-        sx = -2.0 * yt + 2.0 * xt * (yt @ yt)
-        sy = -2.0 * xt + 2.0 * yt * (xt @ xt)
-        sxx = 2.0 * (yt @ yt) * eye
-        syy = 2.0 * (xt @ xt) * eye
-        sxy = -2.0 * eye + 4.0 * xt[:, None] * yt[None, :]
+        s = 1.0 - 2.0 * np.sum(X * Y, axis=-1, keepdims=True) + xx * yy
+        sx = -2.0 * Y + 2.0 * X * yy
+        sy = -2.0 * X + 2.0 * Y * xx
+        sxx = 2.0 * yy[..., None] * eye
+        syy = 2.0 * xx[..., None] * eye
+        sxy = -2.0 * eye + 4.0 * X[..., :, None] * Y[..., None, :]
         c = -1.0 / (2.0 * TWO_PI)
-        s2 = s * s
-        return GreenEvaluation(
-            value=c * np.log(s) - np.log(R) / TWO_PI,
-            grad_x=c * sx / s / R,
-            grad_y=c * sy / s / R,
-            hess_xx=c * (sxx / s - sx[:, None] * sx[None, :] / s2) / R**2,
-            hess_yy=c * (syy / s - sy[:, None] * sy[None, :] / s2) / R**2,
-            hess_xy=c * (sxy / s - sx[:, None] * sy[None, :] / s2) / R**2,
+        s1 = s[..., None]           # s broadcast over 2 x 2 blocks
+        s2 = s1 * s1
+        return _mirrored(
+            c * np.log(s[..., 0]) - np.log(R) / TWO_PI,
+            c * sx / s / R,
+            c * sy / s / R,
+            c * (sxx / s1 - sx[..., :, None] * sx[..., None, :] / s2) / R**2,
+            c * (syy / s1 - sy[..., :, None] * sy[..., None, :] / s2) / R**2,
+            c * (sxy / s1 - sx[..., :, None] * sy[..., None, :] / s2) / R**2,
         )
+
+    def regular_part(self, x, y) -> GreenEvaluation:
+        return self.blocks([x, y]).pair(0, 1)
 
     def boundary_normal_derivative(self, x) -> BoundaryTrace:
         xt = self._reduce(x)
@@ -239,7 +271,7 @@ class IntegralGreenEngine(_EngineBase):
 
         self.eval_margin = 0.05 * domain.diameter
         self._complex_nodes = z[:, 0] + 1j * z[:, 1]
-        self._complex_normals = nu[:, 0] + 1j * nu[:, 1]
+        self._moment_weights = w * (nu[:, 0] + 1j * nu[:, 1])
         self._self_test()
 
     def _self_test(self):
@@ -255,10 +287,8 @@ class IntegralGreenEngine(_EngineBase):
         dists = np.array([self.domain.boundary.distance_to_boundary(p) for p in probes])
         threshold = min(0.1, 0.45 * float(dists.max()))
         probes = probes[dists >= threshold]
-        worst = 0.0
-        for p in probes:
-            val = self._representation(mu[:, None], p)[0][0].real
-            worst = max(worst, abs(val - (p[0] ** 2 - p[1] ** 2)))
+        values = self._representation(mu[:, None], probes)[0][:, 0].real
+        worst = float(np.max(np.abs(values - (probes[:, 0] ** 2 - probes[:, 1] ** 2))))
         if worst > SELF_TEST_TOL:
             raise DiscretizationFailureError(
                 f"construction self-test error {worst:.3e} exceeds {SELF_TEST_TOL:.1e}; "
@@ -267,16 +297,16 @@ class IntegralGreenEngine(_EngineBase):
 
     # -- interior representation ------------------------------------------------
 
-    def _representation(self, densities: np.ndarray, x):
-        """Complex moments of the double-layer potential at interior x.
+    def _representation(self, densities: np.ndarray, points: np.ndarray):
+        """Complex moments of the double-layer potential at interior points.
 
-        Returns (f0, f1, f2): for each density column, the value of the
-        associated holomorphic potential and its first two derivatives;
-        the harmonic value is Re f0.
+        Returns (f0, f1, f2), each of shape (points, density columns): the
+        value of the associated holomorphic potential and its first two
+        derivatives; the harmonic value is Re f0.
         """
-        xc = complex(x[0], x[1])
-        inv = 1.0 / (self._complex_nodes - xc)
-        base = self.weights * self._complex_normals * inv
+        xc = points[:, 0] + 1j * points[:, 1]
+        inv = 1.0 / (self._complex_nodes[None, :] - xc[:, None])
+        base = self._moment_weights * inv
         f0 = -(base @ densities) / TWO_PI
         base *= inv
         f1 = -(base @ densities) / TWO_PI
@@ -298,36 +328,35 @@ class IntegralGreenEngine(_EngineBase):
                 estimated_bound=bound)
         return x
 
-    def regular_part(self, x, y) -> GreenEvaluation:
-        x = self._require_interior(x)
-        y = self._require_interior(y)
-        z = self.nodes
-        d = z - y
-        r2 = np.sum(d * d, axis=1)
-        # boundary data for H(., y) and its derivatives in y
+    def blocks(self, points) -> GreenEvaluation:
+        pts = np.array([self._require_interior(p) for p in points]).reshape(-1, 2)
+        n_pts = len(pts)
+        d = self.nodes[:, None, :] - pts[None, :, :]
+        r2 = np.sum(d * d, axis=2)
+        dx, dy = d[..., 0], d[..., 1]
+        # boundary data for H(., x_k) and its derivatives in x_k, six per point
         cols = np.stack([
             -0.5 * np.log(r2) / TWO_PI,
-            d[:, 0] / r2 / TWO_PI,
-            d[:, 1] / r2 / TWO_PI,
-            (2.0 * d[:, 0] * d[:, 0] / r2 - 1.0) / r2 / TWO_PI,
-            (2.0 * d[:, 0] * d[:, 1] / r2) / r2 / TWO_PI,
-            (2.0 * d[:, 1] * d[:, 1] / r2 - 1.0) / r2 / TWO_PI,
-        ], axis=1)
-        mu = lu_solve(self._lu_dirichlet, cols)
-        f0, f1, f2 = self._representation(mu, x)
-        grad_y = np.array([f0[1].real, f0[2].real])
-        hess_xy = np.array([[f1[1].real, f1[2].real],
-                            [-f1[1].imag, -f1[2].imag]])
-        hess_yy = np.array([[f0[3].real, f0[4].real],
-                            [f0[4].real, f0[5].real]])
-        return GreenEvaluation(
-            value=float(f0[0].real),
-            grad_x=np.array([f1[0].real, -f1[0].imag]),
-            grad_y=grad_y,
-            hess_xx=_holomorphic_hessian(f2[0]),
-            hess_yy=hess_yy,
-            hess_xy=hess_xy,
+            dx / r2 / TWO_PI,
+            dy / r2 / TWO_PI,
+            (2.0 * dx * dx / r2 - 1.0) / r2 / TWO_PI,
+            (2.0 * dx * dy / r2) / r2 / TWO_PI,
+            (2.0 * dy * dy / r2 - 1.0) / r2 / TWO_PI,
+        ], axis=2)
+        mu = lu_solve(self._lu_dirichlet, cols.reshape(self.node_count, 6 * n_pts))
+        # [j, k, c]: moment at field point x_j of density column c for source x_k
+        f0, f1, f2 = (f.reshape(n_pts, n_pts, 6) for f in self._representation(mu, pts))
+        return _mirrored(
+            f0[..., 0].real.copy(),
+            np.stack([f1[..., 0].real, -f1[..., 0].imag], axis=-1),
+            np.stack([f0[..., 1].real, f0[..., 2].real], axis=-1),
+            _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
+            _matrix2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
+            _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
         )
+
+    def regular_part(self, x, y) -> GreenEvaluation:
+        return self.blocks([x, y]).pair(0, 1)
 
     def boundary_normal_derivative(self, x) -> BoundaryTrace:
         x = self._require_interior(x)

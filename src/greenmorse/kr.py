@@ -122,30 +122,22 @@ class AdmissibilityResult:
         return self.ok
 
 
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
-
-
 def _log_pair_terms(points: np.ndarray, lam: np.ndarray):
     """Value/gradient/Hessian of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|."""
     n = len(points)
-    value = 0.0
-    grad = np.zeros((n, 2))
-    hess = np.zeros((n, 2, n, 2))
-    for j in range(n):
-        for k in range(j + 1, n):
-            d = points[j] - points[k]
-            r2 = d @ d
-            c = lam[j] * lam[k] / np.pi
-            value += -0.5 * c * np.log(r2)
-            g = -c * d / r2
-            grad[j] += g
-            grad[k] -= g
-            a = (_EYE2 * r2 - 2.0 * d[:, None] * d[None, :]) / (r2 * r2)
-            hess[j, :, j, :] += -c * a
-            hess[k, :, k, :] += -c * a
-            hess[j, :, k, :] += c * a
-            hess[k, :, j, :] += c * a
+    d = points[:, None, :] - points[None, :, :]     # [j, k] = x_j - x_k
+    r2 = np.sum(d * d, axis=-1)
+    np.fill_diagonal(r2, 1.0)
+    c = np.outer(lam, lam) / np.pi
+    np.fill_diagonal(c, 0.0)
+    # every pair appears as (j, k) and (k, j)
+    value = -0.25 * np.sum(c * np.log(r2))
+    grad = -np.sum((c / r2)[..., None] * d, axis=1)
+    a = (np.eye(2) * r2[..., None, None]
+         - 2.0 * d[..., :, None] * d[..., None, :]) / (r2 * r2)[..., None, None]
+    hess = np.einsum("jk,jkab->jakb", c, a)
+    diag = np.arange(n)
+    hess[diag, :, diag, :] -= hess.sum(axis=2)
     m = 2 * n
     return value, grad.reshape(m), hess.reshape(m, m)
 
@@ -207,10 +199,11 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
             collision_margin: float | None = None) -> EvaluationResult:
     """Interaction minus the full regular-part double sum, with derivatives.
 
+    All H(x_j, x_k) come from one ``engine.blocks`` call: leading (j, k) axes,
+    each point checked once, j > k blocks mirrored from the (k, j) blocks.
     The gradient block for point m collects lambda_m lambda_k grad_x H(x_m, x_k)
     and lambda_j lambda_m grad_y H(x_j, x_m) over all j, k (diagonal included);
-    Hessian blocks assemble the same way from the second-derivative blocks of
-    H and the chain rule on the diagonal terms.
+    Hessian blocks assemble the same way from the second-derivative blocks.
     """
     lam = strengths.values
     pts = config.points
@@ -227,33 +220,17 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     _, cm = resolve_margins(engine.domain, spec, boundary_margin, collision_margin)
     inter = interaction(spec, strengths, config, collision_margin=cm)
 
-    value = inter.value
-    grad = inter.gradient.reshape(n, 2).copy()
-    hess = inter.hessian.reshape(n, 2, n, 2).copy()
-
-    evaluations = {}
-    for j in range(n):
-        for k in range(j, n):
-            evaluations[(j, k)] = engine.regular_part(pts[j], pts[k])
-
-    def blocks(j, k):
-        if j <= k:
-            ev = evaluations[(j, k)]
-            return ev.value, ev.grad_x, ev.grad_y, ev.hess_xx, ev.hess_yy, ev.hess_xy
-        ev = evaluations[(k, j)]
-        return ev.value, ev.grad_y, ev.grad_x, ev.hess_yy, ev.hess_xx, ev.hess_xy.T
-
-    for j in range(n):
-        for k in range(n):
-            c = lam[j] * lam[k]
-            v, gx, gy, hxx, hyy, hxy = blocks(j, k)
-            value -= c * v
-            grad[j] -= c * gx
-            grad[k] -= c * gy
-            hess[j, :, j, :] -= c * hxx
-            hess[k, :, k, :] -= c * hyy
-            hess[j, :, k, :] -= c * hxy
-            hess[k, :, j, :] -= c * hxy.T
+    ev = engine.blocks(pts)
+    c = np.outer(lam, lam)
+    value = inter.value - np.sum(c * ev.value)
+    grad = (inter.gradient.reshape(n, 2)
+            - np.einsum("jk,jka->ja", c, ev.grad_x)
+            - np.einsum("jk,jka->ka", c, ev.grad_y))
+    cross = np.einsum("jk,jkab->jakb", c, ev.hess_xy)
+    hess = inter.hessian.reshape(n, 2, n, 2) - cross - cross.transpose(2, 3, 0, 1)
+    diag = np.arange(n)
+    hess[diag, :, diag, :] -= (np.einsum("jk,jkab->jab", c, ev.hess_xx)
+                               + np.einsum("jk,jkab->kab", c, ev.hess_yy))
 
     m = 2 * n
     H = hess.reshape(m, m)

@@ -94,6 +94,7 @@ def test_equal_pair_has_no_critical_points(disk_engine):
         gm.SearchConfig(starts=200, seed=11))
     assert len(report.points) == 0
     assert report.stats["rejected_inadmissible"] == 200
+    assert sum(report.stats["failures_by_reason"].values()) == 200
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,22 @@ def test_rotate_and_polish_returns_to_orbit(disk_engine, dipole_report, dipole_s
 
 def test_detect_orbit_on_dipole(disk_engine, dipole_report):
     tag, alignment = gm.detect_rotation_orbit(disk_engine, dipole_report.points[0])
+    assert tag == "rotation-orbit"
+    assert alignment >= 0.999
+
+
+def test_detect_orbit_about_off_centre_disk(dipole_setup):
+    # rotations of a disk centred at (0.5, 0) fix its centre, not the origin
+    lam, config, spec = dipole_setup
+    engine = gm.build_engine(gm.DomainSpec(gm.circle(center=(0.5, 0.0))))
+    result = gm.newton_polish(engine, lam, spec, (config.points + [0.5, 0.0]).reshape(-1),
+                              gm.SearchConfig(starts=1))
+    assert result.converged
+    cls = gm.classify(result.hessian)
+    cp = gm.CriticalPoint(gm.Configuration(result.configuration.reshape(-1, 2)),
+                          result.residual, cls.spectrum, cls.morse_index,
+                          cls.margin, result.hessian)
+    tag, alignment = gm.detect_rotation_orbit(engine, cp)
     assert tag == "rotation-orbit"
     assert alignment >= 0.999
 

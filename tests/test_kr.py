@@ -19,6 +19,66 @@ def brute_force_log_sum(points, lam):
     return -total / TWO_PI
 
 
+def loop_log_derivatives(points, lam):
+    """Independent oracle: gradient and Hessian of the log sum, pair by pair."""
+    n = len(points)
+    grad = np.zeros((n, 2))
+    hess = np.zeros((n, 2, n, 2))
+    for j in range(n):
+        for k in range(j + 1, n):
+            d = points[j] - points[k]
+            r2 = d @ d
+            c = lam[j] * lam[k] / np.pi
+            grad[j] -= c * d / r2
+            grad[k] += c * d / r2
+            a = c * (np.eye(2) * r2 - 2.0 * np.outer(d, d)) / (r2 * r2)
+            hess[j, :, j, :] -= a
+            hess[k, :, k, :] -= a
+            hess[j, :, k, :] += a
+            hess[k, :, j, :] += a
+    return grad.reshape(-1), hess.reshape(2 * n, 2 * n)
+
+
+def per_pair_reference(engine, strengths, spec, config):
+    """Independent oracle: per-pair regular_part loop over j <= k, mirrored."""
+    lam = strengths.values
+    pts = config.points
+    n = len(pts)
+    inter = gm.interaction(spec, strengths, config)
+    value = inter.value
+    grad = inter.gradient.reshape(n, 2).copy()
+    hess = inter.hessian.reshape(n, 2, n, 2).copy()
+    for j in range(n):
+        for k in range(j, n):
+            ev = engine.regular_part(pts[j], pts[k])
+            pairs = [(j, k, ev.value, ev.grad_x, ev.grad_y, ev.hess_xx, ev.hess_yy, ev.hess_xy)]
+            if j != k:
+                pairs.append((k, j, ev.value, ev.grad_y, ev.grad_x,
+                              ev.hess_yy, ev.hess_xx, ev.hess_xy.T))
+            for a, b, v, gx, gy, hxx, hyy, hxy in pairs:
+                c = lam[a] * lam[b]
+                value -= c * v
+                grad[a] -= c * gx
+                grad[b] -= c * gy
+                hess[a, :, a, :] -= c * hxx
+                hess[b, :, b, :] -= c * hyy
+                hess[a, :, b, :] -= c * hxy
+                hess[b, :, a, :] -= c * hxy.T
+    m = 2 * n
+    H = hess.reshape(m, m)
+    return value, grad.reshape(m), 0.5 * (H + H.T)
+
+
+def spread_configuration(n_points, seed):
+    """N well-separated points inside the accuracy contract of both engines."""
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * (np.arange(n_points) + rng.uniform(0, 0.4, n_points)) / n_points
+    radii = rng.uniform(0.15, 0.6, n_points) if n_points > 1 else rng.uniform(0.0, 0.6, 1)
+    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    lam = rng.choice([-1.5, -1.0, 1.0, 2.0], n_points)
+    return gm.VortexStrengths(lam), gm.Configuration(pts)
+
+
 # ---------------------------------------------------------------------------
 # interaction term
 # ---------------------------------------------------------------------------
@@ -54,6 +114,17 @@ def test_log_sum_matches_brute_force_n4():
     res = gm.interaction(gm.kirchhoff_routh_interaction(), gm.VortexStrengths(lam),
                          gm.Configuration(pts))
     assert_allclose(res.value, brute_force_log_sum(pts, lam), rtol=1e-13)
+
+
+def test_log_sum_derivatives_match_loop_n5():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.5, 0.5, (5, 2))
+    lam = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
+    res = gm.interaction(gm.kirchhoff_routh_interaction(), gm.VortexStrengths(lam),
+                         gm.Configuration(pts))
+    grad, hess = loop_log_derivatives(pts, lam)
+    assert np.max(np.abs(res.gradient - grad)) <= 1e-13 * np.max(np.abs(grad))
+    assert np.max(np.abs(res.hessian - hess)) <= 1e-13 * np.max(np.abs(hess))
 
 
 def test_collision_rejected():
@@ -194,6 +265,52 @@ def test_gradient_hessian_match_fd(disk_engine, disk_domain, n_points, seed):
         # halving the step shrinks the mismatch about 4x (order 2)
         if errs_g[0] > 1e-11 * scale_g:
             assert errs_g[1] <= 0.4 * errs_g[0]
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3, 6])
+def test_f_omega_matches_per_pair_reference(disk_engine, lobed_engine, n_points):
+    spec = gm.kirchhoff_routh_interaction()
+    for engine in (disk_engine, lobed_engine):
+        strengths, config = spread_configuration(n_points, seed=n_points)
+        res = gm.f_omega(engine, strengths, spec, config)
+        value, grad, hess = per_pair_reference(engine, strengths, spec, config)
+        assert abs(res.value - value) <= 1e-13 * abs(value)
+        assert np.max(np.abs(res.gradient - grad)) <= 1e-13 * np.max(np.abs(grad))
+        assert np.max(np.abs(res.hessian - hess)) <= 1e-13 * np.max(np.abs(hess))
+
+
+def test_blocks_exactly_exchange_symmetric(lobed_engine):
+    _, config = spread_configuration(6, seed=4)
+    ev = lobed_engine.blocks(config.points)
+    assert ev.value.shape == (6, 6) and ev.hess_xy.shape == (6, 6, 2, 2)
+    # the diagonal j = k is one computed block; every other pair is exchanged
+    for j in range(6):
+        for k in range(6):
+            if j == k:
+                continue
+            assert ev.value[j, k] == ev.value[k, j]
+            assert np.array_equal(ev.grad_x[j, k], ev.grad_y[k, j])
+            assert np.array_equal(ev.hess_xx[j, k], ev.hess_yy[k, j])
+            assert np.array_equal(ev.hess_xy[j, k], ev.hess_xy[k, j].T)
+
+
+def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
+    strengths, config = spread_configuration(6, seed=6)
+    calls = {"blocks": 0, "regular_part": 0, "interior": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lobed_engine, "blocks", counted("blocks", lobed_engine.blocks))
+    monkeypatch.setattr(lobed_engine, "regular_part",
+                        counted("regular_part", lobed_engine.regular_part))
+    monkeypatch.setattr(lobed_engine, "_require_interior",
+                        counted("interior", lobed_engine._require_interior))
+    gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
+    assert calls == {"blocks": 1, "regular_part": 0, "interior": 6}
 
 
 def test_hessian_symmetric(disk_engine):
