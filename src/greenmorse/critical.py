@@ -48,6 +48,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.boundary_margin < 0 or self.collision_margin < 0:
+            raise ValueError("margins must be >= 0")
         if self.dedup_radius <= 10.0 * self.newton_tol:
             raise ValueError("dedup_radius must exceed the tolerance-scale displacement")
 
@@ -129,6 +131,9 @@ def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
 
 @dataclass
 class PolishResult:
+    """``failure`` is None if converged, else "inadmissible-start", "stalled",
+    "singular-hessian", "left-admissible-region", "line-search-failed" or "max-iterations"."""
+
     configuration: np.ndarray | None
     residual: float
     hessian: np.ndarray | None
@@ -137,29 +142,20 @@ class PolishResult:
     failure: str | None = None
 
 
-def _admissible(engine, spec, flat, boundary_margin, collision_margin) -> bool:
-    return bool(check_admissible(engine.domain, spec, Configuration(flat.reshape(-1, 2)),
-                                 boundary_margin, collision_margin))
-
-
 def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
                   x0, search: SearchConfig) -> PolishResult:
-    """Damped Newton iteration on the gradient, kept inside the margins."""
-    bm = max(search.boundary_margin, getattr(engine, "eval_margin", 0.0))
-    cm = search.collision_margin
+    """Damped Newton iteration on the gradient, kept admissible by f_omega."""
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if not _admissible(engine, spec, x, bm, cm):
-        return PolishResult(None, np.inf, None, 0, False, "inadmissible-start")
 
     def evaluate(flat):
         res = f_omega(engine, strengths, spec, Configuration(flat.reshape(-1, 2)),
-                      boundary_margin=bm, collision_margin=cm)
+                      search.boundary_margin, search.collision_margin)
         return res.gradient, res.hessian
 
     try:
         grad, hess = evaluate(x)
     except (AccuracyDegradedError, OutsideDomainError, CollisionError):
-        return PolishResult(None, np.inf, None, 0, False, "evaluation-error")
+        return PolishResult(None, np.inf, None, 0, False, "inadmissible-start")
 
     history = []
     for iteration in range(search.max_iterations):
@@ -207,7 +203,8 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
 
 def _halton_starts(engine, spec, search: SearchConfig, n_points: int):
     """Admissible starting configurations from a scrambled Halton sequence."""
-    bm = max(search.boundary_margin, getattr(engine, "eval_margin", 0.0))
+    # starts must be evaluable, so they also keep the engine's accuracy distance
+    bm = max(search.boundary_margin, engine.eval_margin)
     _, pts = engine.domain.boundary._dense
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -220,7 +217,8 @@ def _halton_starts(engine, spec, search: SearchConfig, n_points: int):
         drawn += len(block)
         for row in block:
             cand = (lo + row.reshape(n_points, 2) * (hi - lo)).reshape(-1)
-            if _admissible(engine, spec, cand, bm, search.collision_margin):
+            if check_admissible(engine.domain, spec, Configuration(cand), bm,
+                                search.collision_margin):
                 starts.append(cand)
                 if len(starts) == search.starts:
                     break

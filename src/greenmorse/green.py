@@ -16,12 +16,15 @@ boundary traces of the normal derivative of G:
   point differentiate the representation kernel, which is smooth at interior
   points.
 
-Each engine evaluates H through one path, ``blocks(points)``: every
+Each engine evaluates H through one path, ``blocks(points, margin)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
-(j, k) axes.  It checks each point once, computes the j <= k blocks (the
+(j, k) axes.  It checks each point with one boundary-distance query (a point
+no farther than ``margin`` inside is OutsideDomainError; then one closer than
+``eval_margin`` is AccuracyDegradedError), computes the j <= k blocks (the
 integral engine with one LU solve for all sources x_k) and copies each j > k
 block from the (k, j) block with x and y exchanged.  ``regular_part(x, y)`` is
-the computed (0, 1) entry of ``blocks([x, y])``.
+the computed (0, 1) entry of ``blocks([x, y])``; it, ``robin`` and the
+boundary traces use margin 0.
 
 Engines are immutable after construction and all evaluations are pure.
 """
@@ -134,6 +137,8 @@ class _EngineBase:
     """Shared quadrature geometry for both backends."""
 
     backend = "abstract"
+    # points closer than this to the boundary are outside the accuracy contract
+    eval_margin = 0.0
 
     def __init__(self, domain: DomainSpec, n: int):
         if n < MIN_NODES:
@@ -150,6 +155,27 @@ class _EngineBase:
         self.curvatures = frame.curvature
         self.speeds = np.hypot(d1[:, 0], d1[:, 1])
         self.weights = self.speeds * TWO_PI / n
+
+    def _require_interior(self, points, margin: float = 0.0) -> np.ndarray:
+        """The points as an (N, 2) array, after one boundary-distance query each:
+        every point is tested against ``margin`` before any against ``eval_margin``."""
+        if margin < 0:
+            raise ValueError("margin must be >= 0")
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        dists = []
+        for i, p in enumerate(pts):
+            dists.append(self.domain.signed_boundary_distance(p))
+            if dists[-1] <= margin:
+                raise OutsideDomainError(
+                    f"point {i} at {tuple(p)} is not more than {margin:.3g} inside the domain")
+        i = int(np.argmin(dists))
+        if dists[i] < self.eval_margin:
+            bound = float(np.exp(-np.pi * self.node_count * dists[i]
+                                 / self.domain.boundary.perimeter))
+            raise AccuracyDegradedError(
+                f"point {i} is {dists[i]:.3g} from the boundary, inside the accuracy "
+                f"contract distance {self.eval_margin:.3g}", estimated_bound=bound)
+        return pts
 
     def robin(self, x) -> RobinEvaluation:
         """h(x) = H(x, x) via the chain rule on the diagonal restriction."""
@@ -172,7 +198,6 @@ class DiskGreenEngine(_EngineBase):
     """
 
     backend = "disk-closed-form"
-    eval_margin = 0.0
 
     def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
         super().__init__(domain, n)
@@ -181,15 +206,11 @@ class DiskGreenEngine(_EngineBase):
             raise ValueError("DiskGreenEngine requires a circular boundary")
         self.center, self.radius = info
 
-    def _reduce(self, x):
-        x = np.asarray(x, dtype=float)
-        xt = (x - self.center) / self.radius
-        if xt @ xt >= 1.0:
-            raise OutsideDomainError(f"point {x} is not inside the disk")
-        return xt
+    def _reduce(self, points):
+        return (points - self.center) / self.radius
 
-    def blocks(self, points) -> GreenEvaluation:
-        xt = np.array([self._reduce(p) for p in points]).reshape(-1, 2)
+    def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
+        xt = self._reduce(self._require_interior(points, margin))
         R = self.radius
         X = xt[:, None, :]          # x = x_j
         Y = xt[None, :, :]          # y = x_k
@@ -218,7 +239,7 @@ class DiskGreenEngine(_EngineBase):
         return self.blocks([x, y]).pair(0, 1)
 
     def boundary_normal_derivative(self, x) -> BoundaryTrace:
-        xt = self._reduce(x)
+        xt = self._reduce(self._require_interior(x)[0])
         zt = (self.nodes - self.center) / self.radius
         r2 = np.sum((zt - xt) ** 2, axis=1)
         values = -(1.0 - xt @ xt) / (TWO_PI * r2) / self.radius
@@ -226,7 +247,7 @@ class DiskGreenEngine(_EngineBase):
 
     def trace_gradient(self, x) -> np.ndarray:
         """d/dx of d_{nu_z} G(x, z) at every node, shape (n, 2)."""
-        xt = self._reduce(x)
+        xt = self._reduce(self._require_interior(x)[0])
         zt = (self.nodes - self.center) / self.radius
         d = xt - zt
         r2 = np.sum(d * d, axis=1)
@@ -314,22 +335,8 @@ class IntegralGreenEngine(_EngineBase):
         f2 = -2.0 * (base @ densities) / TWO_PI
         return f0, f1, f2
 
-    def _require_interior(self, x):
-        x = np.asarray(x, dtype=float)
-        dist = self.domain.signed_boundary_distance(x)
-        if dist <= 0:
-            raise OutsideDomainError(f"point {x} is outside the domain")
-        if dist < self.eval_margin:
-            bound = float(np.exp(-np.pi * self.node_count * dist
-                                 / self.domain.boundary.perimeter))
-            raise AccuracyDegradedError(
-                f"point {x} is {dist:.3g} from the boundary, inside the "
-                f"accuracy contract distance {self.eval_margin:.3g}",
-                estimated_bound=bound)
-        return x
-
-    def blocks(self, points) -> GreenEvaluation:
-        pts = np.array([self._require_interior(p) for p in points]).reshape(-1, 2)
+    def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
+        pts = self._require_interior(points, margin)
         n_pts = len(pts)
         d = self.nodes[:, None, :] - pts[None, :, :]
         r2 = np.sum(d * d, axis=2)
@@ -359,7 +366,7 @@ class IntegralGreenEngine(_EngineBase):
         return self.blocks([x, y]).pair(0, 1)
 
     def boundary_normal_derivative(self, x) -> BoundaryTrace:
-        x = self._require_interior(x)
+        x = self._require_interior(x)[0]
         d = self.nodes - x
         r2 = np.sum(d * d, axis=1)
         rhs = -(d[:, 0] * self.normals[:, 0] + d[:, 1] * self.normals[:, 1]) / r2 / TWO_PI
@@ -367,7 +374,7 @@ class IntegralGreenEngine(_EngineBase):
         return BoundaryTrace(values, self.nodes, self.normals, self.weights)
 
     def trace_gradient(self, x) -> np.ndarray:
-        x = self._require_interior(x)
+        x = self._require_interior(x)[0]
         d = self.nodes - x
         r2 = np.sum(d * d, axis=1)
         dn = d[:, 0] * self.normals[:, 0] + d[:, 1] * self.normals[:, 1]

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CollisionError, OutsideDomainError
+from .errors import CollisionError
 from .geometry import DomainSpec, contains
 
 TWO_PI = 2.0 * np.pi
@@ -152,10 +152,10 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
     margin = collision_margin
     if margin is None:
         margin = spec.collision_margin if spec.collision_margin is not None else 1e-12
-    if config.min_pair_distance() <= margin:
+    gap = config.min_pair_distance()
+    if gap <= margin:
         raise CollisionError(
-            f"minimal pair distance {config.min_pair_distance():.3e} "
-            f"not above the collision margin {margin:.3e}")
+            f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
     m = 2 * len(pts)
     if spec.variant == "zero":
         return EvaluationResult(0.0, np.zeros(m), np.zeros((m, m)))
@@ -176,9 +176,9 @@ def check_admissible(domain: DomainSpec, spec: InteractionSpec, config: Configur
     for i, p in enumerate(config.points):
         if not contains(domain, p, bm):
             diagnostics.append(f"boundary: point {i} at {tuple(p)} violates margin {bm:.3g}")
-    if config.min_pair_distance() <= cm:
-        diagnostics.append(
-            f"collision: min pair distance {config.min_pair_distance():.3g} <= {cm:.3g}")
+    gap = config.min_pair_distance()
+    if gap <= cm:
+        diagnostics.append(f"collision: min pair distance {gap:.3g} <= {cm:.3g}")
     return AdmissibilityResult(not diagnostics, tuple(diagnostics))
 
 
@@ -200,7 +200,10 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     """Interaction minus the full regular-part double sum, with derivatives.
 
     All H(x_j, x_k) come from one ``engine.blocks`` call: leading (j, k) axes,
-    each point checked once, j > k blocks mirrored from the (k, j) blocks.
+    j > k blocks mirrored from the (k, j) blocks.  It and ``interaction``
+    decide admissibility once, one boundary-distance query per point, with
+    this precedence: CollisionError, then OutsideDomainError (the boundary
+    margin), then AccuracyDegradedError (the engine's ``eval_margin``).
     The gradient block for point m collects lambda_m lambda_k grad_x H(x_m, x_k)
     and lambda_j lambda_m grad_y H(x_j, x_m) over all j, k (diagonal included);
     Hessian blocks assemble the same way from the second-derivative blocks.
@@ -208,19 +211,10 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     lam = strengths.values
     pts = config.points
     n = len(pts)
-    if len(lam) != n:
-        raise ValueError("strengths and configuration lengths differ")
-    adm = check_admissible(engine.domain, spec, config, boundary_margin, collision_margin)
-    if not adm:
-        msg = "; ".join(adm.diagnostics)
-        if any(d.startswith("collision") for d in adm.diagnostics):
-            raise CollisionError(msg)
-        raise OutsideDomainError(msg)
-
-    _, cm = resolve_margins(engine.domain, spec, boundary_margin, collision_margin)
+    bm, cm = resolve_margins(engine.domain, spec, boundary_margin, collision_margin)
     inter = interaction(spec, strengths, config, collision_margin=cm)
 
-    ev = engine.blocks(pts)
+    ev = engine.blocks(pts, bm)
     c = np.outer(lam, lam)
     value = inter.value - np.sum(c * ev.value)
     grad = (inter.gradient.reshape(n, 2)

@@ -41,6 +41,13 @@ def dipole_setup():
             gm.kirchhoff_routh_interaction())
 
 
+def point_at_distance(domain, t, dist):
+    """The boundary point at parameter t moved ``dist`` inward along the normal
+    (outward for dist < 0)."""
+    frame = domain.boundary.frame(t)
+    return frame.point - dist * frame.normal
+
+
 def orbit_distance(points_a, points_b) -> float:
     """Distance between configurations modulo a global rotation."""
     za = points_a[:, 0] + 1j * points_a[:, 1]

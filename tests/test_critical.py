@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
-from conftest import DIPOLE_RADIUS, orbit_distance
+from conftest import DIPOLE_RADIUS, orbit_distance, point_at_distance
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +227,20 @@ def test_search_config_validation():
         gm.SearchConfig(newton_tol=-1.0)
     with pytest.raises(ValueError):
         gm.SearchConfig(newton_tol=1e-4, dedup_radius=1e-4)
+    with pytest.raises(ValueError):
+        gm.SearchConfig(boundary_margin=-1.0)
+    with pytest.raises(ValueError):
+        gm.SearchConfig(collision_margin=-1.0)
+
+
+def test_polish_from_accuracy_band_is_inadmissible_start(lobed_engine):
+    # inside the search margin, but closer to the boundary than the engine's
+    # accuracy contract allows
+    search = gm.SearchConfig(starts=1)
+    dist = 0.7 * lobed_engine.eval_margin
+    assert dist > search.boundary_margin
+    start = point_at_distance(lobed_engine.domain, 0.3, dist)
+    result = gm.newton_polish(lobed_engine, gm.VortexStrengths([1.0]),
+                              gm.zero_interaction(), start, search)
+    assert result.failure == "inadmissible-start"
+    assert result.iterations == 0 and not result.converged

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
-from conftest import DIPOLE_RADIUS
+from conftest import DIPOLE_RADIUS, point_at_distance
 
 TWO_PI = 2 * np.pi
 
@@ -296,7 +296,7 @@ def test_blocks_exactly_exchange_symmetric(lobed_engine):
 
 def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     strengths, config = spread_configuration(6, seed=6)
-    calls = {"blocks": 0, "regular_part": 0, "interior": 0}
+    calls = {"blocks": 0, "regular_part": 0, "distance": 0, "admissible": 0, "f_omega": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -307,10 +307,26 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     monkeypatch.setattr(lobed_engine, "blocks", counted("blocks", lobed_engine.blocks))
     monkeypatch.setattr(lobed_engine, "regular_part",
                         counted("regular_part", lobed_engine.regular_part))
-    monkeypatch.setattr(lobed_engine, "_require_interior",
-                        counted("interior", lobed_engine._require_interior))
+    # DomainSpec is a frozen dataclass, so the method is patched on the class
+    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance",
+                        counted("distance", gm.DomainSpec.signed_boundary_distance))
+    for module in (gm.kr, gm.critical):
+        monkeypatch.setattr(module, "check_admissible",
+                            counted("admissible", module.check_admissible))
+    monkeypatch.setattr(gm.critical, "f_omega", counted("f_omega", gm.critical.f_omega))
     gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
-    assert calls == {"blocks": 1, "regular_part": 0, "interior": 6}
+    assert calls == {"blocks": 1, "regular_part": 0, "distance": 6, "admissible": 0,
+                     "f_omega": 0}
+
+    # Newton polish checks nothing outside f_omega: N queries per evaluation
+    calls.update(distance=0)
+    a = DIPOLE_RADIUS
+    result = gm.newton_polish(lobed_engine, gm.VortexStrengths([1.0, -1.0]),
+                              gm.kirchhoff_routh_interaction(), [a, 0.0, -a, 0.0],
+                              gm.SearchConfig(starts=1))
+    assert result.converged and calls["f_omega"] >= 2
+    assert calls["distance"] == 2 * calls["f_omega"]
+    assert calls["admissible"] == 0
 
 
 def test_hessian_symmetric(disk_engine):
@@ -321,17 +337,45 @@ def test_hessian_symmetric(disk_engine):
     assert asym <= 1e-10 * max(np.max(np.abs(res.hessian)), 1e-300)
 
 
-def test_f_omega_raises_outside_domain(disk_engine):
+def test_f_omega_raises_outside_domain(disk_engine, lobed_engine):
     with pytest.raises(gm.OutsideDomainError):
         gm.f_omega(disk_engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
                    gm.Configuration([[1.2, 0.0]]))
 
+    # a point past the margin outranks a point in the accuracy band before it
+    domain = lobed_engine.domain
+    band = point_at_distance(domain, 0.3, 0.7 * lobed_engine.eval_margin)
+    outside = point_at_distance(domain, 2.0, -0.1)
+    spec = gm.kirchhoff_routh_interaction()
+    with pytest.raises(gm.OutsideDomainError):
+        gm.f_omega(lobed_engine, gm.VortexStrengths([1.0, -1.0]), spec,
+                   gm.Configuration([band, outside]))
 
-def test_f_omega_raises_on_collision(disk_engine):
+    # accuracy band only
+    with pytest.raises(gm.AccuracyDegradedError) as info:
+        gm.f_omega(lobed_engine, gm.VortexStrengths([1.0, -1.0]), spec,
+                   gm.Configuration([[0.0, 0.0], band]))
+    assert info.value.estimated_bound is not None
+
+
+def test_f_omega_raises_on_collision(disk_engine, lobed_engine):
     with pytest.raises(gm.CollisionError):
         gm.f_omega(disk_engine, gm.VortexStrengths([1.0, 1.0]),
                    gm.kirchhoff_routh_interaction(),
                    gm.Configuration([[0.1, 0.0], [0.1, 1e-9]]))
+
+    # a collision outranks a point outside the domain
+    with pytest.raises(gm.CollisionError):
+        gm.f_omega(lobed_engine, gm.VortexStrengths([1.0, 1.0, 1.0]),
+                   gm.kirchhoff_routh_interaction(),
+                   gm.Configuration([[2.0, 0.0], [0.1, 0.0], [0.1, 1e-9]]))
+
+
+def test_f_omega_rejects_negative_boundary_margin(disk_engine, lobed_engine):
+    for engine in (disk_engine, lobed_engine):
+        with pytest.raises(ValueError):
+            gm.f_omega(engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
+                       gm.Configuration([[0.1, 0.0]]), boundary_margin=-0.1)
 
 
 def test_vortex_file_roundtrip(tmp_path, dipole_setup):
