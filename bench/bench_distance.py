@@ -1,0 +1,40 @@
+"""Layer micro-benchmark of the boundary-distance queries (L0).
+
+Times ``DomainSpec.signed_boundary_distance`` on the lobed domain at
+N in {1, 3, 6, 384} points per query and ``PerturbationField.evaluate`` at
+N = 64.  Run from the root of a checkout with pytest-benchmark installed:
+
+    OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_distance.py
+
+The ``testpaths`` setting keeps tier-1 test runs from collecting this file.
+"""
+
+import numpy as np
+import pytest
+
+import greenmorse as gm
+
+
+@pytest.fixture(scope="module")
+def lobed_domain():
+    """The unit disk displaced by 0.05 cos(3t) along the normal."""
+    return gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(3), 0.05)
+
+
+def _points(n, seed=0):
+    # interior points and points past the boundary, as a search visits them
+    return np.random.default_rng(seed).uniform(-1.1, 1.1, size=(n, 2))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 384])
+def test_signed_boundary_distance(benchmark, lobed_domain, n):
+    pts = _points(n)
+    dist = benchmark(lobed_domain.signed_boundary_distance, pts)
+    assert dist.shape == (n,)
+
+
+def test_field_evaluate(benchmark, lobed_domain):
+    pts = _points(64)
+    field = gm.cosine_field(3)
+    values = benchmark(field.evaluate, lobed_domain, pts)
+    assert values.shape == (64, 2)

@@ -96,16 +96,29 @@ class BoundaryCurve:
         return np.stack([C @ self.cos_x + S @ self.sin_x,
                          C @ self.cos_y + S @ self.sin_y], axis=-1)
 
-    def derivative(self, t, order: int = 1) -> np.ndarray:
-        """Derivative of the parametrization with respect to t."""
+    def _derivative_coeffs(self, order: int):
+        """(cos x, sin x, cos y, sin y) coefficients of the order-th derivative."""
         k = np.arange(len(self.cos_x), dtype=float)
         ax, bx = self.cos_x, self.sin_x
         ay, by = self.cos_y, self.sin_y
         for _ in range(order):
             ax, bx = k * bx, -k * ax
             ay, by = k * by, -k * ay
+        return ax, bx, ay, by
+
+    def derivative(self, t, order: int = 1) -> np.ndarray:
+        """Derivative of the parametrization with respect to t."""
+        ax, bx, ay, by = self._derivative_coeffs(order)
         C, S = self._trig(t)
         return np.stack([C @ ax + S @ bx, C @ ay + S @ by], axis=-1)
+
+    @cached_property
+    def _jet_coeffs(self) -> np.ndarray:
+        """(2K, 6) matrix taking [cos(kt), sin(kt)] to (z, z', z''), x before y."""
+        jets = [self._derivative_coeffs(order) for order in range(3)]
+        cos_rows = np.stack([c for ax, _, ay, _ in jets for c in (ax, ay)], axis=1)
+        sin_rows = np.stack([c for _, bx, _, by in jets for c in (bx, by)], axis=1)
+        return np.vstack([cos_rows, sin_rows])
 
     def frame(self, t) -> BoundaryFrame:
         """Point, unit tangent, outward unit normal, and curvature at scalar t."""
@@ -168,44 +181,49 @@ class BoundaryCurve:
         _, pts = self._dense
         return pts.mean(axis=0)
 
-    def nearest_parameter(self, point) -> tuple[float, float]:
-        """Parameter of the closest boundary point and the distance to it."""
-        p = np.asarray(point, dtype=float)
+    def nearest_parameter(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Parameters of the closest boundary points and the distances to them,
+        two (N,) arrays for points of shape (N, 2).
+
+        Each point starts from its nearest dense sample and takes up to 6
+        Newton steps on d/dt |z(t) - p|^2 = 0; a point whose Newton answer is
+        farther than that sample keeps the sample.
+        """
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
         t, pts = self._dense
-        d2 = np.sum((pts - p) ** 2, axis=1)
-        i = int(np.argmin(d2))
-        ti = t[i]
-        # Newton on d/dt |z(t)-p|^2 = 0
+        d2 = (pts[None, :, 0] - p[:, 0, None]) ** 2 + (pts[None, :, 1] - p[:, 1, None]) ** 2
+        i = np.argmin(d2, axis=1)
+        coarse_t = t[i]
+        coarse = np.sqrt(d2[np.arange(len(p)), i])
+        ti = coarse_t.copy()
+        live = np.arange(len(p))    # points still iterating
         for _ in range(6):
-            z = self.point(ti)[0]
-            d1 = self.derivative(ti, 1)[0]
-            d2v = self.derivative(ti, 2)[0]
-            r = z - p
-            g = 2.0 * (r @ d1)
-            h = 2.0 * (d1 @ d1 + r @ d2v)
-            if abs(h) < 1e-14:
+            jet = np.hstack(self._trig(ti[live])) @ self._jet_coeffs
+            z, d1, d2v = jet[:, 0:2], jet[:, 2:4], jet[:, 4:6]
+            r = z - p[live]
+            g = 2.0 * (r[:, 0] * d1[:, 0] + r[:, 1] * d1[:, 1])
+            h = 2.0 * (d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1]
+                       + (r[:, 0] * d2v[:, 0] + r[:, 1] * d2v[:, 1]))
+            steps = np.abs(h) >= 1e-14
+            live = live[steps]
+            step = g[steps] / h[steps]
+            ti[live] -= step
+            live = live[np.abs(step) >= 1e-14]
+            if not len(live):
                 break
-            step = g / h
-            ti -= step
-            if abs(step) < 1e-14:
-                break
-        dist = float(np.linalg.norm(self.point(ti)[0] - p))
-        coarse = float(np.sqrt(d2[i]))
-        if dist > coarse:  # Newton wandered; keep the coarse answer
-            return float(t[i]), coarse
-        return float(ti % TWO_PI), dist
+        r = self.point(ti) - p
+        dist = np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1])
+        wandered = dist > coarse    # Newton wandered; keep the coarse answer
+        return np.where(wandered, coarse_t, ti % TWO_PI), np.where(wandered, coarse, dist)
 
-    def distance_to_boundary(self, point) -> float:
-        return self.nearest_parameter(point)[1]
-
-    def winding_number(self, point) -> int:
-        p = np.asarray(point, dtype=float)
+    def winding_number(self, points) -> np.ndarray:
+        """Winding number of the curve about each of the (N, 2) points, (N,) ints."""
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
         _, pts = self._dense
-        rel = (pts[:, 0] - p[0]) + 1j * (pts[:, 1] - p[1])
-        ang = np.angle(rel)
-        dang = np.diff(np.concatenate([ang, ang[:1]]))
-        dang = (dang + np.pi) % TWO_PI - np.pi
-        return int(np.rint(dang.sum() / TWO_PI))
+        ang = np.arctan2(pts[None, :, 1] - p[:, 1, None], pts[None, :, 0] - p[:, 0, None])
+        dang = np.diff(ang, axis=1, append=ang[:, :1])
+        dang -= TWO_PI * np.rint(dang / TWO_PI)     # each step into [-pi, pi]
+        return np.rint(dang.sum(axis=1) / TWO_PI).astype(int)
 
     @cached_property
     def fourier_c1(self) -> complex:
@@ -353,14 +371,21 @@ class DomainSpec:
         """Centre of the domain's rotations: a disk's centre, else the origin."""
         return self._circle[0] if self._circle is not None else np.zeros(2)
 
-    def signed_boundary_distance(self, point) -> float:
-        """Distance to the boundary, negative outside the domain."""
+    def signed_boundary_distance(self, points):
+        """Distance to the boundary, negative outside the domain: a float for
+        one point of shape (2,), an (N,) array for points of shape (N, 2).
+
+        All points are measured in one batched query."""
+        pts = np.asarray(points, dtype=float)
+        flat = pts.reshape(-1, 2)
         if self._circle is not None:
             center, radius = self._circle
-            return radius - float(np.hypot(*(np.asarray(point, dtype=float) - center)))
-        curve = self.boundary
-        dist = curve.distance_to_boundary(point)
-        return dist if curve.winding_number(point) == 1 else -dist
+            dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
+        else:
+            curve = self.boundary
+            dist = curve.nearest_parameter(flat)[1]
+            dist = np.where(curve.winding_number(flat) == 1, dist, -dist)
+        return float(dist[0]) if pts.ndim == 1 else dist
 
 
 def _default_margin(curve: BoundaryCurve) -> float:
@@ -383,11 +408,12 @@ def eval_boundary(curve: BoundaryCurve, t: float) -> BoundaryFrame:
     return curve.frame(t)
 
 
-def contains(domain: DomainSpec, point, margin: float = 0.0) -> bool:
-    """True iff the point is inside with distance to the boundary > margin."""
+def contains(domain: DomainSpec, points, margin: float = 0.0):
+    """True iff the point is inside with distance to the boundary > margin:
+    a bool for one point of shape (2,), an (N,) bool array for (N, 2)."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    return domain.signed_boundary_distance(point) > margin
+    return domain.signed_boundary_distance(points) > margin
 
 
 def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) -> np.ndarray:
@@ -408,11 +434,8 @@ def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) ->
     while len(accepted) < count and drawn < budget:
         batch = rng.uniform(lo, hi, size=(256, 2))
         drawn += len(batch)
-        for p in batch:
-            if contains(domain, p, margin):
-                accepted.append(p)
-                if len(accepted) == count:
-                    break
+        # accepted in draw order, up to the count
+        accepted.extend(batch[contains(domain, batch, margin)][: count - len(accepted)])
     if len(accepted) < count:
         raise EmptyRegionError(
             f"could not find {count} interior points at margin {margin} "
@@ -510,23 +533,24 @@ class PerturbationField:
         if self.is_zero:
             return out
         curve = domain.boundary
-        for i, p in enumerate(pts):
-            tstar, dist = curve.nearest_parameter(p)
-            if dist >= self.cutoff_width:
-                continue
-            eta = _smoothstep(1.0 - dist / self.cutoff_width)
-            frame = curve.frame(tstar)
-            out[i] = eta * self.profile(tstar)[0] * frame.normal
+        tstar, dist = curve.nearest_parameter(pts)
+        near = dist < self.cutoff_width
+        tstar = tstar[near]
+        eta = _smoothstep(1.0 - dist[near] / self.cutoff_width)
+        out[near] = (eta * self.profile(tstar))[:, None] * curve.frame(tstar).normal
         return out
 
-    def vanishes_near(self, domain: DomainSpec, point, slack: float = 1e-8) -> bool:
-        """True when the field is identically zero on a neighborhood of the point."""
+    def vanishes_near(self, domain: DomainSpec, points, slack: float = 1e-8):
+        """True where the field is identically zero on a neighborhood of the
+        point: a bool for one point of shape (2,), an (N,) bool array for (N, 2)."""
+        pts = np.asarray(points, dtype=float)
         if self.is_zero:
-            return True
-        if self.kind == "identity_dilation":
-            return bool(np.linalg.norm(np.asarray(point, dtype=float)) <= 1e-10)
-        dist = domain.signed_boundary_distance(point)
-        return dist > self.cutoff_width + slack
+            out = np.ones(pts.shape[:-1], dtype=bool)
+        elif self.kind == "identity_dilation":
+            out = np.linalg.norm(pts, axis=-1) <= 1e-10
+        else:
+            out = domain.signed_boundary_distance(pts) > self.cutoff_width + slack
+        return bool(out) if pts.ndim == 1 else out
 
     def sup_boundary_norm(self, domain: DomainSpec) -> float:
         """Max of |psi| over the boundary."""

@@ -18,9 +18,10 @@ boundary traces of the normal derivative of G:
 
 Each engine evaluates H through one path, ``blocks(points, margin)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
-(j, k) axes.  It checks each point with one boundary-distance query (a point
-no farther than ``margin`` inside is OutsideDomainError; then one closer than
-``eval_margin`` is AccuracyDegradedError), computes the j <= k blocks (the
+(j, k) axes.  It checks the points with one batched boundary-distance query
+for all points (the lowest-index point no farther than ``margin`` inside is
+OutsideDomainError; then the point nearest the boundary, if closer than
+``eval_margin``, is AccuracyDegradedError), computes the j <= k blocks (the
 integral engine with one LU solve for all sources x_k) and copies each j > k
 block from the (k, j) block with x and y exchanged.  ``regular_part(x, y)`` is
 the computed (0, 1) entry of ``blocks([x, y])``; it, ``robin`` and the
@@ -157,17 +158,20 @@ class _EngineBase:
         self.weights = self.speeds * TWO_PI / n
 
     def _require_interior(self, points, margin: float = 0.0) -> np.ndarray:
-        """The points as an (N, 2) array, after one boundary-distance query each:
-        every point is tested against ``margin`` before any against ``eval_margin``."""
+        """The points as an (N, 2) array, after one batched boundary-distance
+        query for all points: the lowest-index point no farther than ``margin``
+        inside is OutsideDomainError; only if every point passes, the point
+        nearest the boundary, if closer than ``eval_margin``, is
+        AccuracyDegradedError."""
         if margin < 0:
             raise ValueError("margin must be >= 0")
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        dists = []
-        for i, p in enumerate(pts):
-            dists.append(self.domain.signed_boundary_distance(p))
-            if dists[-1] <= margin:
-                raise OutsideDomainError(
-                    f"point {i} at {tuple(p)} is not more than {margin:.3g} inside the domain")
+        dists = self.domain.signed_boundary_distance(pts)
+        outside = np.flatnonzero(dists <= margin)
+        if len(outside):
+            i = outside[0]
+            raise OutsideDomainError(
+                f"point {i} at {tuple(pts[i])} is not more than {margin:.3g} inside the domain")
         i = int(np.argmin(dists))
         if dists[i] < self.eval_margin:
             bound = float(np.exp(-np.pi * self.node_count * dists[i]
@@ -176,6 +180,11 @@ class _EngineBase:
                 f"point {i} is {dists[i]:.3g} from the boundary, inside the accuracy "
                 f"contract distance {self.eval_margin:.3g}", estimated_bound=bound)
         return pts
+
+    @property
+    def diagnostics(self) -> dict:
+        """Numbers the engine computed about its own accuracy."""
+        return {"eval_margin": self.eval_margin}
 
     def robin(self, x) -> RobinEvaluation:
         """h(x) = H(x, x) via the chain rule on the diagonal restriction."""
@@ -285,10 +294,12 @@ class IntegralGreenEngine(_EngineBase):
         self._lu_dirichlet = lu_factor(dirichlet)
         self._lu_trace = lu_factor(trace_op)
         rcond = lapack.dgecon(self._lu_dirichlet[0], anorm, norm="1")[0]
-        if rcond <= 0 or 1.0 / rcond > CONDITION_LIMIT:
+        # 1-norm condition estimate of the discrete Dirichlet system
+        self.condition_estimate = 1.0 / max(rcond, 1e-300)
+        if rcond <= 0 or self.condition_estimate > CONDITION_LIMIT:
             raise DiscretizationFailureError(
                 f"discrete Dirichlet system condition estimate "
-                f"{1.0 / max(rcond, 1e-300):.2e} exceeds {CONDITION_LIMIT:.0e}")
+                f"{self.condition_estimate:.2e} exceeds {CONDITION_LIMIT:.0e}")
 
         self.eval_margin = 0.05 * domain.diameter
         self._complex_nodes = z[:, 0] + 1j * z[:, 1]
@@ -305,7 +316,7 @@ class IntegralGreenEngine(_EngineBase):
         for shrink in (0.3, 0.55):
             probes.append(centroid + shrink * (z[:: max(1, len(z) // 8)] - centroid))
         probes = np.vstack(probes)
-        dists = np.array([self.domain.boundary.distance_to_boundary(p) for p in probes])
+        dists = self.domain.boundary.nearest_parameter(probes)[1]
         threshold = min(0.1, 0.45 * float(dists.max()))
         probes = probes[dists >= threshold]
         values = self._representation(mu[:, None], probes)[0][:, 0].real
@@ -315,6 +326,12 @@ class IntegralGreenEngine(_EngineBase):
                 f"construction self-test error {worst:.3e} exceeds {SELF_TEST_TOL:.1e}; "
                 f"increase the node count")
         self.self_test_error = worst
+
+    @property
+    def diagnostics(self) -> dict:
+        return {"condition_estimate": self.condition_estimate,
+                "self_test_error": self.self_test_error,
+                "eval_margin": self.eval_margin}
 
     # -- interior representation ------------------------------------------------
 

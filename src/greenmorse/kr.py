@@ -92,6 +92,8 @@ class InteractionSpec:
             raise ValueError(f"unknown interaction variant {self.variant!r}")
         if self.variant == "custom" and self.custom_evaluator is None:
             raise ValueError("custom interaction requires an evaluator")
+        if self.collision_margin is not None and self.collision_margin < 0:
+            raise ValueError("collision_margin must be >= 0")
 
 
 def kirchhoff_routh_interaction() -> InteractionSpec:
@@ -152,6 +154,8 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
     margin = collision_margin
     if margin is None:
         margin = spec.collision_margin if spec.collision_margin is not None else 1e-12
+    if margin < 0:
+        raise ValueError("collision margin must be >= 0")
     gap = config.min_pair_distance()
     if gap <= margin:
         raise CollisionError(
@@ -172,10 +176,9 @@ def check_admissible(domain: DomainSpec, spec: InteractionSpec, config: Configur
                      collision_margin: float | None = None) -> AdmissibilityResult:
     """Total membership test for the configuration, with diagnostics."""
     bm, cm = resolve_margins(domain, spec, boundary_margin, collision_margin)
-    diagnostics = []
-    for i, p in enumerate(config.points):
-        if not contains(domain, p, bm):
-            diagnostics.append(f"boundary: point {i} at {tuple(p)} violates margin {bm:.3g}")
+    pts = config.points
+    diagnostics = [f"boundary: point {i} at {tuple(pts[i])} violates margin {bm:.3g}"
+                   for i in np.flatnonzero(~contains(domain, pts, bm))]
     gap = config.min_pair_distance()
     if gap <= cm:
         diagnostics.append(f"collision: min pair distance {gap:.3g} <= {cm:.3g}")

@@ -93,10 +93,10 @@ def dGradF_shape(engine, strengths: VortexStrengths, spec: InteractionSpec,
     n = len(config)
     if field.is_zero:
         return np.zeros(2 * n)
-    for p in config.points:
-        if not field.vanishes_near(engine.domain, p):
-            raise UnsupportedFieldError(
-                f"field does not vanish near configuration point {tuple(p)}")
+    near = np.flatnonzero(~field.vanishes_near(engine.domain, config.points))
+    if len(near):
+        raise UnsupportedFieldError(
+            f"field does not vanish near configuration point {tuple(config.points[near[0]])}")
     lam = strengths.values
     gn = _field_normal_at_nodes(engine, field)
     traces = [engine.boundary_normal_derivative(p).values for p in config.points]

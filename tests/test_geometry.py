@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
+from conftest import point_at_distance
 from greenmorse.geometry import as_circle, fit_curve
 
 
@@ -140,6 +141,15 @@ def test_contains_generic_backend(lobed_domain):
     assert not gm.contains(lobed_domain, [-0.97, 0.0], 0.0)
 
 
+def test_sample_interior_batched_draw_order(lobed_domain):
+    # each 256-draw batch is measured in one query and accepted in draw order;
+    # these are the first rows drawn one point at a time
+    pts = gm.sample_interior(lobed_domain, 10, 0.1, seed=7)
+    assert np.array_equal(pts[:3], [[0.6013713804903869, -0.55531396355997],
+                                    [-0.3496674301775492, 0.7548940030759133],
+                                    [0.6441388575040923, -0.06479852375861339]])
+
+
 def test_sample_interior_postconditions(disk_domain):
     pts = gm.sample_interior(disk_domain, 10, 0.2, seed=7)
     assert pts.shape == (10, 2)
@@ -241,6 +251,58 @@ def test_group_elements_closure():
         for b in mats:
             prod = a @ b
             assert any(np.allclose(prod, m, atol=1e-12) for m in mats)
+
+
+# ---------------------------------------------------------------------------
+# boundary distance
+# ---------------------------------------------------------------------------
+
+def _distance_probes(domain, seed=11):
+    """About 2,000 points: inside, outside, and within 1e-3 of the boundary."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 2.0 * np.pi, 700)
+    near = np.array([point_at_distance(domain, ti, d)
+                     for ti, d in zip(t, rng.uniform(-1e-3, 1e-3, len(t)))])
+    return np.vstack([rng.uniform(-0.9, 0.9, (650, 2)),
+                      rng.uniform(-1.6, 1.6, (650, 2)), near])
+
+
+def test_batched_distance_matches_per_row(lobed_domain):
+    pts = _distance_probes(lobed_domain)
+    batched = lobed_domain.signed_boundary_distance(pts)
+    rows = np.concatenate([lobed_domain.signed_boundary_distance(p[None, :]) for p in pts])
+    assert batched.shape == (len(pts),)
+    assert np.max(np.abs(batched - rows)) <= 1e-15
+    assert np.array_equal(np.sign(batched), np.sign(rows))
+    assert np.sum(batched > 0) > 500 and np.sum(batched < 0) > 500
+    assert np.sum(np.abs(batched) < 1e-3) >= 600
+
+
+def test_batched_field_matches_per_row(lobed_domain):
+    field = gm.cosine_field(3, amplitude=0.7, cutoff_width=0.35)
+    pts = _distance_probes(lobed_domain, seed=12)[::4]
+    rows = np.vstack([field.evaluate(lobed_domain, [p]) for p in pts])
+    # |psi| <= 0.7 and |d psi / dt| <= 2.1: a few ulps of t* and the frame
+    assert np.max(np.abs(field.evaluate(lobed_domain, pts) - rows)) <= 1e-14
+    clear = field.vanishes_near(lobed_domain, pts)
+    assert clear.dtype == bool and clear.shape == (len(pts),)
+    assert np.array_equal(clear, [field.vanishes_near(lobed_domain, p) for p in pts])
+
+
+@pytest.mark.parametrize("dist", [1e-3, 0.05, 0.2])
+def test_distance_recovers_normal_offset(lobed_domain, dist):
+    offsets = np.array([sign * dist for sign in (1.0, -1.0) for _ in range(6)])
+    pts = np.array([point_at_distance(lobed_domain, t, d)
+                    for t, d in zip(np.tile([0.0, 0.4, 1.3, 2.9, 4.4, 6.0], 2), offsets)])
+    assert np.max(np.abs(lobed_domain.signed_boundary_distance(pts) - offsets)) <= 1e-12
+
+
+def test_single_point_distance_is_float(disk_domain, lobed_domain):
+    for domain in (disk_domain, lobed_domain):
+        d = domain.signed_boundary_distance(np.array([0.3, 0.1]))
+        assert type(d) is float
+        assert type(gm.contains(domain, [0.3, 0.1])) is bool
+        assert domain.signed_boundary_distance([[0.3, 0.1]]).shape == (1,)
 
 
 # ---------------------------------------------------------------------------

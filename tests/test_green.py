@@ -120,6 +120,22 @@ def test_outside_point_rejected(disk_engine, integral_engine):
             engine.regular_part([1.5, 0.0], [0.0, 0.0])
 
 
+def test_require_interior_names_first_offending_point(disk_engine, lobed_engine):
+    pts = [[0.1, 0.0], [1.5, 0.0], [0.2, 0.3], [0.0, -2.0]]
+    for engine in (disk_engine, lobed_engine):
+        with pytest.raises(gm.OutsideDomainError, match=r"point 1 at \("):
+            engine.blocks(pts)
+
+
+def test_engine_diagnostics(disk_engine, lobed_engine):
+    assert disk_engine.diagnostics == {"eval_margin": 0.0}
+    diag = lobed_engine.diagnostics
+    assert set(diag) == {"condition_estimate", "self_test_error", "eval_margin"}
+    assert np.isfinite(diag["condition_estimate"]) and diag["condition_estimate"] >= 1.0
+    assert diag["self_test_error"] == lobed_engine.self_test_error
+    assert diag["eval_margin"] == lobed_engine.eval_margin > 0.0
+
+
 # ---------------------------------------------------------------------------
 # boundary-integral backend vs closed form
 # ---------------------------------------------------------------------------

@@ -297,6 +297,7 @@ def test_blocks_exactly_exchange_symmetric(lobed_engine):
 def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     strengths, config = spread_configuration(6, seed=6)
     calls = {"blocks": 0, "regular_part": 0, "distance": 0, "admissible": 0, "f_omega": 0}
+    distance_batches = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -304,28 +305,34 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_distance(domain, points):
+        calls["distance"] += 1
+        distance_batches.append(np.shape(points))
+        return signed_boundary_distance(domain, points)
+
     monkeypatch.setattr(lobed_engine, "blocks", counted("blocks", lobed_engine.blocks))
     monkeypatch.setattr(lobed_engine, "regular_part",
                         counted("regular_part", lobed_engine.regular_part))
     # DomainSpec is a frozen dataclass, so the method is patched on the class
-    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance",
-                        counted("distance", gm.DomainSpec.signed_boundary_distance))
+    signed_boundary_distance = gm.DomainSpec.signed_boundary_distance
+    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
     for module in (gm.kr, gm.critical):
         monkeypatch.setattr(module, "check_admissible",
                             counted("admissible", module.check_admissible))
     monkeypatch.setattr(gm.critical, "f_omega", counted("f_omega", gm.critical.f_omega))
     gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
-    assert calls == {"blocks": 1, "regular_part": 0, "distance": 6, "admissible": 0,
+    assert calls == {"blocks": 1, "regular_part": 0, "distance": 1, "admissible": 0,
                      "f_omega": 0}
+    assert distance_batches == [(6, 2)]
 
-    # Newton polish checks nothing outside f_omega: N queries per evaluation
+    # Newton polish checks nothing outside f_omega: one query per evaluation
     calls.update(distance=0)
     a = DIPOLE_RADIUS
     result = gm.newton_polish(lobed_engine, gm.VortexStrengths([1.0, -1.0]),
                               gm.kirchhoff_routh_interaction(), [a, 0.0, -a, 0.0],
                               gm.SearchConfig(starts=1))
     assert result.converged and calls["f_omega"] >= 2
-    assert calls["distance"] == 2 * calls["f_omega"]
+    assert calls["distance"] == calls["f_omega"]
     assert calls["admissible"] == 0
 
 
@@ -376,6 +383,16 @@ def test_f_omega_rejects_negative_boundary_margin(disk_engine, lobed_engine):
         with pytest.raises(ValueError):
             gm.f_omega(engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
                        gm.Configuration([[0.1, 0.0]]), boundary_margin=-0.1)
+
+
+def test_negative_collision_margin_rejected(disk_engine, lobed_engine):
+    coincident = gm.Configuration([[0.1, 0.0], [0.1, 0.0]])
+    for engine in (disk_engine, lobed_engine):
+        with pytest.raises(ValueError):
+            gm.f_omega(engine, gm.VortexStrengths([1.0, 1.0]),
+                       gm.kirchhoff_routh_interaction(), coincident, collision_margin=-1.0)
+    with pytest.raises(ValueError):
+        gm.custom_interaction(lambda points, lam: (0.0, 0.0, 0.0), -0.5)
 
 
 def test_vortex_file_roundtrip(tmp_path, dipole_setup):
