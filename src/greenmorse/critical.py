@@ -1,10 +1,12 @@
-"""Multi-start damped Newton search for critical points, with Morse data.
+"""Multi-start Levenberg-Marquardt search for critical points, with Morse data.
 
 Starts are drawn from a scrambled Halton sequence over admissible N-point
-configurations, so runs are reproducible for a fixed seed.  Each Newton
-iterate is kept admissible by shortening steps that would leave the allowed
-region; convergence is measured on the gradient norm.  Converged points are
-classified by the spectrum of the (symmetrized) Hessian.
+configurations, so runs are reproducible for a fixed seed.  From each start
+``newton_polish`` runs Levenberg-Marquardt on the gradient: trial points
+that ``f_omega`` refuses or that raise the gradient norm are rejected and
+raise the damping, so every iterate stays admissible; convergence is
+measured on the gradient norm.  Converged points are classified by the
+spectrum of the (symmetrized) Hessian.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class SearchConfig:
     collision_margin: float = 0.05
     newton_tol: float = 1e-10
     max_iterations: int = 60
-    max_backtracks: int = 30
     dedup_radius: float = 1e-6
 
     def __post_init__(self):
@@ -131,74 +132,106 @@ def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
 
 @dataclass
 class PolishResult:
-    """``failure`` is None if converged, else "inadmissible-start", "stalled",
-    "singular-hessian", "left-admissible-region", "line-search-failed" or "max-iterations"."""
+    """Outcome of one ``newton_polish`` run.
+
+    ``iterations`` counts accepted steps; ``evaluations`` counts ``f_omega``
+    calls, rejected and inadmissible trial points included.  ``failure`` is
+    None if converged, else one of
+
+    * "inadmissible-start": ``f_omega`` refused the start;
+    * "merit-stationary": the iterate is near a stationary point of the merit
+      ||grad f||^2 that is not a critical point of f (see ``newton_polish``);
+    * "max-iterations": ``max_iterations`` accepted steps did not converge.
+    """
 
     configuration: np.ndarray | None
     residual: float
     hessian: np.ndarray | None
     iterations: int
+    evaluations: int
     converged: bool
     failure: str | None = None
 
 
+# f_omega refuses a configuration outside the admissible region with these
+_INADMISSIBLE = (AccuracyDegradedError, OutsideDomainError, CollisionError)
+
+
 def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
                   x0, search: SearchConfig) -> PolishResult:
-    """Damped Newton iteration on the gradient, kept admissible by f_omega."""
+    """Levenberg-Marquardt iteration on g = grad f_omega, kept admissible by f_omega.
+
+    Each accepted iterate takes one eigendecomposition of the symmetrised
+    Hessian, H = Q diag(lam) Q^T.  A trial step is
+    p(mu) = -(H^2 + mu I)^-1 H g = -Q (lam / (lam^2 + mu)) Q^T g, so a rejected
+    trial needs no new factorisation, and mu = 0 gives the Newton step.  mu
+    starts at 0; a trial that raises ||g|| or that ``f_omega`` refuses is
+    rejected and sets mu <- max(4 mu, 1e-3 max lam^2); an accepted one sets
+    mu <- mu / 4 (Moré, LNM 630, 1978; Nocedal & Wright, Numerical
+    Optimization, section 10.3).
+
+    H g is the gradient of the merit ||g||^2 / 2, so the merit can have local
+    minima where g != 0, from which no step lowers it.  The run then ends as
+    "merit-stationary": when ||H g|| <= 1e-3 ||H||_2 ||g||, when an accepted
+    step lowers ||g|| by less than 1e-4 relative, or when mu passes
+    1e8 max lam^2.
+    """
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
+    evaluations = 0
 
     def evaluate(flat):
+        nonlocal evaluations
+        evaluations += 1
         res = f_omega(engine, strengths, spec, Configuration(flat.reshape(-1, 2)),
                       search.boundary_margin, search.collision_margin)
         return res.gradient, res.hessian
 
+    def failed(reason, residual, iterations):
+        return PolishResult(None, residual, None, iterations, evaluations, False, reason)
+
     try:
         grad, hess = evaluate(x)
-    except (AccuracyDegradedError, OutsideDomainError, CollisionError):
-        return PolishResult(None, np.inf, None, 0, False, "inadmissible-start")
+    except _INADMISSIBLE:
+        return failed("inadmissible-start", np.inf, 0)
 
-    history = []
-    for iteration in range(search.max_iterations):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= search.newton_tol:
-            return PolishResult(x, gnorm, hess, iteration, True)
-        history.append(gnorm)
-        # a converging Newton run shrinks the residual fast; starts that have
-        # not even halved it over the last 8 accepted steps are going nowhere
-        if len(history) >= 9 and history[-1] > 0.5 * history[-9]:
-            return PolishResult(None, gnorm, None, iteration, False, "stalled")
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=1e-12)[0]
-        if not np.all(np.isfinite(step)):
-            return PolishResult(None, gnorm, None, iteration, False, "singular-hessian")
-        # halve on leaving the admissible region or on merit increase
-        alpha = 1.0
-        accepted = False
-        for _ in range(search.max_backtracks + 12):
-            try:
-                g_new, h_new = evaluate(x + alpha * step)
-            except (AccuracyDegradedError, OutsideDomainError, CollisionError):
-                alpha *= 0.5
-                if alpha <= 1e-12:
-                    return PolishResult(None, gnorm, None, iteration, False,
-                                        "left-admissible-region")
-                continue
-            if np.linalg.norm(g_new) < gnorm:
-                x = x + alpha * step
-                grad, hess = g_new, h_new
-                accepted = True
-                break
-            alpha *= 0.5
-            if alpha <= 1e-12:
-                break
-        if not accepted:
-            return PolishResult(None, gnorm, None, iteration, False, "line-search-failed")
     gnorm = float(np.linalg.norm(grad))
-    if gnorm <= search.newton_tol:
-        return PolishResult(x, gnorm, hess, search.max_iterations, True)
-    return PolishResult(None, gnorm, None, search.max_iterations, False, "max-iterations")
+    mu = 0.0
+    iterations = 0
+    stagnant = False
+    while not gnorm <= search.newton_tol:    # a NaN gradient is not converged
+        if stagnant:
+            return failed("merit-stationary", gnorm, iterations)
+        if iterations == search.max_iterations:
+            return failed("max-iterations", gnorm, iterations)
+        lam, Q = np.linalg.eigh(0.5 * (hess + hess.T))
+        qg = Q.T @ grad
+        lam2 = lam * lam
+        lam2_max = float(lam2.max())
+        if np.linalg.norm(lam * qg) <= 1e-3 * np.sqrt(lam2_max) * gnorm:
+            return failed("merit-stationary", gnorm, iterations)
+        while True:
+            # an exactly zero eigenvalue at mu = 0 takes the mu -> 0+ limit, 0
+            denom = lam2 + mu
+            scale = np.divide(lam, denom, out=np.zeros_like(lam), where=denom > 0.0)
+            step = -(Q @ (scale * qg))
+            try:
+                g_new, h_new = evaluate(x + step)
+            except _INADMISSIBLE:
+                pass
+            else:
+                gnorm_new = float(np.linalg.norm(g_new))
+                if gnorm_new < gnorm:
+                    break
+            mu = max(4.0 * mu, 1e-3 * lam2_max)
+            if mu > 1e8 * lam2_max:
+                return failed("merit-stationary", gnorm, iterations)
+        x = x + step
+        grad, hess = g_new, h_new
+        stagnant = gnorm_new > (1.0 - 1e-4) * gnorm
+        gnorm = gnorm_new
+        mu *= 0.25
+        iterations += 1
+    return PolishResult(x, gnorm, hess, iterations, evaluations, True)
 
 
 def _halton_starts(engine, spec, search: SearchConfig, n_points: int):
@@ -255,8 +288,11 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
 
     found = []
     failures = Counter()
+    iterations = evaluations = 0
     for x0 in starts:
         result = newton_polish(engine, strengths, spec, x0, search)
+        iterations += result.iterations
+        evaluations += result.evaluations
         if result.converged:
             found.append(result)
         else:
@@ -294,6 +330,8 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
         "deduplicated": len(found) - len(unique),
         "rejected_inadmissible": sum(failures.values()),
         "failures_by_reason": dict(sorted(failures.items())),
+        "iterations": iterations,
+        "evaluations": evaluations,
     }
     return MorseReport(tuple(points), stats,
                        _fingerprint(domain_to_dict(engine.domain)),

@@ -301,9 +301,10 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
     Each accepted rung stores the continued configuration, its gradient
     residual, and the Hessian non-degeneracy margin.  The predictor solves
     Hessian * dx = -dGradF * d(eps) and is skipped while the margin sits
-    below the degeneracy threshold; the corrector is damped Newton on the
-    perturbed gradient.  A corrector needing more than 10 iterations halves
-    the eps step; the trace aborts (truncated) below ``min_step``.
+    below the degeneracy threshold; the corrector is ``newton_polish``,
+    Levenberg-Marquardt on the perturbed gradient, whose undamped first step
+    is the Newton step.  A corrector needing more than 10 accepted steps
+    halves the eps step; the trace aborts (truncated) below ``min_step``.
     """
     grid = sorted(set(float(e) for e in eps_grid))
     if any(e < 0 for e in grid):

@@ -1,9 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
 from conftest import DIPOLE_RADIUS, orbit_distance, point_at_distance
+
+# the two C3 orbits of critical points of f for lambda = (1, 1, -1) on the
+# lobed domain, as (Morse index, f); each orbit has three points
+LOBED_ORBITS = ((4, -0.4196715075), (5, -0.4167329881))
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +67,8 @@ def test_n1_search_stats(n1_report):
     assert stats["starts"] == 50
     assert stats["converged"] >= 45
     assert stats["converged"] - stats["deduplicated"] == 1
+    # one evaluation per start, plus one per trial step
+    assert stats["evaluations"] >= stats["starts"] + stats["iterations"]
 
 
 def test_dipole_orbit_found(dipole_report):
@@ -95,6 +103,44 @@ def test_equal_pair_has_no_critical_points(disk_engine):
     assert len(report.points) == 0
     assert report.stats["rejected_inadmissible"] == 200
     assert sum(report.stats["failures_by_reason"].values()) == 200
+    # damped Newton with backtracking made 15,802 f_omega calls here
+    assert report.stats["evaluations"] <= 15_802
+
+
+def test_lobed_search_finds_both_c3_orbits(lobed_engine):
+    lam = gm.VortexStrengths([1.0, 1.0, -1.0])
+    spec = gm.kirchhoff_routh_interaction()
+    report = gm.find_critical_points(lobed_engine, lam, spec,
+                                     gm.SearchConfig(starts=32, seed=1))
+    assert report.stats["converged"] >= 30
+    found = set()
+    for cp in report.points:
+        res = gm.f_omega(lobed_engine, lam, spec, cp.configuration)
+        assert np.linalg.norm(res.gradient) <= 1e-10
+        found.update(index for index, value in LOBED_ORBITS
+                     if cp.morse_index == index and abs(res.value - value) <= 1e-6)
+    assert found == {4, 5}
+
+
+def test_first_polish_step_is_newton_step(monkeypatch, disk_domain, dipole_setup):
+    # the damping starts at 0, so the first trial point is x0 - H^-1 g; the
+    # Hessian margin here is about 6.8e-5
+    lam, config, spec = dipole_setup
+    engine = gm.build_engine(gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.0025))
+    search = gm.SearchConfig(starts=1, boundary_margin=0.02, collision_margin=0.02)
+    f_omega = gm.critical.f_omega
+    trials = []
+
+    def recording(engine, strengths, spec, configuration, *margins):
+        trials.append(configuration.flat())
+        return f_omega(engine, strengths, spec, configuration, *margins)
+
+    monkeypatch.setattr(gm.critical, "f_omega", recording)
+    result = gm.newton_polish(engine, lam, spec, config.flat(), search)
+    assert result.converged and result.evaluations == len(trials) >= 2
+    res = f_omega(engine, lam, spec, config, 0.02, 0.02)
+    newton = np.linalg.solve(res.hessian, -res.gradient)
+    assert np.linalg.norm(trials[1] - trials[0] - newton) <= 1e-10 * np.linalg.norm(newton)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +277,36 @@ def test_search_config_validation():
         gm.SearchConfig(boundary_margin=-1.0)
     with pytest.raises(ValueError):
         gm.SearchConfig(collision_margin=-1.0)
+
+
+X0 = np.array([0.5, 0.0])
+
+
+@pytest.mark.parametrize("gradient, hessian, admissible, x0, iterations, evaluations", [
+    # f = x^3/3 + x + y^2/2: ||grad f|| has a local minimum 1 at the origin,
+    # where H grad f = 0
+    (lambda p: np.array([p[0] ** 2 + 1.0, p[1]]), lambda p: np.diag([2.0 * p[0], 1.0]),
+     None, [0.0, 0.0], 0, 1),
+    # the Newton step lowers ||g|| = 1 + 1e-6 exp(x) by about 6e-7 relative
+    (lambda p: np.array([1.0 + 1e-6 * np.exp(p[0]), 0.0]), lambda p: np.eye(2),
+     None, [0.0, 0.0], 1, 2),
+    # every trial is refused: each refusal raises mu to max(4 mu, 1e-3 max
+    # lam^2), which passes 1e8 max lam^2 on the 20th
+    (lambda p: p - 0.1, lambda p: np.eye(2),
+     lambda p: np.array_equal(p, X0), X0, 0, 21),
+], ids=["merit-gradient", "relative-decrease", "damping-bound"])
+def test_polish_merit_stationary_rules(monkeypatch, gradient, hessian, admissible, x0,
+                                       iterations, evaluations):
+    def fake_f_omega(engine, strengths, spec, configuration, *margins):
+        x = configuration.flat()
+        if admissible is not None and not admissible(x):
+            raise gm.OutsideDomainError("refused")
+        return SimpleNamespace(gradient=gradient(x), hessian=hessian(x))
+
+    monkeypatch.setattr(gm.critical, "f_omega", fake_f_omega)
+    result = gm.newton_polish(None, None, None, x0, gm.SearchConfig(starts=1))
+    assert result.failure == "merit-stationary"
+    assert (result.iterations, result.evaluations) == (iterations, evaluations)
 
 
 def test_polish_from_accuracy_band_is_inadmissible_start(lobed_engine):

@@ -20,6 +20,20 @@ CONTINUATION_MARGINS = (
     0.014164340339655801,
     0.02072406845196395,
 )
+# the same run's corrector iterations, predictor use and vortex x coordinates
+# per rung, as damped Newton gave them
+CONTINUATION_ITERATIONS = (0, 2, 1, 1, 2, 2, 2, 2)
+CONTINUATION_PREDICTOR = (False, False, True, True, True, True, True, True)
+CONTINUATION_X = (
+    (0.48586827175664576, -0.48586827175664576),
+    (0.48871337256290087, -0.483024568943302),
+    (0.4915597710051814, -0.4801823645230546),
+    (0.4972560579460989, -0.4745028525143229),
+    (0.5086597494021801, -0.4631662436637037),
+    (0.5200727450126694, -0.45186498757899285),
+    (0.5314881846186147, -0.4406058336002582),
+    (0.5428988361642766, -0.42939583236959683),
+)
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +233,17 @@ def test_continuation_margin_path(dipole_trace):
 
 def test_continuation_margins_regression(dipole_trace):
     assert_allclose(dipole_trace.margins, CONTINUATION_MARGINS, rtol=1e-6, atol=1e-12)
+
+
+def test_continuation_corrector_regression(dipole_trace):
+    assert dipole_trace.corrector_iterations == CONTINUATION_ITERATIONS
+    assert dipole_trace.predictor_used == CONTINUATION_PREDICTOR
+    configs = np.asarray(dipole_trace.configurations)
+    assert_allclose(configs[:, :, 0], CONTINUATION_X, rtol=0, atol=1e-12)
+    # y is 0 by the reflection symmetry of the cos 3t field; what remains is
+    # round-off, about 1e-16 over the soft Hessian eigenvalue (6.8e-5 at
+    # eps = 0.0025), so it is bounded rather than pinned
+    assert np.max(np.abs(configs[:, :, 1])) <= 1e-12
 
 
 def test_continuation_predictor_engages(dipole_trace):
