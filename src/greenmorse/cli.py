@@ -3,18 +3,23 @@
 Exit codes: 0 success, 1 quantitative (tolerance) failure, 2 malformed
 input or validation error.  All randomness flows from explicit --seed flags;
 CSV bodies are formatted at 17 significant digits so identical inputs
-reproduce byte-identical files.  A run manifest is written last.
+reproduce byte-identical files.  A run manifest is written last: the
+command, its configuration and outputs, the diagnostics of the command's base
+Green engine (null for shape-verify, whose engines are rebuilt per rung), the
+numpy and scipy versions and the OPENBLAS_NUM_THREADS setting (null if unset).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .critical import SearchConfig, find_critical_points, report_csv_rows, report_to_dict
@@ -94,7 +99,7 @@ def cmd_green_check(args, out: Path):
         checks.append({"name": "construction_self_test", "max_error": None,
                        "tolerance": None, "passed": False, "detail": str(exc)})
         _write_json(out / "report.json", {"checks": checks, "passed": False})
-        return 1, ["report.json"], {"domain": str(args.domain), "nodes": args.nodes}
+        return 1, ["report.json"], {"domain": str(args.domain), "nodes": args.nodes}, None
     add("construction_self_test", integral.self_test_error, 1e-8)
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
@@ -144,7 +149,7 @@ def cmd_green_check(args, out: Path):
     passed = all(c["passed"] for c in checks)
     _write_json(out / "report.json", {"checks": checks, "passed": passed})
     cfg = {"domain": str(args.domain), "nodes": args.nodes, "points": args.points}
-    return (0 if passed else 1), ["report.json"], cfg
+    return (0 if passed else 1), ["report.json"], cfg, integral
 
 
 def cmd_find_critical(args, out: Path):
@@ -166,7 +171,7 @@ def cmd_find_critical(args, out: Path):
            "boundary_margin": args.boundary_margin,
            "collision_margin": args.collision_margin,
            "dedup_radius": args.dedup_radius}
-    return 0, ["report.json", "critical_points.csv"], cfg
+    return 0, ["report.json", "critical_points.csv"], cfg, engine
 
 
 def cmd_shape_verify(args, out: Path):
@@ -190,7 +195,7 @@ def cmd_shape_verify(args, out: Path):
     _write_csv(out / "fd_ladder.csv", rows)
     cfg = {"domain": str(args.domain), "field": str(args.field),
            "quantity": args.quantity, "eps_ladder": ladder, "nodes": args.nodes}
-    return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], cfg
+    return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], cfg, None
 
 
 def _margin_svg(trace) -> str:
@@ -231,7 +236,7 @@ def cmd_perturb_study(args, out: Path):
     if not polish.converged:
         _write_json(out / "trace.json",
                     {"error": f"start configuration did not polish: {polish.failure}"})
-        return 1, ["trace.json"], {"domain": str(args.domain)}
+        return 1, ["trace.json"], {"domain": str(args.domain)}, engine
     trace = continue_critical_point(domain, field, grid, polish.configuration,
                                     strengths, spec, nodes=args.nodes,
                                     newton_tol=args.newton_tol)
@@ -253,7 +258,7 @@ def cmd_perturb_study(args, out: Path):
     cfg = {"domain": str(args.domain), "vortex": str(args.vortex),
            "field": str(args.field), "eps_grid": grid, "nodes": args.nodes,
            "equivariant": args.equivariant, "newton_tol": args.newton_tol}
-    return (1 if trace.truncated else 0), outputs, cfg
+    return (1 if trace.truncated else 0), outputs, cfg, engine
 
 
 def cmd_simulate(args, out: Path):
@@ -268,7 +273,7 @@ def cmd_simulate(args, out: Path):
            "dt": args.dt, "horizon": args.horizon,
            "integrator": args.integrator, "solve_tol": args.solve_tol,
            "nodes": args.nodes}
-    return (1 if trajectory.truncated else 0), ["trajectory.csv"], cfg
+    return (1 if trajectory.truncated else 0), ["trajectory.csv"], cfg, engine
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         out.mkdir(parents=True, exist_ok=True)
-        code, outputs, cfg = args.func(args, out)
+        code, outputs, cfg, engine = args.func(args, out)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
             GreenMorseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -358,6 +363,10 @@ def main(argv=None) -> int:
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
         "outputs": outputs,
+        "engine": None if engine is None else engine.diagnostics,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     _write_json(out / "manifest.json", manifest)
     return code

@@ -160,16 +160,20 @@ class BoundaryCurve:
     @cached_property
     def _chord_scan(self) -> tuple[float, float, float]:
         """Over about 512 dense samples: the largest squared chord, and the
-        smallest between samples at least ~pi/8 and ~pi/3 apart in parameter."""
+        smallest between samples at least ~pi/8 and ~pi/3 apart in parameter.
+        Row s - 1 of the scanned array holds |p_i - p_{(i+s) mod ms}|^2 for the
+        cyclic index separations s = 1 ... ms // 2, so it holds every pair."""
         _, pts = self._dense
         sub = pts[:: max(1, len(pts) // 512)]
         ms = len(sub)
-        d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
-        idx = np.arange(ms)
-        sep = np.abs(idx[:, None] - idx[None, :])
-        sep = np.minimum(sep, ms - sep)
-        far_pi8 = d2[sep >= max(2, int(np.ceil(ms / 16.0)))].min()
-        far_pi3 = d2[sep >= max(2, int(np.ceil(ms / 6.0)))].min()
+        wrapped = np.concatenate([sub, sub[: ms // 2 + 1]])
+        # [s - 1, c, i]: coordinate c of p_{(i+s) mod ms}, a view of ``wrapped``
+        shifted = np.lib.stride_tricks.sliding_window_view(wrapped, ms, axis=0)[1: ms // 2 + 1]
+        dx = shifted[:, 0] - sub[:, 0]
+        dy = shifted[:, 1] - sub[:, 1]
+        d2 = dx * dx + dy * dy
+        far_pi8 = d2[max(2, int(np.ceil(ms / 16.0))) - 1:].min()
+        far_pi3 = d2[max(2, int(np.ceil(ms / 6.0))) - 1:].min()
         return float(d2.max()), float(far_pi8), float(far_pi3)
 
     @cached_property

@@ -9,10 +9,12 @@ boundary traces of the normal derivative of G:
 * ``boundary-integral`` — a Nystrom discretization on the curve's uniform
   parameter grid.  The Dirichlet solve uses a second-kind double-layer
   equation (the kernel is smooth on smooth curves, so the plain trapezoid
-  rule is spectrally accurate); boundary traces solve the adjoint second-kind
-  equation for the normal derivative of G directly, which avoids
-  hypersingular operators.  Derivatives in the source point come from
-  auxiliary solves sharing one LU factorization; derivatives in the field
+  rule is spectrally accurate).  Boundary traces solve the adjoint equation
+  (1/2 I - K') v = b for the normal derivative of G, which avoids
+  hypersingular operators; the discrete K' is W^-1 K^T W, W = diag(weights),
+  so with the Dirichlet matrix D = K - 1/2 I a trace is the transposed solve
+  v = -D^-T (W b) / W.  Derivatives in the source point come from auxiliary
+  solves sharing the one LU factorization of D; derivatives in the field
   point differentiate the representation kernel, which is smooth at interior
   points.
 
@@ -25,7 +27,10 @@ OutsideDomainError; then the point nearest the boundary, if closer than
 integral engine with one LU solve for all sources x_k) and copies each j > k
 block from the (k, j) block with x and y exchanged.  ``regular_part(x, y)`` is
 the computed (0, 1) entry of ``blocks([x, y])``; it, ``robin`` and the
-boundary traces use margin 0.
+boundary traces use margin 0.  ``_traces(points)`` gives the traces of N points
+and their gradients from one query and one evaluation (the integral engine
+with one solve for 3N right-hand sides); ``boundary_normal_derivative`` and
+``trace_gradient`` are its single-point forms.
 
 Engines are immutable after construction and all evaluations are pure.
 """
@@ -247,23 +252,25 @@ class DiskGreenEngine(_EngineBase):
     def regular_part(self, x, y) -> GreenEvaluation:
         return self.blocks([x, y]).pair(0, 1)
 
-    def boundary_normal_derivative(self, x) -> BoundaryTrace:
-        xt = self._reduce(self._require_interior(x)[0])
+    def _traces(self, points):
+        """d_{nu_z} G(x_m, z) at every node z, (N, n), and its gradient in
+        x_m, (N, n, 2): the Poisson kernel and its derivative."""
+        xt = self._reduce(self._require_interior(points))
         zt = (self.nodes - self.center) / self.radius
-        r2 = np.sum((zt - xt) ** 2, axis=1)
-        values = -(1.0 - xt @ xt) / (TWO_PI * r2) / self.radius
-        return BoundaryTrace(values, self.nodes, self.normals, self.weights)
+        d = xt[:, None, :] - zt[None, :, :]
+        r2 = np.sum(d * d, axis=2)
+        s = 1.0 - np.sum(xt * xt, axis=1)
+        values = -s[:, None] / (TWO_PI * r2) / self.radius
+        grads = 2.0 / TWO_PI * (xt[:, None, :] / r2[..., None]
+                                + s[:, None, None] * d / (r2**2)[..., None])
+        return values, grads / self.radius**2
+
+    def boundary_normal_derivative(self, x) -> BoundaryTrace:
+        return BoundaryTrace(self._traces(x)[0][0], self.nodes, self.normals, self.weights)
 
     def trace_gradient(self, x) -> np.ndarray:
         """d/dx of d_{nu_z} G(x, z) at every node, shape (n, 2)."""
-        xt = self._reduce(self._require_interior(x)[0])
-        zt = (self.nodes - self.center) / self.radius
-        d = xt - zt
-        r2 = np.sum(d * d, axis=1)
-        coef = 2.0 / TWO_PI
-        grad = coef * (xt[None, :] / r2[:, None]
-                       + (1.0 - xt @ xt) * d / (r2**2)[:, None])
-        return grad / self.radius**2
+        return self._traces(x)[1][0]
 
 
 class IntegralGreenEngine(_EngineBase):
@@ -284,15 +291,8 @@ class IntegralGreenEngine(_EngineBase):
         np.fill_diagonal(bare, kappa / 2.0)
         K = -(bare * w[None, :]) / TWO_PI
         dirichlet = K - 0.5 * np.eye(n)
-        # adjoint kernel (z_i - z_j).nu_i / |z_i - z_j|^2, same diagonal limit
-        bare_adj = -(dx * nu[:, None, 0] + dy * nu[:, None, 1]) / r2
-        np.fill_diagonal(bare_adj, kappa / 2.0)
-        Kp = -(bare_adj * w[None, :]) / TWO_PI
-        trace_op = 0.5 * np.eye(n) - Kp
-
         anorm = np.abs(dirichlet).sum(axis=0).max()
         self._lu_dirichlet = lu_factor(dirichlet)
-        self._lu_trace = lu_factor(trace_op)
         rcond = lapack.dgecon(self._lu_dirichlet[0], anorm, norm="1")[0]
         # 1-norm condition estimate of the discrete Dirichlet system
         self.condition_estimate = 1.0 / max(rcond, 1e-300)
@@ -382,24 +382,29 @@ class IntegralGreenEngine(_EngineBase):
     def regular_part(self, x, y) -> GreenEvaluation:
         return self.blocks([x, y]).pair(0, 1)
 
+    def _traces(self, points):
+        """d_{nu_z} G(x_m, z) at every node z, (N, n), and its gradient in
+        x_m, (N, n, 2), from one transposed Dirichlet solve for 3N columns."""
+        pts = self._require_interior(points)
+        nu, w = self.normals, self.weights
+        d = self.nodes[:, None, :] - pts[None, :, :]
+        r2 = np.sum(d * d, axis=2)
+        dn = d[..., 0] * nu[:, None, 0] + d[..., 1] * nu[:, None, 1]
+        # [z, m, c]: the trace's right-hand side (c = 0) and its x_m gradient
+        rhs = np.stack([-dn / r2,
+                        nu[:, None, 0] / r2 - 2.0 * dn * d[..., 0] / r2**2,
+                        nu[:, None, 1] / r2 - 2.0 * dn * d[..., 1] / r2**2], axis=2) / TWO_PI
+        # (1/2 I - K') v = b  <=>  D^T (W v) = -W b
+        sol = lu_solve(self._lu_dirichlet, -w[:, None] * rhs.reshape(self.node_count, -1),
+                       trans=1) / w[:, None]
+        sol = sol.reshape(self.node_count, len(pts), 3).transpose(1, 0, 2)
+        return sol[..., 0], sol[..., 1:]
+
     def boundary_normal_derivative(self, x) -> BoundaryTrace:
-        x = self._require_interior(x)[0]
-        d = self.nodes - x
-        r2 = np.sum(d * d, axis=1)
-        rhs = -(d[:, 0] * self.normals[:, 0] + d[:, 1] * self.normals[:, 1]) / r2 / TWO_PI
-        values = lu_solve(self._lu_trace, rhs)
-        return BoundaryTrace(values, self.nodes, self.normals, self.weights)
+        return BoundaryTrace(self._traces(x)[0][0], self.nodes, self.normals, self.weights)
 
     def trace_gradient(self, x) -> np.ndarray:
-        x = self._require_interior(x)[0]
-        d = self.nodes - x
-        r2 = np.sum(d * d, axis=1)
-        dn = d[:, 0] * self.normals[:, 0] + d[:, 1] * self.normals[:, 1]
-        rhs = np.stack([
-            (self.normals[:, 0] / r2 - 2.0 * dn * d[:, 0] / r2**2) / TWO_PI,
-            (self.normals[:, 1] / r2 - 2.0 * dn * d[:, 1] / r2**2) / TWO_PI,
-        ], axis=1)
-        return lu_solve(self._lu_trace, rhs)
+        return self._traces(x)[1][0]
 
 
 def build_engine(domain: DomainSpec, nodes: int = DEFAULT_NODES,

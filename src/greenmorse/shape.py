@@ -98,17 +98,9 @@ def dGradF_shape(engine, strengths: VortexStrengths, spec: InteractionSpec,
         raise UnsupportedFieldError(
             f"field does not vanish near configuration point {tuple(config.points[near[0]])}")
     lam = strengths.values
-    gn = _field_normal_at_nodes(engine, field)
-    traces = [engine.boundary_normal_derivative(p).values for p in config.points]
-    combined = np.zeros_like(traces[0])
-    for lam_j, tr in zip(lam, traces):
-        combined += lam_j * tr
-    common = engine.weights * gn * combined
-    out = np.zeros((n, 2))
-    for m, p in enumerate(config.points):
-        tg = engine.trace_gradient(p)      # (nodes, 2)
-        out[m] = 2.0 * lam[m] * (common @ tg)
-    return out.reshape(-1)
+    values, grads = engine._traces(config.points)     # (N, nodes), (N, nodes, 2)
+    common = engine.weights * _field_normal_at_nodes(engine, field) * (lam @ values)
+    return (2.0 * lam[:, None] * np.einsum("z,mzc->mc", common, grads)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +328,6 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
         record(0.0, x_prev, np.linalg.norm(res_prev.gradient), hess_prev, False, 0)
         grid = grid[1:]
 
-    def make_engine(eps):
-        if eps == 0.0:
-            return build_engine(domain, nodes)
-        return build_engine(apply_perturbation(domain, field, eps), nodes)
-
     truncated = False
     diagnostic = None
     for target in grid:
@@ -363,7 +350,8 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
                         use_pred = False
                 fail_msg = ""
                 try:
-                    engine_next = make_engine(eps_next)
+                    engine_next = build_engine(apply_perturbation(domain, field, eps_next),
+                                               nodes)
                     polish = newton_polish(engine_next, strengths, spec, guess, search)
                 except (RefitFailureError, DiscretizationFailureError) as exc:
                     polish = None

@@ -34,6 +34,14 @@ def lobed_engine(lobed_domain):
 
 
 @pytest.fixture(scope="session")
+def tilted_domain():
+    """A curve with no symmetry: low modes in every coefficient family, an
+    offset centre and a tilt."""
+    return gm.DomainSpec(gm.BoundaryCurve([0.1, 1.0, 0.08, 0.0], [0.0, 0.15, 0.0, 0.03],
+                                          [-0.05, 0.2, 0.0, 0.04], [0.0, 0.9, 0.06, 0.0]))
+
+
+@pytest.fixture(scope="session")
 def dipole_setup():
     a = DIPOLE_RADIUS
     return (gm.VortexStrengths([1.0, -1.0]),

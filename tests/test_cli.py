@@ -1,0 +1,38 @@
+import json
+
+import numpy as np
+import scipy
+from numpy.testing import assert_allclose
+
+import greenmorse as gm
+from greenmorse import cli
+
+
+def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeypatch,
+                                                               lobed_domain):
+    domain = tmp_path / "lobed.json"
+    vortex = tmp_path / "vortex.json"
+    gm.save_domain(lobed_domain, domain)
+    gm.save_vortex(gm.VortexStrengths([1.0]), gm.Configuration([[0.1, 0.0]]),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "out"
+    assert cli.main(["find-critical", str(domain), str(vortex), "--starts", "2",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    diagnostics = gm.build_engine(gm.load_domain(domain)).diagnostics
+    assert set(manifest["engine"]) == set(diagnostics)
+    assert manifest["engine"]["self_test_error"] == diagnostics["self_test_error"]
+    assert manifest["engine"]["eval_margin"] == diagnostics["eval_margin"]
+    # the dgecon estimate of identical builds can differ in its last bit
+    assert_allclose(manifest["engine"]["condition_estimate"],
+                    diagnostics["condition_estimate"], rtol=1e-14)
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+    assert manifest["openblas_num_threads"] == "1"
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert cli.main(["find-critical", str(domain), str(vortex), "--starts", "2",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["openblas_num_threads"] is None

@@ -254,6 +254,45 @@ def test_group_elements_closure():
 
 
 # ---------------------------------------------------------------------------
+# chord scan
+# ---------------------------------------------------------------------------
+
+def _full_chord_scan(curve):
+    """The chord scan over all ms^2 ordered sample pairs, with the cyclic
+    index separation of each pair as a mask."""
+    _, pts = curve._dense
+    sub = pts[:: max(1, len(pts) // 512)]
+    ms = len(sub)
+    d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
+    idx = np.arange(ms)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    sep = np.minimum(sep, ms - sep)
+    far_pi8 = d2[sep >= max(2, int(np.ceil(ms / 16.0)))].min()
+    far_pi3 = d2[sep >= max(2, int(np.ceil(ms / 6.0)))].min()
+    return float(d2.max()), float(far_pi8), float(far_pi3)
+
+
+def _degree_97_curve():
+    """A unit circle plus random modes up to degree 97 decaying like 1/k^2:
+    1,568 dense samples, sub-sampled to an odd count of 523."""
+    rng = np.random.default_rng(97)
+    coeffs = [0.01 * rng.normal(size=98) / np.maximum(np.arange(98), 1.0) ** 2
+              for _ in range(4)]
+    coeffs[0][1] += 1.0
+    coeffs[3][1] += 1.0
+    return gm.BoundaryCurve(*coeffs)
+
+
+def test_chord_scan_equals_full_scan(disk_domain, lobed_domain, tilted_domain):
+    curves = [disk_domain.boundary, lobed_domain.boundary, tilted_domain.boundary,
+              _degree_97_curve()]
+    assert len(curves[3]._dense[1][::3]) == 523
+    for curve in curves:
+        # the same pairs, each squared length from the same operations
+        assert curve._chord_scan == _full_chord_scan(curve)
+
+
+# ---------------------------------------------------------------------------
 # boundary distance
 # ---------------------------------------------------------------------------
 

@@ -186,6 +186,43 @@ def test_trace_gradient_matches_closed_form(disk_engine, integral_engine):
     assert np.max(np.abs(a - b)) <= 1e-7
 
 
+def _explicit_adjoint_traces(engine, x):
+    """The trace d_nu G(x, .) and its x-gradient from the explicitly assembled
+    adjoint operator 1/2 I - K', solved densely."""
+    z, nu, w = engine.nodes, engine.normals, engine.weights
+    dx = z[None, :, 0] - z[:, None, 0]
+    dy = z[None, :, 1] - z[:, None, 1]
+    r2 = dx * dx + dy * dy
+    np.fill_diagonal(r2, 1.0)
+    # adjoint kernel (z_i - z_j).nu_i / |z_i - z_j|^2, diagonal limit kappa/2
+    bare_adj = -(dx * nu[:, None, 0] + dy * nu[:, None, 1]) / r2
+    np.fill_diagonal(bare_adj, engine.curvatures / 2.0)
+    Kp = -(bare_adj * w[None, :]) / TWO_PI
+    trace_op = 0.5 * np.eye(engine.node_count) - Kp
+    d = z - x
+    r2 = np.sum(d * d, axis=1)
+    dn = d[:, 0] * nu[:, 0] + d[:, 1] * nu[:, 1]
+    rhs = np.stack([-dn / r2,
+                    nu[:, 0] / r2 - 2.0 * dn * d[:, 0] / r2**2,
+                    nu[:, 1] / r2 - 2.0 * dn * d[:, 1] / r2**2], axis=1) / TWO_PI
+    sol = np.linalg.solve(trace_op, rhs)
+    return sol[:, 0], sol[:, 1:]
+
+
+@pytest.mark.parametrize("nodes", [256, 512])
+@pytest.mark.parametrize("domain_name", ["lobed_domain", "tilted_domain"])
+def test_traces_match_explicit_adjoint_operator(request, domain_name, nodes):
+    # the engine solves traces with the transposed Dirichlet LU factors
+    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes)
+    assert engine.backend == "boundary-integral"
+    for x in ([0.3, -0.2], [-0.2, 0.35]):
+        values, grads = _explicit_adjoint_traces(engine, np.array(x))
+        got = engine.boundary_normal_derivative(x).values
+        assert np.max(np.abs(got - values)) <= 1e-13 * np.max(np.abs(values))
+        got = engine.trace_gradient(x)
+        assert np.max(np.abs(got - grads)) <= 1e-13 * np.max(np.abs(grads))
+
+
 def test_accuracy_contract_near_boundary(integral_engine):
     with pytest.raises(gm.AccuracyDegradedError) as info:
         integral_engine.regular_part([0.95, 0.0], [0.0, 0.0])

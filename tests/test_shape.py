@@ -135,6 +135,30 @@ def test_dGradF_orthogonal_to_orbit_tangent(disk_engine, dipole_setup):
     assert abs(out @ tangent) <= 1e-8 * max(np.linalg.norm(out), 1.0)
 
 
+def _dGradF_per_point(engine, lam, config, field):
+    """The dGradF formula evaluated one configuration point at a time."""
+    lam = lam.values
+    gn = field.boundary_normal_component(engine.domain.boundary, engine.node_params)
+    combined = sum(lam_j * engine.boundary_normal_derivative(p).values
+                   for lam_j, p in zip(lam, config.points))
+    common = engine.weights * gn * combined
+    return np.concatenate([2.0 * lam_m * (common @ engine.trace_gradient(p))
+                           for lam_m, p in zip(lam, config.points)])
+
+
+def test_dGradF_batched_matches_per_point(disk_engine, lobed_engine, dipole_setup):
+    field = gm.normal_field([0.0, 0.4, 1.0], [0.0, 0.7, 0.0, 0.3])
+    spec = gm.kirchhoff_routh_interaction()
+    cases = [dipole_setup[:2],
+             (gm.VortexStrengths([1.0, 1.0, -1.0]),
+              gm.Configuration([[0.3, 0.1], [-0.25, 0.2], [0.05, -0.35]]))]
+    for engine in (disk_engine, lobed_engine):
+        for lam, config in cases:
+            want = _dGradF_per_point(engine, lam, config, field)
+            got = gm.dGradF_shape(engine, lam, spec, config, field)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_dGradF_rejects_field_overlapping_points(disk_engine, dipole_setup):
     lam, config, spec = dipole_setup
     wide = gm.cosine_field(3, cutoff_width=0.8)   # support reaches the dipole
