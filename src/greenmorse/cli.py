@@ -5,8 +5,9 @@ input or validation error.  All randomness flows from explicit --seed flags;
 CSV bodies are formatted at 17 significant digits so identical inputs
 reproduce byte-identical files.  A run manifest is written last: the
 command, its configuration and outputs, the diagnostics of the command's base
-Green engine (null for shape-verify, whose engines are rebuilt per rung), the
-numpy and scipy versions and the OPENBLAS_NUM_THREADS setting (null if unset).
+Green engine (null for shape-verify, whose engines are rebuilt per rung; the
+condition estimate rounded to 10 significant digits), the numpy and scipy
+versions and the OPENBLAS_NUM_THREADS setting (null if unset).
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .critical import SearchConfig, find_critical_points, report_csv_rows, report_to_dict
+from .critical import (
+    SearchConfig,
+    find_critical_points,
+    newton_polish,
+    report_csv_rows,
+    report_to_dict,
+)
 from .dynamics import DynamicsConfig, Trajectory, integrate
 from .errors import DiscretizationFailureError, GreenMorseError
 from .geometry import (
@@ -36,7 +43,6 @@ from .geometry import (
 from .green import build_engine
 from .kr import Configuration, f_omega, load_vortex
 from .shape import continue_critical_point, fd_check
-from .critical import newton_polish
 
 _PASS_TOL_ORACLE = 1e-6
 _PASS_TOL_SYMMETRY = 1e-7
@@ -55,6 +61,21 @@ def _write_json(path: Path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _engine_manifest(engine) -> dict | None:
+    """The engine's diagnostics as the manifest records them.
+
+    ``dgecon`` can return condition estimates that differ in the last bit for
+    bit-identical factors, and is only accurate to a small factor anyway, so
+    the estimate is rounded to 10 significant digits to keep manifests
+    reproducible."""
+    if engine is None:
+        return None
+    diagnostics = dict(engine.diagnostics)
+    if "condition_estimate" in diagnostics:
+        diagnostics["condition_estimate"] = float(f"{diagnostics['condition_estimate']:.10g}")
+    return diagnostics
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -363,7 +384,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
         "outputs": outputs,
-        "engine": None if engine is None else engine.diagnostics,
+        "engine": _engine_manifest(engine),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

@@ -1,7 +1,11 @@
 """Multi-start Levenberg-Marquardt search for critical points, with Morse data.
 
 Starts are drawn from a scrambled Halton sequence over admissible N-point
-configurations, so runs are reproducible for a fixed seed.  From each start
+configurations, so runs are reproducible for a fixed seed.  The sequence is
+Owen's randomized Halton sequence (A. B. Owen, "A randomized Halton algorithm
+in R", arXiv:1706.02808, 2017), drawn by the private ``_ScrambledHalton``; its
+stream equals that of ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``
+bit for bit, without importing ``scipy.stats``.  From each start
 ``newton_polish`` runs Levenberg-Marquardt on the gradient: trial points
 that ``f_omega`` refuses or that raise the gradient norm are rejected and
 raise the damping, so every iterate stays admissible; convergence is
@@ -13,11 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     AccuracyDegradedError,
@@ -47,6 +51,8 @@ class SearchConfig:
     dedup_radius: float = 1e-6
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.boundary_margin < 0 or self.collision_margin < 0:
@@ -234,14 +240,66 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     return PolishResult(x, gnorm, hess, iterations, evaluations, True)
 
 
+def _first_primes(n: int) -> list[int]:
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+class _ScrambledHalton:
+    """Owen's randomized Halton sequence in [0, 1)^d (arXiv:1706.02808).
+
+    Coordinate k is the van der Corput sequence in the k-th prime base b
+    with every digit passed through its own random permutation of
+    0..b-1: value i is sum_j perm_j[digit_j(i)] / b^(j+1).  A double
+    resolves digits while b^-j > 2^-54, so each base gets
+    ceil(54 / log2 b) - 1 permutations.  They are shuffled by one
+    ``default_rng(seed)``, base after base, and the sum runs left to right
+    with the weight divided by b at each digit.  This is the stream of
+    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``, bit for bit;
+    indices continue across ``random`` calls.
+    """
+
+    def __init__(self, d: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self._bases = _first_primes(d)
+        self._perms = []
+        for base in self._bases:
+            count = math.ceil(54 / math.log2(base)) - 1
+            perms = np.repeat(np.arange(base)[None], count, axis=0)
+            for perm in perms:
+                rng.shuffle(perm)
+            self._perms.append(perms)
+        self._index = 0
+
+    def random(self, n: int) -> np.ndarray:
+        index = np.arange(self._index, self._index + n)
+        self._index += n
+        sample = np.zeros((n, len(self._bases)))
+        for k, (base, perms) in enumerate(zip(self._bases, self._perms)):
+            rest = index.copy()
+            weight = 1.0 / base
+            for perm in perms:
+                sample[:, k] += perm[rest % base] * weight
+                weight /= base
+                rest //= base
+        return sample
+
+
 def _halton_starts(engine, spec, search: SearchConfig, n_points: int):
-    """Admissible starting configurations from a scrambled Halton sequence."""
+    """Admissible starting configurations from Owen's scrambled Halton
+    sequence (``_ScrambledHalton``, the stream of scipy's ``qmc.Halton``),
+    mapped onto the bounding box of the boundary."""
     # starts must be evaluable, so they also keep the engine's accuracy distance
     bm = max(search.boundary_margin, engine.eval_margin)
     _, pts = engine.domain.boundary._dense
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    sampler = qmc.Halton(d=2 * n_points, scramble=True, seed=search.seed)
+    sampler = _ScrambledHalton(2 * n_points, search.seed)
     starts = []
     budget = max(200 * search.starts, 4000)
     drawn = 0

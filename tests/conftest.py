@@ -1,3 +1,11 @@
+import os
+
+# BLAS reads its thread count when numpy loads it, and some results (the
+# round-off in test_continuation_corrector_regression among them) depend on
+# the count, so the suite runs single-threaded wherever it is started
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy
-from numpy.testing import assert_allclose
 
 import greenmorse as gm
 from greenmorse import cli
@@ -24,9 +27,10 @@ def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeyp
     assert set(manifest["engine"]) == set(diagnostics)
     assert manifest["engine"]["self_test_error"] == diagnostics["self_test_error"]
     assert manifest["engine"]["eval_margin"] == diagnostics["eval_margin"]
-    # the dgecon estimate of identical builds can differ in its last bit
-    assert_allclose(manifest["engine"]["condition_estimate"],
-                    diagnostics["condition_estimate"], rtol=1e-14)
+    # written to 10 significant digits: the dgecon estimate of identical
+    # builds can differ in its last bit
+    assert manifest["engine"]["condition_estimate"] == float(
+        f"{diagnostics['condition_estimate']:.10g}")
     assert manifest["numpy"] == np.__version__
     assert manifest["scipy"] == scipy.__version__
     assert manifest["openblas_num_threads"] == "1"
@@ -36,3 +40,14 @@ def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeyp
                      "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["openblas_num_threads"] is None
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of a command's start-up; the search draws its
+    # starts without it
+    env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
+    code = ("import sys, greenmorse.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

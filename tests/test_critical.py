@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
+from greenmorse.critical import _ScrambledHalton
 from conftest import DIPOLE_RADIUS, orbit_distance, point_at_distance
 
 # the two C3 orbits of critical points of f for lambda = (1, 1, -1) on the
@@ -208,6 +209,18 @@ def test_rotate_and_polish_returns_to_orbit(disk_engine, dipole_report, dipole_s
         assert dist <= 1e-6
 
 
+@pytest.mark.parametrize("d", [2, 4, 6, 12, 32])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 4_000_000_000])
+def test_scrambled_halton_equals_scipy_stream(d, seed):
+    from scipy.stats import qmc
+
+    reference = qmc.Halton(d, scramble=True, seed=seed)
+    sampler = _ScrambledHalton(d, seed)
+    for _ in range(4):
+        # bit for bit, and indices continue across calls
+        assert np.array_equal(sampler.random(128), reference.random(128))
+
+
 # ---------------------------------------------------------------------------
 # orbit detection
 # ---------------------------------------------------------------------------
@@ -277,6 +290,8 @@ def test_search_config_validation():
         gm.SearchConfig(boundary_margin=-1.0)
     with pytest.raises(ValueError):
         gm.SearchConfig(collision_margin=-1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        gm.SearchConfig(seed=-1)
 
 
 X0 = np.array([0.5, 0.0])
