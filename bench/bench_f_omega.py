@@ -1,0 +1,46 @@
+"""Layer micro-benchmark of ``f_omega`` (L2) on the lobed 256-node engine.
+
+Times one ``f_omega`` call for N in {2, 4, 8, 16} same-sign vortices on a ring,
+once reading only the value and gradient (what the vortex dynamics and a
+rejected search trial use) and once also reading ``.hessian`` (what an
+accepted search step and the Morse classification use).  Run from the root of
+a checkout with pytest-benchmark installed:
+
+    OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_f_omega.py
+
+The ``testpaths`` setting keeps tier-1 test runs from collecting this file.
+"""
+
+import numpy as np
+import pytest
+
+import greenmorse as gm
+
+
+@pytest.fixture(scope="module")
+def lobed_engine():
+    """The unit disk displaced by 0.05 cos(3t) along the normal, 256 nodes."""
+    domain = gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(3), 0.05)
+    return gm.build_engine(domain, 256)
+
+
+def _ring(n):
+    theta = 0.3 + 2.0 * np.pi * np.arange(n) / n
+    return gm.Configuration(0.45 * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+
+
+def _gradient(engine, strengths, spec, config):
+    return gm.f_omega(engine, strengths, spec, config).gradient
+
+
+def _hessian(engine, strengths, spec, config):
+    return gm.f_omega(engine, strengths, spec, config).hessian
+
+
+@pytest.mark.parametrize("read", [_gradient, _hessian], ids=["gradient", "hessian"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_f_omega(benchmark, lobed_engine, n, read):
+    strengths = gm.VortexStrengths(np.ones(n))
+    result = benchmark(read, lobed_engine, strengths, gm.kirchhoff_routh_interaction(),
+                       _ring(n))
+    assert np.all(np.isfinite(result))

@@ -7,7 +7,9 @@ reproduce byte-identical files.  A run manifest is written last: the
 command, its configuration and outputs, the diagnostics of the command's base
 Green engine (null for shape-verify, whose engines are rebuilt per rung; the
 condition estimate rounded to 10 significant digits), the numpy and scipy
-versions and the OPENBLAS_NUM_THREADS setting (null if unset).
+versions and the OPENBLAS_NUM_THREADS setting (null if unset).  simulate's
+manifest also has ``stats``: the sum and maximum over the steps of the
+integrator's fixed-point iterations and final update sizes.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def cmd_green_check(args, out: Path):
         checks.append({"name": "construction_self_test", "max_error": None,
                        "tolerance": None, "passed": False, "detail": str(exc)})
         _write_json(out / "report.json", {"checks": checks, "passed": False})
-        return 1, ["report.json"], {"domain": str(args.domain), "nodes": args.nodes}, None
+        return 1, ["report.json"], {"domain": str(args.domain), "nodes": args.nodes}, None, None
     add("construction_self_test", integral.self_test_error, 1e-8)
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
@@ -170,7 +172,7 @@ def cmd_green_check(args, out: Path):
     passed = all(c["passed"] for c in checks)
     _write_json(out / "report.json", {"checks": checks, "passed": passed})
     cfg = {"domain": str(args.domain), "nodes": args.nodes, "points": args.points}
-    return (0 if passed else 1), ["report.json"], cfg, integral
+    return (0 if passed else 1), ["report.json"], cfg, integral, None
 
 
 def cmd_find_critical(args, out: Path):
@@ -192,7 +194,7 @@ def cmd_find_critical(args, out: Path):
            "boundary_margin": args.boundary_margin,
            "collision_margin": args.collision_margin,
            "dedup_radius": args.dedup_radius}
-    return 0, ["report.json", "critical_points.csv"], cfg, engine
+    return 0, ["report.json", "critical_points.csv"], cfg, engine, None
 
 
 def cmd_shape_verify(args, out: Path):
@@ -216,7 +218,7 @@ def cmd_shape_verify(args, out: Path):
     _write_csv(out / "fd_ladder.csv", rows)
     cfg = {"domain": str(args.domain), "field": str(args.field),
            "quantity": args.quantity, "eps_ladder": ladder, "nodes": args.nodes}
-    return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], cfg, None
+    return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], cfg, None, None
 
 
 def _margin_svg(trace) -> str:
@@ -257,7 +259,7 @@ def cmd_perturb_study(args, out: Path):
     if not polish.converged:
         _write_json(out / "trace.json",
                     {"error": f"start configuration did not polish: {polish.failure}"})
-        return 1, ["trace.json"], {"domain": str(args.domain)}, engine
+        return 1, ["trace.json"], {"domain": str(args.domain)}, engine, None
     trace = continue_critical_point(domain, field, grid, polish.configuration,
                                     strengths, spec, nodes=args.nodes,
                                     newton_tol=args.newton_tol)
@@ -279,7 +281,7 @@ def cmd_perturb_study(args, out: Path):
     cfg = {"domain": str(args.domain), "vortex": str(args.vortex),
            "field": str(args.field), "eps_grid": grid, "nodes": args.nodes,
            "equivariant": args.equivariant, "newton_tol": args.newton_tol}
-    return (1 if trace.truncated else 0), outputs, cfg, engine
+    return (1 if trace.truncated else 0), outputs, cfg, engine, None
 
 
 def cmd_simulate(args, out: Path):
@@ -294,7 +296,8 @@ def cmd_simulate(args, out: Path):
            "dt": args.dt, "horizon": args.horizon,
            "integrator": args.integrator, "solve_tol": args.solve_tol,
            "nodes": args.nodes}
-    return (1 if trajectory.truncated else 0), ["trajectory.csv"], cfg, engine
+    return ((1 if trajectory.truncated else 0), ["trajectory.csv"], cfg, engine,
+            trajectory.solver_stats())
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         out.mkdir(parents=True, exist_ok=True)
-        code, outputs, cfg, engine = args.func(args, out)
+        code, outputs, cfg, engine, stats = args.func(args, out)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
             GreenMorseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -389,6 +392,8 @@ def main(argv=None) -> int:
         "scipy": scipy.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
+    if stats is not None:
+        manifest["stats"] = stats
     _write_json(out / "manifest.json", manifest)
     return code
 

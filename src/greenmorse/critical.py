@@ -51,8 +51,12 @@ class SearchConfig:
     dedup_radius: float = 1e-6
 
     def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.boundary_margin < 0 or self.collision_margin < 0:
@@ -181,6 +185,10 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     "merit-stationary": when ||H g|| <= 1e-3 ||H||_2 ||g||, when an accepted
     step lowers ||g|| by less than 1e-4 relative, or when mu passes
     1e8 max lam^2.
+
+    A trial is judged by its gradient alone, so only the start and accepted
+    trials read ``.hessian``; ``f_omega`` computes it on that read, and a
+    rejected trial costs a value-and-gradient evaluation.
     """
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     evaluations = 0
@@ -188,19 +196,18 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     def evaluate(flat):
         nonlocal evaluations
         evaluations += 1
-        res = f_omega(engine, strengths, spec, Configuration(flat.reshape(-1, 2)),
-                      search.boundary_margin, search.collision_margin)
-        return res.gradient, res.hessian
+        return f_omega(engine, strengths, spec, Configuration(flat.reshape(-1, 2)),
+                       search.boundary_margin, search.collision_margin)
 
     def failed(reason, residual, iterations):
         return PolishResult(None, residual, None, iterations, evaluations, False, reason)
 
     try:
-        grad, hess = evaluate(x)
+        res = evaluate(x)
     except _INADMISSIBLE:
         return failed("inadmissible-start", np.inf, 0)
 
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(np.linalg.norm(res.gradient))
     mu = 0.0
     iterations = 0
     stagnant = False
@@ -209,8 +216,9 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
             return failed("merit-stationary", gnorm, iterations)
         if iterations == search.max_iterations:
             return failed("max-iterations", gnorm, iterations)
+        hess = res.hessian
         lam, Q = np.linalg.eigh(0.5 * (hess + hess.T))
-        qg = Q.T @ grad
+        qg = Q.T @ res.gradient
         lam2 = lam * lam
         lam2_max = float(lam2.max())
         if np.linalg.norm(lam * qg) <= 1e-3 * np.sqrt(lam2_max) * gnorm:
@@ -221,23 +229,23 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
             scale = np.divide(lam, denom, out=np.zeros_like(lam), where=denom > 0.0)
             step = -(Q @ (scale * qg))
             try:
-                g_new, h_new = evaluate(x + step)
+                trial = evaluate(x + step)
             except _INADMISSIBLE:
                 pass
             else:
-                gnorm_new = float(np.linalg.norm(g_new))
+                gnorm_new = float(np.linalg.norm(trial.gradient))
                 if gnorm_new < gnorm:
                     break
             mu = max(4.0 * mu, 1e-3 * lam2_max)
             if mu > 1e8 * lam2_max:
                 return failed("merit-stationary", gnorm, iterations)
         x = x + step
-        grad, hess = g_new, h_new
+        res = trial
         stagnant = gnorm_new > (1.0 - 1e-4) * gnorm
         gnorm = gnorm_new
         mu *= 0.25
         iterations += 1
-    return PolishResult(x, gnorm, hess, iterations, evaluations, True)
+    return PolishResult(x, gnorm, res.hessian, iterations, evaluations, True)
 
 
 def _first_primes(n: int) -> list[int]:

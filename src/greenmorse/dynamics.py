@@ -6,11 +6,19 @@ conserves both the energy and, on disks, the angular impulse
 sum_k lambda_k |x_k - c|^2 about the centre c.  The implicit midpoint rule
 preserves the quadratic impulse up to solver tolerance; both integrators are
 order 2 or better in the time step.
+
+The dynamics read only f and grad f, so no ``f_omega`` call here reads a
+Hessian.  ``integrate`` evaluates f_omega once per sample for the energy, and
+that evaluation's gradient also gives the next step's first velocity (the
+midpoint predictor or the rk4 stage k1).  So a midpoint step makes 1 + i
+``f_omega`` calls, i of them in ``velocity`` for its i fixed-point iterations,
+and an rk4 step makes 4, three of them in ``velocity``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +41,19 @@ class DynamicsConfig:
             raise ValueError("time step must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least one time step")
+        if not (math.isfinite(self.solve_tol) and self.solve_tol > 0):
+            raise ValueError("solve_tol must be finite and positive")
+        if self.max_solver_iterations < 1:
+            raise ValueError("max_solver_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Samples at every step.  For each of the M - 1 steps taken,
+    ``solver_iterations`` counts the midpoint rule's fixed-point iterations
+    and ``solver_updates`` holds the max-norm of its final update (0 and 0.0
+    for rk4, which solves nothing)."""
+
     times: np.ndarray            # (M,)
     states: np.ndarray           # (M, N, 2)
     hamiltonian: np.ndarray      # (M,)
@@ -44,6 +61,17 @@ class Trajectory:
     rotation_symmetric: bool
     truncated: bool = False
     diagnostic: str | None = None
+    solver_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    solver_updates: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def solver_stats(self) -> dict:
+        """Sum and maximum of the per-step solver iterations and final updates."""
+        return {
+            "solver_iterations": {"sum": int(np.sum(self.solver_iterations)),
+                                  "max": int(np.max(self.solver_iterations, initial=0))},
+            "final_update": {"sum": float(np.sum(self.solver_updates)),
+                             "max": float(np.max(self.solver_updates, initial=0.0))},
+        }
 
     def csv_rows(self):
         n = self.states.shape[1]
@@ -63,7 +91,11 @@ class Trajectory:
 def velocity(engine, strengths: VortexStrengths, spec: InteractionSpec,
              config: Configuration) -> np.ndarray:
     """dx_k/dt = (1/lambda_k) J grad_{x_k} f, shape (N, 2)."""
-    grad = f_omega(engine, strengths, spec, config).gradient.reshape(-1, 2)
+    return _velocity_from_gradient(strengths, f_omega(engine, strengths, spec, config).gradient)
+
+
+def _velocity_from_gradient(strengths: VortexStrengths, gradient) -> np.ndarray:
+    grad = gradient.reshape(-1, 2)
     rotated = np.stack([-grad[:, 1], grad[:, 0]], axis=1)
     return rotated / strengths.values[:, None]
 
@@ -84,18 +116,21 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
     states = [state.reshape(-1, 2).copy()]
     energies = []
     impulses = []
+    iterations = []
+    updates = []
     truncated = False
     diagnostic = None
 
     def observables(flat):
+        """Energy, angular impulse and velocity (flat) at the state ``flat``."""
         cfg = Configuration(flat.reshape(-1, 2))
-        value = f_omega(engine, strengths, spec, cfg).value
+        res = f_omega(engine, strengths, spec, cfg)
         rel = cfg.points - engine.domain.rotation_center
         impulse = float(np.sum(strengths.values * np.sum(rel * rel, axis=1)))
-        return value, impulse
+        return res.value, impulse, _velocity_from_gradient(strengths, res.gradient).reshape(-1)
 
     try:
-        h0, i0 = observables(state)
+        h0, i0, v = observables(state)
     except GreenMorseError as exc:
         raise NumericError(f"initial state inadmissible: {exc}") from exc
     energies.append(h0)
@@ -104,15 +139,16 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
     for step in range(1, n_steps + 1):
         try:
             if config.integrator == "rk4":
-                k1 = _velocity_flat(engine, strengths, spec, state)
+                k1 = v
                 k2 = _velocity_flat(engine, strengths, spec, state + 0.5 * dt * k1)
                 k3 = _velocity_flat(engine, strengths, spec, state + 0.5 * dt * k2)
                 k4 = _velocity_flat(engine, strengths, spec, state + dt * k3)
                 state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                solved, delta = 0, 0.0
             else:
-                mid = state + 0.5 * dt * _velocity_flat(engine, strengths, spec, state)
+                mid = state + 0.5 * dt * v
                 converged = False
-                for _ in range(config.max_solver_iterations):
+                for solved in range(1, config.max_solver_iterations + 1):
                     new_mid = state + 0.5 * dt * _velocity_flat(engine, strengths, spec, mid)
                     delta = float(np.max(np.abs(new_mid - mid)))
                     mid = new_mid
@@ -124,7 +160,7 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
                     diagnostic = f"implicit solve stalled at step {step}"
                     break
                 state = 2.0 * mid - state
-            h, imp = observables(state)
+            h, imp, v = observables(state)
         except GreenMorseError as exc:
             truncated = True
             diagnostic = f"step {step}: {exc}"
@@ -133,10 +169,13 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
         states.append(state.reshape(-1, 2).copy())
         energies.append(h)
         impulses.append(imp)
+        iterations.append(solved)
+        updates.append(delta)
 
     return Trajectory(np.array(times), np.array(states), np.array(energies),
                       np.array(impulses), engine.domain.is_disk(),
-                      truncated, diagnostic)
+                      truncated, diagnostic,
+                      np.array(iterations, dtype=int), np.array(updates, dtype=float))
 
 
 def conservation_report(trajectory: Trajectory) -> dict:

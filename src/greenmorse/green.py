@@ -23,21 +23,29 @@ H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
 (j, k) axes.  It checks the points with one batched boundary-distance query
 for all points (the lowest-index point no farther than ``margin`` inside is
 OutsideDomainError; then the point nearest the boundary, if closer than
-``eval_margin``, is AccuracyDegradedError), computes the j <= k blocks (the
-integral engine with one LU solve for all sources x_k) and copies each j > k
-block from the (k, j) block with x and y exchanged.  ``regular_part(x, y)`` is
-the computed (0, 1) entry of ``blocks([x, y])``; it, ``robin`` and the
-boundary traces use margin 0.  ``_traces(points)`` gives the traces of N points
-and their gradients from one query and one evaluation (the integral engine
-with one solve for 3N right-hand sides); ``boundary_normal_derivative`` and
-``trace_gradient`` are its single-point forms.
+``eval_margin``, is AccuracyDegradedError) and computes the j <= k blocks in
+two tiers.  The value and first-derivative blocks come with the call: the
+integral engine solves for 3N right-hand sides, Gamma(., x_k) and its two
+derivatives in x_k for every source.  The second-derivative blocks come on the
+first read of any of them, for the points already checked: the integral
+engine solves for the 3N second derivatives in x_k and takes the remaining
+moments; the result is cached.  Each j > k block is copied from the (k, j)
+block with x and y exchanged.  ``regular_part(x, y)`` is the computed (0, 1)
+entry of ``blocks([x, y])``; it, ``robin`` and the boundary traces use margin
+0.  ``_traces(points)`` gives the traces of N points and their gradients from
+one query and one evaluation (the integral engine with one solve for 3N
+right-hand sides); ``boundary_normal_derivative`` and ``trace_gradient`` are
+its single-point forms.
 
-Engines are immutable after construction and all evaluations are pure.
+Engines are immutable after construction and all evaluations are pure; a
+second-derivative read fills a cache of the evaluation and never raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
@@ -88,20 +96,40 @@ def hess_gamma(x, y) -> np.ndarray:
 @dataclass(frozen=True)
 class GreenEvaluation:
     """Regular part H(x, y) with its first and second derivative blocks; for
-    N points every field has two leading (j, k) axes, x = x_j and y = x_k."""
+    N points every field has two leading (j, k) axes, x = x_j and y = x_k.
+
+    ``value``, ``grad_x`` and ``grad_y`` are computed when the evaluation is
+    made; ``hess_xx``, ``hess_yy`` and ``hess_xy`` come from the private thunk
+    ``_hessians`` on the first read of any of them and are then cached.
+    """
 
     value: np.ndarray       # (...)
     grad_x: np.ndarray      # (..., 2)
     grad_y: np.ndarray      # (..., 2)
-    hess_xx: np.ndarray     # (..., 2, 2)
-    hess_yy: np.ndarray     # (..., 2, 2)
-    hess_xy: np.ndarray     # (..., 2, 2), [i, j] = d^2 H / dx_i dy_j
+    # () -> (hess_xx (..., 2, 2), hess_yy (..., 2, 2), hess_xy (..., 2, 2)),
+    # hess_xy[i, j] = d^2 H / dx_i dy_j
+    _hessians: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def _hessian_blocks(self) -> tuple:
+        return self._hessians()
+
+    @property
+    def hess_xx(self) -> np.ndarray:
+        return self._hessian_blocks[0]
+
+    @property
+    def hess_yy(self) -> np.ndarray:
+        return self._hessian_blocks[1]
+
+    @property
+    def hess_xy(self) -> np.ndarray:
+        return self._hessian_blocks[2]
 
     def pair(self, j: int, k: int) -> "GreenEvaluation":
         """The (j, k) entry of a block evaluation: H(x_j, x_k)."""
-        return GreenEvaluation(float(self.value[j, k]), self.grad_x[j, k],
-                               self.grad_y[j, k], self.hess_xx[j, k],
-                               self.hess_yy[j, k], self.hess_xy[j, k])
+        return GreenEvaluation(float(self.value[j, k]), self.grad_x[j, k], self.grad_y[j, k],
+                               lambda: tuple(h[j, k] for h in self._hessian_blocks))
 
 
 @dataclass(frozen=True)
@@ -125,18 +153,36 @@ class BoundaryTrace:
 
 def _matrix2(a, b, c, d) -> np.ndarray:
     """Stack equal-shape arrays into [[a, b], [c, d]] on two trailing axes."""
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
-def _mirrored(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy) -> GreenEvaluation:
-    """Blocks with each j > k entry copied from the (k, j) entry, x and y exchanged."""
-    lower = np.tril_indices(len(value), -1)
+def _moment(bases, order: int, densities: np.ndarray) -> np.ndarray:
+    """The order-th derivative of the holomorphic potential of the double-layer
+    densities at the points of ``bases`` (``_moment_bases``), (points, columns)."""
+    if order == 2:
+        return -2.0 * (bases[2] @ densities) / TWO_PI
+    return -(bases[order] @ densities) / TWO_PI
+
+
+def _mirrored(value, grad_x, grad_y, hessians) -> GreenEvaluation:
+    """Blocks with each j > k entry copied from the (k, j) entry, x and y
+    exchanged: the first-order blocks now, the Hessian blocks that the thunk
+    ``hessians`` returns on first read."""
+    k = np.arange(len(value))
+    lower = np.nonzero(k[:, None] > k)     # np.tril_indices(N, -1), in a fifth of the time
     upper = lower[::-1]
     value[lower] = value[upper]
     grad_x[lower], grad_y[lower] = grad_y[upper], grad_x[upper]
-    hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
-    hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
-    return GreenEvaluation(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy)
+
+    def mirrored_hessians():
+        hess_xx, hess_yy, hess_xy = hessians()
+        hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
+        hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
+        return hess_xx, hess_yy, hess_xy
+
+    return GreenEvaluation(value, grad_x, grad_y, mirrored_hessians)
 
 
 class _EngineBase:
@@ -230,24 +276,26 @@ class DiskGreenEngine(_EngineBase):
         Y = xt[None, :, :]          # y = x_k
         xx = np.sum(X * X, axis=-1, keepdims=True)
         yy = np.sum(Y * Y, axis=-1, keepdims=True)
-        eye = np.eye(2)
         s = 1.0 - 2.0 * np.sum(X * Y, axis=-1, keepdims=True) + xx * yy
         sx = -2.0 * Y + 2.0 * X * yy
         sy = -2.0 * X + 2.0 * Y * xx
-        sxx = 2.0 * yy[..., None] * eye
-        syy = 2.0 * xx[..., None] * eye
-        sxy = -2.0 * eye + 4.0 * X[..., :, None] * Y[..., None, :]
         c = -1.0 / (2.0 * TWO_PI)
-        s1 = s[..., None]           # s broadcast over 2 x 2 blocks
-        s2 = s1 * s1
-        return _mirrored(
-            c * np.log(s[..., 0]) - np.log(R) / TWO_PI,
-            c * sx / s / R,
-            c * sy / s / R,
-            c * (sxx / s1 - sx[..., :, None] * sx[..., None, :] / s2) / R**2,
-            c * (syy / s1 - sy[..., :, None] * sy[..., None, :] / s2) / R**2,
-            c * (sxy / s1 - sx[..., :, None] * sy[..., None, :] / s2) / R**2,
-        )
+
+        def hessians():
+            eye = np.eye(2)
+            sxx = 2.0 * yy[..., None] * eye
+            syy = 2.0 * xx[..., None] * eye
+            sxy = -2.0 * eye + 4.0 * X[..., :, None] * Y[..., None, :]
+            s1 = s[..., None]       # s broadcast over 2 x 2 blocks
+            s2 = s1 * s1
+            return (
+                c * (sxx / s1 - sx[..., :, None] * sx[..., None, :] / s2) / R**2,
+                c * (syy / s1 - sy[..., :, None] * sy[..., None, :] / s2) / R**2,
+                c * (sxy / s1 - sx[..., :, None] * sy[..., None, :] / s2) / R**2,
+            )
+
+        return _mirrored(c * np.log(s[..., 0]) - np.log(R) / TWO_PI,
+                         c * sx / s / R, c * sy / s / R, hessians)
 
     def regular_part(self, x, y) -> GreenEvaluation:
         return self.blocks([x, y]).pair(0, 1)
@@ -319,7 +367,7 @@ class IntegralGreenEngine(_EngineBase):
         dists = self.domain.boundary.nearest_parameter(probes)[1]
         threshold = min(0.1, 0.45 * float(dists.max()))
         probes = probes[dists >= threshold]
-        values = self._representation(mu[:, None], probes)[0][:, 0].real
+        values = _moment(self._moment_bases(probes), 0, mu[:, None])[:, 0].real
         worst = float(np.max(np.abs(values - (probes[:, 0] ** 2 - probes[:, 1] ** 2))))
         if worst > SELF_TEST_TOL:
             raise DiscretizationFailureError(
@@ -335,22 +383,17 @@ class IntegralGreenEngine(_EngineBase):
 
     # -- interior representation ------------------------------------------------
 
-    def _representation(self, densities: np.ndarray, points: np.ndarray):
-        """Complex moments of the double-layer potential at interior points.
-
-        Returns (f0, f1, f2), each of shape (points, density columns): the
-        value of the associated holomorphic potential and its first two
-        derivatives; the harmonic value is Re f0.
-        """
+    def _moment_bases(self, points: np.ndarray) -> tuple:
+        """Bases of the complex moments of the double-layer potential at
+        interior points: (B0, B1, B2), each (points, nodes), with
+        B_m = W nu / (z - x)^(m + 1).  For density columns mu, ``_moment``
+        turns B_m into the m-th derivative of the associated holomorphic
+        potential; the harmonic value is Re of the 0-th."""
         xc = points[:, 0] + 1j * points[:, 1]
         inv = 1.0 / (self._complex_nodes[None, :] - xc[:, None])
-        base = self._moment_weights * inv
-        f0 = -(base @ densities) / TWO_PI
-        base *= inv
-        f1 = -(base @ densities) / TWO_PI
-        base *= inv
-        f2 = -2.0 * (base @ densities) / TWO_PI
-        return f0, f1, f2
+        b0 = self._moment_weights * inv
+        b1 = b0 * inv
+        return b0, b1, b1 * inv
 
     def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
         pts = self._require_interior(points, margin)
@@ -358,25 +401,49 @@ class IntegralGreenEngine(_EngineBase):
         d = self.nodes[:, None, :] - pts[None, :, :]
         r2 = np.sum(d * d, axis=2)
         dx, dy = d[..., 0], d[..., 1]
-        # boundary data for H(., x_k) and its derivatives in x_k, six per point
-        cols = np.stack([
+        bases = self._moment_bases(pts)
+        # six density columns per source x_k: H(., x_k), its two first and
+        # three second derivatives in x_k.  The second-derivative columns stay
+        # zero until the Hessian is read, so every moment column still comes
+        # from a product of the full width (BLAS kernels choose their code path
+        # by width and column position, which can move the last bit)
+        densities = np.zeros((self.node_count, n_pts, 6))
+
+        def solve(columns):
+            """Densities for the boundary data ``columns`` (nodes, N, 3)."""
+            mu = lu_solve(self._lu_dirichlet, columns.reshape(self.node_count, 3 * n_pts))
+            return mu.reshape(self.node_count, n_pts, 3)
+
+        def moment(order):
+            """[j, k, c]: moment at field point x_j of density column c for source x_k."""
+            return _moment(bases, order, densities.reshape(self.node_count, 6 * n_pts)
+                           ).reshape(n_pts, n_pts, 6)
+
+        densities[..., :3] = solve(np.stack([
             -0.5 * np.log(r2) / TWO_PI,
             dx / r2 / TWO_PI,
             dy / r2 / TWO_PI,
-            (2.0 * dx * dx / r2 - 1.0) / r2 / TWO_PI,
-            (2.0 * dx * dy / r2) / r2 / TWO_PI,
-            (2.0 * dy * dy / r2 - 1.0) / r2 / TWO_PI,
-        ], axis=2)
-        mu = lu_solve(self._lu_dirichlet, cols.reshape(self.node_count, 6 * n_pts))
-        # [j, k, c]: moment at field point x_j of density column c for source x_k
-        f0, f1, f2 = (f.reshape(n_pts, n_pts, 6) for f in self._representation(mu, pts))
+        ], axis=2))
+        f0, f1 = moment(0), moment(1)
+
+        def hessians():
+            densities[..., 3:] = solve(np.stack([
+                (2.0 * dx * dx / r2 - 1.0) / r2 / TWO_PI,
+                (2.0 * dx * dy / r2) / r2 / TWO_PI,
+                (2.0 * dy * dy / r2 - 1.0) / r2 / TWO_PI,
+            ], axis=2))
+            g0, f2 = moment(0), moment(2)
+            return (
+                _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
+                _matrix2(g0[..., 3].real, g0[..., 4].real, g0[..., 4].real, g0[..., 5].real),
+                _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
+            )
+
         return _mirrored(
             f0[..., 0].real.copy(),
             np.stack([f1[..., 0].real, -f1[..., 0].imag], axis=-1),
             np.stack([f0[..., 1].real, f0[..., 2].real], axis=-1),
-            _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
-            _matrix2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
-            _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
+            hessians,
         )
 
     def regular_part(self, x, y) -> GreenEvaluation:

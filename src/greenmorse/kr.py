@@ -13,7 +13,8 @@ identically zero, or a caller-supplied C^2 evaluator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -110,9 +111,19 @@ def custom_interaction(evaluator: Callable, collision_margin: float) -> Interact
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """Value and gradient, computed when the result is made, and the Hessian,
+    computed by the private thunk ``_hessian`` on first read of ``hessian``
+    and then cached.  Admissibility is decided when the result is made, so
+    reading ``hessian`` does not raise."""
+
     value: float
     gradient: np.ndarray    # (2N,)
-    hessian: np.ndarray     # (2N, 2N), symmetric
+    _hessian: Callable = field(repr=False, compare=False)   # () -> (2N, 2N)
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """(2N, 2N), symmetric."""
+        return self._hessian()
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,8 @@ class AdmissibilityResult:
 
 
 def _log_pair_terms(points: np.ndarray, lam: np.ndarray):
-    """Value/gradient/Hessian of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|."""
+    """Value and gradient of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|, and
+    a thunk for its Hessian."""
     n = len(points)
     d = points[:, None, :] - points[None, :, :]     # [j, k] = x_j - x_k
     r2 = np.sum(d * d, axis=-1)
@@ -135,18 +147,23 @@ def _log_pair_terms(points: np.ndarray, lam: np.ndarray):
     # every pair appears as (j, k) and (k, j)
     value = -0.25 * np.sum(c * np.log(r2))
     grad = -np.sum((c / r2)[..., None] * d, axis=1)
-    a = (np.eye(2) * r2[..., None, None]
-         - 2.0 * d[..., :, None] * d[..., None, :]) / (r2 * r2)[..., None, None]
-    hess = np.einsum("jk,jkab->jakb", c, a)
-    diag = np.arange(n)
-    hess[diag, :, diag, :] -= hess.sum(axis=2)
     m = 2 * n
-    return value, grad.reshape(m), hess.reshape(m, m)
+
+    def hessian():
+        a = (np.eye(2) * r2[..., None, None]
+             - 2.0 * d[..., :, None] * d[..., None, :]) / (r2 * r2)[..., None, None]
+        hess = np.einsum("jk,jkab->jakb", c, a)
+        diag = np.arange(n)
+        hess[diag, :, diag, :] -= hess.sum(axis=2)
+        return hess.reshape(m, m)
+
+    return value, grad.reshape(m), hessian
 
 
 def interaction(spec: InteractionSpec, strengths: VortexStrengths,
                 config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
-    """Value, gradient, and Hessian of the interaction term alone."""
+    """Value, gradient, and Hessian of the interaction term alone; the
+    Hessian of the log sum is computed on first read."""
     lam = strengths.values
     pts = config.points
     if len(lam) != len(pts):
@@ -162,13 +179,13 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
             f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
     m = 2 * len(pts)
     if spec.variant == "zero":
-        return EvaluationResult(0.0, np.zeros(m), np.zeros((m, m)))
+        return EvaluationResult(0.0, np.zeros(m), lambda: np.zeros((m, m)))
     if spec.variant == "kirchhoff_routh":
-        value, grad, hess = _log_pair_terms(pts, lam)
-        return EvaluationResult(value, grad, hess)
+        return EvaluationResult(*_log_pair_terms(pts, lam))
     value, grad, hess = spec.custom_evaluator(pts, lam)
+    hess = np.asarray(hess, dtype=float).reshape(m, m)
     return EvaluationResult(float(value), np.asarray(grad, dtype=float).reshape(m),
-                            np.asarray(hess, dtype=float).reshape(m, m))
+                            lambda: hess)
 
 
 def check_admissible(domain: DomainSpec, spec: InteractionSpec, config: Configuration,
@@ -210,6 +227,13 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     The gradient block for point m collects lambda_m lambda_k grad_x H(x_m, x_k)
     and lambda_j lambda_m grad_y H(x_j, x_m) over all j, k (diagonal included);
     Hessian blocks assemble the same way from the second-derivative blocks.
+
+    The value and gradient are computed by the call, from the first-order
+    blocks (on the integral engine one ``lu_solve`` for 3N right-hand sides).
+    The Hessian is assembled on the first read of ``.hessian``, which reads
+    the engine's second-derivative blocks (one more solve for 3N right-hand
+    sides) and is then cached; callers that need only the gradient, such as
+    the vortex dynamics and rejected search trials, never pay for it.
     """
     lam = strengths.values
     pts = config.points
@@ -223,15 +247,18 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     grad = (inter.gradient.reshape(n, 2)
             - np.einsum("jk,jka->ja", c, ev.grad_x)
             - np.einsum("jk,jka->ka", c, ev.grad_y))
-    cross = np.einsum("jk,jkab->jakb", c, ev.hess_xy)
-    hess = inter.hessian.reshape(n, 2, n, 2) - cross - cross.transpose(2, 3, 0, 1)
-    diag = np.arange(n)
-    hess[diag, :, diag, :] -= (np.einsum("jk,jkab->jab", c, ev.hess_xx)
-                               + np.einsum("jk,jkab->kab", c, ev.hess_yy))
-
     m = 2 * n
-    H = hess.reshape(m, m)
-    return EvaluationResult(value, grad.reshape(m), 0.5 * (H + H.T))
+
+    def hessian():
+        cross = np.einsum("jk,jkab->jakb", c, ev.hess_xy)
+        hess = inter.hessian.reshape(n, 2, n, 2) - cross - cross.transpose(2, 3, 0, 1)
+        diag = np.arange(n)
+        hess[diag, :, diag, :] -= (np.einsum("jk,jkab->jab", c, ev.hess_xx)
+                                   + np.einsum("jk,jkab->kab", c, ev.hess_yy))
+        H = hess.reshape(m, m)
+        return 0.5 * (H + H.T)
+
+    return EvaluationResult(value, grad.reshape(m), hessian)
 
 
 # ---------------------------------------------------------------------------

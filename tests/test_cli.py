@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 import greenmorse as gm
@@ -51,3 +52,39 @@ def test_cli_import_does_not_load_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _simulate_inputs(tmp_path):
+    domain = tmp_path / "disk.json"
+    vortex = tmp_path / "vortex.json"
+    gm.save_domain(gm.DomainSpec(gm.unit_circle()), domain)
+    gm.save_vortex(gm.VortexStrengths([1.0, -1.0]),
+                   gm.Configuration([[0.3, 0.1], [-0.2, -0.3]]),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    return str(domain), str(vortex)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_simulate_rejects_bad_solve_tol(tmp_path, capsys, tol):
+    domain, vortex = _simulate_inputs(tmp_path)
+    code = cli.main(["simulate", domain, vortex, "--dt", "0.01", "--horizon", "0.02",
+                     "--solve-tol", tol, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "solve_tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_simulate_manifest_records_solver_stats(tmp_path):
+    domain, vortex = _simulate_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", domain, vortex, "--dt", "0.01", "--horizon", "0.03",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    engine = gm.build_engine(gm.load_domain(domain))
+    strengths, config, spec = gm.load_vortex(vortex)
+    traj = gm.integrate(engine, strengths, spec, config.flat(),
+                        gm.DynamicsConfig(dt=0.01, horizon=0.03))
+    assert manifest["stats"] == traj.solver_stats()
+    assert manifest["stats"]["solver_iterations"]["sum"] >= 3
+    # the trajectory file keeps its columns
+    header = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "t,x1,y1,x2,y2,hamiltonian,angular_impulse"

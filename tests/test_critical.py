@@ -292,6 +292,12 @@ def test_search_config_validation():
         gm.SearchConfig(collision_margin=-1.0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         gm.SearchConfig(seed=-1)
+    with pytest.raises(ValueError, match="starts must be >= 1"):
+        gm.SearchConfig(starts=0)
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        gm.SearchConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        gm.SearchConfig(max_iterations=-1)
 
 
 X0 = np.array([0.5, 0.0])

@@ -1,0 +1,208 @@
+"""Value-and-gradient evaluations with Hessians computed on first read.
+
+The references below are the eager evaluation path that computed every
+derivative block in one pass: one ``lu_solve`` for 6N right-hand sides in the
+integral engine, all second-derivative blocks of the disk closed form, and
+``f_omega``'s Hessian assembled with its value and gradient.  The split path
+must reproduce them bit for bit.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import lu_solve
+
+import greenmorse as gm
+from greenmorse import green
+
+TWO_PI = 2 * np.pi
+
+
+def _eager_mirrored(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy):
+    lower = np.tril_indices(len(value), -1)
+    upper = lower[::-1]
+    value[lower] = value[upper]
+    grad_x[lower], grad_y[lower] = grad_y[upper], grad_x[upper]
+    hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
+    hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
+    return dict(value=value, grad_x=grad_x, grad_y=grad_y,
+                hess_xx=hess_xx, hess_yy=hess_yy, hess_xy=hess_xy)
+
+
+def _eager_disk_blocks(engine, pts):
+    xt = (pts - engine.center) / engine.radius
+    R = engine.radius
+    X = xt[:, None, :]
+    Y = xt[None, :, :]
+    xx = np.sum(X * X, axis=-1, keepdims=True)
+    yy = np.sum(Y * Y, axis=-1, keepdims=True)
+    eye = np.eye(2)
+    s = 1.0 - 2.0 * np.sum(X * Y, axis=-1, keepdims=True) + xx * yy
+    sx = -2.0 * Y + 2.0 * X * yy
+    sy = -2.0 * X + 2.0 * Y * xx
+    sxx = 2.0 * yy[..., None] * eye
+    syy = 2.0 * xx[..., None] * eye
+    sxy = -2.0 * eye + 4.0 * X[..., :, None] * Y[..., None, :]
+    c = -1.0 / (2.0 * TWO_PI)
+    s1 = s[..., None]
+    s2 = s1 * s1
+    return _eager_mirrored(
+        c * np.log(s[..., 0]) - np.log(R) / TWO_PI,
+        c * sx / s / R,
+        c * sy / s / R,
+        c * (sxx / s1 - sx[..., :, None] * sx[..., None, :] / s2) / R**2,
+        c * (syy / s1 - sy[..., :, None] * sy[..., None, :] / s2) / R**2,
+        c * (sxy / s1 - sx[..., :, None] * sy[..., None, :] / s2) / R**2,
+    )
+
+
+def _eager_representation(engine, densities, points):
+    xc = points[:, 0] + 1j * points[:, 1]
+    inv = 1.0 / (engine._complex_nodes[None, :] - xc[:, None])
+    base = engine._moment_weights * inv
+    f0 = -(base @ densities) / TWO_PI
+    base *= inv
+    f1 = -(base @ densities) / TWO_PI
+    base *= inv
+    f2 = -2.0 * (base @ densities) / TWO_PI
+    return f0, f1, f2
+
+
+def _eager_integral_blocks(engine, pts):
+    n_pts = len(pts)
+    d = engine.nodes[:, None, :] - pts[None, :, :]
+    r2 = np.sum(d * d, axis=2)
+    dx, dy = d[..., 0], d[..., 1]
+    cols = np.stack([
+        -0.5 * np.log(r2) / TWO_PI,
+        dx / r2 / TWO_PI,
+        dy / r2 / TWO_PI,
+        (2.0 * dx * dx / r2 - 1.0) / r2 / TWO_PI,
+        (2.0 * dx * dy / r2) / r2 / TWO_PI,
+        (2.0 * dy * dy / r2 - 1.0) / r2 / TWO_PI,
+    ], axis=2)
+    mu = lu_solve(engine._lu_dirichlet, cols.reshape(engine.node_count, 6 * n_pts))
+    f0, f1, f2 = (f.reshape(n_pts, n_pts, 6) for f in _eager_representation(engine, mu, pts))
+    m2 = green._matrix2
+    return _eager_mirrored(
+        f0[..., 0].real.copy(),
+        np.stack([f1[..., 0].real, -f1[..., 0].imag], axis=-1),
+        np.stack([f0[..., 1].real, f0[..., 2].real], axis=-1),
+        m2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
+        m2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
+        m2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
+    )
+
+
+def eager_blocks(engine, points):
+    """Every block of ``engine.blocks(points)``, all computed in one pass."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if isinstance(engine, gm.DiskGreenEngine):
+        return _eager_disk_blocks(engine, pts)
+    return _eager_integral_blocks(engine, pts)
+
+
+def _eager_log_pair_terms(points, lam):
+    n = len(points)
+    d = points[:, None, :] - points[None, :, :]
+    r2 = np.sum(d * d, axis=-1)
+    np.fill_diagonal(r2, 1.0)
+    c = np.outer(lam, lam) / np.pi
+    np.fill_diagonal(c, 0.0)
+    value = -0.25 * np.sum(c * np.log(r2))
+    grad = -np.sum((c / r2)[..., None] * d, axis=1)
+    a = (np.eye(2) * r2[..., None, None]
+         - 2.0 * d[..., :, None] * d[..., None, :]) / (r2 * r2)[..., None, None]
+    hess = np.einsum("jk,jkab->jakb", c, a)
+    diag = np.arange(n)
+    hess[diag, :, diag, :] -= hess.sum(axis=2)
+    m = 2 * n
+    return value, grad.reshape(m), hess.reshape(m, m)
+
+
+def eager_f_omega(engine, strengths, config):
+    """``f_omega`` for the Kirchhoff-Routh interaction, assembled in one pass."""
+    lam = strengths.values
+    pts = config.points
+    n = len(pts)
+    inter_value, inter_grad, inter_hess = _eager_log_pair_terms(pts, lam)
+    ev = eager_blocks(engine, pts)
+    c = np.outer(lam, lam)
+    value = inter_value - np.sum(c * ev["value"])
+    grad = (inter_grad.reshape(n, 2)
+            - np.einsum("jk,jka->ja", c, ev["grad_x"])
+            - np.einsum("jk,jka->ka", c, ev["grad_y"]))
+    cross = np.einsum("jk,jkab->jakb", c, ev["hess_xy"])
+    hess = inter_hess.reshape(n, 2, n, 2) - cross - cross.transpose(2, 3, 0, 1)
+    diag = np.arange(n)
+    hess[diag, :, diag, :] -= (np.einsum("jk,jkab->jab", c, ev["hess_xx"])
+                               + np.einsum("jk,jkab->kab", c, ev["hess_yy"]))
+    m = 2 * n
+    H = hess.reshape(m, m)
+    return value, grad.reshape(m), 0.5 * (H + H.T)
+
+
+def _ring(domain, n, radius_fraction=0.35, phase=0.3):
+    """n distinct points on a circle about the domain's centroid."""
+    centre = domain.boundary.centroid
+    theta = phase + 2.0 * np.pi * np.arange(n) / n
+    radius = radius_fraction * (1.0 + 0.2 * np.cos(3.0 * theta))
+    return centre + radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+BLOCK_FIELDS = ("value", "grad_x", "grad_y", "hess_xx", "hess_yy", "hess_xy")
+
+
+@pytest.fixture(scope="module")
+def tilted_engine(tilted_domain):
+    return gm.build_engine(tilted_domain, 256)
+
+
+@pytest.mark.parametrize("engine_name", ["disk_engine", "lobed_engine", "tilted_engine"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_split_evaluation_equals_eager_path(request, engine_name, n):
+    engine = request.getfixturevalue(engine_name)
+    pts = _ring(engine.domain, n)
+    lam = gm.VortexStrengths(np.array([1.0, -0.7, 1.3, 0.9, -1.1, 0.6])[:n])
+    config = gm.Configuration(pts)
+
+    ev = engine.blocks(pts)
+    ref = eager_blocks(engine, pts)
+    for name in BLOCK_FIELDS:
+        assert np.array_equal(getattr(ev, name), ref[name]), name
+
+    res = gm.f_omega(engine, lam, gm.kirchhoff_routh_interaction(), config)
+    value, grad, hess = eager_f_omega(engine, lam, config)
+    assert res.value == value
+    assert np.array_equal(res.gradient, grad)
+    assert np.array_equal(res.hessian, hess)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_engine, n):
+    solves = []
+    queries = []
+    lu_solve_ = green.lu_solve
+    distance = gm.DomainSpec.signed_boundary_distance
+
+    def counting_lu_solve(lu_and_piv, b, *args, **kwargs):
+        solves.append(b.shape[1])
+        return lu_solve_(lu_and_piv, b, *args, **kwargs)
+
+    def counting_distance(self, points):
+        queries.append(len(points))
+        return distance(self, points)
+
+    monkeypatch.setattr(green, "lu_solve", counting_lu_solve)
+    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counting_distance)
+    config = gm.Configuration(_ring(lobed_engine.domain, n))
+    res = gm.f_omega(lobed_engine, gm.VortexStrengths(np.ones(n)),
+                     gm.kirchhoff_routh_interaction(), config)
+    assert solves == [3 * n]
+    # admissibility is decided by the call, with one batched query
+    assert queries == [n]
+    first = res.hessian
+    assert solves == [3 * n, 3 * n]
+    assert res.hessian is first
+    assert solves == [3 * n, 3 * n]
+    assert queries == [n]
+

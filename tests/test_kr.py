@@ -142,6 +142,7 @@ def test_custom_interaction():
     res = gm.interaction(spec, gm.VortexStrengths([1.0]), gm.Configuration([[0.3, 0.4]]))
     assert_allclose(res.value, 0.5 * 0.25)
     assert_allclose(res.gradient, [0.3, 0.4])
+    assert np.array_equal(res.hessian, np.eye(2))
 
 
 def test_strength_validation():
