@@ -1,8 +1,11 @@
 """Layer micro-benchmark of the boundary-distance queries (L0).
 
 Times ``DomainSpec.signed_boundary_distance`` on the lobed domain at
-N in {1, 3, 6, 384} points per query and ``PerturbationField.evaluate`` at
-N = 64.  Run from the root of a checkout with pytest-benchmark installed:
+N in {1, 3, 6, 384} points per query, exact (every point refined) and, at
+N in {3, 6, 384}, screened with ``exact_within`` the lobed 256-node engine's
+``eval_margin`` (0.05 x diameter, the largest threshold an evaluation
+compares), and ``PerturbationField.evaluate`` at N = 64.  Run from the root
+of a checkout with pytest-benchmark installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_distance.py
 
@@ -30,6 +33,14 @@ def _points(n, seed=0):
 def test_signed_boundary_distance(benchmark, lobed_domain, n):
     pts = _points(n)
     dist = benchmark(lobed_domain.signed_boundary_distance, pts)
+    assert dist.shape == (n,)
+
+
+@pytest.mark.parametrize("n", [3, 6, 384])
+def test_screened_signed_boundary_distance(benchmark, lobed_domain, n):
+    pts = _points(n)
+    dist = benchmark(lobed_domain.signed_boundary_distance, pts,
+                     0.05 * lobed_domain.diameter)
     assert dist.shape == (n,)
 
 

@@ -31,8 +31,8 @@ from .errors import (
     SymmetryMismatchError,
     UndefinedOrbitError,
 )
-from .geometry import DomainSpec, domain_to_dict
-from .kr import Configuration, InteractionSpec, VortexStrengths, check_admissible, f_omega
+from .geometry import DomainSpec, contains, domain_to_dict
+from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega, min_pair_distances
 
 # a critical point counts as numerically degenerate below this fraction of
 # the Hessian spectral norm
@@ -298,10 +298,13 @@ class _ScrambledHalton:
         return sample
 
 
-def _halton_starts(engine, spec, search: SearchConfig, n_points: int):
+def _halton_starts(engine, search: SearchConfig, n_points: int):
     """Admissible starting configurations from Owen's scrambled Halton
     sequence (``_ScrambledHalton``, the stream of scipy's ``qmc.Halton``),
-    mapped onto the bounding box of the boundary."""
+    mapped onto the bounding box of the boundary.  Each block of 128
+    candidates is tested at once, as ``check_admissible`` tests one: one
+    ``contains`` query for all its points and the closest-pair distance of
+    every candidate."""
     # starts must be evaluable, so they also keep the engine's accuracy distance
     bm = max(search.boundary_margin, engine.eval_margin)
     _, pts = engine.domain.boundary._dense
@@ -314,13 +317,10 @@ def _halton_starts(engine, spec, search: SearchConfig, n_points: int):
     while len(starts) < search.starts and drawn < budget:
         block = sampler.random(128)
         drawn += len(block)
-        for row in block:
-            cand = (lo + row.reshape(n_points, 2) * (hi - lo)).reshape(-1)
-            if check_admissible(engine.domain, spec, Configuration(cand), bm,
-                                search.collision_margin):
-                starts.append(cand)
-                if len(starts) == search.starts:
-                    break
+        cands = lo + block.reshape(-1, n_points, 2) * (hi - lo)
+        inside = contains(engine.domain, cands.reshape(-1, 2), bm).reshape(-1, n_points)
+        ok = inside.all(axis=1) & (min_pair_distances(cands) > search.collision_margin)
+        starts.extend(cands[ok].reshape(-1, 2 * n_points)[: search.starts - len(starts)])
     return starts
 
 
@@ -349,7 +349,7 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
                          search: SearchConfig) -> MorseReport:
     """Multi-start search; deterministic for a fixed seed."""
     n_points = len(strengths)
-    starts = _halton_starts(engine, spec, search, n_points)
+    starts = _halton_starts(engine, search, n_points)
     perms = _lambda_preserving_permutations(strengths.values)
 
     found = []

@@ -185,20 +185,34 @@ class BoundaryCurve:
         _, pts = self._dense
         return pts.mean(axis=0)
 
-    def nearest_parameter(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Parameters of the closest boundary points and the distances to them,
-        two (N,) arrays for points of shape (N, 2).
+    @cached_property
+    def _sample_gap(self) -> float:
+        """delta: no curve point is farther than this from its nearest dense
+        sample.  Every parameter lies within pi/m of one of the m samples and
+        |z'| <= hypot(sum_k k (|a_k^x| + |b_k^x|), sum_k k (|a_k^y| + |b_k^y|)),
+        so delta is pi/m times that bound, raised by 1e-9 relative to cover
+        the round-off of a scanned distance."""
+        k = np.arange(len(self.cos_x))
+        speed_x = np.sum(k * (np.abs(self.cos_x) + np.abs(self.sin_x)))
+        speed_y = np.sum(k * (np.abs(self.cos_y) + np.abs(self.sin_y)))
+        m = len(self._dense[0])
+        return float(np.pi / m * np.hypot(speed_x, speed_y) * (1.0 + 1e-9))
 
-        Each point starts from its nearest dense sample and takes up to 6
-        Newton steps on d/dt |z(t) - p|^2 = 0; a point whose Newton answer is
-        farther than that sample keeps the sample.
-        """
-        p = np.asarray(points, dtype=float).reshape(-1, 2)
+    def _dense_scan(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Parameter of the nearest dense sample of each of the (N, 2) points
+        and the distance to it, two (N,) arrays.  The distance to the curve
+        is at most that distance and at least that distance minus
+        ``_sample_gap``."""
         t, pts = self._dense
         d2 = (pts[None, :, 0] - p[:, 0, None]) ** 2 + (pts[None, :, 1] - p[:, 1, None]) ** 2
         i = np.argmin(d2, axis=1)
-        coarse_t = t[i]
-        coarse = np.sqrt(d2[np.arange(len(p)), i])
+        return t[i], np.sqrt(d2[np.arange(len(p)), i])
+
+    def _refine(self, p: np.ndarray, coarse_t: np.ndarray,
+                coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``nearest_parameter`` for (N, 2) points from their ``_dense_scan``:
+        up to 6 Newton steps on d/dt |z(t) - p|^2 = 0 from the sample; a point
+        whose Newton answer is farther than that sample keeps the sample."""
         ti = coarse_t.copy()
         live = np.arange(len(p))    # points still iterating
         for _ in range(6):
@@ -219,6 +233,17 @@ class BoundaryCurve:
         dist = np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1])
         wandered = dist > coarse    # Newton wandered; keep the coarse answer
         return np.where(wandered, coarse_t, ti % TWO_PI), np.where(wandered, coarse, dist)
+
+    def nearest_parameter(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Parameters of the closest boundary points and the distances to them,
+        two (N,) arrays for points of shape (N, 2).
+
+        Each point starts from its nearest dense sample and takes up to 6
+        Newton steps on d/dt |z(t) - p|^2 = 0; a point whose Newton answer is
+        farther than that sample keeps the sample.
+        """
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        return self._refine(p, *self._dense_scan(p))
 
     def winding_number(self, points) -> np.ndarray:
         """Winding number of the curve about each of the (N, 2) points, (N,) ints."""
@@ -375,11 +400,23 @@ class DomainSpec:
         """Centre of the domain's rotations: a disk's centre, else the origin."""
         return self._circle[0] if self._circle is not None else np.zeros(2)
 
-    def signed_boundary_distance(self, points):
+    def signed_boundary_distance(self, points, exact_within: float = np.inf):
         """Distance to the boundary, negative outside the domain: a float for
         one point of shape (2,), an (N,) array for points of shape (N, 2).
 
-        All points are measured in one batched query."""
+        All points are measured in one batched query.  On a disk the distance
+        is the closed form.  Otherwise every point gets a dense scan and a
+        winding pass, and the Newton refinement of ``nearest_parameter``
+        runs only for points that could lie within ``exact_within`` of the
+        boundary: those whose scanned distance minus the curve's
+        ``_sample_gap`` is at most ``exact_within``.  Every other point
+        reports that lower bound, with its sign.  So the sign is always the
+        exact one, a value of magnitude at most ``exact_within`` is the exact
+        distance, and a larger one is no more than the exact distance: for
+        any threshold m <= ``exact_within``, ``d > m`` decides as the exact
+        query does.  The default, ``np.inf``, refines every point."""
+        if not exact_within >= 0:
+            raise ValueError("exact_within must be >= 0")
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
         if self._circle is not None:
@@ -387,7 +424,11 @@ class DomainSpec:
             dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
         else:
             curve = self.boundary
-            dist = curve.nearest_parameter(flat)[1]
+            coarse_t, coarse = curve._dense_scan(flat)
+            dist = coarse - curve._sample_gap
+            near = np.flatnonzero(dist <= exact_within)
+            if len(near):
+                dist[near] = curve._refine(flat[near], coarse_t[near], coarse[near])[1]
             dist = np.where(curve.winding_number(flat) == 1, dist, -dist)
         return float(dist[0]) if pts.ndim == 1 else dist
 
@@ -414,10 +455,14 @@ def eval_boundary(curve: BoundaryCurve, t: float) -> BoundaryFrame:
 
 def contains(domain: DomainSpec, points, margin: float = 0.0):
     """True iff the point is inside with distance to the boundary > margin:
-    a bool for one point of shape (2,), an (N,) bool array for (N, 2)."""
+    a bool for one point of shape (2,), an (N,) bool array for (N, 2).
+
+    One ``signed_boundary_distance`` query with ``exact_within=margin``: the
+    answer is that of the exact distance, and only points that could lie
+    within ``margin`` of the boundary are refined."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    return domain.signed_boundary_distance(points) > margin
+    return domain.signed_boundary_distance(points, margin) > margin
 
 
 def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) -> np.ndarray:
@@ -553,7 +598,8 @@ class PerturbationField:
         elif self.kind == "identity_dilation":
             out = np.linalg.norm(pts, axis=-1) <= 1e-10
         else:
-            out = domain.signed_boundary_distance(pts) > self.cutoff_width + slack
+            reach = self.cutoff_width + slack
+            out = domain.signed_boundary_distance(pts, reach) > reach
         return bool(out) if pts.ndim == 1 else out
 
     def sup_boundary_norm(self, domain: DomainSpec) -> float:

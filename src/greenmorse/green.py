@@ -21,15 +21,19 @@ boundary traces of the normal derivative of G:
 Each engine evaluates H through one path, ``blocks(points, margin)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
 (j, k) axes.  It checks the points with one batched boundary-distance query
-for all points (the lowest-index point no farther than ``margin`` inside is
-OutsideDomainError; then the point nearest the boundary, if closer than
-``eval_margin``, is AccuracyDegradedError) and computes the j <= k blocks in
-two tiers.  The value and first-derivative blocks come with the call: the
-integral engine solves for 3N right-hand sides, Gamma(., x_k) and its two
-derivatives in x_k for every source.  The second-derivative blocks come on the
-first read of any of them, for the points already checked: the integral
-engine solves for the 3N second derivatives in x_k and takes the remaining
-moments; the result is cached.  Each j > k block is copied from the (k, j)
+for all points (the lowest-index point not more than ``margin`` inside, or
+with a NaN distance, is OutsideDomainError; then the point nearest the
+boundary, if closer than ``eval_margin``, is AccuracyDegradedError).  The query
+passes ``exact_within = max(margin, eval_margin)``, so only points that could
+lie within that distance of the boundary get the exact nearest-point solve;
+the others report a lower bound with the exact sign, and every decision, the
+point named and the message are those of the exact distance.  It computes the
+j <= k blocks in two tiers.  The value and first-derivative blocks come with
+the call: the integral engine solves for 3N right-hand sides, Gamma(., x_k)
+and its two derivatives in x_k for every source.  The second-derivative
+blocks come on the first read of any of them, for the points already checked:
+the integral engine solves for the 3N second derivatives in x_k and takes the
+remaining moments; the result is cached.  Each j > k block is copied from the (k, j)
 block with x and y exchanged.  ``regular_part(x, y)`` is the computed (0, 1)
 entry of ``blocks([x, y])``; it, ``robin`` and the boundary traces use margin
 0.  ``_traces(points)`` gives the traces of N points and their gradients from
@@ -210,15 +214,16 @@ class _EngineBase:
 
     def _require_interior(self, points, margin: float = 0.0) -> np.ndarray:
         """The points as an (N, 2) array, after one batched boundary-distance
-        query for all points: the lowest-index point no farther than ``margin``
-        inside is OutsideDomainError; only if every point passes, the point
-        nearest the boundary, if closer than ``eval_margin``, is
-        AccuracyDegradedError."""
+        query for all points: the lowest-index point not more than ``margin``
+        inside (a NaN distance included) is OutsideDomainError; only if every
+        point passes, the point nearest the boundary, if closer than
+        ``eval_margin``, is AccuracyDegradedError."""
         if margin < 0:
             raise ValueError("margin must be >= 0")
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        dists = self.domain.signed_boundary_distance(pts)
-        outside = np.flatnonzero(dists <= margin)
+        # exact wherever either threshold could decide
+        dists = self.domain.signed_boundary_distance(pts, max(margin, self.eval_margin))
+        outside = np.flatnonzero(~(dists > margin))
         if len(outside):
             i = outside[0]
             raise OutsideDomainError(
@@ -329,18 +334,28 @@ class IntegralGreenEngine(_EngineBase):
     def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
         super().__init__(domain, n)
         z, nu, kappa, w = self.nodes, self.normals, self.curvatures, self.weights
-        dx = z[None, :, 0] - z[:, None, 0]
-        dy = z[None, :, 1] - z[:, None, 1]
-        r2 = dx * dx + dy * dy
+        # D = K - 1/2 I assembled in place as its transpose ``t`` in C order,
+        # which is D in the Fortran order that lu_factor overwrites.  Row j
+        # of t is column j of K: the double-layer kernel
+        # (z_j - z_i).nu_j / |z_j - z_i|^2, whose diagonal limit on a smooth
+        # curve is kappa_j / 2, times -w_j / 2pi
+        t = np.subtract.outer(z[:, 0], z[:, 0])     # [j, i]: x_j - x_i
+        dy = np.subtract.outer(z[:, 1], z[:, 1])
+        r2 = t * t
+        r2 += dy * dy
         np.fill_diagonal(r2, 1.0)
-        # double-layer kernel (z_j - z_i).nu_j / |z_j - z_i|^2; the diagonal
-        # limit on a smooth curve is kappa/2
-        bare = (dx * nu[None, :, 0] + dy * nu[None, :, 1]) / r2
-        np.fill_diagonal(bare, kappa / 2.0)
-        K = -(bare * w[None, :]) / TWO_PI
-        dirichlet = K - 0.5 * np.eye(n)
-        anorm = np.abs(dirichlet).sum(axis=0).max()
-        self._lu_dirichlet = lu_factor(dirichlet)
+        t *= nu[:, 0, None]
+        dy *= nu[:, 1, None]
+        t += dy
+        t /= r2
+        np.fill_diagonal(t, kappa / 2.0)
+        t *= w[:, None]
+        t /= -TWO_PI
+        t.flat[:: n + 1] -= 0.5
+        anorm = np.abs(t).sum(axis=1).max()     # 1-norm of D
+        if not np.isfinite(anorm):
+            raise DiscretizationFailureError("discrete Dirichlet system has non-finite entries")
+        self._lu_dirichlet = lu_factor(t.T, overwrite_a=True, check_finite=False)
         rcond = lapack.dgecon(self._lu_dirichlet[0], anorm, norm="1")[0]
         # 1-norm condition estimate of the discrete Dirichlet system
         self.condition_estimate = 1.0 / max(rcond, 1e-300)

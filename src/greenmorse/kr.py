@@ -69,10 +69,18 @@ class Configuration:
     def min_pair_distance(self) -> float:
         if len(self.points) < 2:
             return np.inf
-        d = self.points[:, None, :] - self.points[None, :, :]
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-        np.fill_diagonal(r2, np.inf)
-        return float(np.sqrt(r2.min()))
+        return float(min_pair_distances(self.points))
+
+
+def min_pair_distances(points) -> np.ndarray:
+    """Smallest distance between two of the N points of each configuration in
+    a (..., N, 2) stack, shape (...); inf where N < 2."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[-2]
+    d = pts[..., :, None, :] - pts[..., None, :, :]
+    r2 = (d[..., 0] ** 2 + d[..., 1] ** 2).reshape(pts.shape[:-2] + (n * n,))
+    r2[..., :: n + 1] = np.inf      # the diagonal, j = k
+    return np.sqrt(r2.min(axis=-1))
 
 
 @dataclass(frozen=True)

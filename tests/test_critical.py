@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
-from greenmorse.critical import _ScrambledHalton
+from greenmorse.critical import _ScrambledHalton, _halton_starts
 from conftest import DIPOLE_RADIUS, orbit_distance, point_at_distance
 
 # the two C3 orbits of critical points of f for lambda = (1, 1, -1) on the
@@ -219,6 +219,45 @@ def test_scrambled_halton_equals_scipy_stream(d, seed):
     for _ in range(4):
         # bit for bit, and indices continue across calls
         assert np.array_equal(sampler.random(128), reference.random(128))
+
+
+def _halton_starts_one_by_one(engine, search, n_points):
+    """Reference: the starts drawn candidate by candidate, each tested with
+    the exact boundary distance and ``Configuration.min_pair_distance``."""
+    bm = max(search.boundary_margin, engine.eval_margin)
+    _, pts = engine.domain.boundary._dense
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    sampler = _ScrambledHalton(2 * n_points, search.seed)
+    starts = []
+    budget = max(200 * search.starts, 4000)
+    drawn = 0
+    while len(starts) < search.starts and drawn < budget:
+        block = sampler.random(128)
+        drawn += len(block)
+        for row in block:
+            cand = (lo + row.reshape(n_points, 2) * (hi - lo)).reshape(-1)
+            config = gm.Configuration(cand)
+            if (np.all(engine.domain.signed_boundary_distance(config.points) > bm)
+                    and config.min_pair_distance() > search.collision_margin):
+                starts.append(cand)
+                if len(starts) == search.starts:
+                    break
+    return starts
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("engine_name", ["disk_engine", "lobed_engine"])
+def test_halton_block_starts_equal_one_by_one(request, engine_name, seed, n_points):
+    engine = request.getfixturevalue(engine_name)
+    # a wide collision margin, so the pair test rejects candidates too
+    for search in (gm.SearchConfig(starts=32, seed=seed),
+                   gm.SearchConfig(starts=32, seed=seed, collision_margin=0.6)):
+        starts = _halton_starts(engine, search, n_points)
+        reference = _halton_starts_one_by_one(engine, search, n_points)
+        assert len(starts) == len(reference) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(starts, reference))
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,9 @@ def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_engine, n):
         solves.append(b.shape[1])
         return lu_solve_(lu_and_piv, b, *args, **kwargs)
 
-    def counting_distance(self, points):
+    def counting_distance(self, points, *args, **kwargs):
         queries.append(len(points))
-        return distance(self, points)
+        return distance(self, points, *args, **kwargs)
 
     monkeypatch.setattr(green, "lu_solve", counting_lu_solve)
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counting_distance)

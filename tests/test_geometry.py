@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
@@ -342,6 +343,103 @@ def test_single_point_distance_is_float(disk_domain, lobed_domain):
         assert type(d) is float
         assert type(gm.contains(domain, [0.3, 0.1])) is bool
         assert domain.signed_boundary_distance([[0.3, 0.1]]).shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# screened boundary distance: properties on random low-mode domains
+# ---------------------------------------------------------------------------
+
+SCREEN_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+
+
+@st.composite
+def low_mode_domains(draw):
+    """A star-shaped domain r(t) (s cos t, sin t) + c with r = 1 + modes 2-4 of
+    total size <= 0.48, stretched by s and moved by c: Fourier degree 5."""
+    coef = draw(st.lists(st.floats(-0.08, 0.08), min_size=6, max_size=6))
+    stretch = draw(st.floats(0.7, 1.3))
+    cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    t = 2 * np.pi * np.arange(64) / 64
+    r = 1.0 + sum(a * np.cos(k * t) + b * np.sin(k * t)
+                  for k, a, b in zip((2, 3, 4), coef[::2], coef[1::2]))
+    pts = np.stack([cx + stretch * r * np.cos(t), cy + r * np.sin(t)], axis=1)
+    return gm.DomainSpec(fit_curve(pts, 5))
+
+
+def _screen_probes(domain, seed, thresholds=(0.0, 0.02, 0.1, 0.35)):
+    """Points in and around the domain: uniform over its padded bounding box,
+    at normal offsets up to 0.45, and within 1e-3 of each threshold's level
+    set, inside and outside."""
+    rng = np.random.default_rng(seed)
+    _, dense = domain.boundary._dense
+    box = rng.uniform(dense.min(axis=0) - 0.5, dense.max(axis=0) + 0.5, (80, 2))
+    offsets = np.concatenate([rng.uniform(-0.45, 0.45, 80)]
+                             + [m * s + rng.uniform(-1e-3, 1e-3, 10)
+                                for m in thresholds for s in (1.0, -1.0)])
+    frame = domain.boundary.frame(rng.uniform(0.0, 2 * np.pi, len(offsets)))
+    return np.vstack([box, frame.point - offsets[:, None] * frame.normal])
+
+
+@SCREEN_SETTINGS
+@given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1))
+def test_screened_contains_equals_exact(domain, seed):
+    eval_margin = 0.05 * domain.diameter    # the integral engine's eval_margin
+    pts = _screen_probes(domain, seed, (0.0, 0.02, eval_margin, 0.35))
+    exact = domain.signed_boundary_distance(pts)
+    for m in (0.0, 0.02, eval_margin, 0.35):
+        assert np.array_equal(gm.contains(domain, pts, m), exact > m)
+
+
+@SCREEN_SETTINGS
+@given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1),
+       exact_within=st.floats(0.0, 0.5))
+def test_screened_distance_keeps_sign_and_exact_values(domain, seed, exact_within):
+    pts = _screen_probes(domain, seed)
+    exact = domain.signed_boundary_distance(pts)
+    screened = domain.signed_boundary_distance(pts, exact_within)
+    assert np.array_equal(np.sign(screened), np.sign(exact))
+    close = np.abs(exact) <= exact_within
+    assert np.max(np.abs(screened - exact)[close], initial=0.0) <= 1e-15
+    # elsewhere a lower bound of the distance, beyond exact_within
+    far = ~close
+    assert np.all(np.abs(screened[far]) <= np.abs(exact[far]))
+    assert np.all((np.abs(screened) > exact_within) | close)
+
+
+@SCREEN_SETTINGS
+@given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1))
+def test_sample_gap_bounds_a_finer_sampling(domain, seed):
+    curve = domain.boundary
+    pts = _screen_probes(domain, seed)[::8]
+    _, coarse = curve._dense_scan(pts)
+    m = len(curve._dense[0])
+    fine = curve.point(2 * np.pi * np.arange(64 * m) / (64 * m))
+    nearest = np.sqrt(np.min((fine[None, :, 0] - pts[:, 0, None]) ** 2
+                             + (fine[None, :, 1] - pts[:, 1, None]) ** 2, axis=1))
+    assert np.all(nearest >= coarse - curve._sample_gap)
+
+
+@SCREEN_SETTINGS
+@given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1),
+       exact_within=st.floats(0.0, 0.4))
+def test_deep_points_skip_the_newton_refinement(domain, seed, exact_within):
+    curve = domain.boundary
+    pts = _screen_probes(domain, seed)
+    exact = np.abs(domain.signed_boundary_distance(pts))
+    refine = gm.BoundaryCurve._refine
+    refined = []
+
+    def counting_refine(self, p, *args):
+        refined.append(p)
+        return refine(self, p, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gm.BoundaryCurve, "_refine", counting_refine)
+        domain.signed_boundary_distance(pts, exact_within)
+    refined = np.vstack(refined) if refined else np.zeros((0, 2))
+    reached = np.array([np.any(np.all(refined == p, axis=1)) for p in pts])
+    assert not np.any(reached & (exact > exact_within + 2 * curve._sample_gap))
+    assert np.all(reached[exact <= exact_within])
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,34 @@ def test_traces_match_explicit_adjoint_operator(request, domain_name, nodes):
         assert np.max(np.abs(got - grads)) <= 1e-13 * np.max(np.abs(grads))
 
 
+@pytest.mark.parametrize("nodes", [256, 512])
+@pytest.mark.parametrize("domain_name", ["lobed_domain", "tilted_domain"])
+def test_in_place_assembly_gives_the_same_lu_factors(request, domain_name, nodes):
+    from scipy.linalg import lu_factor
+
+    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes)
+    # reference: D = K - 1/2 I assembled as dense temporaries in C order
+    z, nu, w = engine.nodes, engine.normals, engine.weights
+    dx = z[None, :, 0] - z[:, None, 0]
+    dy = z[None, :, 1] - z[:, None, 1]
+    r2 = dx * dx + dy * dy
+    np.fill_diagonal(r2, 1.0)
+    bare = (dx * nu[None, :, 0] + dy * nu[None, :, 1]) / r2
+    np.fill_diagonal(bare, engine.curvatures / 2.0)
+    K = -(bare * w[None, :]) / TWO_PI
+    lu, piv = lu_factor(K - 0.5 * np.eye(nodes))
+    assert np.array_equal(engine._lu_dirichlet[0], lu)
+    assert np.array_equal(engine._lu_dirichlet[1], piv)
+
+
+def test_non_finite_dirichlet_matrix_rejected(lobed_domain):
+    # a NaN coefficient makes every node, and so the matrix, non-finite
+    c = lobed_domain.boundary
+    nan_curve = gm.BoundaryCurve(c.cos_x, np.r_[c.sin_x[:-1], np.nan], c.cos_y, c.sin_y)
+    with pytest.raises(gm.DiscretizationFailureError):
+        gm.build_engine(gm.DomainSpec(nan_curve), 256, backend="integral")
+
+
 def test_accuracy_contract_near_boundary(integral_engine):
     with pytest.raises(gm.AccuracyDegradedError) as info:
         integral_engine.regular_part([0.95, 0.0], [0.0, 0.0])

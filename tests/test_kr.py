@@ -306,10 +306,10 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_distance(domain, points):
+    def counted_distance(domain, points, *args, **kwargs):
         calls["distance"] += 1
         distance_batches.append(np.shape(points))
-        return signed_boundary_distance(domain, points)
+        return signed_boundary_distance(domain, points, *args, **kwargs)
 
     monkeypatch.setattr(lobed_engine, "blocks", counted("blocks", lobed_engine.blocks))
     monkeypatch.setattr(lobed_engine, "regular_part",
@@ -317,9 +317,7 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     # DomainSpec is a frozen dataclass, so the method is patched on the class
     signed_boundary_distance = gm.DomainSpec.signed_boundary_distance
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
-    for module in (gm.kr, gm.critical):
-        monkeypatch.setattr(module, "check_admissible",
-                            counted("admissible", module.check_admissible))
+    monkeypatch.setattr(gm.kr, "check_admissible", counted("admissible", gm.kr.check_admissible))
     monkeypatch.setattr(gm.critical, "f_omega", counted("f_omega", gm.critical.f_omega))
     gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
     assert calls == {"blocks": 1, "regular_part": 0, "distance": 1, "admissible": 0,
@@ -364,6 +362,15 @@ def test_f_omega_raises_outside_domain(disk_engine, lobed_engine):
         gm.f_omega(lobed_engine, gm.VortexStrengths([1.0, -1.0]), spec,
                    gm.Configuration([[0.0, 0.0], band]))
     assert info.value.estimated_bound is not None
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.1], [np.inf, 0.0]])
+def test_f_omega_rejects_non_finite_point(disk_engine, lobed_engine, point):
+    # a NaN distance is not more than the margin inside
+    for engine in (disk_engine, lobed_engine):
+        with pytest.raises(gm.OutsideDomainError):
+            gm.f_omega(engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
+                       gm.Configuration([point]))
 
 
 def test_f_omega_raises_on_collision(disk_engine, lobed_engine):
