@@ -1,10 +1,14 @@
-"""Layer micro-benchmark of ``f_omega`` (L2) on the lobed 256-node engine.
+"""Layer micro-benchmark of ``f_omega`` (L2) and of engine builds (L1) on the
+lobed domain.
 
 Times one ``f_omega`` call for N in {2, 4, 8, 16} same-sign vortices on a ring,
 once reading only the value and gradient (what the vortex dynamics and a
 rejected search trial use) and once also reading ``.hessian`` (what an
-accepted search step and the Morse classification use).  Run from the root of
-a checkout with pytest-benchmark installed:
+accepted search step and the Morse classification use), on the 256-node
+conformal-map engine (the default) and the 256-node Nystrom engine.  It also
+times the construction of both engines at 256 nodes (every command but
+``perturb-study``) and 512 nodes (a ``perturb-study`` rung).  Run from the
+root of a checkout with pytest-benchmark installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_f_omega.py
 
@@ -16,12 +20,18 @@ import pytest
 
 import greenmorse as gm
 
+ENGINES = {"conformal": gm.ConformalGreenEngine, "integral": gm.IntegralGreenEngine}
+
 
 @pytest.fixture(scope="module")
-def lobed_engine():
-    """The unit disk displaced by 0.05 cos(3t) along the normal, 256 nodes."""
-    domain = gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(3), 0.05)
-    return gm.build_engine(domain, 256)
+def lobed_domain():
+    """The unit disk displaced by 0.05 cos(3t) along the normal."""
+    return gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(3), 0.05)
+
+
+@pytest.fixture(scope="module", params=sorted(ENGINES))
+def lobed_engine(request, lobed_domain):
+    return ENGINES[request.param](lobed_domain, 256)
 
 
 def _ring(n):
@@ -44,3 +54,10 @@ def test_f_omega(benchmark, lobed_engine, n, read):
     result = benchmark(read, lobed_engine, strengths, gm.kirchhoff_routh_interaction(),
                        _ring(n))
     assert np.all(np.isfinite(result))
+
+
+@pytest.mark.parametrize("backend", sorted(ENGINES))
+@pytest.mark.parametrize("nodes", [256, 512])
+def test_build_engine(benchmark, lobed_domain, nodes, backend):
+    engine = benchmark(ENGINES[backend], lobed_domain, nodes)
+    assert engine.self_test_error <= 1e-8

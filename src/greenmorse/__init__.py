@@ -1,10 +1,11 @@
 """Numerical toolkit for Green-function energies of planar vortex systems.
 
-Builds Dirichlet Green functions on smooth planar domains (closed-form disk
-backend plus a spectral boundary-integral backend), assembles Kirchhoff-Routh
-type energies with exact derivatives, locates and classifies their critical
-points, differentiates them with respect to boundary perturbations, and
-integrates the associated point-vortex dynamics.
+Builds Dirichlet Green functions on smooth planar domains (closed forms on
+disks, closed forms through a numerically computed Riemann map elsewhere,
+and a spectral boundary-integral backend as the reference), assembles
+Kirchhoff-Routh type energies with exact derivatives, locates and classifies
+their critical points, differentiates them with respect to boundary
+perturbations, and integrates the associated point-vortex dynamics.
 """
 
 __version__ = "0.1.0"
@@ -47,6 +48,7 @@ from .geometry import (
 )
 from .green import (
     BoundaryTrace,
+    ConformalGreenEngine,
     DiskGreenEngine,
     GreenEvaluation,
     IntegralGreenEngine,

@@ -5,11 +5,20 @@ input or validation error.  All randomness flows from explicit --seed flags;
 CSV bodies are formatted at 17 significant digits so identical inputs
 reproduce byte-identical files.  A run manifest is written last: the
 command, its configuration and outputs, the diagnostics of the command's base
-Green engine (null for shape-verify, whose engines are rebuilt per rung; the
-condition estimate rounded to 10 significant digits), the numpy and scipy
+Green engine, the one ``build_engine`` selects (null for shape-verify, whose
+engines are rebuilt per rung; on a non-circular domain the conformal map's
+self-test numbers: ``self_test_error``, the largest of
+``exterior_cauchy_error``, ``centre_image`` and ``solve_residual``, with
+``iterations``, ``dense_fallback`` and ``eval_margin``), the numpy and scipy
 versions and the OPENBLAS_NUM_THREADS setting (null if unset).  simulate's
 manifest also has ``stats``: the sum and maximum over the steps of the
 integrator's fixed-point iterations and final update sizes.
+
+``green-check`` compares the Nystrom engine with the disk closed form on a
+circle, and elsewhere the default conformal-map engine with the Nystrom
+engine, and checks symmetry, harmonicity and the harmonic measure of both.
+No command imports ``scipy.linalg`` except ``green-check``, through the
+Nystrom engine.
 """
 
 from __future__ import annotations
@@ -65,21 +74,6 @@ def _write_json(path: Path, data) -> None:
         fh.write("\n")
 
 
-def _engine_manifest(engine) -> dict | None:
-    """The engine's diagnostics as the manifest records them.
-
-    ``dgecon`` can return condition estimates that differ in the last bit for
-    bit-identical factors, and is only accurate to a small factor anyway, so
-    the estimate is rounded to 10 significant digits to keep manifests
-    reproducible."""
-    if engine is None:
-        return None
-    diagnostics = dict(engine.diagnostics)
-    if "condition_estimate" in diagnostics:
-        diagnostics["condition_estimate"] = float(f"{diagnostics['condition_estimate']:.10g}")
-    return diagnostics
-
-
 def _parse_point(text: str) -> np.ndarray:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 2:
@@ -108,6 +102,30 @@ def _sample_pairs(domain: DomainSpec, count: int, margin: float, seed: int = 20)
     return [(pts[2 * i], pts[2 * i + 1]) for i in range(count)]
 
 
+def _agreement(engine, reference, pairs) -> tuple:
+    """Largest relative differences of ``engine`` from ``reference`` over the
+    pairs: H, its gradients, its Hessian blocks, and the boundary trace at
+    the first point."""
+    err_v = err_g = err_h = 0.0
+    for x, y in pairs:
+        a = engine.regular_part(x, y)
+        b = reference.regular_part(x, y)
+        err_v = max(err_v, abs(a.value - b.value) / max(abs(b.value), 1e-12))
+        gscale = max(np.abs(b.grad_x).max(), np.abs(b.grad_y).max(), 1e-12)
+        err_g = max(err_g, np.abs(a.grad_x - b.grad_x).max() / gscale,
+                    np.abs(a.grad_y - b.grad_y).max() / gscale)
+        hscale = max(np.abs(b.hess_xx).max(), np.abs(b.hess_yy).max(),
+                     np.abs(b.hess_xy).max(), 1e-12)
+        err_h = max(err_h,
+                    np.abs(a.hess_xx - b.hess_xx).max() / hscale,
+                    np.abs(a.hess_yy - b.hess_yy).max() / hscale,
+                    np.abs(a.hess_xy - b.hess_xy).max() / hscale)
+    x = pairs[0][0]
+    err_t = np.abs(engine.boundary_normal_derivative(x).values
+                   - reference.boundary_normal_derivative(x).values).max()
+    return err_v, err_g, err_h, err_t
+
+
 def cmd_green_check(args, out: Path):
     domain = load_domain(args.domain)
     checks = []
@@ -118,6 +136,7 @@ def cmd_green_check(args, out: Path):
 
     try:
         integral = build_engine(domain, args.nodes, backend="integral")
+        engine = build_engine(domain, args.nodes)
     except DiscretizationFailureError as exc:
         checks.append({"name": "construction_self_test", "max_error": None,
                        "tolerance": None, "passed": False, "detail": str(exc)})
@@ -127,43 +146,31 @@ def cmd_green_check(args, out: Path):
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
     pairs = _sample_pairs(domain, args.points, margin)
-    engines = [("integral", integral)]
+    # the disk oracle checks the integral engine; elsewhere the integral
+    # engine is the reference for the conformal-map default
     if domain.is_disk():
-        engines.append(("disk", build_engine(domain, args.nodes, backend="disk")))
+        label, compared, reference = "disk_oracle", integral, engine
+        engines = [("integral", integral), ("disk", engine)]
+    else:
+        label, compared, reference = "conformal_vs_integral", engine, integral
+        engines = [("integral", integral), ("conformal", engine)]
+        for name in ("exterior_cauchy_error", "centre_image", "solve_residual"):
+            add(f"conformal_{name}", engine.diagnostics[name], 1e-8)
+    err_v, err_g, err_h, err_t = _agreement(compared, reference, pairs)
+    add(f"{label}_value", err_v, _PASS_TOL_ORACLE)
+    add(f"{label}_gradient", err_g, _PASS_TOL_ORACLE)
+    add(f"{label}_hessian", err_h, _PASS_TOL_ORACLE)
+    add(f"{label}_trace", err_t, _PASS_TOL_TRACE)
 
-    if domain.is_disk():
-        disk = engines[1][1]
-        err_v = err_g = err_h = 0.0
-        for x, y in pairs:
-            a = integral.regular_part(x, y)
-            b = disk.regular_part(x, y)
-            err_v = max(err_v, abs(a.value - b.value) / max(abs(b.value), 1e-12))
-            gscale = max(np.abs(b.grad_x).max(), np.abs(b.grad_y).max(), 1e-12)
-            err_g = max(err_g, np.abs(a.grad_x - b.grad_x).max() / gscale,
-                        np.abs(a.grad_y - b.grad_y).max() / gscale)
-            hscale = max(np.abs(b.hess_xx).max(), np.abs(b.hess_yy).max(),
-                         np.abs(b.hess_xy).max(), 1e-12)
-            err_h = max(err_h,
-                        np.abs(a.hess_xx - b.hess_xx).max() / hscale,
-                        np.abs(a.hess_yy - b.hess_yy).max() / hscale,
-                        np.abs(a.hess_xy - b.hess_xy).max() / hscale)
-        add("disk_oracle_value", err_v, _PASS_TOL_ORACLE)
-        add("disk_oracle_gradient", err_g, _PASS_TOL_ORACLE)
-        add("disk_oracle_hessian", err_h, _PASS_TOL_ORACLE)
-        x = pairs[0][0]
-        ta = integral.boundary_normal_derivative(x).values
-        tb = engines[1][1].boundary_normal_derivative(x).values
-        add("disk_oracle_trace", np.abs(ta - tb).max(), _PASS_TOL_TRACE)
-
-    for label, engine in engines:
+    for label, checked in engines:
         sym = harm = norm = 0.0
         for x, y in pairs:
-            a = engine.regular_part(x, y)
-            b = engine.regular_part(y, x)
+            a = checked.regular_part(x, y)
+            b = checked.regular_part(y, x)
             sym = max(sym, abs(a.value - b.value))
             ratio = abs(np.trace(a.hess_xx)) / max(np.linalg.norm(a.hess_xx), 1e-300)
             harm = max(harm, ratio)
-            trace = engine.boundary_normal_derivative(x)
+            trace = checked.boundary_normal_derivative(x)
             norm = max(norm, abs(-np.sum(trace.weights * trace.values) - 1.0))
         add(f"{label}_symmetry", sym, _PASS_TOL_SYMMETRY)
         add(f"{label}_harmonicity_ratio", harm, _PASS_TOL_HARMONIC)
@@ -172,7 +179,7 @@ def cmd_green_check(args, out: Path):
     passed = all(c["passed"] for c in checks)
     _write_json(out / "report.json", {"checks": checks, "passed": passed})
     cfg = {"domain": str(args.domain), "nodes": args.nodes, "points": args.points}
-    return (0 if passed else 1), ["report.json"], cfg, integral, None
+    return (0 if passed else 1), ["report.json"], cfg, engine, None
 
 
 def cmd_find_critical(args, out: Path):
@@ -387,7 +394,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
         "outputs": outputs,
-        "engine": _engine_manifest(engine),
+        "engine": None if engine is None else engine.diagnostics,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

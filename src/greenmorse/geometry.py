@@ -261,7 +261,10 @@ class BoundaryCurve:
                 - 0.5j * (self.sin_x[1] + 1j * self.sin_y[1]))
 
     def validate(self):
-        """Raise MalformedCurveError unless regular, simple, counterclockwise."""
+        """Raise MalformedCurveError unless finite, regular, simple, counterclockwise."""
+        if not all(np.all(np.isfinite(c)) for c in (self.cos_x, self.sin_x,
+                                                     self.cos_y, self.sin_y)):
+            raise MalformedCurveError("curve coefficients must be finite")
         t, _ = self._dense
         speed = np.hypot(*self.derivative(t, 1).T)
         if speed.min() < 1e-12:
@@ -376,7 +379,7 @@ class DomainSpec:
         self.boundary.validate()
         if self.perturbation_margin is None:
             object.__setattr__(self, "perturbation_margin", _default_margin(self.boundary))
-        if self.perturbation_margin <= 0:
+        if not self.perturbation_margin > 0:
             raise ValueError("perturbation_margin must be positive")
         if self.symmetry is not None:
             for matrix, is_refl in self.symmetry.elements():

@@ -2,12 +2,21 @@
 
 The Green function splits as G = Gamma - H with Gamma the free-space
 logarithmic kernel and H the harmonic correction matching Gamma's boundary
-values.  Two backends evaluate H, its first and second derivatives, and the
+values.  Three backends evaluate H, its first and second derivatives, and the
 boundary traces of the normal derivative of G:
 
 * ``disk-closed-form`` — exact image-method formulas for circles;
+* ``conformal-map`` — the default for every other domain: closed forms in
+  the Riemann map F of the domain onto the unit disk,
+  H(x, y) = (1/2pi) ln|(F(x) - F(y)) / (x - y)| - (1/2pi) ln|1 - F(x) conj F(y)|,
+  and the Poisson kernel pulled back through F for the traces.  F comes from
+  one Kerzman-Stein solve per domain (a fixed-point iteration, with a dense
+  solve if it does not converge); its derivatives at N points are one
+  (N, n) @ (n, 4) Cauchy product.  No evaluation solves a linear system.
+  It needs only numpy;
 * ``boundary-integral`` — a Nystrom discretization on the curve's uniform
-  parameter grid.  The Dirichlet solve uses a second-kind double-layer
+  parameter grid, kept as the reference the tests and ``green-check``
+  compare against.  The Dirichlet solve uses a second-kind double-layer
   equation (the kernel is smooth on smooth curves, so the plain trapezoid
   rule is spectrally accurate).  Boundary traces solve the adjoint equation
   (1/2 I - K') v = b for the normal derivative of G, which avoids
@@ -16,7 +25,8 @@ boundary traces of the normal derivative of G:
   v = -D^-T (W b) / W.  Derivatives in the source point come from auxiliary
   solves sharing the one LU factorization of D; derivatives in the field
   point differentiate the representation kernel, which is smooth at interior
-  points.
+  points.  It imports ``scipy.linalg`` when it is built, and solves through
+  the module-level ``lu_solve``.
 
 Each engine evaluates H through one path, ``blocks(points, margin)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
@@ -27,19 +37,23 @@ boundary, if closer than ``eval_margin``, is AccuracyDegradedError).  The query
 passes ``exact_within = max(margin, eval_margin)``, so only points that could
 lie within that distance of the boundary get the exact nearest-point solve;
 the others report a lower bound with the exact sign, and every decision, the
-point named and the message are those of the exact distance.  It computes the
-j <= k blocks in two tiers.  The value and first-derivative blocks come with
-the call: the integral engine solves for 3N right-hand sides, Gamma(., x_k)
-and its two derivatives in x_k for every source.  The second-derivative
-blocks come on the first read of any of them, for the points already checked:
-the integral engine solves for the 3N second derivatives in x_k and takes the
-remaining moments; the result is cached.  Each j > k block is copied from the (k, j)
-block with x and y exchanged.  ``regular_part(x, y)`` is the computed (0, 1)
-entry of ``blocks([x, y])``; it, ``robin`` and the boundary traces use margin
-0.  ``_traces(points)`` gives the traces of N points and their gradients from
-one query and one evaluation (the integral engine with one solve for 3N
-right-hand sides); ``boundary_normal_derivative`` and ``trace_gradient`` are
-its single-point forms.
+point named and the message are those of the exact distance.  Both the
+conformal and the integral engine have ``eval_margin = 0.05 * diameter``.  It
+computes the j <= k blocks in two tiers.  The value and first-derivative
+blocks come with the call: the conformal engine evaluates F and its first
+three derivatives at the points, the integral engine solves for 3N
+right-hand sides, Gamma(., x_k) and its two derivatives in x_k for every
+source.  The second-derivative blocks come on the first read of any of
+them, for the points already checked: the conformal engine combines the
+derivatives it already has, the integral engine solves for the 3N second
+derivatives in x_k and takes the remaining moments; the result is cached.
+Each j > k block is copied from the (k, j) block with x and y exchanged.
+``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``;
+it, ``robin`` and the boundary traces use margin 0.  ``_traces(points)``
+gives the traces of N points and their gradients from one query and one
+evaluation (the integral engine with one solve for 3N right-hand sides);
+``boundary_normal_derivative`` and ``trace_gradient`` are its single-point
+forms.
 
 Engines are immutable after construction and all evaluations are pure; a
 second-derivative read fills a cache of the evaluation and never raises.
@@ -52,7 +66,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import (
     AccuracyDegradedError,
@@ -65,9 +78,22 @@ from .geometry import TWO_PI, BoundaryCurve, DomainSpec, as_circle
 # default node count; a power of two so node-doubling studies stay aligned
 DEFAULT_NODES = 256
 MIN_NODES = 64
-# construction self-test: max interior error reproducing a harmonic probe
+# construction self-tests: the largest error the integral engine may show
+# reproducing a harmonic probe, and the conformal engine on its checks
 SELF_TEST_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+# Kerzman-Stein fixed-point iteration: stop at this relative step, or after
+# this many steps solve the system densely instead
+FIXED_POINT_TOL = 2e-15
+FIXED_POINT_CAP = 50
+
+
+def lu_solve(lu_and_piv, b, trans=0):
+    """``scipy.linalg.lu_solve``, imported on first use so that only the
+    integral engine loads ``scipy.linalg``."""
+    from scipy.linalg import lu_solve as solve
+
+    return solve(lu_and_piv, b, trans=trans)
 
 
 def gamma(x, y) -> float:
@@ -210,6 +236,7 @@ class _EngineBase:
         self.normals = frame.normal
         self.curvatures = frame.curvature
         self.speeds = np.hypot(d1[:, 0], d1[:, 1])
+        self._velocity = d1[:, 0] + 1j * d1[:, 1]      # z'(t) at the nodes
         self.weights = self.speeds * TWO_PI / n
 
     def _require_interior(self, points, margin: float = 0.0) -> np.ndarray:
@@ -332,6 +359,8 @@ class IntegralGreenEngine(_EngineBase):
     backend = "boundary-integral"
 
     def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
+        from scipy.linalg import lapack, lu_factor
+
         super().__init__(domain, n)
         z, nu, kappa, w = self.nodes, self.normals, self.curvatures, self.weights
         # D = K - 1/2 I assembled in place as its transpose ``t`` in C order,
@@ -489,16 +518,225 @@ class IntegralGreenEngine(_EngineBase):
         return self._traces(x)[1][0]
 
 
+class ConformalGreenEngine(_EngineBase):
+    """Riemann-map engine: H and the boundary traces in closed form through
+    the conformal map F of the domain onto the unit disk with F(a) = 0, a the
+    centroid of the boundary samples (a centroid outside the domain fails the
+    self-test).
+
+    F comes from one Kerzman-Stein solve on the nodes z_j (Kerzman & Trummer,
+    J. Comput. Appl. Math. 14 (1986)): (I - K) S = conj(T / (2 pi i (z - a)))
+    with T the unit tangent and K_ij = w_j [T_j / (2 pi i (z_j - z_i))
+    - conj(T_i / (2 pi i (z_i - z_j)))], K_ii = 0; then F = S T / (i conj S)
+    on the boundary.  K is never formed: with R_ij = 1 / (z_i - z_j) (zero
+    diagonal), K S = R (c1 S) - c2 conj(R conj(w S)), c1 = -z' / (n i) and
+    c2 = conj(T / (2 pi i)), so a step of the fixed-point iteration
+    S <- rhs + K S is one product of R with two columns.  If the iteration
+    has not converged after FIXED_POINT_CAP steps, I - K is assembled and
+    solved densely.
+
+    The derivatives dF/dz up to the third on the boundary come from spectral
+    differentiation of F(z(t)) in t, divided by z'.  Their values at interior
+    points are Cauchy integrals with the one kernel 1/(z - x): a single
+    (N, n) @ (n, 4) product.  Then (C. C. Lin, PNAS 27 (1941))
+    H(x, y) = (1/2pi) ln|Q(x, y)| - (1/2pi) ln|1 - F(x) conj F(y)| with the
+    divided difference Q = (F(x) - F(y)) / (x - y), which is F'(x) at x = y
+    (for pairs closer than eval_margin / 2, where the differences in Q and
+    its derivatives would cancel, integrals of F', F'' and F''' along the
+    segment from y to x), and the Poisson kernel pulled back through F,
+    d_nu G(x, z) = -|F'(z)| (1 - |F(x)|^2) / (2 pi |F(z) - F(x)|^2).
+
+    The construction self-test checks what |F| = 1 on the boundary, true by
+    construction, cannot: the Cauchy integral of F at points outside the
+    domain, some of them ``eval_margin`` out (zero for an analytic F, so what
+    it reads is the error of an evaluation at that distance), |F(a)|, and the
+    relative residual of the solve (for the iteration, its final step).
+    """
+
+    backend = "conformal-map"
+
+    def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
+        super().__init__(domain, n)
+        self.eval_margin = 0.05 * domain.diameter
+        z = self.nodes[:, 0] + 1j * self.nodes[:, 1]
+        dz = self._velocity
+        tangent = dz / self.speeds
+        w = self.weights
+        centroid = domain.boundary.centroid
+        a = complex(centroid[0], centroid[1])
+        r = np.subtract.outer(z, z)
+        r.flat[:: n + 1] = 1.0
+        np.divide(1.0, r, out=r)
+        r.flat[:: n + 1] = 0.0
+        c1 = 1j * dz / n
+        c2 = np.conj(tangent / (2j * np.pi))
+        rhs = np.conj(tangent / (2j * np.pi * (z - a)))
+
+        def residual(s):
+            """rhs + K s - s."""
+            p = r @ np.stack([c1 * s, np.conj(w * s)], axis=1)
+            return rhs + p[:, 0] - c2 * np.conj(p[:, 1]) - s
+
+        s = rhs
+        self.iterations, self.dense_fallback = 0, True
+        while self.iterations < FIXED_POINT_CAP:
+            self.iterations += 1
+            step = residual(s)
+            s = s + step
+            self.solve_residual = float(np.max(np.abs(step)) / np.max(np.abs(s)))
+            if self.solve_residual <= FIXED_POINT_TOL:
+                self.dense_fallback = False
+                break
+        if self.dense_fallback:
+            # I - K with K = R diag(c1) - diag(c2) conj(R) diag(w)
+            system = np.eye(n) - r * c1 + c2[:, None] * np.conj(r) * w
+            s = np.linalg.solve(system, rhs)
+            self.solve_residual = float(np.max(np.abs(residual(s))) / np.max(np.abs(s)))
+
+        boundary_map = s * tangent / (1j * np.conj(s))
+        k = np.fft.fftfreq(n, 1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        jets = [boundary_map]
+        for _ in range(3):
+            jets.append(np.fft.ifft(1j * k * np.fft.fft(jets[-1])) / dz)
+        self._complex_nodes = z
+        self._boundary_map = boundary_map
+        self._boundary_speed = np.abs(jets[1])          # |F'| at the nodes
+        # Cauchy weights: column m times 1/(z - x), summed, is F^(m)(x)
+        self._jets = np.stack(jets, axis=1) * (dz / (1j * n))[:, None]
+        self._self_test(a)
+
+    def _map(self, x: np.ndarray) -> np.ndarray:
+        """F, F', F'', F''' at the complex points x, (N, 4)."""
+        return (1.0 / (self._complex_nodes[None, :] - x[:, None])) @ self._jets
+
+    def _self_test(self, a: complex):
+        z = self._complex_nodes
+        # outside points: 16 nodes pushed out along the normal by eval_margin,
+        # where that leaves the domain, at which the Cauchy integral has the
+        # quadrature error of an evaluation at the contract distance; and 8
+        # points far out
+        step = max(1, self.node_count // 16)
+        nu = self.normals[::step]
+        near = self.nodes[::step] + self.eval_margin * nu
+        near = near[self.domain.signed_boundary_distance(near, 0.0) < 0]
+        far = a + 1.5 * np.max(np.abs(z - a)) * np.exp(0.25j * np.pi * np.arange(8))
+        probes = np.concatenate([near[:, 0] + 1j * near[:, 1], far])
+        self.exterior_cauchy_error = float(np.max(np.abs(self._map(probes)[:, 0])))
+        self.centre_image = float(abs(self._map(np.array([a]))[0, 0]))
+        worst = max(self.exterior_cauchy_error, self.centre_image, self.solve_residual)
+        if not worst <= SELF_TEST_TOL:
+            raise DiscretizationFailureError(
+                f"conformal map self-test error {worst:.3e} exceeds {SELF_TEST_TOL:.1e}; "
+                f"increase the node count")
+        self.self_test_error = worst
+
+    @property
+    def diagnostics(self) -> dict:
+        return {"self_test_error": self.self_test_error,
+                "exterior_cauchy_error": self.exterior_cauchy_error,
+                "centre_image": self.centre_image,
+                "solve_residual": self.solve_residual,
+                "iterations": self.iterations,
+                "dense_fallback": self.dense_fallback,
+                "eval_margin": self.eval_margin}
+
+    def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
+        pts = self._require_interior(points, margin)
+        x = pts[:, 0] + 1j * pts[:, 1]
+        f, f1, f2, f3 = self._map(x).T
+        diff = x[:, None] - x                   # [j, k]: x_j - x_k
+        same = diff == 0
+        diff[same] = 1.0
+        # divided differences Q(x_j, x_k) and dQ/dx, dQ/dy; on the diagonal
+        # Q = F', dQ/dx = dQ/dy = F''/2
+        q = np.where(same, f1[:, None], (f[:, None] - f) / diff)
+        qx = np.where(same, f2[:, None] / 2.0, (f1[:, None] - q) / diff)
+        qy = np.where(same, f2[:, None] / 2.0, (q - f1) / diff)
+        # the differences cancel as x_k nears x_j; closer than eval_margin / 2
+        # they come from integrals along the segment instead
+        near = np.nonzero((np.abs(diff) < 0.5 * self.eval_margin) & ~same)
+        if len(near[0]):
+            close = self._segment_quotients(x[near[0]], x[near[1]])
+            q[near], qx[near], qy[near] = close[:3]
+        fc = np.conj(f)
+        b = 1.0 - f[:, None] * fc
+        # H = Re A with A holomorphic in x_j: A = (ln Q - ln b) / 2pi
+        u = f1[:, None] * fc / b
+        ax = (qx / q + u) / TWO_PI
+
+        def hessians():
+            qxx = np.where(same, f3[:, None] / 3.0, (f2[:, None] - 2.0 * qx) / diff)
+            qxy = np.where(same, f3[:, None] / 6.0, (qx - qy) / diff)
+            if len(near[0]):
+                qxx[near], qxy[near] = close[3:]
+            axx = (qxx / q - (qx / q) ** 2 + f2[:, None] * fc / b + u * u) / TWO_PI
+            # d2/dx dy ln Q, and d2/dx d(conj y) ln b
+            p = (qxy - qx * qy / q) / q
+            m = -f1[:, None] * np.conj(f1) / (b * b)
+            hess_xx = _matrix2(axx.real, -axx.imag, -axx.imag, -axx.real)
+            hess_xy = _matrix2(p.real - m.real, -p.imag - m.imag,
+                               m.imag - p.imag, -p.real - m.real) / TWO_PI
+            return hess_xx, hess_xx.swapaxes(0, 1).copy(), hess_xy
+
+        grad_x = np.stack([ax.real, -ax.imag], axis=-1)
+        return _mirrored((np.log(np.abs(q)) - np.log(np.abs(b))) / TWO_PI,
+                         grad_x, grad_x.swapaxes(0, 1).copy(), hessians)
+
+    def _segment_quotients(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """Q = (F(x) - F(y)) / (x - y) at complex pairs (x, y), with dQ/dx,
+        dQ/dy, d2Q/dx2 and d2Q/dxdy: the integrals over s in [0, 1] of F',
+        s F'', (1 - s) F'', s^2 F''' and s (1 - s) F''' at y + s (x - y), by
+        10-point Gauss-Legendre.  For |x - y| < eval_margin / 2 between
+        points eval_margin inside, the segment keeps 3/4 of eval_margin from
+        the boundary, and the rule's error is below 1e-15 relative."""
+        from numpy.polynomial.legendre import leggauss
+
+        t, w = leggauss(10)
+        s, w = 0.5 * (t + 1.0), 0.5 * w
+        jets = self._map((y[:, None] + (x - y)[:, None] * s).ravel()).reshape(len(x), -1, 4)
+        return (jets[..., 1] @ w, jets[..., 2] @ (w * s), jets[..., 2] @ (w * (1.0 - s)),
+                jets[..., 3] @ (w * s * s), jets[..., 3] @ (w * s * (1.0 - s)))
+
+    def regular_part(self, x, y) -> GreenEvaluation:
+        return self.blocks([x, y]).pair(0, 1)
+
+    def _traces(self, points):
+        """d_{nu_z} G(x_m, z) at every node z, (N, n), and its gradient in
+        x_m, (N, n, 2): the Poisson kernel pulled back through F."""
+        pts = self._require_interior(points)
+        f, f1 = self._map(pts[:, 0] + 1j * pts[:, 1])[:, :2].T
+        d = self._boundary_map - f[:, None]             # F(z) - F(x_m)
+        d2 = d.real * d.real + d.imag * d.imag
+        s = (1.0 - (f.real * f.real + f.imag * f.imag))[:, None]
+        scale = -self._boundary_speed / TWO_PI
+        # g = s / |d|^2 has Wirtinger derivative (s / d - conj F(x)) / |d|^2
+        # in F(x), so grad_x g = 2 (Re, -Im) of that times F'(x)
+        dg = 2.0 * (s / d - np.conj(f)[:, None]) / d2 * f1[:, None]
+        return scale * s / d2, np.stack([dg.real, -dg.imag], axis=-1) * scale[:, None]
+
+    def boundary_normal_derivative(self, x) -> BoundaryTrace:
+        return BoundaryTrace(self._traces(x)[0][0], self.nodes, self.normals, self.weights)
+
+    def trace_gradient(self, x) -> np.ndarray:
+        return self._traces(x)[1][0]
+
+
 def build_engine(domain: DomainSpec, nodes: int = DEFAULT_NODES,
                  backend: str = "auto"):
     """Construct a Green engine for the domain.
 
-    ``backend`` is "auto" (closed form for circles, integral otherwise),
-    "disk", or "integral".  The integral backend runs a conditioning check
-    and an interior self-test at construction.
+    ``backend`` is "auto" (closed form for circles, the conformal map
+    otherwise), "disk", or "integral".  The conformal-map engine checks its
+    map at construction; the integral backend, the reference that tests and
+    ``green-check`` compare against, runs a conditioning check and an
+    interior self-test.
     """
     if backend not in ("auto", "disk", "integral"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "disk" or (backend == "auto" and domain.is_disk()):
         return DiskGreenEngine(domain, nodes)
-    return IntegralGreenEngine(domain, nodes)
+    if backend == "integral":
+        return IntegralGreenEngine(domain, nodes)
+    return ConformalGreenEngine(domain, nodes)

@@ -237,11 +237,13 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     Hessian blocks assemble the same way from the second-derivative blocks.
 
     The value and gradient are computed by the call, from the first-order
-    blocks (on the integral engine one ``lu_solve`` for 3N right-hand sides).
-    The Hessian is assembled on the first read of ``.hessian``, which reads
-    the engine's second-derivative blocks (one more solve for 3N right-hand
-    sides) and is then cached; callers that need only the gradient, such as
-    the vortex dynamics and rejected search trials, never pay for it.
+    blocks (on the conformal-map engine one Cauchy product, on the integral
+    engine one ``lu_solve`` for 3N right-hand sides).  The Hessian is
+    assembled on the first read of ``.hessian``, which reads the engine's
+    second-derivative blocks (on the integral engine one more solve for 3N
+    right-hand sides) and is then cached; callers that need only the
+    gradient, such as the vortex dynamics and rejected search trials, never
+    pay for it.
     """
     lam = strengths.values
     pts = config.points

@@ -8,8 +8,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import greenmorse as gm
+from greenmorse.geometry import fit_curve
 
 # radius of the counter-rotating pair equilibrium on the unit disk: the
 # positive root of a^4 + 4 a^2 - 1 = 0
@@ -39,6 +41,12 @@ def lobed_domain(disk_domain):
 @pytest.fixture(scope="session")
 def lobed_engine(lobed_domain):
     return gm.build_engine(lobed_domain, 256)
+
+
+@pytest.fixture(scope="session")
+def lobed_integral_engine(lobed_domain):
+    """The Nystrom engine, the reference the conformal-map default is tested against."""
+    return gm.build_engine(lobed_domain, 256, backend="integral")
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +81,17 @@ def orbit_distance(points_a, points_b) -> float:
         return float(np.sqrt(np.sum(np.abs(za) ** 2 + np.abs(zb) ** 2)))
     phase = np.conj(s) / abs(s)
     return float(np.linalg.norm(np.abs(phase * za - zb)))
+
+
+@st.composite
+def low_mode_domains(draw):
+    """A star-shaped domain r(t) (s cos t, sin t) + c with r = 1 + modes 2-4 of
+    total size <= 0.48, stretched by s and moved by c: Fourier degree 5."""
+    coef = draw(st.lists(st.floats(-0.08, 0.08), min_size=6, max_size=6))
+    stretch = draw(st.floats(0.7, 1.3))
+    cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    t = 2 * np.pi * np.arange(64) / 64
+    r = 1.0 + sum(a * np.cos(k * t) + b * np.sin(k * t)
+                  for k, a, b in zip((2, 3, 4), coef[::2], coef[1::2]))
+    pts = np.stack([cx + stretch * r * np.cos(t), cy + r * np.sin(t)], axis=1)
+    return gm.DomainSpec(fit_curve(pts, 5))

@@ -25,13 +25,11 @@ def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeyp
                      "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     diagnostics = gm.build_engine(gm.load_domain(domain)).diagnostics
-    assert set(manifest["engine"]) == set(diagnostics)
-    assert manifest["engine"]["self_test_error"] == diagnostics["self_test_error"]
-    assert manifest["engine"]["eval_margin"] == diagnostics["eval_margin"]
-    # written to 10 significant digits: the dgecon estimate of identical
-    # builds can differ in its last bit
-    assert manifest["engine"]["condition_estimate"] == float(
-        f"{diagnostics['condition_estimate']:.10g}")
+    # the conformal map's self-test numbers; a fresh build reproduces them
+    assert set(diagnostics) == {"self_test_error", "exterior_cauchy_error", "centre_image",
+                                "solve_residual", "iterations", "dense_fallback",
+                                "eval_margin"}
+    assert manifest["engine"] == diagnostics
     assert manifest["numpy"] == np.__version__
     assert manifest["scipy"] == scipy.__version__
     assert manifest["openblas_num_threads"] == "1"
@@ -52,6 +50,61 @@ def test_cli_import_does_not_load_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
+    # scipy.linalg was most of the rest of the start-up; only the Nystrom
+    # engine uses it, and imports it when it is built
+    domain = tmp_path / "lobed.json"
+    vortex = tmp_path / "vortex.json"
+    gm.save_domain(lobed_domain, domain)
+    gm.save_vortex(gm.VortexStrengths([1.0, 1.0, -1.0]),
+                   gm.Configuration([[0.3, 0.0], [-0.15, 0.25], [-0.15, -0.25]]),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
+    code = (
+        "import sys, greenmorse.cli as cli\n"
+        "def linalg(): return sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+        f"code = cli.main(['find-critical', {str(domain)!r}, {str(vortex)!r}, "
+        f"'--starts', '4', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, linalg())\n"
+        "import greenmorse as gm\n"
+        f"engine = gm.build_engine(gm.load_domain({str(domain)!r}), backend='integral')\n"
+        "value = engine.regular_part([0.3, 0.1], [-0.2, 0.2]).value\n"
+        "print(engine.self_test_error <= 1e-8, bool(linalg()), repr(value))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    searched, built = result.stdout.strip().splitlines()
+    assert searched == "0 []"
+    # the lazily imported scipy.linalg serves the integral engine as before
+    ok, loaded, value = built.split()
+    assert ok == "True" and loaded == "True"
+    reference = gm.build_engine(lobed_domain, backend="integral")
+    assert float(value) == reference.regular_part([0.3, 0.1], [-0.2, 0.2]).value
+
+
+@pytest.mark.parametrize("circular", [False, True])
+def test_green_check_compares_the_default_engine(tmp_path, disk_domain, lobed_domain,
+                                                 circular):
+    domain = tmp_path / "domain.json"
+    gm.save_domain(disk_domain if circular else lobed_domain, domain)
+    out = tmp_path / "out"
+    assert cli.main(["green-check", str(domain), "--points", "4", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["passed"] and all(c["passed"] for c in checks.values())
+    label = "disk_oracle" if circular else "conformal_vs_integral"
+    for quantity in ("value", "gradient", "hessian", "trace"):
+        assert f"{label}_{quantity}" in checks
+    other = "disk" if circular else "conformal"
+    assert {"integral_symmetry", f"{other}_symmetry"} <= set(checks)
+    if not circular:
+        assert checks["conformal_vs_integral_value"]["max_error"] <= 1e-11
+        assert {"conformal_exterior_cauchy_error", "conformal_centre_image",
+                "conformal_solve_residual"} <= set(checks)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    default = gm.build_engine(gm.load_domain(domain))
+    assert manifest["engine"] == default.diagnostics
 
 
 def _simulate_inputs(tmp_path):

@@ -2,9 +2,10 @@
 
 The references below are the eager evaluation path that computed every
 derivative block in one pass: one ``lu_solve`` for 6N right-hand sides in the
-integral engine, all second-derivative blocks of the disk closed form, and
-``f_omega``'s Hessian assembled with its value and gradient.  The split path
-must reproduce them bit for bit.
+integral engine, all second-derivative blocks of the disk closed form, every
+block of a fresh conformal-map evaluation read at once, and ``f_omega``'s
+Hessian assembled with its value and gradient.  The split path must reproduce
+them bit for bit.
 """
 
 import numpy as np
@@ -98,7 +99,10 @@ def eager_blocks(engine, points):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if isinstance(engine, gm.DiskGreenEngine):
         return _eager_disk_blocks(engine, pts)
-    return _eager_integral_blocks(engine, pts)
+    if isinstance(engine, gm.IntegralGreenEngine):
+        return _eager_integral_blocks(engine, pts)
+    ev = engine.blocks(pts)
+    return {name: getattr(ev, name) for name in BLOCK_FIELDS}
 
 
 def _eager_log_pair_terms(points, lam):
@@ -157,7 +161,13 @@ def tilted_engine(tilted_domain):
     return gm.build_engine(tilted_domain, 256)
 
 
-@pytest.mark.parametrize("engine_name", ["disk_engine", "lobed_engine", "tilted_engine"])
+@pytest.fixture(scope="module")
+def tilted_integral_engine(tilted_domain):
+    return gm.build_engine(tilted_domain, 256, backend="integral")
+
+
+@pytest.mark.parametrize("engine_name", ["disk_engine", "lobed_engine", "tilted_engine",
+                                         "lobed_integral_engine", "tilted_integral_engine"])
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_split_evaluation_equals_eager_path(request, engine_name, n):
     engine = request.getfixturevalue(engine_name)
@@ -178,7 +188,7 @@ def test_split_evaluation_equals_eager_path(request, engine_name, n):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_engine, n):
+def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_integral_engine, n):
     solves = []
     queries = []
     lu_solve_ = green.lu_solve
@@ -194,8 +204,8 @@ def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_engine, n):
 
     monkeypatch.setattr(green, "lu_solve", counting_lu_solve)
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counting_distance)
-    config = gm.Configuration(_ring(lobed_engine.domain, n))
-    res = gm.f_omega(lobed_engine, gm.VortexStrengths(np.ones(n)),
+    config = gm.Configuration(_ring(lobed_integral_engine.domain, n))
+    res = gm.f_omega(lobed_integral_engine, gm.VortexStrengths(np.ones(n)),
                      gm.kirchhoff_routh_interaction(), config)
     assert solves == [3 * n]
     # admissibility is decided by the call, with one batched query
@@ -206,3 +216,26 @@ def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_engine, n):
     assert solves == [3 * n, 3 * n]
     assert queries == [n]
 
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_conformal_evaluation_solves_nothing(monkeypatch, lobed_engine, n):
+    # the map was built once; an evaluation is one Cauchy product and one
+    # batched boundary-distance query, with or without its Hessian
+    solves = []
+    queries = []
+    distance = gm.DomainSpec.signed_boundary_distance
+
+    def counting_distance(self, points, *args, **kwargs):
+        queries.append(len(points))
+        return distance(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(green, "lu_solve", lambda *args, **kwargs: solves.append(args))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args, **kwargs: solves.append(args))
+    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counting_distance)
+    config = gm.Configuration(_ring(lobed_engine.domain, n))
+    res = gm.f_omega(lobed_engine, gm.VortexStrengths(np.ones(n)),
+                     gm.kirchhoff_routh_interaction(), config)
+    assert np.all(np.isfinite(res.hessian))
+    lobed_engine._traces(config.points)
+    assert solves == []
+    assert queries == [n, n]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
-from conftest import point_at_distance
+from conftest import low_mode_domains, point_at_distance
 from greenmorse.geometry import as_circle, fit_curve
 
 
@@ -49,6 +49,22 @@ def test_degenerate_tangent_rejected():
         curve.frame(0.0)
     with pytest.raises(gm.MalformedCurveError):
         gm.DomainSpec(curve)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_rejected(lobed_domain, bad):
+    # comparisons with NaN are False, so no geometric check would catch one
+    c = lobed_domain.boundary
+    curve = gm.BoundaryCurve(c.cos_x, np.r_[c.sin_x[:-1], bad], c.cos_y, c.sin_y)
+    with pytest.raises(gm.MalformedCurveError, match="finite"):
+        gm.DomainSpec(curve)
+    with pytest.raises(gm.MalformedCurveError, match="finite"):
+        curve.validate()
+
+
+def test_nan_perturbation_margin_rejected(disk_domain):
+    with pytest.raises(ValueError, match="perturbation_margin"):
+        gm.DomainSpec(disk_domain.boundary, float("nan"))
 
 
 def test_clockwise_curve_rejected():
@@ -352,20 +368,6 @@ def test_single_point_distance_is_float(disk_domain, lobed_domain):
 SCREEN_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
 
 
-@st.composite
-def low_mode_domains(draw):
-    """A star-shaped domain r(t) (s cos t, sin t) + c with r = 1 + modes 2-4 of
-    total size <= 0.48, stretched by s and moved by c: Fourier degree 5."""
-    coef = draw(st.lists(st.floats(-0.08, 0.08), min_size=6, max_size=6))
-    stretch = draw(st.floats(0.7, 1.3))
-    cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
-    t = 2 * np.pi * np.arange(64) / 64
-    r = 1.0 + sum(a * np.cos(k * t) + b * np.sin(k * t)
-                  for k, a, b in zip((2, 3, 4), coef[::2], coef[1::2]))
-    pts = np.stack([cx + stretch * r * np.cos(t), cy + r * np.sin(t)], axis=1)
-    return gm.DomainSpec(fit_curve(pts, 5))
-
-
 def _screen_probes(domain, seed, thresholds=(0.0, 0.02, 0.1, 0.35)):
     """Points in and around the domain: uniform over its padded bounding box,
     at normal offsets up to 0.45, and within 1e-3 of each threshold's level
@@ -483,6 +485,15 @@ def test_unit_disk_fixture_parses(tmp_path):
     domain = gm.load_domain(path)
     assert domain.is_disk()
     assert_allclose(domain.boundary.signed_area, np.pi, rtol=1e-12)
+
+
+def test_domain_file_with_nan_rejected(tmp_path):
+    # Python's json reads the bare token NaN as a float
+    path = tmp_path / "nan.json"
+    path.write_text('{"type": "fourier_curve", "cos_x": [0, 1, 0.01], '
+                    '"sin_x": [0, 0, NaN], "sin_y": [0, 1]}')
+    with pytest.raises(gm.MalformedCurveError, match="finite"):
+        gm.load_domain(path)
 
 
 def test_bad_domain_type_rejected(tmp_path):

@@ -127,13 +127,13 @@ def test_require_interior_names_first_offending_point(disk_engine, lobed_engine)
             engine.blocks(pts)
 
 
-def test_engine_diagnostics(disk_engine, lobed_engine):
+def test_engine_diagnostics(disk_engine, lobed_integral_engine):
     assert disk_engine.diagnostics == {"eval_margin": 0.0}
-    diag = lobed_engine.diagnostics
+    diag = lobed_integral_engine.diagnostics
     assert set(diag) == {"condition_estimate", "self_test_error", "eval_margin"}
     assert np.isfinite(diag["condition_estimate"]) and diag["condition_estimate"] >= 1.0
-    assert diag["self_test_error"] == lobed_engine.self_test_error
-    assert diag["eval_margin"] == lobed_engine.eval_margin > 0.0
+    assert diag["self_test_error"] == lobed_integral_engine.self_test_error
+    assert diag["eval_margin"] == lobed_integral_engine.eval_margin > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,18 @@ def test_integral_backend_selftest(integral_engine):
 
 def test_lobed_backend_selftest(lobed_engine):
     assert lobed_engine.self_test_error <= 1e-8
-    assert lobed_engine.backend == "boundary-integral"
+    assert lobed_engine.backend == "conformal-map"
 
 
 def test_auto_backend_selects_closed_form(disk_domain):
     assert gm.build_engine(disk_domain).backend == "disk-closed-form"
+
+
+def test_auto_backend_selects_conformal_map(tilted_domain):
+    assert gm.build_engine(tilted_domain).backend == "conformal-map"
+    assert gm.build_engine(tilted_domain, backend="integral").backend == "boundary-integral"
+    with pytest.raises(ValueError, match="unknown backend"):
+        gm.build_engine(tilted_domain, backend="nystrom")
 
 
 def test_node_minimum_enforced(disk_domain):
@@ -213,8 +220,7 @@ def _explicit_adjoint_traces(engine, x):
 @pytest.mark.parametrize("domain_name", ["lobed_domain", "tilted_domain"])
 def test_traces_match_explicit_adjoint_operator(request, domain_name, nodes):
     # the engine solves traces with the transposed Dirichlet LU factors
-    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes)
-    assert engine.backend == "boundary-integral"
+    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes, backend="integral")
     for x in ([0.3, -0.2], [-0.2, 0.35]):
         values, grads = _explicit_adjoint_traces(engine, np.array(x))
         got = engine.boundary_normal_derivative(x).values
@@ -228,7 +234,7 @@ def test_traces_match_explicit_adjoint_operator(request, domain_name, nodes):
 def test_in_place_assembly_gives_the_same_lu_factors(request, domain_name, nodes):
     from scipy.linalg import lu_factor
 
-    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes)
+    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes, backend="integral")
     # reference: D = K - 1/2 I assembled as dense temporaries in C order
     z, nu, w = engine.nodes, engine.normals, engine.weights
     dx = z[None, :, 0] - z[:, None, 0]
@@ -243,12 +249,13 @@ def test_in_place_assembly_gives_the_same_lu_factors(request, domain_name, nodes
     assert np.array_equal(engine._lu_dirichlet[1], piv)
 
 
-def test_non_finite_dirichlet_matrix_rejected(lobed_domain):
-    # a NaN coefficient makes every node, and so the matrix, non-finite
+@pytest.mark.parametrize("backend", ["integral", "auto"])
+def test_non_finite_curve_never_reaches_an_engine(lobed_domain, backend):
+    # a NaN coefficient would make every node non-finite; the domain refuses it
     c = lobed_domain.boundary
     nan_curve = gm.BoundaryCurve(c.cos_x, np.r_[c.sin_x[:-1], np.nan], c.cos_y, c.sin_y)
-    with pytest.raises(gm.DiscretizationFailureError):
-        gm.build_engine(gm.DomainSpec(nan_curve), 256, backend="integral")
+    with pytest.raises(gm.MalformedCurveError, match="finite"):
+        gm.build_engine(gm.DomainSpec(nan_curve), 256, backend=backend)
 
 
 def test_accuracy_contract_near_boundary(integral_engine):
