@@ -5,7 +5,9 @@ Times one ``f_omega`` call for N in {2, 4, 8, 16} same-sign vortices on a ring,
 once reading only the value and gradient (what the vortex dynamics and a
 rejected search trial use) and once also reading ``.hessian`` (what an
 accepted search step and the Morse classification use), on the 256-node
-conformal-map engine (the default) and the 256-node Nystrom engine.  It also
+conformal-map engine (the default) and the 256-node Nystrom engine.  The
+Nystrom engine computes every block in the call, so its two rows differ only
+by the Hessian assembly in ``f_omega``.  It also
 times the construction of both engines at 256 nodes (every command but
 ``perturb-study``) and 512 nodes (a ``perturb-study`` rung).  Run from the
 root of a checkout with pytest-benchmark installed:

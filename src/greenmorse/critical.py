@@ -38,6 +38,8 @@ from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega, min_pa
 # the Hessian spectral norm
 DEGENERACY_RATIO = 1e-5
 ORBIT_ALIGNMENT_MIN = 0.999
+# a Newton polish gives up after this many accepted steps
+MAX_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class SearchConfig:
     boundary_margin: float = 0.05
     collision_margin: float = 0.05
     newton_tol: float = 1e-10
-    max_iterations: int = 60
     dedup_radius: float = 1e-6
 
     def __post_init__(self):
@@ -55,8 +56,6 @@ class SearchConfig:
             raise ValueError("starts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.boundary_margin < 0 or self.collision_margin < 0:
@@ -151,7 +150,7 @@ class PolishResult:
     * "inadmissible-start": ``f_omega`` refused the start;
     * "merit-stationary": the iterate is near a stationary point of the merit
       ||grad f||^2 that is not a critical point of f (see ``newton_polish``);
-    * "max-iterations": ``max_iterations`` accepted steps did not converge.
+    * "max-iterations": ``MAX_ITERATIONS`` accepted steps did not converge.
     """
 
     configuration: np.ndarray | None
@@ -214,7 +213,7 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     while not gnorm <= search.newton_tol:    # a NaN gradient is not converged
         if stagnant:
             return failed("merit-stationary", gnorm, iterations)
-        if iterations == search.max_iterations:
+        if iterations == MAX_ITERATIONS:
             return failed("max-iterations", gnorm, iterations)
         hess = res.hessian
         lam, Q = np.linalg.eigh(0.5 * (hess + hess.T))
@@ -307,7 +306,7 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
     every candidate."""
     # starts must be evaluable, so they also keep the engine's accuracy distance
     bm = max(search.boundary_margin, engine.eval_margin)
-    _, pts = engine.domain.boundary._dense
+    pts = engine.domain.boundary._dense[1].point
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     sampler = _ScrambledHalton(2 * n_points, search.seed)

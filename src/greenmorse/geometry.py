@@ -47,6 +47,7 @@ class BoundaryFrame(NamedTuple):
     tangent: np.ndarray
     normal: np.ndarray
     curvature: float
+    velocity: np.ndarray    # z'(t), the unnormalised tangent
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +63,6 @@ class BoundaryCurve:
     sin_x: np.ndarray
     cos_y: np.ndarray
     sin_y: np.ndarray
-    node_hint: int = 256
 
     def __post_init__(self):
         arrays = [_as_coeffs(a) for a in (self.cos_x, self.sin_x, self.cos_y, self.sin_y)]
@@ -90,71 +90,64 @@ class BoundaryCurve:
         kt = np.outer(t, k)
         return np.cos(kt), np.sin(kt)
 
-    def point(self, t) -> np.ndarray:
-        """Boundary points at parameters ``t``, shape (len(t), 2)."""
-        C, S = self._trig(t)
-        return np.stack([C @ self.cos_x + S @ self.sin_x,
-                         C @ self.cos_y + S @ self.sin_y], axis=-1)
-
-    def _derivative_coeffs(self, order: int):
-        """(cos x, sin x, cos y, sin y) coefficients of the order-th derivative."""
-        k = np.arange(len(self.cos_x), dtype=float)
-        ax, bx = self.cos_x, self.sin_x
-        ay, by = self.cos_y, self.sin_y
-        for _ in range(order):
-            ax, bx = k * bx, -k * ax
-            ay, by = k * by, -k * ay
-        return ax, bx, ay, by
-
-    def derivative(self, t, order: int = 1) -> np.ndarray:
-        """Derivative of the parametrization with respect to t."""
-        ax, bx, ay, by = self._derivative_coeffs(order)
-        C, S = self._trig(t)
-        return np.stack([C @ ax + S @ bx, C @ ay + S @ by], axis=-1)
-
     @cached_property
     def _jet_coeffs(self) -> np.ndarray:
-        """(2K, 6) matrix taking [cos(kt), sin(kt)] to (z, z', z''), x before y."""
-        jets = [self._derivative_coeffs(order) for order in range(3)]
-        cos_rows = np.stack([c for ax, _, ay, _ in jets for c in (ax, ay)], axis=1)
-        sin_rows = np.stack([c for _, bx, _, by in jets for c in (bx, by)], axis=1)
-        return np.vstack([cos_rows, sin_rows])
+        """(2K, 6) matrix taking [cos(kt), sin(kt)] to (z, z', z''), x before y:
+        each t-derivative takes the coefficients (a_k, b_k) to (k b_k, -k a_k)."""
+        k = np.arange(len(self.cos_x), dtype=float)[:, None]
+        a = np.stack([self.cos_x, self.cos_y], axis=1)
+        b = np.stack([self.sin_x, self.sin_y], axis=1)
+        cos_rows, sin_rows = [a], [b]
+        for _ in range(2):
+            a, b = k * b, -k * a
+            cos_rows.append(a)
+            sin_rows.append(b)
+        return np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
+
+    def jet(self, t) -> np.ndarray:
+        """z, z' and z'' at parameters ``t``, shape (len(t), 3, 2)."""
+        return (np.hstack(self._trig(t)) @ self._jet_coeffs).reshape(-1, 3, 2)
+
+    def point(self, t) -> np.ndarray:
+        """Boundary points at parameters ``t``, shape (len(t), 2)."""
+        return self.jet(t)[:, 0]
 
     def frame(self, t) -> BoundaryFrame:
-        """Point, unit tangent, outward unit normal, and curvature at scalar t."""
+        """Point, unit tangent, outward unit normal, curvature and z' at t: each
+        field for one parameter if t is a scalar, else stacked along axis 0."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        p = self.point(ts)
-        d1 = self.derivative(ts, 1)
-        d2 = self.derivative(ts, 2)
+        # contiguous copies: the dense scans read the points many times
+        p, d1, d2 = np.ascontiguousarray(self.jet(ts).transpose(1, 0, 2))
         speed = np.hypot(d1[..., 0], d1[..., 1])
         if np.any(speed < 1e-12):
-            raise MalformedCurveError(f"degenerate tangent at t={t}")
+            raise MalformedCurveError(
+                f"degenerate tangent at t={ts[np.argmax(speed < 1e-12)]:.6g}")
         tang = d1 / speed[..., None]
         normal = np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
         curv = (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / speed**3
         if np.isscalar(t) or np.ndim(t) == 0:
-            return BoundaryFrame(p[0], tang[0], normal[0], float(curv[0]))
-        return BoundaryFrame(p, tang, normal, curv)
+            return BoundaryFrame(p[0], tang[0], normal[0], float(curv[0]), d1[0])
+        return BoundaryFrame(p, tang, normal, curv, d1)
 
     @cached_property
-    def _dense(self):
+    def _dense(self) -> tuple[np.ndarray, BoundaryFrame]:
+        """The dense grid t_i = 2 pi i / m and the frame on it, for the
+        distance, winding and chord scans and the curve's integrals.  It
+        raises MalformedCurveError on a degenerate tangent."""
         m = max(_DENSE_MIN, 16 * len(self.cos_x))
         t = TWO_PI * np.arange(m) / m
-        pts = self.point(t)
-        return t, pts
+        return t, self.frame(t)
 
     @cached_property
     def signed_area(self) -> float:
-        m = max(64, 4 * len(self.cos_x))
-        t = TWO_PI * np.arange(m) / m
-        p = self.point(t)
-        d1 = self.derivative(t, 1)
+        # the trapezoid rule integrates x y' - y x', of degree 2K, exactly
+        _, fr = self._dense
+        p, d1 = fr.point, fr.velocity
         return float(0.5 * np.mean(p[:, 0] * d1[:, 1] - p[:, 1] * d1[:, 0]) * TWO_PI)
 
     @cached_property
     def perimeter(self) -> float:
-        t, _ = self._dense
-        speed = np.hypot(*self.derivative(t, 1).T)
+        speed = np.hypot(*self._dense[1].velocity.T)
         return float(np.mean(speed) * TWO_PI)
 
     @cached_property
@@ -163,7 +156,7 @@ class BoundaryCurve:
         smallest between samples at least ~pi/8 and ~pi/3 apart in parameter.
         Row s - 1 of the scanned array holds |p_i - p_{(i+s) mod ms}|^2 for the
         cyclic index separations s = 1 ... ms // 2, so it holds every pair."""
-        _, pts = self._dense
+        pts = self._dense[1].point
         sub = pts[:: max(1, len(pts) // 512)]
         ms = len(sub)
         wrapped = np.concatenate([sub, sub[: ms // 2 + 1]])
@@ -182,8 +175,7 @@ class BoundaryCurve:
 
     @cached_property
     def centroid(self) -> np.ndarray:
-        _, pts = self._dense
-        return pts.mean(axis=0)
+        return self._dense[1].point.mean(axis=0)
 
     @cached_property
     def _sample_gap(self) -> float:
@@ -203,7 +195,8 @@ class BoundaryCurve:
         and the distance to it, two (N,) arrays.  The distance to the curve
         is at most that distance and at least that distance minus
         ``_sample_gap``."""
-        t, pts = self._dense
+        t, fr = self._dense
+        pts = fr.point
         d2 = (pts[None, :, 0] - p[:, 0, None]) ** 2 + (pts[None, :, 1] - p[:, 1, None]) ** 2
         i = np.argmin(d2, axis=1)
         return t[i], np.sqrt(d2[np.arange(len(p)), i])
@@ -216,8 +209,7 @@ class BoundaryCurve:
         ti = coarse_t.copy()
         live = np.arange(len(p))    # points still iterating
         for _ in range(6):
-            jet = np.hstack(self._trig(ti[live])) @ self._jet_coeffs
-            z, d1, d2v = jet[:, 0:2], jet[:, 2:4], jet[:, 4:6]
+            z, d1, d2v = self.jet(ti[live]).transpose(1, 0, 2)
             r = z - p[live]
             g = 2.0 * (r[:, 0] * d1[:, 0] + r[:, 1] * d1[:, 1])
             h = 2.0 * (d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1]
@@ -248,7 +240,7 @@ class BoundaryCurve:
     def winding_number(self, points) -> np.ndarray:
         """Winding number of the curve about each of the (N, 2) points, (N,) ints."""
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        _, pts = self._dense
+        pts = self._dense[1].point
         ang = np.arctan2(pts[None, :, 1] - p[:, 1, None], pts[None, :, 0] - p[:, 0, None])
         dang = np.diff(ang, axis=1, append=ang[:, :1])
         dang -= TWO_PI * np.rint(dang / TWO_PI)     # each step into [-pi, pi]
@@ -265,10 +257,7 @@ class BoundaryCurve:
         if not all(np.all(np.isfinite(c)) for c in (self.cos_x, self.sin_x,
                                                      self.cos_y, self.sin_y)):
             raise MalformedCurveError("curve coefficients must be finite")
-        t, _ = self._dense
-        speed = np.hypot(*self.derivative(t, 1).T)
-        if speed.min() < 1e-12:
-            raise MalformedCurveError("parametrization has a degenerate tangent")
+        # the dense frame, read first by ``signed_area``, rejects a degenerate tangent
         if self.signed_area <= 0:
             raise MalformedCurveError("curve is not counterclockwise (signed area <= 0)")
         # self-intersection probe: parameter-distant samples must stay apart
@@ -276,13 +265,13 @@ class BoundaryCurve:
             raise MalformedCurveError("curve self-intersects (distant parameters coincide)")
 
 
-def unit_circle(node_hint: int = 256) -> BoundaryCurve:
-    return BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0], node_hint)
+def unit_circle() -> BoundaryCurve:
+    return BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0])
 
 
-def circle(center=(0.0, 0.0), radius: float = 1.0, node_hint: int = 256) -> BoundaryCurve:
+def circle(center=(0.0, 0.0), radius: float = 1.0) -> BoundaryCurve:
     cx, cy = center
-    return BoundaryCurve([cx, radius], [0.0, 0.0], [cy, 0.0], [0.0, radius], node_hint)
+    return BoundaryCurve([cx, radius], [0.0, 0.0], [cy, 0.0], [0.0, radius])
 
 
 def as_circle(curve: BoundaryCurve, tol: float = 1e-13):
@@ -417,12 +406,17 @@ class DomainSpec:
         exact one, a value of magnitude at most ``exact_within`` is the exact
         distance, and a larger one is no more than the exact distance: for
         any threshold m <= ``exact_within``, ``d > m`` decides as the exact
-        query does.  The default, ``np.inf``, refines every point."""
+        query does.  The default, ``np.inf``, refines every point.  A point
+        with a non-finite coordinate has distance NaN."""
         if not exact_within >= 0:
             raise ValueError("exact_within must be >= 0")
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
-        if self._circle is not None:
+        if not np.isfinite(flat).all():
+            finite = np.isfinite(flat).all(axis=1)
+            dist = np.full(len(flat), np.nan)
+            dist[finite] = self.signed_boundary_distance(flat[finite], exact_within)
+        elif self._circle is not None:
             center, radius = self._circle
             dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
         else:
@@ -437,13 +431,8 @@ class DomainSpec:
 
 
 def _default_margin(curve: BoundaryCurve) -> float:
-    t, _ = curve._dense
     clearance = 0.5 * float(np.sqrt(curve._chord_scan[2]))
-    d1 = curve.derivative(t, 1)
-    d2v = curve.derivative(t, 2)
-    speed = np.hypot(*d1.T)
-    kappa = np.abs(d1[:, 0] * d2v[:, 1] - d1[:, 1] * d2v[:, 0]) / speed**3
-    radius = 1.0 / max(kappa.max(), 1e-12)
+    radius = 1.0 / max(np.abs(curve._dense[1].curvature).max(), 1e-12)
     return 0.3 * min(clearance, radius)
 
 
@@ -477,7 +466,7 @@ def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) ->
     if count <= 0:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
-    _, pts = domain.boundary._dense
+    pts = domain.boundary._dense[1].point
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     accepted = []
@@ -522,7 +511,6 @@ class PerturbationField:
     sin_coeffs: np.ndarray = dc_field(default_factory=lambda: np.zeros(1))
     cutoff_width: float = 0.35
     amplitude: float = 1.0
-    symmetrized_under: SymmetryGroup | None = None
 
     def __post_init__(self):
         if self.kind not in ("normal_fourier", "identity_dilation"):
@@ -640,8 +628,7 @@ def zero_field() -> PerturbationField:
 # domain perturbation
 # ---------------------------------------------------------------------------
 
-def fit_curve(points: np.ndarray, max_degree: int, residual_tol: float = 1e-9,
-              node_hint: int = 256) -> BoundaryCurve:
+def fit_curve(points: np.ndarray, max_degree: int, residual_tol: float = 1e-9) -> BoundaryCurve:
     """Least-squares Fourier fit of uniformly sampled boundary points.
 
     On a uniform parameter grid the least-squares projection onto modes
@@ -664,7 +651,7 @@ def fit_curve(points: np.ndarray, max_degree: int, residual_tol: float = 1e-9,
 
     ax, bx = fit_1d(pts[:, 0])
     ay, by = fit_1d(pts[:, 1])
-    curve = BoundaryCurve(ax, bx, ay, by, node_hint)
+    curve = BoundaryCurve(ax, bx, ay, by)
     t = TWO_PI * np.arange(m) / m
     residual = float(np.max(np.abs(curve.point(t) - pts)))
     if residual > residual_tol:
@@ -683,7 +670,7 @@ def _trim_trailing(curve: BoundaryCurve) -> BoundaryCurve:
             keep = k + 1
             break
     return BoundaryCurve(curve.cos_x[:keep], curve.sin_x[:keep],
-                         curve.cos_y[:keep], curve.sin_y[:keep], curve.node_hint)
+                         curve.cos_y[:keep], curve.sin_y[:keep])
 
 
 def apply_perturbation(domain: DomainSpec, field: PerturbationField, eps: float) -> DomainSpec:
@@ -704,7 +691,7 @@ def apply_perturbation(domain: DomainSpec, field: PerturbationField, eps: float)
     m = max(16 * (k_fit + 1), 256)
     t = TWO_PI * np.arange(m) / m
     pts = curve.point(t) + eps * field.boundary_values(curve, t)
-    new_curve = _trim_trailing(fit_curve(pts, k_fit, node_hint=curve.node_hint))
+    new_curve = _trim_trailing(fit_curve(pts, k_fit))
     symmetry = domain.symmetry
     if symmetry is not None:
         for matrix, is_refl in symmetry.elements():
@@ -734,8 +721,7 @@ def equivariant_project(field: PerturbationField, group: SymmetryGroup,
                 "domain is not invariant under the group; cannot project")
         maps.append((const, is_refl))
     if field.kind == "identity_dilation":
-        return PerturbationField("identity_dilation", amplitude=field.amplitude,
-                                 symmetrized_under=group)
+        return PerturbationField("identity_dilation", amplitude=field.amplitude)
     n = len(field.cos_coeffs)
     k = np.arange(n)
     acc_a = np.zeros(n)
@@ -750,8 +736,7 @@ def equivariant_project(field: PerturbationField, group: SymmetryGroup,
             acc_b += -a * sk + b * ck
     m = len(maps)
     return PerturbationField("normal_fourier", acc_a / m, acc_b / m,
-                             field.cutoff_width, field.amplitude,
-                             symmetrized_under=group)
+                             field.cutoff_width, field.amplitude)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ boundary traces of the normal derivative of G:
   hypersingular operators; the discrete K' is W^-1 K^T W, W = diag(weights),
   so with the Dirichlet matrix D = K - 1/2 I a trace is the transposed solve
   v = -D^-T (W b) / W.  Derivatives in the source point come from auxiliary
-  solves sharing the one LU factorization of D; derivatives in the field
-  point differentiate the representation kernel, which is smooth at interior
-  points.  It imports ``scipy.linalg`` when it is built, and solves through
-  the module-level ``lu_solve``.
+  right-hand sides solved with the one LU factorization of D; derivatives in
+  the field point differentiate the representation kernel, which is smooth at
+  interior points.  It imports ``scipy.linalg`` when it is built, and solves
+  through the module-level ``lu_solve``.
 
 Each engine evaluates H through one path, ``blocks(points, margin)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
@@ -39,15 +39,15 @@ lie within that distance of the boundary get the exact nearest-point solve;
 the others report a lower bound with the exact sign, and every decision, the
 point named and the message are those of the exact distance.  Both the
 conformal and the integral engine have ``eval_margin = 0.05 * diameter``.  It
-computes the j <= k blocks in two tiers.  The value and first-derivative
-blocks come with the call: the conformal engine evaluates F and its first
-three derivatives at the points, the integral engine solves for 3N
-right-hand sides, Gamma(., x_k) and its two derivatives in x_k for every
-source.  The second-derivative blocks come on the first read of any of
-them, for the points already checked: the conformal engine combines the
-derivatives it already has, the integral engine solves for the 3N second
-derivatives in x_k and takes the remaining moments; the result is cached.
-Each j > k block is copied from the (k, j) block with x and y exchanged.
+computes the j <= k blocks.  The integral engine computes all of them with
+the call, from one solve for 6N right-hand sides, Gamma(., x_k) and its two
+first and three second derivatives in x_k for every source, and one product
+for the moments of orders 0, 1 and 2.  The disk and conformal engines
+compute the value and first-derivative blocks with the call (the conformal
+engine from F and its first three derivatives at the points) and the
+second-derivative blocks on the first read of any of them, from what the
+call kept; the result is cached.  Each j > k block is copied from the
+(k, j) block with x and y exchanged.
 ``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``;
 it, ``robin`` and the boundary traces use margin 0.  ``_traces(points)``
 gives the traces of N points and their gradients from one query and one
@@ -73,7 +73,7 @@ from .errors import (
     OutsideDomainError,
     SingularityError,
 )
-from .geometry import TWO_PI, BoundaryCurve, DomainSpec, as_circle
+from .geometry import TWO_PI, DomainSpec, as_circle, contains
 
 # default node count; a power of two so node-doubling studies stay aligned
 DEFAULT_NODES = 256
@@ -188,12 +188,18 @@ def _matrix2(a, b, c, d) -> np.ndarray:
     return out
 
 
-def _moment(bases, order: int, densities: np.ndarray) -> np.ndarray:
-    """The order-th derivative of the holomorphic potential of the double-layer
-    densities at the points of ``bases`` (``_moment_bases``), (points, columns)."""
-    if order == 2:
-        return -2.0 * (bases[2] @ densities) / TWO_PI
-    return -(bases[order] @ densities) / TWO_PI
+def _map_centre(domain: DomainSpec, margin: float) -> np.ndarray:
+    """A point well inside the domain: the centroid of the boundary samples
+    if it lies more than ``margin`` inside, else the deepest point of a
+    16 x 16 grid over the samples' bounding box."""
+    centroid = domain.boundary.centroid
+    if contains(domain, centroid, margin):
+        return centroid
+    pts = domain.boundary._dense[1].point
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    u = (np.arange(16) + 0.5) / 16
+    grid = lo + (hi - lo) * np.stack(np.meshgrid(u, u), axis=-1).reshape(-1, 2)
+    return grid[np.argmax(domain.signed_boundary_distance(grid))]
 
 
 def _mirrored(value, grad_x, grad_y, hessians) -> GreenEvaluation:
@@ -228,9 +234,8 @@ class _EngineBase:
         self.domain = domain
         self.node_count = n
         t = TWO_PI * np.arange(n) / n
-        curve = domain.boundary
-        frame = curve.frame(t)
-        d1 = curve.derivative(t, 1)
+        frame = domain.boundary.frame(t)
+        d1 = frame.velocity
         self.node_params = t
         self.nodes = frame.point
         self.normals = frame.normal
@@ -403,15 +408,15 @@ class IntegralGreenEngine(_EngineBase):
         z = self.nodes
         data = z[:, 0] ** 2 - z[:, 1] ** 2
         mu = lu_solve(self._lu_dirichlet, data)
-        centroid = self.domain.boundary.centroid
+        centre = _map_centre(self.domain, self.eval_margin)
         probes = []
         for shrink in (0.3, 0.55):
-            probes.append(centroid + shrink * (z[:: max(1, len(z) // 8)] - centroid))
+            probes.append(centre + shrink * (z[:: max(1, len(z) // 8)] - centre))
         probes = np.vstack(probes)
         dists = self.domain.boundary.nearest_parameter(probes)[1]
         threshold = min(0.1, 0.45 * float(dists.max()))
         probes = probes[dists >= threshold]
-        values = _moment(self._moment_bases(probes), 0, mu[:, None])[:, 0].real
+        values = self._moments(probes, mu[:, None])[0, :, 0].real
         worst = float(np.max(np.abs(values - (probes[:, 0] ** 2 - probes[:, 1] ** 2))))
         if worst > SELF_TEST_TOL:
             raise DiscretizationFailureError(
@@ -427,17 +432,17 @@ class IntegralGreenEngine(_EngineBase):
 
     # -- interior representation ------------------------------------------------
 
-    def _moment_bases(self, points: np.ndarray) -> tuple:
-        """Bases of the complex moments of the double-layer potential at
-        interior points: (B0, B1, B2), each (points, nodes), with
-        B_m = W nu / (z - x)^(m + 1).  For density columns mu, ``_moment``
-        turns B_m into the m-th derivative of the associated holomorphic
-        potential; the harmonic value is Re of the 0-th."""
+    def _moments(self, points: np.ndarray, densities: np.ndarray) -> np.ndarray:
+        """The holomorphic potential of the double-layer densities (nodes,
+        columns) and its first two derivatives at the (P, 2) points, stacked
+        as (3, P, columns); the harmonic value is Re of the first.  The m-th
+        derivative is -m! / 2pi times the moment with the kernel
+        W nu / (z - x)^(m + 1)."""
         xc = points[:, 0] + 1j * points[:, 1]
         inv = 1.0 / (self._complex_nodes[None, :] - xc[:, None])
         b0 = self._moment_weights * inv
         b1 = b0 * inv
-        return b0, b1, b1 * inv
+        return -(np.stack([b0, b1, 2.0 * (b1 * inv)]) @ densities) / TWO_PI
 
     def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
         pts = self._require_interior(points, margin)
@@ -445,49 +450,29 @@ class IntegralGreenEngine(_EngineBase):
         d = self.nodes[:, None, :] - pts[None, :, :]
         r2 = np.sum(d * d, axis=2)
         dx, dy = d[..., 0], d[..., 1]
-        bases = self._moment_bases(pts)
-        # six density columns per source x_k: H(., x_k), its two first and
-        # three second derivatives in x_k.  The second-derivative columns stay
-        # zero until the Hessian is read, so every moment column still comes
-        # from a product of the full width (BLAS kernels choose their code path
-        # by width and column position, which can move the last bit)
-        densities = np.zeros((self.node_count, n_pts, 6))
-
-        def solve(columns):
-            """Densities for the boundary data ``columns`` (nodes, N, 3)."""
-            mu = lu_solve(self._lu_dirichlet, columns.reshape(self.node_count, 3 * n_pts))
-            return mu.reshape(self.node_count, n_pts, 3)
-
-        def moment(order):
-            """[j, k, c]: moment at field point x_j of density column c for source x_k."""
-            return _moment(bases, order, densities.reshape(self.node_count, 6 * n_pts)
-                           ).reshape(n_pts, n_pts, 6)
-
-        densities[..., :3] = solve(np.stack([
-            -0.5 * np.log(r2) / TWO_PI,
-            dx / r2 / TWO_PI,
-            dy / r2 / TWO_PI,
-        ], axis=2))
-        f0, f1 = moment(0), moment(1)
-
-        def hessians():
-            densities[..., 3:] = solve(np.stack([
-                (2.0 * dx * dx / r2 - 1.0) / r2 / TWO_PI,
-                (2.0 * dx * dy / r2) / r2 / TWO_PI,
-                (2.0 * dy * dy / r2 - 1.0) / r2 / TWO_PI,
-            ], axis=2))
-            g0, f2 = moment(0), moment(2)
-            return (
-                _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
-                _matrix2(g0[..., 3].real, g0[..., 4].real, g0[..., 4].real, g0[..., 5].real),
-                _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
-            )
-
+        # [node, k, c]: boundary data of H(., x_k) (c = 0), its two first
+        # (c = 1, 2) and three second (c = 3, 4, 5) derivatives in x_k
+        columns = np.stack([
+            -0.5 * np.log(r2),
+            dx / r2,
+            dy / r2,
+            (2.0 * dx * dx / r2 - 1.0) / r2,
+            (2.0 * dx * dy / r2) / r2,
+            (2.0 * dy * dy / r2 - 1.0) / r2,
+        ], axis=2) / TWO_PI
+        mu = lu_solve(self._lu_dirichlet, columns.reshape(self.node_count, 6 * n_pts))
+        # [j, k, c]: moment at field point x_j of density column c for source x_k
+        f0, f1, f2 = self._moments(pts, mu).reshape(3, n_pts, n_pts, 6)
+        hessians = (
+            _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
+            _matrix2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
+            _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
+        )
         return _mirrored(
             f0[..., 0].real.copy(),
             np.stack([f1[..., 0].real, -f1[..., 0].imag], axis=-1),
             np.stack([f0[..., 1].real, f0[..., 2].real], axis=-1),
-            hessians,
+            lambda: hessians,
         )
 
     def regular_part(self, x, y) -> GreenEvaluation:
@@ -521,8 +506,8 @@ class IntegralGreenEngine(_EngineBase):
 class ConformalGreenEngine(_EngineBase):
     """Riemann-map engine: H and the boundary traces in closed form through
     the conformal map F of the domain onto the unit disk with F(a) = 0, a the
-    centroid of the boundary samples (a centroid outside the domain fails the
-    self-test).
+    centroid of the boundary samples, or a grid point deeper inside if the
+    centroid is not ``eval_margin`` inside (``_map_centre``).
 
     F comes from one Kerzman-Stein solve on the nodes z_j (Kerzman & Trummer,
     J. Comput. Appl. Math. 14 (1986)): (I - K) S = conj(T / (2 pi i (z - a)))
@@ -562,8 +547,8 @@ class ConformalGreenEngine(_EngineBase):
         dz = self._velocity
         tangent = dz / self.speeds
         w = self.weights
-        centroid = domain.boundary.centroid
-        a = complex(centroid[0], centroid[1])
+        centre = _map_centre(domain, self.eval_margin)
+        a = complex(centre[0], centre[1])
         r = np.subtract.outer(z, z)
         r.flat[:: n + 1] = 1.0
         np.divide(1.0, r, out=r)
@@ -728,15 +713,15 @@ def build_engine(domain: DomainSpec, nodes: int = DEFAULT_NODES,
     """Construct a Green engine for the domain.
 
     ``backend`` is "auto" (closed form for circles, the conformal map
-    otherwise), "disk", or "integral".  The conformal-map engine checks its
+    otherwise) or "integral".  The conformal-map engine checks its
     map at construction; the integral backend, the reference that tests and
     ``green-check`` compare against, runs a conditioning check and an
     interior self-test.
     """
-    if backend not in ("auto", "disk", "integral"):
+    if backend not in ("auto", "integral"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "disk" or (backend == "auto" and domain.is_disk()):
-        return DiskGreenEngine(domain, nodes)
     if backend == "integral":
         return IntegralGreenEngine(domain, nodes)
+    if domain.is_disk():
+        return DiskGreenEngine(domain, nodes)
     return ConformalGreenEngine(domain, nodes)

@@ -238,12 +238,12 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
 
     The value and gradient are computed by the call, from the first-order
     blocks (on the conformal-map engine one Cauchy product, on the integral
-    engine one ``lu_solve`` for 3N right-hand sides).  The Hessian is
-    assembled on the first read of ``.hessian``, which reads the engine's
-    second-derivative blocks (on the integral engine one more solve for 3N
-    right-hand sides) and is then cached; callers that need only the
-    gradient, such as the vortex dynamics and rejected search trials, never
-    pay for it.
+    engine one ``lu_solve`` for 6N right-hand sides that also gives the
+    second-derivative blocks).  The Hessian is assembled on the first read of
+    ``.hessian``, which reads the engine's second-derivative blocks (computed
+    on that read by the disk and conformal-map engines) and is then cached;
+    callers that need only the gradient, such as the vortex dynamics and
+    rejected search trials, never pay for it.
     """
     lam = strengths.values
     pts = config.points

@@ -40,6 +40,8 @@ from .green import build_engine
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 
 _FLOOR = 1e-12
+# continuation gives up when halving the eps step takes it below this
+MIN_STEP = 1e-6
 
 
 def _field_normal_at_nodes(engine, field: PerturbationField) -> np.ndarray:
@@ -286,8 +288,7 @@ class ContinuationTrace:
 def continue_critical_point(domain: DomainSpec, field: PerturbationField,
                             eps_grid, start_configuration, strengths: VortexStrengths,
                             spec: InteractionSpec, *, nodes: int = 256,
-                            newton_tol: float = 1e-10,
-                            min_step: float = 1e-6) -> ContinuationTrace:
+                            newton_tol: float = 1e-10) -> ContinuationTrace:
     """Track a critical point along the perturbation family eps -> Omega_eps.
 
     Each accepted rung stores the continued configuration, its gradient
@@ -296,7 +297,7 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
     below the degeneracy threshold; the corrector is ``newton_polish``,
     Levenberg-Marquardt on the perturbed gradient, whose undamped first step
     is the Newton step.  A corrector needing more than 10 accepted steps
-    halves the eps step; the trace aborts (truncated) below ``min_step``.
+    halves the eps step; the trace aborts (truncated) below ``MIN_STEP``.
     """
     grid = sorted(set(float(e) for e in eps_grid))
     if any(e < 0 for e in grid):
@@ -366,7 +367,7 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
                     accepted = True
                 else:
                     step *= 0.5
-                    if step < min_step:
+                    if step < MIN_STEP:
                         reason = fail_msg if polish is None else (
                             polish.failure or f"{polish.iterations} iterations")
                         diagnostic = (f"continuation stalled near eps={eps_prev:.6g} "

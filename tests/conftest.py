@@ -25,7 +25,7 @@ def disk_domain():
 
 @pytest.fixture(scope="session")
 def disk_engine(disk_domain):
-    return gm.build_engine(disk_domain, backend="disk")
+    return gm.build_engine(disk_domain, backend="auto")
 
 
 @pytest.fixture(scope="session")

@@ -136,6 +136,21 @@ def test_thin_ellipse_falls_back_to_the_dense_solve():
         assert _relative(getattr(ev, name), getattr(ref, name)) <= TOLERANCE[name], name
 
 
+def test_centroid_outside_the_domain_moves_the_map_centre():
+    # the banana's boundary-sample centroid (0, 0.45) lies 0.05 outside it;
+    # both engines then centre the map and the self-test probes on a grid
+    # point deeper inside
+    banana = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.5], [0.0], [0.45, 0.0, 0.45], [0.0, 0.4]))
+    assert banana.signed_boundary_distance(banana.boundary.centroid) < -0.04
+    engine = gm.build_engine(banana, 512)
+    reference = gm.build_engine(banana, 512, backend="integral")
+    assert gm.contains(banana, green._map_centre(banana, engine.eval_margin), engine.eval_margin)
+    pts = gm.sample_interior(banana, 4, 1.2 * engine.eval_margin, seed=0)
+    ev, ref = engine.blocks(pts), reference.blocks(pts)
+    for name in BLOCK_FIELDS:
+        assert _relative(getattr(ev, name), getattr(ref, name)) <= TOLERANCE[name], name
+
+
 def test_underresolved_map_fails_its_self_test(lobed_domain):
     # at 128 nodes an evaluation eval_margin inside is off by about 1e-5;
     # the Cauchy integral eval_margin outside shows it
@@ -155,7 +170,7 @@ def _interior_pair(domain, engine, u, v):
     v and -v/2 of the way to the boundary, both eval_margin inside."""
     centre = domain.boundary.centroid
     direction = np.array([np.cos(u), np.sin(u)])
-    reach = np.max(np.abs((domain.boundary._dense[1] - centre) @ direction))
+    reach = np.max(np.abs((domain.boundary._dense[1].point - centre) @ direction))
     x, y = centre + v * reach * direction, centre - 0.5 * v * reach * direction
     if np.min(domain.signed_boundary_distance(np.array([x, y]))) < 1.1 * engine.eval_margin:
         return None

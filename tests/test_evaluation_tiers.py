@@ -1,16 +1,14 @@
 """Value-and-gradient evaluations with Hessians computed on first read.
 
 The references below are the eager evaluation path that computed every
-derivative block in one pass: one ``lu_solve`` for 6N right-hand sides in the
-integral engine, all second-derivative blocks of the disk closed form, every
-block of a fresh conformal-map evaluation read at once, and ``f_omega``'s
-Hessian assembled with its value and gradient.  The split path must reproduce
-them bit for bit.
+derivative block in one pass: all second-derivative blocks of the disk closed
+form, every block of a fresh evaluation read at once on the conformal-map and
+integral engines, and ``f_omega``'s Hessian assembled with its value and
+gradient.  The split path must reproduce them bit for bit.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
 
 import greenmorse as gm
 from greenmorse import green
@@ -56,51 +54,11 @@ def _eager_disk_blocks(engine, pts):
     )
 
 
-def _eager_representation(engine, densities, points):
-    xc = points[:, 0] + 1j * points[:, 1]
-    inv = 1.0 / (engine._complex_nodes[None, :] - xc[:, None])
-    base = engine._moment_weights * inv
-    f0 = -(base @ densities) / TWO_PI
-    base *= inv
-    f1 = -(base @ densities) / TWO_PI
-    base *= inv
-    f2 = -2.0 * (base @ densities) / TWO_PI
-    return f0, f1, f2
-
-
-def _eager_integral_blocks(engine, pts):
-    n_pts = len(pts)
-    d = engine.nodes[:, None, :] - pts[None, :, :]
-    r2 = np.sum(d * d, axis=2)
-    dx, dy = d[..., 0], d[..., 1]
-    cols = np.stack([
-        -0.5 * np.log(r2) / TWO_PI,
-        dx / r2 / TWO_PI,
-        dy / r2 / TWO_PI,
-        (2.0 * dx * dx / r2 - 1.0) / r2 / TWO_PI,
-        (2.0 * dx * dy / r2) / r2 / TWO_PI,
-        (2.0 * dy * dy / r2 - 1.0) / r2 / TWO_PI,
-    ], axis=2)
-    mu = lu_solve(engine._lu_dirichlet, cols.reshape(engine.node_count, 6 * n_pts))
-    f0, f1, f2 = (f.reshape(n_pts, n_pts, 6) for f in _eager_representation(engine, mu, pts))
-    m2 = green._matrix2
-    return _eager_mirrored(
-        f0[..., 0].real.copy(),
-        np.stack([f1[..., 0].real, -f1[..., 0].imag], axis=-1),
-        np.stack([f0[..., 1].real, f0[..., 2].real], axis=-1),
-        m2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
-        m2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
-        m2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
-    )
-
-
 def eager_blocks(engine, points):
     """Every block of ``engine.blocks(points)``, all computed in one pass."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if isinstance(engine, gm.DiskGreenEngine):
         return _eager_disk_blocks(engine, pts)
-    if isinstance(engine, gm.IntegralGreenEngine):
-        return _eager_integral_blocks(engine, pts)
     ev = engine.blocks(pts)
     return {name: getattr(ev, name) for name in BLOCK_FIELDS}
 
@@ -188,7 +146,9 @@ def test_split_evaluation_equals_eager_path(request, engine_name, n):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_integral_engine, n):
+def test_integral_evaluation_is_one_solve(monkeypatch, lobed_integral_engine, n):
+    # one distance query and one lu_solve for all 6N density columns; the
+    # Hessian read solves nothing more
     solves = []
     queries = []
     lu_solve_ = green.lu_solve
@@ -207,13 +167,11 @@ def test_hessian_is_solved_once_on_first_read(monkeypatch, lobed_integral_engine
     config = gm.Configuration(_ring(lobed_integral_engine.domain, n))
     res = gm.f_omega(lobed_integral_engine, gm.VortexStrengths(np.ones(n)),
                      gm.kirchhoff_routh_interaction(), config)
-    assert solves == [3 * n]
-    # admissibility is decided by the call, with one batched query
+    assert solves == [6 * n]
     assert queries == [n]
     first = res.hessian
-    assert solves == [3 * n, 3 * n]
     assert res.hessian is first
-    assert solves == [3 * n, 3 * n]
+    assert solves == [6 * n]
     assert queries == [n]
 
 

@@ -42,6 +42,21 @@ def test_ellipse_curvature_closed_form():
         assert_allclose(curve.frame(t).curvature, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["lobed_domain", "tilted_domain"])
+def test_jet_matches_central_differences(request, name):
+    curve = request.getfixturevalue(name).boundary
+    t = np.linspace(0.0, 2 * np.pi, 13)
+    h = 1e-3
+    jet = curve.jet(t)
+    ahead, here, behind = curve.point(t + h), curve.point(t), curve.point(t - h)
+    assert jet.shape == (13, 3, 2)
+    assert np.array_equal(jet[:, 0], here)
+    # truncation errors h^2 z''' / 6 and h^2 z'''' / 12 stay below 2e-6 here
+    assert_allclose(jet[:, 1], (ahead - behind) / (2 * h), rtol=0, atol=1e-5)
+    assert_allclose(jet[:, 2], (ahead - 2 * here + behind) / h**2, rtol=0, atol=1e-5)
+    assert np.array_equal(curve.frame(t).velocity, jet[:, 1])
+
+
 def test_degenerate_tangent_rejected():
     # a point "curve": zero tangent everywhere
     curve = gm.BoundaryCurve([0.3], [0.0], [0.1], [0.0])
@@ -147,6 +162,15 @@ def test_contains_cases(disk_domain):
     assert gm.contains(disk_domain, [0.0, 0.0], 0.5)
     assert not gm.contains(disk_domain, [0.95, 0.0], 0.1)
     assert not gm.contains(disk_domain, [2.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("name", ["disk_domain", "lobed_domain"])
+def test_non_finite_points_have_nan_distance(request, name):
+    # and take no winding pass, which would cast rint(NaN) to int
+    domain = request.getfixturevalue(name)
+    dist = domain.signed_boundary_distance(np.array([[np.nan, 0.1], [np.inf, 0.0], [0.1, 0.0]]))
+    assert np.all(np.isnan(dist[:2])) and dist[2] > 0
+    assert np.isnan(domain.signed_boundary_distance([0.0, -np.inf]))
 
 
 def test_contains_generic_backend(lobed_domain):
@@ -277,7 +301,7 @@ def test_group_elements_closure():
 def _full_chord_scan(curve):
     """The chord scan over all ms^2 ordered sample pairs, with the cyclic
     index separation of each pair as a mask."""
-    _, pts = curve._dense
+    pts = curve._dense[1].point
     sub = pts[:: max(1, len(pts) // 512)]
     ms = len(sub)
     d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
@@ -303,7 +327,7 @@ def _degree_97_curve():
 def test_chord_scan_equals_full_scan(disk_domain, lobed_domain, tilted_domain):
     curves = [disk_domain.boundary, lobed_domain.boundary, tilted_domain.boundary,
               _degree_97_curve()]
-    assert len(curves[3]._dense[1][::3]) == 523
+    assert len(curves[3]._dense[1].point[::3]) == 523
     for curve in curves:
         # the same pairs, each squared length from the same operations
         assert curve._chord_scan == _full_chord_scan(curve)
@@ -373,7 +397,7 @@ def _screen_probes(domain, seed, thresholds=(0.0, 0.02, 0.1, 0.35)):
     at normal offsets up to 0.45, and within 1e-3 of each threshold's level
     set, inside and outside."""
     rng = np.random.default_rng(seed)
-    _, dense = domain.boundary._dense
+    dense = domain.boundary._dense[1].point
     box = rng.uniform(dense.min(axis=0) - 0.5, dense.max(axis=0) + 0.5, (80, 2))
     offsets = np.concatenate([rng.uniform(-0.45, 0.45, 80)]
                              + [m * s + rng.uniform(-1e-3, 1e-3, 10)

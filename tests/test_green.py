@@ -309,7 +309,7 @@ def test_hessian_blocks_symmetric(integral_engine, sample_pairs):
         assert np.max(np.abs(ev.hess_yy - ev.hess_yy.T)) <= 1e-10
 
 
-@pytest.mark.parametrize("backend", ["disk", "integral"])
+@pytest.mark.parametrize("backend", ["auto", "integral"])
 def test_derivatives_match_finite_differences_order2(disk_domain, backend):
     engine = gm.build_engine(disk_domain, 256, backend=backend)
     x = np.array([0.35, 0.15])
