@@ -25,6 +25,9 @@ import numpy as np
 from .errors import GreenMorseError, NumericError
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 
+# the midpoint rule's fixed-point iteration gives up after this many steps
+MAX_SOLVER_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -32,7 +35,6 @@ class DynamicsConfig:
     dt: float = 1e-3
     horizon: float = 1.0
     solve_tol: float = 1e-13          # implicit fixed-point tolerance
-    max_solver_iterations: int = 200
 
     def __post_init__(self):
         if self.integrator not in ("midpoint", "rk4"):
@@ -43,8 +45,6 @@ class DynamicsConfig:
             raise ValueError("horizon must be at least one time step")
         if not (math.isfinite(self.solve_tol) and self.solve_tol > 0):
             raise ValueError("solve_tol must be finite and positive")
-        if self.max_solver_iterations < 1:
-            raise ValueError("max_solver_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
             else:
                 mid = state + 0.5 * dt * v
                 converged = False
-                for solved in range(1, config.max_solver_iterations + 1):
+                for solved in range(1, MAX_SOLVER_ITERATIONS + 1):
                     new_mid = state + 0.5 * dt * _velocity_flat(engine, strengths, spec, mid)
                     delta = float(np.max(np.abs(new_mid - mid)))
                     mid = new_mid

@@ -32,6 +32,14 @@ TWO_PI = 2.0 * np.pi
 _DENSE_MIN = 1024
 # pointwise tolerance for symmetry-invariance verification
 _SYMMETRY_TOL = 1e-10
+# relative coefficient tolerance of ``as_circle``
+_CIRCLE_TOL = 1e-13
+# largest pointwise residual a Fourier re-fit may leave
+REFIT_TOL = 1e-9
+# ``apply_perturbation`` doubles its re-fit degree up to this cap
+REFIT_DEGREE_CAP = 256
+# ``vanishes_near`` widens the field's cutoff by this much
+_VANISH_SLACK = 1e-8
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -274,19 +282,19 @@ def circle(center=(0.0, 0.0), radius: float = 1.0) -> BoundaryCurve:
     return BoundaryCurve([cx, radius], [0.0, 0.0], [cy, 0.0], [0.0, radius])
 
 
-def as_circle(curve: BoundaryCurve, tol: float = 1e-13):
+def as_circle(curve: BoundaryCurve):
     """Return (center, radius) if the curve is a canonically parametrized circle."""
     cos_x, sin_x, cos_y, sin_y = curve.cos_x, curve.sin_x, curve.cos_y, curve.sin_y
     r = cos_x[1]
-    scale = max(1.0, abs(r))
+    tol = _CIRCLE_TOL * max(1.0, abs(r))
     ok = (
-        abs(sin_y[1] - r) <= tol * scale
-        and abs(cos_y[1]) <= tol * scale
-        and abs(sin_x[1]) <= tol * scale
-        and np.all(np.abs(cos_x[2:]) <= tol * scale)
-        and np.all(np.abs(sin_x[2:]) <= tol * scale)
-        and np.all(np.abs(cos_y[2:]) <= tol * scale)
-        and np.all(np.abs(sin_y[2:]) <= tol * scale)
+        abs(sin_y[1] - r) <= tol
+        and abs(cos_y[1]) <= tol
+        and abs(sin_x[1]) <= tol
+        and np.all(np.abs(cos_x[2:]) <= tol)
+        and np.all(np.abs(sin_x[2:]) <= tol)
+        and np.all(np.abs(cos_y[2:]) <= tol)
+        and np.all(np.abs(sin_y[2:]) <= tol)
         and r > tol
     )
     if not ok:
@@ -352,24 +360,19 @@ def _parameter_map(curve: BoundaryCurve, matrix: np.ndarray, is_reflection: bool
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A smooth bounded planar domain with an admissible perturbation budget.
+    """A smooth bounded planar domain, optionally tagged with a symmetry group.
 
-    ``perturbation_margin`` bounds the sup-norm of boundary displacements for
-    which (id + psi) stays injective on the boundary; when not given it
-    defaults to 0.3 x min(half the closest approach between parameter-distant
+    ``perturbation_margin``, computed on first read, bounds the sup-norm of
+    boundary displacements for which (id + psi) stays injective on the
+    boundary: 0.3 x min(half the closest approach between parameter-distant
     boundary arcs, the minimal radius of curvature).
     """
 
     boundary: BoundaryCurve
-    perturbation_margin: float | None = None
     symmetry: SymmetryGroup | None = None
 
     def __post_init__(self):
         self.boundary.validate()
-        if self.perturbation_margin is None:
-            object.__setattr__(self, "perturbation_margin", _default_margin(self.boundary))
-        if not self.perturbation_margin > 0:
-            raise ValueError("perturbation_margin must be positive")
         if self.symmetry is not None:
             for matrix, is_refl in self.symmetry.elements():
                 if _parameter_map(self.boundary, matrix, is_refl) is None:
@@ -379,6 +382,13 @@ class DomainSpec:
     @property
     def diameter(self) -> float:
         return self.boundary.diameter
+
+    @cached_property
+    def perturbation_margin(self) -> float:
+        curve = self.boundary
+        clearance = 0.5 * float(np.sqrt(curve._chord_scan[2]))
+        radius = 1.0 / max(np.abs(curve._dense[1].curvature).max(), 1e-12)
+        return 0.3 * min(clearance, radius)
 
     @cached_property
     def _circle(self):
@@ -428,12 +438,6 @@ class DomainSpec:
                 dist[near] = curve._refine(flat[near], coarse_t[near], coarse[near])[1]
             dist = np.where(curve.winding_number(flat) == 1, dist, -dist)
         return float(dist[0]) if pts.ndim == 1 else dist
-
-
-def _default_margin(curve: BoundaryCurve) -> float:
-    clearance = 0.5 * float(np.sqrt(curve._chord_scan[2]))
-    radius = 1.0 / max(np.abs(curve._dense[1].curvature).max(), 1e-12)
-    return 0.3 * min(clearance, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +560,11 @@ class PerturbationField:
             return self.amplitude * np.sum(frame.point * frame.normal, axis=-1)
         return self.profile(t)
 
-    def boundary_values(self, curve: BoundaryCurve, t) -> np.ndarray:
-        """Vector field values on the boundary at parameters t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def boundary_values(self, frame: BoundaryFrame, t) -> np.ndarray:
+        """Vector field values on the boundary at parameters t, given the
+        boundary's frame at t."""
         if self.kind == "identity_dilation":
-            return self.amplitude * curve.point(t)
-        frame = curve.frame(t)
+            return self.amplitude * frame.point
         return self.profile(t)[:, None] * frame.normal
 
     def evaluate(self, domain: DomainSpec, points) -> np.ndarray:
@@ -580,7 +583,7 @@ class PerturbationField:
         out[near] = (eta * self.profile(tstar))[:, None] * curve.frame(tstar).normal
         return out
 
-    def vanishes_near(self, domain: DomainSpec, points, slack: float = 1e-8):
+    def vanishes_near(self, domain: DomainSpec, points):
         """True where the field is identically zero on a neighborhood of the
         point: a bool for one point of shape (2,), an (N,) bool array for (N, 2)."""
         pts = np.asarray(points, dtype=float)
@@ -589,7 +592,7 @@ class PerturbationField:
         elif self.kind == "identity_dilation":
             out = np.linalg.norm(pts, axis=-1) <= 1e-10
         else:
-            reach = self.cutoff_width + slack
+            reach = self.cutoff_width + _VANISH_SLACK
             out = domain.signed_boundary_distance(pts, reach) > reach
         return bool(out) if pts.ndim == 1 else out
 
@@ -628,12 +631,12 @@ def zero_field() -> PerturbationField:
 # domain perturbation
 # ---------------------------------------------------------------------------
 
-def fit_curve(points: np.ndarray, max_degree: int, residual_tol: float = 1e-9) -> BoundaryCurve:
+def fit_curve(points: np.ndarray, max_degree: int) -> BoundaryCurve:
     """Least-squares Fourier fit of uniformly sampled boundary points.
 
     On a uniform parameter grid the least-squares projection onto modes
     <= max_degree is the truncated FFT.  The max pointwise residual is
-    monitored; above ``residual_tol`` the fit is rejected.
+    monitored; above ``REFIT_TOL`` the fit is rejected.
     """
     pts = np.asarray(points, dtype=float)
     m = len(pts)
@@ -654,9 +657,9 @@ def fit_curve(points: np.ndarray, max_degree: int, residual_tol: float = 1e-9) -
     curve = BoundaryCurve(ax, bx, ay, by)
     t = TWO_PI * np.arange(m) / m
     residual = float(np.max(np.abs(curve.point(t) - pts)))
-    if residual > residual_tol:
+    if residual > REFIT_TOL:
         raise RefitFailureError(
-            f"Fourier re-fit residual {residual:.3e} exceeds {residual_tol:.1e}")
+            f"Fourier re-fit residual {residual:.3e} exceeds {REFIT_TOL:.1e}")
     return curve
 
 
@@ -673,32 +676,49 @@ def _trim_trailing(curve: BoundaryCurve) -> BoundaryCurve:
                          curve.cos_y[:keep], curve.sin_y[:keep])
 
 
-def apply_perturbation(domain: DomainSpec, field: PerturbationField, eps: float) -> DomainSpec:
-    """Domain with boundary {z + eps * psi(z) : z on the old boundary}.
-
-    The displaced boundary is re-fit onto Fourier modes covering four times
-    the original truncation plus the field's own bandwidth; the fit residual
-    is monitored.  The symmetry tag survives only if the new boundary is
-    still invariant.
-    """
+def check_perturbation_size(domain: DomainSpec, field: PerturbationField, eps: float) -> None:
+    """Raise PerturbationTooLargeError unless |eps| * sup|psi| on the boundary
+    stays below the domain's ``perturbation_margin``."""
     size = abs(eps) * field.sup_boundary_norm(domain)
     if size >= domain.perturbation_margin:
         raise PerturbationTooLargeError(
-            f"|eps| * sup|psi| = {size:.3e} exceeds the margin "
+            f"|eps| * sup|psi| = {size:.3e} at eps={eps:.6g} exceeds the margin "
             f"{domain.perturbation_margin:.3e}")
+
+
+def apply_perturbation(domain: DomainSpec, field: PerturbationField, eps: float) -> DomainSpec:
+    """Domain with boundary {z + eps * psi(z) : z on the old boundary}.
+
+    The displaced boundary is re-fit onto Fourier modes, first up to four
+    times the original truncation plus the field's own bandwidth.  The
+    displacement g nu carries 1 / |z'|, so on a curve whose speed varies the
+    displaced curve is no trigonometric polynomial: while the fit residual
+    exceeds ``REFIT_TOL`` the degree and the sample count are doubled, and
+    past ``REFIT_DEGREE_CAP`` the refit fails with RefitFailureError.  The
+    symmetry tag survives only if the new boundary is still invariant.
+    """
+    check_perturbation_size(domain, field, eps)
     curve = domain.boundary
     k_fit = 4 * curve.max_degree + field.max_mode
-    m = max(16 * (k_fit + 1), 256)
-    t = TWO_PI * np.arange(m) / m
-    pts = curve.point(t) + eps * field.boundary_values(curve, t)
-    new_curve = _trim_trailing(fit_curve(pts, k_fit))
+    while True:
+        m = max(16 * (k_fit + 1), 256)
+        t = TWO_PI * np.arange(m) / m
+        frame = curve.frame(t)
+        try:
+            new_curve = _trim_trailing(
+                fit_curve(frame.point + eps * field.boundary_values(frame, t), k_fit))
+            break
+        except RefitFailureError:
+            if 2 * k_fit > REFIT_DEGREE_CAP:
+                raise
+            k_fit *= 2
     symmetry = domain.symmetry
     if symmetry is not None:
         for matrix, is_refl in symmetry.elements():
             if _parameter_map(new_curve, matrix, is_refl) is None:
                 symmetry = None
                 break
-    return DomainSpec(new_curve, None, symmetry)
+    return DomainSpec(new_curve, symmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +790,7 @@ def domain_from_dict(data: dict) -> DomainSpec:
     if data.get("symmetry"):
         s = data["symmetry"]
         symmetry = SymmetryGroup(s["kind"], int(s["order"]), float(s.get("axis_angle", 0.0)))
-    return DomainSpec(curve, None, symmetry)
+    return DomainSpec(curve, symmetry)
 
 
 def load_domain(path) -> DomainSpec:

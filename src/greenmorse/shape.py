@@ -23,6 +23,7 @@ makes the two conventions agree there.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +31,19 @@ import numpy as np
 from .errors import (
     DiscretizationFailureError,
     GreenMorseError,
-    PerturbationTooLargeError,
     RefitFailureError,
     UnsupportedFieldError,
 )
 from .critical import DEGENERACY_RATIO, SearchConfig, classify, newton_polish
-from .geometry import DomainSpec, PerturbationField, apply_perturbation
+from .geometry import DomainSpec, PerturbationField, apply_perturbation, check_perturbation_size
 from .green import build_engine
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 
 _FLOOR = 1e-12
 # continuation gives up when halving the eps step takes it below this
 MIN_STEP = 1e-6
+# fd_check passes when the extrapolated difference matches to this relative error
+FD_RTOL = 1e-5
 
 
 def _field_normal_at_nodes(engine, field: PerturbationField) -> np.ndarray:
@@ -169,14 +171,16 @@ def _observed_order(eps, fd_values, reference):
 
 def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
              eps_ladder, *, x=None, y=None, strengths=None, spec=None,
-             config=None, nodes: int = 256, rtol: float = 1e-5) -> ShapeDerivativeReport:
+             config=None, nodes: int = 256) -> ShapeDerivativeReport:
     """Validate an analytic shape derivative against rebuilt-engine differences.
 
     For each rung eps the Green engine is rebuilt on the perturbed domain and
     the selected quantity is evaluated with points transported by eps * phi
     (the material convention); the central difference across +/-eps is then
     Richardson-extrapolated and compared with the analytic boundary integral
-    (plus point-motion terms where the convention requires them).
+    (plus point-motion terms where the convention requires them).  It passes
+    when every rung is built and the relative error is at most ``FD_RTOL``.
+    A ladder head past the perturbation margin raises before any build.
 
     ``quantity``: "H" (needs x, y), "robin" (needs x), or "grad_f"
     (needs strengths, spec, config).
@@ -184,10 +188,7 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if any(e <= 0 for e in eps_ladder) or list(eps_ladder) != sorted(eps_ladder, reverse=True):
         raise ValueError("eps ladder must be positive and strictly decreasing")
-    sup = field.sup_boundary_norm(domain)
-    if sup * eps_ladder[0] >= domain.perturbation_margin:
-        raise PerturbationTooLargeError(
-            f"ladder head {eps_ladder[0]} exceeds the perturbation margin")
+    check_perturbation_size(domain, field, eps_ladder[0])
 
     engine0 = build_engine(domain, nodes)
     if quantity == "H":
@@ -246,7 +247,7 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
     r = np.asarray(richardson, dtype=float)
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(r))), _FLOOR)
     rel_error = float(np.max(np.abs(a - r))) / scale
-    passed = rel_error <= rtol and not failures
+    passed = rel_error <= FD_RTOL and not failures
     fd_out = tuple(v if np.ndim(v) else float(v) for v in fd_values)
     analytic_out = analytic if np.ndim(analytic) else float(analytic)
     rich_out = richardson if np.ndim(richardson) else float(richardson)
@@ -292,94 +293,70 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
     """Track a critical point along the perturbation family eps -> Omega_eps.
 
     Each accepted rung stores the continued configuration, its gradient
-    residual, and the Hessian non-degeneracy margin.  The predictor solves
-    Hessian * dx = -dGradF * d(eps) and is skipped while the margin sits
-    below the degeneracy threshold; the corrector is ``newton_polish``,
-    Levenberg-Marquardt on the perturbed gradient, whose undamped first step
-    is the Newton step.  A corrector needing more than 10 accepted steps
-    halves the eps step; the trace aborts (truncated) below ``MIN_STEP``.
+    residual and the Hessian non-degeneracy margin; an eps = 0 grid point
+    stores the start.  Each rung is classified once and, unless its margin
+    sits below the degeneracy threshold, gives one predictor direction
+    H^-1 (-dGradF): an attempt at eps + d starts from x + direction * d.
+    The corrector is ``newton_polish``, Levenberg-Marquardt on the perturbed
+    gradient.  A corrector failing or needing more than 10 accepted steps
+    halves the step; below ``MIN_STEP`` the trace ends, truncated, with a
+    diagnostic.  A grid past the perturbation margin raises
+    PerturbationTooLargeError before any engine is built.
     """
     grid = sorted(set(float(e) for e in eps_grid))
     if any(e < 0 for e in grid):
         raise ValueError("eps grid must be nonnegative")
+    if grid:
+        check_perturbation_size(domain, field, grid[-1])
     search = SearchConfig(starts=1, newton_tol=newton_tol,
                           boundary_margin=0.02, collision_margin=0.02)
 
-    eps_values = []
-    configurations = []
-    residuals = []
-    margins = []
-    predictor_used = []
-    corrector_iters = []
-
-    def record(eps, flat, residual, hessian, used_pred, n_iter):
-        eps_values.append(eps)
-        configurations.append(flat.reshape(-1, 2).copy())
-        residuals.append(float(residual))
-        margins.append(classify(hessian).margin)
-        predictor_used.append(used_pred)
-        corrector_iters.append(n_iter)
-
-    x_prev = np.asarray(start_configuration, dtype=float).reshape(-1).copy()
-    engine_prev = build_engine(domain, nodes)
-    res_prev = f_omega(engine_prev, strengths, spec, Configuration(x_prev.reshape(-1, 2)))
-    hess_prev = res_prev.hessian
-    eps_prev = 0.0
+    # (eps, configuration, residual, margin, predictor used, corrector iterations)
+    rows = []
+    x = np.asarray(start_configuration, dtype=float).reshape(-1).copy()
+    engine = build_engine(domain, nodes)
+    res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)))
+    hessian, cls = res.hessian, classify(res.hessian)
+    eps = 0.0
     if grid and grid[0] == 0.0:
-        record(0.0, x_prev, np.linalg.norm(res_prev.gradient), hess_prev, False, 0)
-        grid = grid[1:]
-
-    truncated = False
+        rows.append((0.0, x.reshape(-1, 2).copy(), float(np.linalg.norm(res.gradient)),
+                     cls.margin, False, 0))
+    step = None     # eps step of the next attempt; None right after an accepted rung
     diagnostic = None
-    for target in grid:
-        while eps_prev < target:
-            step = target - eps_prev
-            accepted = False
-            while not accepted:
-                eps_next = eps_prev + step
-                cls_prev = classify(hess_prev)
-                spectral = float(np.abs(cls_prev.spectrum).max())
-                use_pred = cls_prev.margin > DEGENERACY_RATIO * max(spectral, 1e-300)
-                guess = x_prev
-                if use_pred:
-                    dg = dGradF_shape(engine_prev, strengths, spec,
-                                      Configuration(x_prev.reshape(-1, 2)), field)
-                    try:
-                        delta = np.linalg.solve(hess_prev, -dg) * (eps_next - eps_prev)
-                        guess = x_prev + delta
-                    except np.linalg.LinAlgError:
-                        use_pred = False
-                fail_msg = ""
+    while grid and eps < grid[-1]:
+        target = grid[bisect.bisect_right(grid, eps)]
+        if step is None:
+            step = target - eps
+            direction = None
+            spectral = float(np.abs(cls.spectrum).max())
+            if cls.margin > DEGENERACY_RATIO * max(spectral, 1e-300):
+                dg = dGradF_shape(engine, strengths, spec,
+                                  Configuration(x.reshape(-1, 2)), field)
                 try:
-                    engine_next = build_engine(apply_perturbation(domain, field, eps_next),
-                                               nodes)
-                    polish = newton_polish(engine_next, strengths, spec, guess, search)
-                except (RefitFailureError, DiscretizationFailureError) as exc:
-                    polish = None
-                    fail_msg = str(exc)
-                if polish is not None and polish.converged and polish.iterations <= 10:
-                    record(eps_next, polish.configuration, polish.residual,
-                           polish.hessian, use_pred, polish.iterations)
-                    x_prev = polish.configuration
-                    hess_prev = polish.hessian
-                    engine_prev = engine_next
-                    eps_prev = eps_next
-                    accepted = True
-                else:
-                    step *= 0.5
-                    if step < MIN_STEP:
-                        reason = fail_msg if polish is None else (
-                            polish.failure or f"{polish.iterations} iterations")
-                        diagnostic = (f"continuation stalled near eps={eps_prev:.6g} "
-                                      f"targeting {target:.6g}: {reason}")
-                        truncated = True
-                        break
-            if truncated:
-                break
-        if truncated:
+                    direction = np.linalg.solve(hessian, -dg)
+                except np.linalg.LinAlgError:
+                    pass
+        eps_next = eps + step
+        guess = x if direction is None else x + direction * (eps_next - eps)
+        try:
+            engine_next = build_engine(apply_perturbation(domain, field, eps_next), nodes)
+            polish = newton_polish(engine_next, strengths, spec, guess, search)
+        except (RefitFailureError, DiscretizationFailureError) as exc:
+            failure = str(exc)
+        else:
+            if polish.converged and polish.iterations <= 10:
+                x, hessian, engine, eps = (polish.configuration, polish.hessian,
+                                           engine_next, eps_next)
+                cls = classify(hessian)
+                rows.append((eps, x.reshape(-1, 2).copy(), float(polish.residual),
+                             cls.margin, direction is not None, polish.iterations))
+                step = None
+                continue
+            failure = polish.failure or f"{polish.iterations} iterations"
+        step *= 0.5
+        if step < MIN_STEP:
+            diagnostic = (f"continuation stalled near eps={eps:.6g} "
+                          f"targeting {target:.6g}: {failure}")
             break
-
-    return ContinuationTrace(tuple(eps_values), tuple(configurations),
-                             tuple(residuals), tuple(margins),
-                             tuple(predictor_used), tuple(corrector_iters),
-                             truncated, diagnostic)
+    columns = tuple(zip(*rows)) or ((),) * 6
+    return ContinuationTrace(*columns, diagnostic is not None, diagnostic)

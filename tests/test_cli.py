@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 import greenmorse as gm
+from conftest import DIPOLE_RADIUS
 from greenmorse import cli
 
 
@@ -52,6 +53,25 @@ def test_cli_import_does_not_load_scipy_stats():
     assert result.stdout.strip() == "[]"
 
 
+def _write_field(path, mode):
+    cos = [0.0] * mode + [1.0]
+    path.write_text(json.dumps({"type": "normal_fourier", "cos": cos}), encoding="utf-8")
+    return str(path)
+
+
+def _dipole_inputs(tmp_path, start=None):
+    """The unit disk, the counter-rotating pair at ``start`` (by default its
+    equilibrium on the axis) and the cos 3t normal field, as files."""
+    domain = tmp_path / "disk.json"
+    vortex = tmp_path / "dipole.json"
+    gm.save_domain(gm.DomainSpec(gm.unit_circle()), domain)
+    if start is None:
+        start = [[DIPOLE_RADIUS, 0.0], [-DIPOLE_RADIUS, 0.0]]
+    gm.save_vortex(gm.VortexStrengths([1.0, -1.0]), gm.Configuration(start),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    return str(domain), str(vortex), _write_field(tmp_path / "cos3.json", 3)
+
+
 def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
     # scipy.linalg was most of the rest of the start-up; only the Nystrom
     # engine uses it, and imports it when it is built
@@ -61,26 +81,82 @@ def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
     gm.save_vortex(gm.VortexStrengths([1.0, 1.0, -1.0]),
                    gm.Configuration([[0.3, 0.0], [-0.15, 0.25], [-0.15, -0.25]]),
                    gm.kirchhoff_routh_interaction(), vortex)
+    disk, dipole, cos3 = _dipole_inputs(tmp_path)
+    commands = [
+        ["find-critical", str(domain), str(vortex), "--starts", "4"],
+        ["simulate", str(domain), str(vortex), "--dt", "0.01", "--horizon", "0.02"],
+        ["perturb-study", disk, dipole, "--field", cos3, "--eps-grid", "0,0.01"],
+        ["shape-verify", str(domain), "--field", cos3],
+    ]
     env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
     code = (
         "import sys, greenmorse.cli as cli\n"
         "def linalg(): return sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
-        f"code = cli.main(['find-critical', {str(domain)!r}, {str(vortex)!r}, "
-        f"'--starts', '4', '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(code, linalg())\n"
+        f"for i, command in enumerate({commands!r}):\n"
+        f"    code = cli.main(command + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
+        "    print(code, linalg())\n"
         "import greenmorse as gm\n"
         f"engine = gm.build_engine(gm.load_domain({str(domain)!r}), backend='integral')\n"
         "value = engine.regular_part([0.3, 0.1], [-0.2, 0.2]).value\n"
         "print(engine.self_test_error <= 1e-8, bool(linalg()), repr(value))\n")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    searched, built = result.stdout.strip().splitlines()
-    assert searched == "0 []"
+    *ran, built = result.stdout.strip().splitlines()
+    assert ran == ["0 []"] * len(commands)
     # the lazily imported scipy.linalg serves the integral engine as before
     ok, loaded, value = built.split()
     assert ok == "True" and loaded == "True"
     reference = gm.build_engine(lobed_domain, backend="integral")
     assert float(value) == reference.regular_part([0.3, 0.1], [-0.2, 0.2]).value
+
+
+def test_perturb_study_writes_the_trace(tmp_path):
+    domain, vortex, field = _dipole_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["perturb-study", domain, vortex, "--field", field,
+                     "--eps-grid", "0,0.01,0.02", "--equivariant", "cyclic:3", "--svg",
+                     "--out", str(out)]) == 0
+    trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
+    assert trace["eps"] == [0.0, 0.01, 0.02]
+    assert not trace["truncated"] and trace["diagnostic"] is None
+    assert max(trace["residuals"]) <= 1e-10
+    rows = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "eps,x1,y1,x2,y2,residual,min_abs_eig" and len(rows) == 4
+    assert (out / "margin_vs_eps.svg").read_text(encoding="utf-8").startswith("<svg")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"] == ["trace.csv", "trace.json", "margin_vs_eps.svg"]
+    assert manifest["config"]["equivariant"] == "cyclic:3"
+
+
+def test_perturb_study_start_that_does_not_polish(tmp_path):
+    # a vortex closer to the boundary than the search's boundary margin
+    domain, vortex, field = _dipole_inputs(tmp_path, start=[[0.98, 0.0], [-0.5, 0.0]])
+    out = tmp_path / "out"
+    assert cli.main(["perturb-study", domain, vortex, "--field", field,
+                     "--eps-grid", "0,0.01", "--out", str(out)]) == 1
+    trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
+    assert trace == {"error": "start configuration did not polish: inadmissible-start"}
+    assert not (out / "trace.csv").exists()
+
+
+def test_perturb_study_grid_past_the_margin(tmp_path, capsys):
+    domain, vortex, field = _dipole_inputs(tmp_path)
+    assert cli.main(["perturb-study", domain, vortex, "--field", field,
+                     "--eps-grid", "0,0.05,0.1,0.2", "--out", str(tmp_path / "out")]) == 2
+    assert "exceeds the margin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lobed", [False, True])
+def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
+    domain = tmp_path / "domain.json"
+    gm.save_domain(lobed_domain if lobed else disk_domain, domain)
+    field = _write_field(tmp_path / "cos3.json", 3)
+    out = tmp_path / "out"
+    assert cli.main(["shape-verify", str(domain), "--field", field, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] and report["failures"] == []
+    assert report["eps_ladder"] == [1e-2, 5e-3, 2.5e-3]
+    assert len((out / "fd_ladder.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
 @pytest.mark.parametrize("circular", [False, True])

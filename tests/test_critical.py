@@ -298,8 +298,7 @@ def test_detect_orbit_isolated_on_lobed_domain(lobed_engine, dipole_setup):
     # continue-by-hand: polish the disk dipole on the perturbed domain and
     # check the orbit degeneracy is gone
     lam, config, spec = dipole_setup
-    lobed_sym = gm.DomainSpec(lobed_engine.domain.boundary, None,
-                              gm.SymmetryGroup("cyclic", 3))
+    lobed_sym = gm.DomainSpec(lobed_engine.domain.boundary, gm.SymmetryGroup("cyclic", 3))
     engine = gm.build_engine(lobed_sym, 256)
     result = gm.newton_polish(engine, lam, spec, config.flat(),
                               gm.SearchConfig(starts=1, newton_tol=1e-10))

@@ -44,7 +44,7 @@ def reference_integrate(engine, strengths, spec, x0, config):
             state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         else:
             mid = state + 0.5 * dt * velocity_flat(state)
-            for _ in range(config.max_solver_iterations):
+            for _ in range(dynamics.MAX_SOLVER_ITERATIONS):
                 new_mid = state + 0.5 * dt * velocity_flat(mid)
                 delta = float(np.max(np.abs(new_mid - mid)))
                 mid = new_mid
@@ -102,7 +102,6 @@ def test_integrate_reuses_end_of_step_gradient(monkeypatch, lobed_engine, integr
     ({"solve_tol": 0.0}, "solve_tol must be finite and positive"),
     ({"solve_tol": float("nan")}, "solve_tol must be finite and positive"),
     ({"solve_tol": float("inf")}, "solve_tol must be finite and positive"),
-    ({"max_solver_iterations": 0}, "max_solver_iterations must be >= 1"),
 ])
 def test_dynamics_config_rejects_bad_solver_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import greenmorse as gm
 from conftest import low_mode_domains, point_at_distance
+from greenmorse import geometry
 from greenmorse.geometry import as_circle, fit_curve
 
 
@@ -77,11 +78,6 @@ def test_non_finite_coefficients_rejected(lobed_domain, bad):
         curve.validate()
 
 
-def test_nan_perturbation_margin_rejected(disk_domain):
-    with pytest.raises(ValueError, match="perturbation_margin"):
-        gm.DomainSpec(disk_domain.boundary, float("nan"))
-
-
 def test_clockwise_curve_rejected():
     with pytest.raises(gm.MalformedCurveError):
         gm.DomainSpec(gm.BoundaryCurve([0, 1], [0, 0], [0, 0], [0, -1.0]))
@@ -137,6 +133,34 @@ def test_refit_rejects_underresolved_fit():
     pts = np.stack([np.cos(t) + 0.2 * np.cos(7 * t), np.sin(t)], axis=1)
     with pytest.raises(gm.RefitFailureError):
         fit_curve(pts, max_degree=3)
+
+
+@pytest.mark.parametrize("name, mode, eps, degree", [
+    ("tilted_domain", 2, 0.005, 54),
+    ("tilted_domain", 2, 0.02, 56),
+    ("lobed_domain", 3, 0.01, 32),
+])
+def test_refit_degree_grows_until_the_fit_passes(request, name, mode, eps, degree):
+    # z + eps g nu carries 1 / |z'|, so on these curves the first degree,
+    # 4 K + mode, leaves a residual above the tolerance (4.8e-6 on the tilted
+    # fixture, 1.55e-9 on the lobed one) and the degree is doubled
+    domain = request.getfixturevalue(name)
+    field = gm.cosine_field(mode)
+    assert 4 * domain.boundary.max_degree + mode < degree
+    moved = gm.apply_perturbation(domain, field, eps)
+    assert moved.boundary.max_degree == degree
+    t = 2 * np.pi * np.arange(2000) / 2000
+    frame = domain.boundary.frame(t)
+    displaced = frame.point + eps * field.boundary_values(frame, t)
+    assert np.max(np.abs(moved.signed_boundary_distance(displaced))) <= 1e-12
+
+
+def test_refit_past_the_degree_cap_fails(monkeypatch, tilted_domain):
+    # the tilted fixture needs degree 56; a cap below that leaves the first
+    # fit's failure standing
+    monkeypatch.setattr(geometry, "REFIT_DEGREE_CAP", 40)
+    with pytest.raises(gm.RefitFailureError, match="re-fit residual"):
+        gm.apply_perturbation(tilted_domain, gm.cosine_field(2), 0.005)
 
 
 def test_perturbation_commutes_with_group_action(disk_domain):
@@ -485,8 +509,9 @@ def test_cutoff_field_vanishes_inside(disk_domain):
 def test_field_boundary_values_match_profile(disk_domain):
     field = gm.normal_field([0.0, 0.2, 0.0, 1.0], [0.0, -0.3])
     t = np.linspace(0, 2 * np.pi, 50)
-    vals = field.boundary_values(disk_domain.boundary, t)
-    normals = disk_domain.boundary.frame(t).normal
+    frame = disk_domain.boundary.frame(t)
+    vals = field.boundary_values(frame, t)
+    normals = frame.normal
     assert_allclose(np.sum(vals * normals, axis=1), field.profile(t), atol=1e-13)
 
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import greenmorse as gm
 from conftest import DIPOLE_RADIUS
+from greenmorse import shape
 
 TWO_PI = 2 * np.pi
 
@@ -221,6 +222,21 @@ def test_fd_check_grad_f_at_dipole(disk_domain, dipole_setup):
     assert report.observed_order >= 1.0
 
 
+def test_fd_check_dH_lobed_domain(lobed_domain):
+    # the refits at eps = +-0.01 need degree 32, above the first degree tried (19)
+    report = gm.fd_check(lobed_domain, "H", gm.cosine_field(3),
+                         [1e-2, 5e-3, 2.5e-3], x=[0.3, 0.0], y=[0.1, 0.2])
+    assert report.passed and not report.failures
+    assert report.rel_error <= 1e-10
+
+
+def test_fd_check_robin_tilted_domain(tilted_domain):
+    report = gm.fd_check(tilted_domain, "robin", gm.cosine_field(2),
+                         [1e-2, 5e-3, 2.5e-3], x=[0.3, 0.1])
+    assert report.passed and not report.failures
+    assert report.rel_error <= 1e-10
+
+
 def test_fd_check_ladder_validation(disk_domain):
     with pytest.raises(ValueError):
         gm.fd_check(disk_domain, "H", gm.cosine_field(3), [1e-3, 1e-2],
@@ -297,3 +313,70 @@ def test_continuation_csv_rows(dipole_trace):
     rows = dipole_trace.csv_rows()
     assert rows[0] == ["eps", "x1", "y1", "x2", "y2", "residual", "min_abs_eig"]
     assert len(rows) == len(CONTINUATION_GRID) + 1
+
+
+# a start off the axis whose first corrector run exceeds 10 iterations, so
+# the first step is halved seven times before a rung is accepted
+HALVING_FIELD = ((0.0, 0.0, 0.5), (0.0, 0.7, 0.0, 0.3))
+HALVING_START = (DIPOLE_RADIUS, 0.01, -DIPOLE_RADIUS, 0.0)
+HALVING_GRID = (0.0, 0.03, 0.08)
+
+
+def _halving_trace(dipole_setup):
+    lam, _, spec = dipole_setup
+    return gm.continue_critical_point(gm.DomainSpec(gm.unit_circle()),
+                                      gm.normal_field(*HALVING_FIELD), HALVING_GRID,
+                                      HALVING_START, lam, spec)
+
+
+def test_continuation_halves_the_step(dipole_setup):
+    trace = _halving_trace(dipole_setup)
+    assert not trace.truncated and trace.diagnostic is None
+    assert trace.eps_values == (0.0, 0.000234375, 0.03, 0.08)
+    assert trace.corrector_iterations == (0, 5, 2, 2)
+    assert trace.predictor_used == (False, True, True, True)
+    for res in trace.residuals[1:]:
+        assert res <= 1e-10
+
+
+def test_continuation_truncates_with_a_diagnostic(disk_domain):
+    # three equal vortices: the corrector fails from every step down to
+    # MIN_STEP, the last run at a stationary point of its merit
+    start = [[0.5, 0.0], [-0.25, 0.43], [-0.25, -0.43]]
+    trace = gm.continue_critical_point(disk_domain, gm.cosine_field(4), [0.0, 0.1], start,
+                                       gm.VortexStrengths([1.0, 1.0, 1.0]),
+                                       gm.kirchhoff_routh_interaction())
+    assert trace.truncated
+    assert trace.eps_values == (0.0,)
+    assert trace.diagnostic == ("continuation stalled near eps=0 targeting 0.1: "
+                                "merit-stationary")
+
+
+def test_continuation_classifies_and_predicts_once_per_rung(monkeypatch, dipole_setup):
+    # one classification per accepted rung (the start included) and one
+    # dGradF for each rung that is stepped from with the predictor
+    calls = {"dGradF_shape": 0, "classify": 0}
+    for name in calls:
+        original = getattr(shape, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(shape, name, counted)
+    trace = _halving_trace(dipole_setup)
+    assert len(trace.eps_values) == 4
+    assert calls == {"dGradF_shape": 3, "classify": 4}
+
+
+def test_continuation_past_the_margin_fails_before_any_build(monkeypatch, disk_domain,
+                                                             dipole_setup):
+    # the margin of the unit disk is 0.15 and sup |cos 3t| = 1: the grid's end,
+    # 0.2, is refused before the rungs below it are computed
+    lam, config, spec = dipole_setup
+    builds = []
+    monkeypatch.setattr(shape, "build_engine", lambda *a, **k: builds.append(a))
+    with pytest.raises(gm.PerturbationTooLargeError):
+        gm.continue_critical_point(disk_domain, gm.cosine_field(3), [0.0, 0.05, 0.1, 0.2],
+                                   config.flat(), lam, spec)
+    assert builds == []
