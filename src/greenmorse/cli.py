@@ -4,21 +4,23 @@ Exit codes: 0 success, 1 quantitative (tolerance) failure, 2 malformed
 input or validation error.  All randomness flows from explicit --seed flags;
 CSV bodies are formatted at 17 significant digits so identical inputs
 reproduce byte-identical files.  A run manifest is written last: the
-command, its configuration and outputs, the diagnostics of the command's base
-Green engine, the one ``build_engine`` selects (null for shape-verify, whose
-engines are rebuilt per rung; on a non-circular domain the conformal map's
-self-test numbers: ``self_test_error``, the largest of
+command, its configuration (every parsed argument but ``--out``, as given, so
+the run can be repeated from it) and outputs, the diagnostics of the
+command's base Green engine, the one ``build_engine`` selects (null for
+shape-verify, whose engines are rebuilt per rung; on a non-circular domain
+the conformal map's self-test numbers: ``self_test_error``, the largest of
 ``exterior_cauchy_error``, ``centre_image`` and ``solve_residual``, with
 ``iterations``, ``dense_fallback`` and ``eval_margin``), the numpy and scipy
 versions and the OPENBLAS_NUM_THREADS setting (null if unset).  simulate's
 manifest also has ``stats``: the sum and maximum over the steps of the
 integrator's fixed-point iterations and final update sizes.
 
-``green-check`` compares the Nystrom engine with the disk closed form on a
-circle, and elsewhere the default conformal-map engine with the Nystrom
-engine, and checks symmetry, harmonicity and the harmonic measure of both.
-No command imports ``scipy.linalg`` except ``green-check``, through the
-Nystrom engine.
+``green-check`` builds the reference Nystrom engine, ``IntegralGreenEngine``,
+next to the one ``build_engine`` selects.  It compares the Nystrom engine
+with the disk closed form on a circle, and elsewhere the conformal-map engine
+with the Nystrom engine, and checks symmetry, harmonicity and the harmonic
+measure of both.  No command imports ``scipy.linalg`` except ``green-check``,
+through the Nystrom engine.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .geometry import (
     load_field,
     sample_interior,
 )
-from .green import build_engine
+from .green import IntegralGreenEngine, build_engine
 from .kr import Configuration, f_omega, load_vortex
 from .shape import continue_critical_point, fd_check
 
@@ -135,13 +137,13 @@ def cmd_green_check(args, out: Path):
                        "tolerance": tol, "passed": bool(value <= tol)})
 
     try:
-        integral = build_engine(domain, args.nodes, backend="integral")
+        integral = IntegralGreenEngine(domain, args.nodes)
         engine = build_engine(domain, args.nodes)
     except DiscretizationFailureError as exc:
         checks.append({"name": "construction_self_test", "max_error": None,
                        "tolerance": None, "passed": False, "detail": str(exc)})
         _write_json(out / "report.json", {"checks": checks, "passed": False})
-        return 1, ["report.json"], {"domain": str(args.domain), "nodes": args.nodes}, None, None
+        return 1, ["report.json"], None, None
     add("construction_self_test", integral.self_test_error, 1e-8)
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
@@ -178,8 +180,7 @@ def cmd_green_check(args, out: Path):
 
     passed = all(c["passed"] for c in checks)
     _write_json(out / "report.json", {"checks": checks, "passed": passed})
-    cfg = {"domain": str(args.domain), "nodes": args.nodes, "points": args.points}
-    return (0 if passed else 1), ["report.json"], cfg, engine, None
+    return (0 if passed else 1), ["report.json"], engine, None
 
 
 def cmd_find_critical(args, out: Path):
@@ -195,13 +196,7 @@ def cmd_find_critical(args, out: Path):
     report = find_critical_points(engine, strengths, spec, search)
     _write_json(out / "report.json", report_to_dict(report))
     _write_csv(out / "critical_points.csv", report_csv_rows(report))
-    cfg = {"domain": str(args.domain), "vortex": str(args.vortex),
-           "starts": args.starts, "seed": args.seed, "nodes": args.nodes,
-           "newton_tol": args.newton_tol,
-           "boundary_margin": args.boundary_margin,
-           "collision_margin": args.collision_margin,
-           "dedup_radius": args.dedup_radius}
-    return 0, ["report.json", "critical_points.csv"], cfg, engine, None
+    return 0, ["report.json", "critical_points.csv"], engine, None
 
 
 def cmd_shape_verify(args, out: Path):
@@ -223,9 +218,7 @@ def cmd_shape_verify(args, out: Path):
         flat = np.atleast_1d(np.asarray(val, dtype=float))
         rows.append([f"{eps:.17g}"] + [f"{v:.17g}" for v in flat])
     _write_csv(out / "fd_ladder.csv", rows)
-    cfg = {"domain": str(args.domain), "field": str(args.field),
-           "quantity": args.quantity, "eps_ladder": ladder, "nodes": args.nodes}
-    return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], cfg, None, None
+    return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], None, None
 
 
 def _margin_svg(trace) -> str:
@@ -266,7 +259,7 @@ def cmd_perturb_study(args, out: Path):
     if not polish.converged:
         _write_json(out / "trace.json",
                     {"error": f"start configuration did not polish: {polish.failure}"})
-        return 1, ["trace.json"], {"domain": str(args.domain)}, engine, None
+        return 1, ["trace.json"], engine, None
     trace = continue_critical_point(domain, field, grid, polish.configuration,
                                     strengths, spec, nodes=args.nodes,
                                     newton_tol=args.newton_tol)
@@ -285,10 +278,7 @@ def cmd_perturb_study(args, out: Path):
         with open(out / "margin_vs_eps.svg", "w", encoding="utf-8") as fh:
             fh.write(_margin_svg(trace))
         outputs.append("margin_vs_eps.svg")
-    cfg = {"domain": str(args.domain), "vortex": str(args.vortex),
-           "field": str(args.field), "eps_grid": grid, "nodes": args.nodes,
-           "equivariant": args.equivariant, "newton_tol": args.newton_tol}
-    return (1 if trace.truncated else 0), outputs, cfg, engine, None
+    return (1 if trace.truncated else 0), outputs, engine, None
 
 
 def cmd_simulate(args, out: Path):
@@ -299,11 +289,7 @@ def cmd_simulate(args, out: Path):
                          horizon=args.horizon, solve_tol=args.solve_tol)
     trajectory = integrate(engine, strengths, spec, config.flat(), dyn)
     _write_csv(out / "trajectory.csv", trajectory.csv_rows())
-    cfg = {"domain": str(args.domain), "vortex": str(args.vortex),
-           "dt": args.dt, "horizon": args.horizon,
-           "integrator": args.integrator, "solve_tol": args.solve_tol,
-           "nodes": args.nodes}
-    return ((1 if trajectory.truncated else 0), ["trajectory.csv"], cfg, engine,
+    return ((1 if trajectory.truncated else 0), ["trajectory.csv"], engine,
             trajectory.solver_stats())
 
 
@@ -383,14 +369,15 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         out.mkdir(parents=True, exist_ok=True)
-        code, outputs, cfg, engine, stats = args.func(args, out)
+        code, outputs, engine, stats = args.func(args, out)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
             GreenMorseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     manifest = {
         "command": args.command,
-        "config": cfg,
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("func", "out", "command")},
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
         "outputs": outputs,

@@ -35,7 +35,7 @@ _SYMMETRY_TOL = 1e-10
 # relative coefficient tolerance of ``as_circle``
 _CIRCLE_TOL = 1e-13
 # largest pointwise residual a Fourier re-fit may leave
-REFIT_TOL = 1e-9
+REFIT_TOL = 1e-12
 # ``apply_perturbation`` doubles its re-fit degree up to this cap
 REFIT_DEGREE_CAP = 256
 # ``vanishes_near`` widens the field's cutoff by this much

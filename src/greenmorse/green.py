@@ -2,11 +2,12 @@
 
 The Green function splits as G = Gamma - H with Gamma the free-space
 logarithmic kernel and H the harmonic correction matching Gamma's boundary
-values.  Three backends evaluate H, its first and second derivatives, and the
-boundary traces of the normal derivative of G:
+values.  Three engines evaluate H, its first and second derivatives, and the
+boundary traces of the normal derivative of G.  ``build_engine`` selects one
+of the first two; the third is a reference class, built only by calling it:
 
 * ``disk-closed-form`` — exact image-method formulas for circles;
-* ``conformal-map`` — the default for every other domain: closed forms in
+* ``conformal-map`` — the engine for every other domain: closed forms in
   the Riemann map F of the domain onto the unit disk,
   H(x, y) = (1/2pi) ln|(F(x) - F(y)) / (x - y)| - (1/2pi) ln|1 - F(x) conj F(y)|,
   and the Poisson kernel pulled back through F for the traces.  F comes from
@@ -14,12 +15,12 @@ boundary traces of the normal derivative of G:
   solve if it does not converge); its derivatives at N points are one
   (N, n) @ (n, 4) Cauchy product.  No evaluation solves a linear system.
   It needs only numpy;
-* ``boundary-integral`` — a Nystrom discretization on the curve's uniform
-  parameter grid, kept as the reference the tests and ``green-check``
-  compare against.  The Dirichlet solve uses a second-kind double-layer
-  equation (the kernel is smooth on smooth curves, so the plain trapezoid
-  rule is spectrally accurate).  Boundary traces solve the adjoint equation
-  (1/2 I - K') v = b for the normal derivative of G, which avoids
+* ``boundary-integral`` (``IntegralGreenEngine``) — a Nystrom discretization
+  on the curve's uniform parameter grid, the reference the tests and
+  ``green-check`` compare against.  The Dirichlet solve uses a second-kind
+  double-layer equation (the kernel is smooth on smooth curves, so the plain
+  trapezoid rule is spectrally accurate).  Boundary traces solve the adjoint
+  equation (1/2 I - K') v = b for the normal derivative of G, which avoids
   hypersingular operators; the discrete K' is W^-1 K^T W, W = diag(weights),
   so with the Dirichlet matrix D = K - 1/2 I a trace is the transposed solve
   v = -D^-T (W b) / W.  Derivatives in the source point come from auxiliary
@@ -222,7 +223,7 @@ def _mirrored(value, grad_x, grad_y, hessians) -> GreenEvaluation:
 
 
 class _EngineBase:
-    """Shared quadrature geometry for both backends."""
+    """Shared quadrature geometry for every engine."""
 
     backend = "abstract"
     # points closer than this to the boundary are outside the accuracy contract
@@ -368,28 +369,20 @@ class IntegralGreenEngine(_EngineBase):
 
         super().__init__(domain, n)
         z, nu, kappa, w = self.nodes, self.normals, self.curvatures, self.weights
-        # D = K - 1/2 I assembled in place as its transpose ``t`` in C order,
-        # which is D in the Fortran order that lu_factor overwrites.  Row j
-        # of t is column j of K: the double-layer kernel
-        # (z_j - z_i).nu_j / |z_j - z_i|^2, whose diagonal limit on a smooth
-        # curve is kappa_j / 2, times -w_j / 2pi
-        t = np.subtract.outer(z[:, 0], z[:, 0])     # [j, i]: x_j - x_i
-        dy = np.subtract.outer(z[:, 1], z[:, 1])
-        r2 = t * t
-        r2 += dy * dy
+        # D = K - 1/2 I, K the double-layer kernel -w_j (z_j - z_i).nu_j
+        # / (2pi |z_j - z_i|^2), whose diagonal limit on a smooth curve is
+        # -w_j kappa_j / 4pi
+        dx = z[None, :, 0] - z[:, None, 0]
+        dy = z[None, :, 1] - z[:, None, 1]
+        r2 = dx * dx + dy * dy
         np.fill_diagonal(r2, 1.0)
-        t *= nu[:, 0, None]
-        dy *= nu[:, 1, None]
-        t += dy
-        t /= r2
-        np.fill_diagonal(t, kappa / 2.0)
-        t *= w[:, None]
-        t /= -TWO_PI
-        t.flat[:: n + 1] -= 0.5
-        anorm = np.abs(t).sum(axis=1).max()     # 1-norm of D
+        bare = (dx * nu[None, :, 0] + dy * nu[None, :, 1]) / r2
+        np.fill_diagonal(bare, kappa / 2.0)
+        dirichlet = -(bare * w[None, :]) / TWO_PI - 0.5 * np.eye(n)
+        anorm = np.linalg.norm(dirichlet, 1)
         if not np.isfinite(anorm):
             raise DiscretizationFailureError("discrete Dirichlet system has non-finite entries")
-        self._lu_dirichlet = lu_factor(t.T, overwrite_a=True, check_finite=False)
+        self._lu_dirichlet = lu_factor(dirichlet, check_finite=False)
         rcond = lapack.dgecon(self._lu_dirichlet[0], anorm, norm="1")[0]
         # 1-norm condition estimate of the discrete Dirichlet system
         self.condition_estimate = 1.0 / max(rcond, 1e-300)
@@ -708,20 +701,12 @@ class ConformalGreenEngine(_EngineBase):
         return self._traces(x)[1][0]
 
 
-def build_engine(domain: DomainSpec, nodes: int = DEFAULT_NODES,
-                 backend: str = "auto"):
-    """Construct a Green engine for the domain.
-
-    ``backend`` is "auto" (closed form for circles, the conformal map
-    otherwise) or "integral".  The conformal-map engine checks its
-    map at construction; the integral backend, the reference that tests and
-    ``green-check`` compare against, runs a conditioning check and an
-    interior self-test.
+def build_engine(domain: DomainSpec, nodes: int = DEFAULT_NODES):
+    """The Green engine for the domain: the closed form on a circle, the
+    conformal map, which checks itself at construction, elsewhere.
+    ``IntegralGreenEngine``, the reference that tests and ``green-check``
+    compare against, is built by calling its class.
     """
-    if backend not in ("auto", "integral"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "integral":
-        return IntegralGreenEngine(domain, nodes)
     if domain.is_disk():
         return DiskGreenEngine(domain, nodes)
     return ConformalGreenEngine(domain, nodes)

@@ -199,7 +199,11 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
 def check_admissible(domain: DomainSpec, spec: InteractionSpec, config: Configuration,
                      boundary_margin: float | None = None,
                      collision_margin: float | None = None) -> AdmissibilityResult:
-    """Total membership test for the configuration, with diagnostics."""
+    """Whether the points lie more than the boundary margin inside the domain
+    and more than the collision margin apart, with diagnostics.
+
+    It does not apply the engine's ``eval_margin``, so ``f_omega`` can still
+    refuse a configuration that passes with AccuracyDegradedError."""
     bm, cm = resolve_margins(domain, spec, boundary_margin, collision_margin)
     pts = config.points
     diagnostics = [f"boundary: point {i} at {tuple(pts[i])} violates margin {bm:.3g}"

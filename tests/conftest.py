@@ -25,12 +25,12 @@ def disk_domain():
 
 @pytest.fixture(scope="session")
 def disk_engine(disk_domain):
-    return gm.build_engine(disk_domain, backend="auto")
+    return gm.build_engine(disk_domain)
 
 
 @pytest.fixture(scope="session")
 def integral_engine(disk_domain):
-    return gm.build_engine(disk_domain, 256, backend="integral")
+    return gm.IntegralGreenEngine(disk_domain, 256)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def lobed_engine(lobed_domain):
 @pytest.fixture(scope="session")
 def lobed_integral_engine(lobed_domain):
     """The Nystrom engine, the reference the conformal-map default is tested against."""
-    return gm.build_engine(lobed_domain, 256, backend="integral")
+    return gm.IntegralGreenEngine(lobed_domain, 256)
 
 
 @pytest.fixture(scope="session")

@@ -96,7 +96,7 @@ def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
         f"    code = cli.main(command + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
         "    print(code, linalg())\n"
         "import greenmorse as gm\n"
-        f"engine = gm.build_engine(gm.load_domain({str(domain)!r}), backend='integral')\n"
+        f"engine = gm.IntegralGreenEngine(gm.load_domain({str(domain)!r}))\n"
         "value = engine.regular_part([0.3, 0.1], [-0.2, 0.2]).value\n"
         "print(engine.self_test_error <= 1e-8, bool(linalg()), repr(value))\n")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -106,7 +106,7 @@ def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
     # the lazily imported scipy.linalg serves the integral engine as before
     ok, loaded, value = built.split()
     assert ok == "True" and loaded == "True"
-    reference = gm.build_engine(lobed_domain, backend="integral")
+    reference = gm.IntegralGreenEngine(lobed_domain)
     assert float(value) == reference.regular_part([0.3, 0.1], [-0.2, 0.2]).value
 
 
@@ -137,6 +137,25 @@ def test_perturb_study_start_that_does_not_polish(tmp_path):
     trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
     assert trace == {"error": "start configuration did not polish: inadmissible-start"}
     assert not (out / "trace.csv").exists()
+
+
+def test_manifest_config_holds_every_flag(tmp_path):
+    # every parsed argument but --out, on the success and the failure path,
+    # so that the run can be repeated from its manifest
+    domain, vortex, field = _dipole_inputs(tmp_path, start=[[0.98, 0.0], [-0.5, 0.0]])
+    out = tmp_path / "out"
+    assert cli.main(["shape-verify", domain, "--field", field, "--x", "0.25,-0.1",
+                     "--y", "0.1,0.35", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == {"domain": domain, "field": field, "quantity": "H",
+                                  "x": "0.25,-0.1", "y": "0.1,0.35", "vortex": None,
+                                  "eps_ladder": "1e-2,5e-3,2.5e-3", "nodes": 256}
+    assert cli.main(["perturb-study", domain, vortex, "--field", field,
+                     "--eps-grid", "0,0.01", "--nodes", "128", "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == {"domain": domain, "vortex": vortex, "field": field,
+                                  "eps_grid": "0,0.01", "equivariant": None, "nodes": 128,
+                                  "newton_tol": 1e-10, "svg": False}
 
 
 def test_perturb_study_grid_past_the_margin(tmp_path, capsys):

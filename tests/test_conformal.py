@@ -39,7 +39,7 @@ def _margin_ring(domain, n):
 @pytest.fixture(scope="module", params=["disk_domain", "lobed_domain", "tilted_domain"])
 def engine_pair(request):
     domain = request.getfixturevalue(request.param)
-    return (domain, gm.build_engine(domain, 512, backend="integral"),
+    return (domain, gm.IntegralGreenEngine(domain, 512),
             {n: gm.ConformalGreenEngine(domain, n) for n in (256, 512)})
 
 
@@ -128,7 +128,7 @@ def test_thin_ellipse_falls_back_to_the_dense_solve():
     ellipse = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.125]))
     engine = gm.build_engine(ellipse, 512)
     assert engine.dense_fallback and engine.iterations == green.FIXED_POINT_CAP
-    reference = gm.build_engine(ellipse, 512, backend="integral")
+    reference = gm.IntegralGreenEngine(ellipse, 512)
     pts = np.array([[-0.4, 0.005], [0.05, -0.008], [0.35, 0.0]])
     assert np.all(ellipse.signed_boundary_distance(pts) >= engine.eval_margin)
     ev, ref = engine.blocks(pts), reference.blocks(pts)
@@ -143,7 +143,7 @@ def test_centroid_outside_the_domain_moves_the_map_centre():
     banana = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.5], [0.0], [0.45, 0.0, 0.45], [0.0, 0.4]))
     assert banana.signed_boundary_distance(banana.boundary.centroid) < -0.04
     engine = gm.build_engine(banana, 512)
-    reference = gm.build_engine(banana, 512, backend="integral")
+    reference = gm.IntegralGreenEngine(banana, 512)
     assert gm.contains(banana, green._map_centre(banana, engine.eval_margin), engine.eval_margin)
     pts = gm.sample_interior(banana, 4, 1.2 * engine.eval_margin, seed=0)
     ev, ref = engine.blocks(pts), reference.blocks(pts)

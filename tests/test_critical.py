@@ -187,7 +187,7 @@ def test_doubling_starts_keeps_dipole_orbit(disk_engine, dipole_report):
 
 def test_reevaluation_at_doubled_nodes(disk_domain, dipole_report, dipole_setup):
     lam, _, spec = dipole_setup
-    fresh = gm.build_engine(disk_domain, 512, backend="integral")
+    fresh = gm.IntegralGreenEngine(disk_domain, 512)
     for cp in dipole_report.points[:5]:
         res = gm.f_omega(fresh, lam, spec, cp.configuration)
         assert np.linalg.norm(res.gradient) <= 10 * 1e-10 + cp.residual

@@ -121,7 +121,7 @@ def tilted_engine(tilted_domain):
 
 @pytest.fixture(scope="module")
 def tilted_integral_engine(tilted_domain):
-    return gm.build_engine(tilted_domain, 256, backend="integral")
+    return gm.IntegralGreenEngine(tilted_domain, 256)
 
 
 @pytest.mark.parametrize("engine_name", ["disk_engine", "lobed_engine", "tilted_engine",

@@ -155,14 +155,11 @@ def test_auto_backend_selects_closed_form(disk_domain):
 
 def test_auto_backend_selects_conformal_map(tilted_domain):
     assert gm.build_engine(tilted_domain).backend == "conformal-map"
-    assert gm.build_engine(tilted_domain, backend="integral").backend == "boundary-integral"
-    with pytest.raises(ValueError, match="unknown backend"):
-        gm.build_engine(tilted_domain, backend="nystrom")
 
 
 def test_node_minimum_enforced(disk_domain):
     with pytest.raises(ValueError):
-        gm.build_engine(disk_domain, 32, backend="integral")
+        gm.IntegralGreenEngine(disk_domain, 32)
 
 
 def test_integral_matches_closed_form(disk_engine, integral_engine):
@@ -220,7 +217,7 @@ def _explicit_adjoint_traces(engine, x):
 @pytest.mark.parametrize("domain_name", ["lobed_domain", "tilted_domain"])
 def test_traces_match_explicit_adjoint_operator(request, domain_name, nodes):
     # the engine solves traces with the transposed Dirichlet LU factors
-    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes, backend="integral")
+    engine = gm.IntegralGreenEngine(request.getfixturevalue(domain_name), nodes)
     for x in ([0.3, -0.2], [-0.2, 0.35]):
         values, grads = _explicit_adjoint_traces(engine, np.array(x))
         got = engine.boundary_normal_derivative(x).values
@@ -229,33 +226,14 @@ def test_traces_match_explicit_adjoint_operator(request, domain_name, nodes):
         assert np.max(np.abs(got - grads)) <= 1e-13 * np.max(np.abs(grads))
 
 
-@pytest.mark.parametrize("nodes", [256, 512])
-@pytest.mark.parametrize("domain_name", ["lobed_domain", "tilted_domain"])
-def test_in_place_assembly_gives_the_same_lu_factors(request, domain_name, nodes):
-    from scipy.linalg import lu_factor
-
-    engine = gm.build_engine(request.getfixturevalue(domain_name), nodes, backend="integral")
-    # reference: D = K - 1/2 I assembled as dense temporaries in C order
-    z, nu, w = engine.nodes, engine.normals, engine.weights
-    dx = z[None, :, 0] - z[:, None, 0]
-    dy = z[None, :, 1] - z[:, None, 1]
-    r2 = dx * dx + dy * dy
-    np.fill_diagonal(r2, 1.0)
-    bare = (dx * nu[None, :, 0] + dy * nu[None, :, 1]) / r2
-    np.fill_diagonal(bare, engine.curvatures / 2.0)
-    K = -(bare * w[None, :]) / TWO_PI
-    lu, piv = lu_factor(K - 0.5 * np.eye(nodes))
-    assert np.array_equal(engine._lu_dirichlet[0], lu)
-    assert np.array_equal(engine._lu_dirichlet[1], piv)
-
-
-@pytest.mark.parametrize("backend", ["integral", "auto"])
-def test_non_finite_curve_never_reaches_an_engine(lobed_domain, backend):
+@pytest.mark.parametrize("make_engine", [gm.IntegralGreenEngine, gm.build_engine],
+                         ids=["integral", "auto"])
+def test_non_finite_curve_never_reaches_an_engine(lobed_domain, make_engine):
     # a NaN coefficient would make every node non-finite; the domain refuses it
     c = lobed_domain.boundary
     nan_curve = gm.BoundaryCurve(c.cos_x, np.r_[c.sin_x[:-1], np.nan], c.cos_y, c.sin_y)
     with pytest.raises(gm.MalformedCurveError, match="finite"):
-        gm.build_engine(gm.DomainSpec(nan_curve), 256, backend=backend)
+        make_engine(gm.DomainSpec(nan_curve), 256)
 
 
 def test_accuracy_contract_near_boundary(integral_engine):
@@ -309,9 +287,10 @@ def test_hessian_blocks_symmetric(integral_engine, sample_pairs):
         assert np.max(np.abs(ev.hess_yy - ev.hess_yy.T)) <= 1e-10
 
 
-@pytest.mark.parametrize("backend", ["auto", "integral"])
-def test_derivatives_match_finite_differences_order2(disk_domain, backend):
-    engine = gm.build_engine(disk_domain, 256, backend=backend)
+@pytest.mark.parametrize("make_engine", [gm.build_engine, gm.IntegralGreenEngine],
+                         ids=["auto", "integral"])
+def test_derivatives_match_finite_differences_order2(disk_domain, make_engine):
+    engine = make_engine(disk_domain, 256)
     x = np.array([0.35, 0.15])
     y = np.array([-0.2, 0.3])
     steps = np.array([1e-3, 5e-4, 2.5e-4])
@@ -349,7 +328,7 @@ def test_node_doubling_reduces_oracle_error(disk_domain, disk_engine):
     ref = disk_engine.regular_part(x, y)
     prev = None
     for n in (64, 128, 256):
-        eng = gm.build_engine(disk_domain, n, backend="integral")
+        eng = gm.IntegralGreenEngine(disk_domain, n)
         ev = eng.regular_part(x, y)
         err = max(abs(ev.value - ref.value), np.max(np.abs(ev.hess_xx - ref.hess_xx)))
         if prev is not None:

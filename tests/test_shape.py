@@ -223,7 +223,8 @@ def test_fd_check_grad_f_at_dipole(disk_domain, dipole_setup):
 
 
 def test_fd_check_dH_lobed_domain(lobed_domain):
-    # the refits at eps = +-0.01 need degree 32, above the first degree tried (19)
+    # every refit needs a degree above the first one tried (19): 32 at
+    # eps = +-0.01, 29 at +-0.005 and +-0.0025
     report = gm.fd_check(lobed_domain, "H", gm.cosine_field(3),
                          [1e-2, 5e-3, 2.5e-3], x=[0.3, 0.0], y=[0.1, 0.2])
     assert report.passed and not report.failures
