@@ -3,7 +3,7 @@
 Times ``DomainSpec.signed_boundary_distance`` on the lobed domain at
 N in {1, 3, 6, 384} points per query, exact (every point refined) and, at
 N in {3, 6, 384}, screened with ``exact_within`` the lobed 256-node engine's
-``eval_margin`` (0.05 x diameter, the largest threshold an evaluation
+``eval_margin`` (0.05 x diameter, the one boundary threshold an evaluation
 compares), and ``PerturbationField.evaluate`` at N = 64.  Run from the root
 of a checkout with pytest-benchmark installed:
 

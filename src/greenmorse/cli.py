@@ -15,6 +15,10 @@ versions and the OPENBLAS_NUM_THREADS setting (null if unset).  simulate's
 manifest also has ``stats``: the sum and maximum over the steps of the
 integrator's fixed-point iterations and final update sizes.
 
+``find-critical`` admits points more than the engine's ``eval_margin`` inside
+and ``--collision-margin`` apart.  ``perturb-study`` exits 2, writing no
+trace, on an empty ``--eps-grid`` or an ``--equivariant`` not ``kind:order[:axis]``.
+
 ``green-check`` builds the reference Nystrom engine, ``IntegralGreenEngine``,
 next to the one ``build_engine`` selects.  It compares the Nystrom engine
 with the disk closed form on a circle, and elsewhere the conformal-map engine
@@ -88,11 +92,10 @@ def _parse_floats(text: str):
 
 
 def _parse_group(text: str) -> SymmetryGroup:
-    parts = text.split(":")
-    kind = parts[0]
-    order = int(parts[1])
-    axis = float(parts[2]) if len(parts) > 2 else 0.0
-    return SymmetryGroup(kind, order, axis)
+    kind, *numbers = text.split(":")
+    if len(numbers) not in (1, 2):
+        raise ValueError(f"expected 'kind:order[:axis]', got {text!r}")
+    return SymmetryGroup(kind, int(numbers[0]), float(numbers[1]) if len(numbers) > 1 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,6 @@ def cmd_find_critical(args, out: Path):
     engine = build_engine(domain, args.nodes)
     search = SearchConfig(
         starts=args.starts, seed=args.seed,
-        boundary_margin=args.boundary_margin,
         collision_margin=args.collision_margin,
         newton_tol=args.newton_tol,
         dedup_radius=args.dedup_radius)
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--newton-tol", type=float, default=1e-10)
-    p.add_argument("--boundary-margin", type=float, default=0.05)
     p.add_argument("--collision-margin", type=float, default=0.05)
     p.add_argument("--dedup-radius", type=float, default=1e-6)
     p.add_argument("--out", default="greenmorse_out")

@@ -1,9 +1,11 @@
 """Multi-start Levenberg-Marquardt search for critical points, with Morse data.
 
 Starts are drawn from a scrambled Halton sequence over admissible N-point
-configurations, so runs are reproducible for a fixed seed.  The sequence is
-Owen's randomized Halton sequence (A. B. Owen, "A randomized Halton algorithm
-in R", arXiv:1706.02808, 2017), drawn by the private ``_ScrambledHalton``; its
+configurations (those ``check_admissible`` passes: points more than the
+engine's ``eval_margin`` inside, pairs more than the collision margin apart),
+so runs are reproducible for a fixed seed.  The sequence is Owen's randomized
+Halton sequence (A. B. Owen, "A randomized Halton algorithm in R",
+arXiv:1706.02808, 2017), drawn by the private ``_ScrambledHalton``; its
 stream equals that of ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``
 bit for bit, without importing ``scipy.stats``.  From each start
 ``newton_polish`` runs Levenberg-Marquardt on the gradient: trial points
@@ -46,7 +48,6 @@ MAX_ITERATIONS = 60
 class SearchConfig:
     starts: int = 100
     seed: int = 0
-    boundary_margin: float = 0.05
     collision_margin: float = 0.05
     newton_tol: float = 1e-10
     dedup_radius: float = 1e-6
@@ -58,8 +59,8 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if self.boundary_margin < 0 or self.collision_margin < 0:
-            raise ValueError("margins must be >= 0")
+        if self.collision_margin < 0:
+            raise ValueError("collision_margin must be >= 0")
         if self.dedup_radius <= 10.0 * self.newton_tol:
             raise ValueError("dedup_radius must exceed the tolerance-scale displacement")
 
@@ -196,7 +197,7 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
         nonlocal evaluations
         evaluations += 1
         return f_omega(engine, strengths, spec, Configuration(flat.reshape(-1, 2)),
-                       search.boundary_margin, search.collision_margin)
+                       search.collision_margin)
 
     def failed(reason, residual, iterations):
         return PolishResult(None, residual, None, iterations, evaluations, False, reason)
@@ -301,11 +302,10 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
     """Admissible starting configurations from Owen's scrambled Halton
     sequence (``_ScrambledHalton``, the stream of scipy's ``qmc.Halton``),
     mapped onto the bounding box of the boundary.  Each block of 128
-    candidates is tested at once, as ``check_admissible`` tests one: one
-    ``contains`` query for all its points and the closest-pair distance of
-    every candidate."""
-    # starts must be evaluable, so they also keep the engine's accuracy distance
-    bm = max(search.boundary_margin, engine.eval_margin)
+    candidates is tested at once by the rules ``check_admissible`` applies
+    to one: one ``contains`` query at the engine's ``eval_margin`` for all
+    its points (d > ``eval_margin``, the boundary rule of ``engine.blocks``)
+    and the closest-pair distance of every candidate."""
     pts = engine.domain.boundary._dense[1].point
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -317,7 +317,8 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
         block = sampler.random(128)
         drawn += len(block)
         cands = lo + block.reshape(-1, n_points, 2) * (hi - lo)
-        inside = contains(engine.domain, cands.reshape(-1, 2), bm).reshape(-1, n_points)
+        inside = contains(engine.domain, cands.reshape(-1, 2),
+                          engine.eval_margin).reshape(-1, n_points)
         ok = inside.all(axis=1) & (min_pair_distances(cands) > search.collision_margin)
         starts.extend(cands[ok].reshape(-1, 2 * n_points)[: search.starts - len(starts)])
     return starts
@@ -393,7 +394,6 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
         "starts": len(starts),
         "converged": len(found),
         "deduplicated": len(found) - len(unique),
-        "rejected_inadmissible": sum(failures.values()),
         "failures_by_reason": dict(sorted(failures.items())),
         "iterations": iterations,
         "evaluations": evaluations,

@@ -29,32 +29,33 @@ of the first two; the third is a reference class, built only by calling it:
   interior points.  It imports ``scipy.linalg`` when it is built, and solves
   through the module-level ``lu_solve``.
 
-Each engine evaluates H through one path, ``blocks(points, margin)``: every
+Each engine evaluates H through one path, ``blocks(points)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
-(j, k) axes.  It checks the points with one batched boundary-distance query
-for all points (the lowest-index point not more than ``margin`` inside, or
-with a NaN distance, is OutsideDomainError; then the point nearest the
-boundary, if closer than ``eval_margin``, is AccuracyDegradedError).  The query
-passes ``exact_within = max(margin, eval_margin)``, so only points that could
-lie within that distance of the boundary get the exact nearest-point solve;
-the others report a lower bound with the exact sign, and every decision, the
-point named and the message are those of the exact distance.  Both the
-conformal and the integral engine have ``eval_margin = 0.05 * diameter``.  It
-computes the j <= k blocks.  The integral engine computes all of them with
-the call, from one solve for 6N right-hand sides, Gamma(., x_k) and its two
-first and three second derivatives in x_k for every source, and one product
-for the moments of orders 0, 1 and 2.  The disk and conformal engines
-compute the value and first-derivative blocks with the call (the conformal
-engine from F and its first three derivatives at the points) and the
-second-derivative blocks on the first read of any of them, from what the
-call kept; the result is cached.  Each j > k block is copied from the
-(k, j) block with x and y exchanged.
+(j, k) axes.  It checks the points with ``require_interior``, one batched
+boundary-distance query for all points and the one rule of where a point
+may be: a point is admissible iff its boundary distance d > ``eval_margin``
+(OutsideDomainError for d <= 0 or NaN, else AccuracyDegradedError).  The
+query passes ``exact_within = eval_margin``, so only points that could lie
+within that distance of the boundary get the exact nearest-point solve; the
+others report a lower bound with the exact sign, and every decision, the
+point named and the message are those of the exact distance.
+``eval_margin`` is 0.05 * diameter on the conformal and integral engines,
+1e-4 * diameter on the disk (``DiskGreenEngine``).  It computes the j <= k
+blocks.  The integral engine computes all of them with the call, from one
+solve for 6N right-hand sides, Gamma(., x_k) and its two first and three
+second derivatives in x_k for every source, and one product for the
+moments of orders 0, 1 and 2.  The disk and conformal engines compute the
+value and first-derivative blocks with the call (the conformal engine from
+F and its first three derivatives at the points) and the second-derivative
+blocks on the first read of any of them, from what the call kept; the
+result is cached.  Each j > k block is copied from the (k, j) block with x
+and y exchanged.
 ``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``;
-it, ``robin`` and the boundary traces use margin 0.  ``_traces(points)``
-gives the traces of N points and their gradients from one query and one
-evaluation (the integral engine with one solve for 3N right-hand sides);
-``boundary_normal_derivative`` and ``trace_gradient`` are its single-point
-forms.
+it, ``robin`` and the boundary traces check their points by the same rule.
+``_traces(points)`` gives the traces of N points and their gradients from
+one query and one evaluation (the integral engine with one solve for 3N
+right-hand sides); ``boundary_normal_derivative`` and ``trace_gradient`` are
+its single-point forms.
 
 Engines are immutable after construction and all evaluations are pure; a
 second-derivative read fills a cache of the evaluation and never raises.
@@ -226,8 +227,6 @@ class _EngineBase:
     """Shared quadrature geometry for every engine."""
 
     backend = "abstract"
-    # points closer than this to the boundary are outside the accuracy contract
-    eval_margin = 0.0
 
     def __init__(self, domain: DomainSpec, n: int):
         if n < MIN_NODES:
@@ -245,28 +244,25 @@ class _EngineBase:
         self._velocity = d1[:, 0] + 1j * d1[:, 1]      # z'(t) at the nodes
         self.weights = self.speeds * TWO_PI / n
 
-    def _require_interior(self, points, margin: float = 0.0) -> np.ndarray:
+    def require_interior(self, points) -> np.ndarray:
         """The points as an (N, 2) array, after one batched boundary-distance
-        query for all points: the lowest-index point not more than ``margin``
-        inside (a NaN distance included) is OutsideDomainError; only if every
-        point passes, the point nearest the boundary, if closer than
-        ``eval_margin``, is AccuracyDegradedError."""
-        if margin < 0:
-            raise ValueError("margin must be >= 0")
+        query: the boundary rule of every evaluation.  The lowest-index point
+        with boundary distance d <= 0 (or NaN) is OutsideDomainError; else the
+        point nearest the boundary, if d <= ``eval_margin`` (each engine's
+        accuracy contract), is AccuracyDegradedError."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        # exact wherever either threshold could decide
-        dists = self.domain.signed_boundary_distance(pts, max(margin, self.eval_margin))
-        outside = np.flatnonzero(~(dists > margin))
+        # exact wherever the rule could decide
+        dists = self.domain.signed_boundary_distance(pts, self.eval_margin)
+        outside = np.flatnonzero(~(dists > 0.0))
         if len(outside):
             i = outside[0]
-            raise OutsideDomainError(
-                f"point {i} at {tuple(pts[i])} is not more than {margin:.3g} inside the domain")
+            raise OutsideDomainError(f"point {i} at {tuple(pts[i])} is not inside the domain")
         i = int(np.argmin(dists))
-        if dists[i] < self.eval_margin:
+        if not dists[i] > self.eval_margin:
             bound = float(np.exp(-np.pi * self.node_count * dists[i]
                                  / self.domain.boundary.perimeter))
             raise AccuracyDegradedError(
-                f"point {i} is {dists[i]:.3g} from the boundary, inside the accuracy "
+                f"point {i} is {dists[i]:.3g} from the boundary, not beyond the accuracy "
                 f"contract distance {self.eval_margin:.3g}", estimated_bound=bound)
         return pts
 
@@ -293,6 +289,10 @@ class DiskGreenEngine(_EngineBase):
     For the unit disk H(x, y) = -(1/4pi) ln(1 - 2 x.y + |x|^2 |y|^2); general
     circles reduce to it by translation and scaling, which adds the constant
     -(1/2pi) ln R to H.  The boundary trace is the (negative) Poisson kernel.
+    The log's argument cancels near the circle, so ``eval_margin`` is
+    1e-4 * diameter: the Robin function's derivatives are off by 4e-10
+    (relative) there, by 2e-5 at 5e-7 * diameter, and the argument rounds
+    to 0 near 5e-10 * diameter.
     """
 
     backend = "disk-closed-form"
@@ -303,12 +303,13 @@ class DiskGreenEngine(_EngineBase):
         if info is None:
             raise ValueError("DiskGreenEngine requires a circular boundary")
         self.center, self.radius = info
+        self.eval_margin = 1e-4 * domain.diameter
 
     def _reduce(self, points):
         return (points - self.center) / self.radius
 
-    def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
-        xt = self._reduce(self._require_interior(points, margin))
+    def blocks(self, points) -> GreenEvaluation:
+        xt = self._reduce(self.require_interior(points))
         R = self.radius
         X = xt[:, None, :]          # x = x_j
         Y = xt[None, :, :]          # y = x_k
@@ -341,7 +342,7 @@ class DiskGreenEngine(_EngineBase):
     def _traces(self, points):
         """d_{nu_z} G(x_m, z) at every node z, (N, n), and its gradient in
         x_m, (N, n, 2): the Poisson kernel and its derivative."""
-        xt = self._reduce(self._require_interior(points))
+        xt = self._reduce(self.require_interior(points))
         zt = (self.nodes - self.center) / self.radius
         d = xt[:, None, :] - zt[None, :, :]
         r2 = np.sum(d * d, axis=2)
@@ -437,8 +438,8 @@ class IntegralGreenEngine(_EngineBase):
         b1 = b0 * inv
         return -(np.stack([b0, b1, 2.0 * (b1 * inv)]) @ densities) / TWO_PI
 
-    def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
-        pts = self._require_interior(points, margin)
+    def blocks(self, points) -> GreenEvaluation:
+        pts = self.require_interior(points)
         n_pts = len(pts)
         d = self.nodes[:, None, :] - pts[None, :, :]
         r2 = np.sum(d * d, axis=2)
@@ -474,7 +475,7 @@ class IntegralGreenEngine(_EngineBase):
     def _traces(self, points):
         """d_{nu_z} G(x_m, z) at every node z, (N, n), and its gradient in
         x_m, (N, n, 2), from one transposed Dirichlet solve for 3N columns."""
-        pts = self._require_interior(points)
+        pts = self.require_interior(points)
         nu, w = self.normals, self.weights
         d = self.nodes[:, None, :] - pts[None, :, :]
         r2 = np.sum(d * d, axis=2)
@@ -620,8 +621,8 @@ class ConformalGreenEngine(_EngineBase):
                 "dense_fallback": self.dense_fallback,
                 "eval_margin": self.eval_margin}
 
-    def blocks(self, points, margin: float = 0.0) -> GreenEvaluation:
-        pts = self._require_interior(points, margin)
+    def blocks(self, points) -> GreenEvaluation:
+        pts = self.require_interior(points)
         x = pts[:, 0] + 1j * pts[:, 1]
         f, f1, f2, f3 = self._map(x).T
         diff = x[:, None] - x                   # [j, k]: x_j - x_k
@@ -683,7 +684,7 @@ class ConformalGreenEngine(_EngineBase):
     def _traces(self, points):
         """d_{nu_z} G(x_m, z) at every node z, (N, n), and its gradient in
         x_m, (N, n, 2): the Poisson kernel pulled back through F."""
-        pts = self._require_interior(points)
+        pts = self.require_interior(points)
         f, f1 = self._map(pts[:, 0] + 1j * pts[:, 1])[:, :2].T
         d = self._boundary_map - f[:, None]             # F(z) - F(x_m)
         d2 = d.real * d.real + d.imag * d.imag

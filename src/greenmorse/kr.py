@@ -19,12 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CollisionError
-from .geometry import DomainSpec, contains
+from .errors import AccuracyDegradedError, CollisionError, OutsideDomainError
+from .geometry import DomainSpec
 
 TWO_PI = 2.0 * np.pi
 
-# admissibility margins default to this fraction of the domain diameter
+# the collision margin defaults to this fraction of the domain diameter
 DEFAULT_MARGIN_FRACTION = 1e-3
 
 
@@ -196,46 +196,44 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
                             lambda: hess)
 
 
-def check_admissible(domain: DomainSpec, spec: InteractionSpec, config: Configuration,
-                     boundary_margin: float | None = None,
+def check_admissible(engine, spec: InteractionSpec, config: Configuration,
                      collision_margin: float | None = None) -> AdmissibilityResult:
-    """Whether the points lie more than the boundary margin inside the domain
-    and more than the collision margin apart, with diagnostics.
-
-    It does not apply the engine's ``eval_margin``, so ``f_omega`` can still
-    refuse a configuration that passes with AccuracyDegradedError."""
-    bm, cm = resolve_margins(domain, spec, boundary_margin, collision_margin)
-    pts = config.points
-    diagnostics = [f"boundary: point {i} at {tuple(pts[i])} violates margin {bm:.3g}"
-                   for i in np.flatnonzero(~contains(domain, pts, bm))]
+    """Whether ``f_omega`` admits the configuration, with diagnostics: by
+    ``engine.require_interior`` and the collision margin.  Like ``f_omega``
+    it names one point, the first that the boundary rule refuses."""
+    cm = resolve_collision_margin(engine.domain, spec, collision_margin)
+    diagnostics = []
+    try:
+        engine.require_interior(config.points)
+    except (OutsideDomainError, AccuracyDegradedError) as exc:
+        diagnostics.append(f"boundary: {exc}")
     gap = config.min_pair_distance()
     if gap <= cm:
         diagnostics.append(f"collision: min pair distance {gap:.3g} <= {cm:.3g}")
     return AdmissibilityResult(not diagnostics, tuple(diagnostics))
 
 
-def resolve_margins(domain: DomainSpec, spec: InteractionSpec,
-                    boundary_margin: float | None,
-                    collision_margin: float | None) -> tuple[float, float]:
-    default = DEFAULT_MARGIN_FRACTION * domain.diameter
-    bm = default if boundary_margin is None else boundary_margin
+def resolve_collision_margin(domain: DomainSpec, spec: InteractionSpec,
+                             collision_margin: float | None) -> float:
+    """The given margin, else the interaction's, else a fraction of the diameter."""
     if collision_margin is None:
-        cm = spec.collision_margin if spec.collision_margin is not None else default
-    else:
-        cm = collision_margin
-    return bm, cm
+        collision_margin = spec.collision_margin
+    if collision_margin is None:
+        return DEFAULT_MARGIN_FRACTION * domain.diameter
+    return collision_margin
 
 
 def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
-            config: Configuration, boundary_margin: float | None = None,
-            collision_margin: float | None = None) -> EvaluationResult:
+            config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
     """Interaction minus the full regular-part double sum, with derivatives.
 
     All H(x_j, x_k) come from one ``engine.blocks`` call: leading (j, k) axes,
     j > k blocks mirrored from the (k, j) blocks.  It and ``interaction``
     decide admissibility once, one boundary-distance query per point, with
-    this precedence: CollisionError, then OutsideDomainError (the boundary
-    margin), then AccuracyDegradedError (the engine's ``eval_margin``).
+    this precedence: CollisionError (the collision margin), then the
+    engine's boundary rule, OutsideDomainError for a point not inside and
+    AccuracyDegradedError for a point not more than ``engine.eval_margin``
+    inside.  ``check_admissible`` applies the same rules.
     The gradient block for point m collects lambda_m lambda_k grad_x H(x_m, x_k)
     and lambda_j lambda_m grad_y H(x_j, x_m) over all j, k (diagonal included);
     Hessian blocks assemble the same way from the second-derivative blocks.
@@ -252,10 +250,10 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     lam = strengths.values
     pts = config.points
     n = len(pts)
-    bm, cm = resolve_margins(engine.domain, spec, boundary_margin, collision_margin)
+    cm = resolve_collision_margin(engine.domain, spec, collision_margin)
     inter = interaction(spec, strengths, config, collision_margin=cm)
 
-    ev = engine.blocks(pts, bm)
+    ev = engine.blocks(pts)
     c = np.outer(lam, lam)
     value = inter.value - np.sum(c * ev.value)
     grad = (inter.gradient.reshape(n, 2)

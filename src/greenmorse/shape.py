@@ -300,16 +300,14 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
     The corrector is ``newton_polish``, Levenberg-Marquardt on the perturbed
     gradient.  A corrector failing or needing more than 10 accepted steps
     halves the step; below ``MIN_STEP`` the trace ends, truncated, with a
-    diagnostic.  A grid past the perturbation margin raises
-    PerturbationTooLargeError before any engine is built.
+    diagnostic.  An empty or negative grid (ValueError) or one past the
+    perturbation margin (PerturbationTooLargeError) raises before any build.
     """
     grid = sorted(set(float(e) for e in eps_grid))
-    if any(e < 0 for e in grid):
-        raise ValueError("eps grid must be nonnegative")
-    if grid:
-        check_perturbation_size(domain, field, grid[-1])
-    search = SearchConfig(starts=1, newton_tol=newton_tol,
-                          boundary_margin=0.02, collision_margin=0.02)
+    if not grid or grid[0] < 0:
+        raise ValueError("eps grid must be nonempty and nonnegative")
+    check_perturbation_size(domain, field, grid[-1])
+    search = SearchConfig(starts=1, newton_tol=newton_tol, collision_margin=0.02)
 
     # (eps, configuration, residual, margin, predictor used, corrector iterations)
     rows = []
@@ -318,12 +316,12 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
     res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)))
     hessian, cls = res.hessian, classify(res.hessian)
     eps = 0.0
-    if grid and grid[0] == 0.0:
+    if grid[0] == 0.0:
         rows.append((0.0, x.reshape(-1, 2).copy(), float(np.linalg.norm(res.gradient)),
                      cls.margin, False, 0))
     step = None     # eps step of the next attempt; None right after an accepted rung
     diagnostic = None
-    while grid and eps < grid[-1]:
+    while eps < grid[-1]:
         target = grid[bisect.bisect_right(grid, eps)]
         if step is None:
             step = target - eps

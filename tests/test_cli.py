@@ -129,8 +129,8 @@ def test_perturb_study_writes_the_trace(tmp_path):
 
 
 def test_perturb_study_start_that_does_not_polish(tmp_path):
-    # a vortex closer to the boundary than the search's boundary margin
-    domain, vortex, field = _dipole_inputs(tmp_path, start=[[0.98, 0.0], [-0.5, 0.0]])
+    # a vortex outside the domain
+    domain, vortex, field = _dipole_inputs(tmp_path, start=[[1.2, 0.0], [-0.5, 0.0]])
     out = tmp_path / "out"
     assert cli.main(["perturb-study", domain, vortex, "--field", field,
                      "--eps-grid", "0,0.01", "--out", str(out)]) == 1
@@ -142,7 +142,7 @@ def test_perturb_study_start_that_does_not_polish(tmp_path):
 def test_manifest_config_holds_every_flag(tmp_path):
     # every parsed argument but --out, on the success and the failure path,
     # so that the run can be repeated from its manifest
-    domain, vortex, field = _dipole_inputs(tmp_path, start=[[0.98, 0.0], [-0.5, 0.0]])
+    domain, vortex, field = _dipole_inputs(tmp_path, start=[[1.2, 0.0], [-0.5, 0.0]])
     out = tmp_path / "out"
     assert cli.main(["shape-verify", domain, "--field", field, "--x", "0.25,-0.1",
                      "--y", "0.1,0.35", "--out", str(out)]) == 0
@@ -156,6 +156,19 @@ def test_manifest_config_holds_every_flag(tmp_path):
     assert manifest["config"] == {"domain": domain, "vortex": vortex, "field": field,
                                   "eps_grid": "0,0.01", "equivariant": None, "nodes": 128,
                                   "newton_tol": 1e-10, "svg": False}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--equivariant", "cyclic"], "expected 'kind:order[:axis]'"),
+    (["--eps-grid", "", "--svg"], "eps grid must be nonempty"),
+], ids=["group-without-order", "empty-grid"])
+def test_perturb_study_rejects_malformed_flags(tmp_path, capsys, flags, message):
+    domain, vortex, field = _dipole_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["perturb-study", domain, vortex, "--field", field, *flags,
+                     "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_perturb_study_grid_past_the_margin(tmp_path, capsys):

@@ -102,7 +102,6 @@ def test_equal_pair_has_no_critical_points(disk_engine):
         disk_engine, gm.VortexStrengths([1.0, 1.0]), gm.kirchhoff_routh_interaction(),
         gm.SearchConfig(starts=200, seed=11))
     assert len(report.points) == 0
-    assert report.stats["rejected_inadmissible"] == 200
     assert sum(report.stats["failures_by_reason"].values()) == 200
     # damped Newton with backtracking made 15,802 f_omega calls here
     assert report.stats["evaluations"] <= 15_802
@@ -128,7 +127,7 @@ def test_first_polish_step_is_newton_step(monkeypatch, disk_domain, dipole_setup
     # Hessian margin here is about 6.8e-5
     lam, config, spec = dipole_setup
     engine = gm.build_engine(gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.0025))
-    search = gm.SearchConfig(starts=1, boundary_margin=0.02, collision_margin=0.02)
+    search = gm.SearchConfig(starts=1, collision_margin=0.02)
     f_omega = gm.critical.f_omega
     trials = []
 
@@ -139,7 +138,7 @@ def test_first_polish_step_is_newton_step(monkeypatch, disk_domain, dipole_setup
     monkeypatch.setattr(gm.critical, "f_omega", recording)
     result = gm.newton_polish(engine, lam, spec, config.flat(), search)
     assert result.converged and result.evaluations == len(trials) >= 2
-    res = f_omega(engine, lam, spec, config, 0.02, 0.02)
+    res = f_omega(engine, lam, spec, config, 0.02)
     newton = np.linalg.solve(res.hessian, -res.gradient)
     assert np.linalg.norm(trials[1] - trials[0] - newton) <= 1e-10 * np.linalg.norm(newton)
 
@@ -223,12 +222,12 @@ def test_scrambled_halton_equals_scipy_stream(d, seed):
 
 def _halton_starts_one_by_one(engine, search, n_points):
     """Reference: the starts drawn candidate by candidate, each tested with
-    the exact boundary distance and ``Configuration.min_pair_distance``."""
-    bm = max(search.boundary_margin, engine.eval_margin)
+    ``check_admissible``."""
     pts = engine.domain.boundary._dense[1].point
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     sampler = _ScrambledHalton(2 * n_points, search.seed)
+    spec = gm.kirchhoff_routh_interaction()
     starts = []
     budget = max(200 * search.starts, 4000)
     drawn = 0
@@ -237,9 +236,8 @@ def _halton_starts_one_by_one(engine, search, n_points):
         drawn += len(block)
         for row in block:
             cand = (lo + row.reshape(n_points, 2) * (hi - lo)).reshape(-1)
-            config = gm.Configuration(cand)
-            if (np.all(engine.domain.signed_boundary_distance(config.points) > bm)
-                    and config.min_pair_distance() > search.collision_margin):
+            if gm.check_admissible(engine, spec, gm.Configuration(cand),
+                                   search.collision_margin):
                 starts.append(cand)
                 if len(starts) == search.starts:
                     break
@@ -325,8 +323,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         gm.SearchConfig(newton_tol=1e-4, dedup_radius=1e-4)
     with pytest.raises(ValueError):
-        gm.SearchConfig(boundary_margin=-1.0)
-    with pytest.raises(ValueError):
         gm.SearchConfig(collision_margin=-1.0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         gm.SearchConfig(seed=-1)
@@ -365,11 +361,10 @@ def test_polish_merit_stationary_rules(monkeypatch, gradient, hessian, admissibl
 
 
 def test_polish_from_accuracy_band_is_inadmissible_start(lobed_engine):
-    # inside the search margin, but closer to the boundary than the engine's
+    # inside the domain, but closer to the boundary than the engine's
     # accuracy contract allows
     search = gm.SearchConfig(starts=1)
     dist = 0.7 * lobed_engine.eval_margin
-    assert dist > search.boundary_margin
     start = point_at_distance(lobed_engine.domain, 0.3, dist)
     result = gm.newton_polish(lobed_engine, gm.VortexStrengths([1.0]),
                               gm.zero_interaction(), start, search)

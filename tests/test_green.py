@@ -128,7 +128,7 @@ def test_require_interior_names_first_offending_point(disk_engine, lobed_engine)
 
 
 def test_engine_diagnostics(disk_engine, lobed_integral_engine):
-    assert disk_engine.diagnostics == {"eval_margin": 0.0}
+    assert disk_engine.diagnostics == {"eval_margin": 2e-4}
     diag = lobed_integral_engine.diagnostics
     assert set(diag) == {"condition_estimate", "self_test_error", "eval_margin"}
     assert np.isfinite(diag["condition_estimate"]) and diag["condition_estimate"] >= 1.0

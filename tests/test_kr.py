@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import greenmorse as gm
@@ -156,19 +158,95 @@ def test_strength_validation():
 # admissibility
 # ---------------------------------------------------------------------------
 
-def test_check_admissible_cases(disk_domain):
+def test_check_admissible_cases(disk_engine):
     spec = gm.kirchhoff_routh_interaction()
-    ok = gm.check_admissible(disk_domain, spec,
-                             gm.Configuration([[0.3, 0.0], [-0.3, 0.0]]), 0.1, 0.1)
+    ok = gm.check_admissible(disk_engine, spec,
+                             gm.Configuration([[0.3, 0.0], [-0.3, 0.0]]), 0.1)
     assert ok and not ok.diagnostics
 
-    bad = gm.check_admissible(disk_domain, spec,
-                              gm.Configuration([[0.3, 0.0], [0.3, 1e-8]]), 0.1, 0.1)
+    bad = gm.check_admissible(disk_engine, spec,
+                              gm.Configuration([[0.3, 0.0], [0.3, 1e-8]]), 0.1)
     assert not bad and any("collision" in d for d in bad.diagnostics)
 
-    out = gm.check_admissible(disk_domain, spec,
-                              gm.Configuration([[1.5, 0.0], [0.0, 0.0]]), 0.1, 0.1)
+    out = gm.check_admissible(disk_engine, spec,
+                              gm.Configuration([[1.5, 0.0], [0.0, 0.0]]), 0.1)
     assert not out and any("boundary" in d for d in out.diagnostics)
+
+
+_REFUSALS = (gm.CollisionError, gm.OutsideDomainError, gm.AccuracyDegradedError)
+
+
+def _f_omega_admits(engine, spec, config):
+    # an evaluation the rule admits must not warn (the tests turn warnings
+    # into errors), so a log of 0 inside the contract fails here
+    try:
+        gm.f_omega(engine, gm.VortexStrengths(np.ones(len(config))), spec, config)
+    except _REFUSALS:
+        return False
+    return True
+
+
+# a point drawn at a boundary distance of 0 or eval_margin (the anchor) plus
+# an offset of up to 1 % of the diameter, a hair inside the boundary (where
+# the disk closed form cancels), or deep inside
+_near_edge = st.tuples(st.floats(0.0, TWO_PI), st.sampled_from([0.0, 1.0]),
+                       st.floats(-1.0, 1.0))
+_hairline = st.tuples(st.floats(0.0, TWO_PI), st.just(0.0), st.floats(1e-12, 1e-7))
+_deep = st.tuples(st.floats(0.0, TWO_PI), st.just(None), st.floats(0.2, 0.5))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(draws=st.lists(_near_edge | _hairline | _deep, min_size=1, max_size=3),
+       pair_angle=st.floats(0.0, TWO_PI), pair_scale=st.one_of(st.none(), st.floats(0.5, 1.5)))
+def test_check_admissible_iff_f_omega_admits(disk_engine, lobed_engine, draws, pair_angle,
+                                             pair_scale):
+    # the boundary rule and the collision margin decide all three of
+    # f_omega, check_admissible and the block test of the search starts; a
+    # last point, if drawn, sits about the collision margin from the first
+    spec = gm.kirchhoff_routh_interaction()
+    for engine in (disk_engine, lobed_engine):
+        diameter = engine.domain.diameter
+        cm = gm.kr.DEFAULT_MARGIN_FRACTION * diameter
+        pts = [point_at_distance(engine.domain, t, offset * diameter if anchor is None
+                                 else anchor * engine.eval_margin + 0.01 * offset * diameter)
+               for t, anchor, offset in draws]
+        if pair_scale is not None:
+            pts.append(pts[0] + pair_scale * cm * np.array([np.cos(pair_angle),
+                                                            np.sin(pair_angle)]))
+        config = gm.Configuration(pts)
+        result = gm.check_admissible(engine, spec, config)
+        assert bool(result) == _f_omega_admits(engine, spec, config), result.diagnostics
+        assert bool(result) == (not result.diagnostics)
+        starts_rule = (gm.contains(engine.domain, config.points, engine.eval_margin).all()
+                       and gm.kr.min_pair_distances(config.points) > cm)
+        assert bool(result) == starts_rule
+
+
+def test_boundary_rule_at_the_contract_distance(disk_domain, monkeypatch):
+    # d = eval_margin exactly is refused by f_omega, check_admissible and the
+    # start test alike; the next float beyond it is admitted by all three
+    engine = gm.DiskGreenEngine(disk_domain)
+    monkeypatch.setattr(engine, "eval_margin", 0.25)
+    spec = gm.zero_interaction()
+    for radius, admitted in ((0.75, False), (np.nextafter(0.75, 0.0), True)):
+        config = gm.Configuration([[0.0, 0.0], [radius, 0.0]])
+        assert disk_domain.signed_boundary_distance(config.points)[1] == 1.0 - radius
+        assert bool(gm.check_admissible(engine, spec, config)) is admitted
+        assert _f_omega_admits(engine, spec, config) is admitted
+        assert gm.contains(disk_domain, config.points[1], engine.eval_margin) is admitted
+    with pytest.raises(gm.AccuracyDegradedError):
+        gm.f_omega(engine, gm.VortexStrengths([1.0, 1.0]), spec,
+                   gm.Configuration([[0.0, 0.0], [0.75, 0.0]]))
+    # on the disk's own rule a boundary point is outside, and a point 1e-9
+    # inside, where the closed form's 1 - 2 x.y + |x|^2 |y|^2 rounds to 0, is
+    # outside the accuracy contract
+    disk = gm.build_engine(disk_domain)
+    assert disk.eval_margin == 1e-4 * disk_domain.diameter
+    with pytest.raises(gm.OutsideDomainError):
+        gm.f_omega(disk, gm.VortexStrengths([1.0]), spec, gm.Configuration([[1.0, 0.0]]))
+    with pytest.raises(gm.AccuracyDegradedError):
+        gm.f_omega(disk, gm.VortexStrengths([1.0]), spec,
+                   gm.Configuration([[1.0 - 1e-9, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +310,7 @@ def test_rotation_invariance_zero_spec(disk_engine):
 
 
 @pytest.mark.parametrize("n_points,seed", [(1, 0), (2, 1), (3, 2)])
-def test_gradient_hessian_match_fd(disk_engine, disk_domain, n_points, seed):
+def test_gradient_hessian_match_fd(disk_engine, n_points, seed):
     spec = gm.kirchhoff_routh_interaction() if n_points > 1 else gm.zero_interaction()
     rng = np.random.default_rng(seed)
     lam = gm.VortexStrengths(rng.choice([-1.5, -1.0, 1.0, 2.0], n_points))
@@ -240,7 +318,7 @@ def test_gradient_hessian_match_fd(disk_engine, disk_domain, n_points, seed):
     while checked < 7:
         pts = rng.uniform(-0.55, 0.55, (n_points, 2))
         cfg = gm.Configuration(pts)
-        if not gm.check_admissible(disk_domain, spec, cfg, 0.1, 0.1):
+        if not gm.check_admissible(disk_engine, spec, cfg, 0.1):
             continue
         checked += 1
         res = gm.f_omega(disk_engine, lam, spec, cfg)
@@ -366,7 +444,7 @@ def test_f_omega_raises_outside_domain(disk_engine, lobed_engine):
 
 @pytest.mark.parametrize("point", [[np.nan, 0.1], [np.inf, 0.0]])
 def test_f_omega_rejects_non_finite_point(disk_engine, lobed_engine, point):
-    # a NaN distance is not more than the margin inside
+    # a NaN distance is not inside
     for engine in (disk_engine, lobed_engine):
         with pytest.raises(gm.OutsideDomainError):
             gm.f_omega(engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
@@ -384,13 +462,6 @@ def test_f_omega_raises_on_collision(disk_engine, lobed_engine):
         gm.f_omega(lobed_engine, gm.VortexStrengths([1.0, 1.0, 1.0]),
                    gm.kirchhoff_routh_interaction(),
                    gm.Configuration([[2.0, 0.0], [0.1, 0.0], [0.1, 1e-9]]))
-
-
-def test_f_omega_rejects_negative_boundary_margin(disk_engine, lobed_engine):
-    for engine in (disk_engine, lobed_engine):
-        with pytest.raises(ValueError):
-            gm.f_omega(engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
-                       gm.Configuration([[0.1, 0.0]]), boundary_margin=-0.1)
 
 
 def test_negative_collision_margin_rejected(disk_engine, lobed_engine):

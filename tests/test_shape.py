@@ -316,6 +316,23 @@ def test_continuation_csv_rows(dipole_trace):
     assert len(rows) == len(CONTINUATION_GRID) + 1
 
 
+def test_continuation_of_a_close_pair():
+    # the dipole of a disk of radius 0.036 is 0.035 apart: the corrector's
+    # collision margin of 0.02 admits it, where the search default 0.05 does not
+    R = 0.036
+    a = R * DIPOLE_RADIUS
+    trace = gm.continue_critical_point(gm.DomainSpec(gm.circle(radius=R)),
+                                       gm.cosine_field(3, cutoff_width=0.35 * R),
+                                       [0.0, 0.01 * R, 0.02 * R], [a, 0.0, -a, 0.0],
+                                       gm.VortexStrengths([1.0, -1.0]),
+                                       gm.kirchhoff_routh_interaction())
+    assert not trace.truncated and trace.diagnostic is None
+    assert trace.eps_values == (0.0, 0.01 * R, 0.02 * R)
+    for cfg, res in zip(trace.configurations, trace.residuals):
+        assert 0.02 < np.linalg.norm(cfg[0] - cfg[1]) < 0.05
+        assert res <= 1e-10
+
+
 # a start off the axis whose first corrector run exceeds 10 iterations, so
 # the first step is halved seven times before a rung is accepted
 HALVING_FIELD = ((0.0, 0.0, 0.5), (0.0, 0.7, 0.0, 0.3))
