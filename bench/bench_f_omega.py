@@ -9,7 +9,9 @@ conformal-map engine (the default) and the 256-node Nystrom engine.  The
 Nystrom engine computes every block in the call, so its two rows differ only
 by the Hessian assembly in ``f_omega``.  It also
 times the construction of both engines at 256 nodes (every command but
-``perturb-study``) and 512 nodes (a ``perturb-study`` rung).  Run from the
+``perturb-study``) and 512 nodes (a ``perturb-study`` rung), and of the
+512-node conformal-map engine on an 8:1 ellipse, whose Kerzman-Stein solve
+takes the most GMRES steps of the test domains.  Run from the
 root of a checkout with pytest-benchmark installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_f_omega.py
@@ -62,4 +64,10 @@ def test_f_omega(benchmark, lobed_engine, n, read):
 @pytest.mark.parametrize("nodes", [256, 512])
 def test_build_engine(benchmark, lobed_domain, nodes, backend):
     engine = benchmark(ENGINES[backend], lobed_domain, nodes)
+    assert engine.self_test_error <= 1e-8
+
+
+def test_build_thin_ellipse(benchmark):
+    ellipse = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.125]))
+    engine = benchmark(gm.ConformalGreenEngine, ellipse, 512)
     assert engine.self_test_error <= 1e-8

@@ -10,7 +10,8 @@ command's base Green engine, the one ``build_engine`` selects (null for
 shape-verify, whose engines are rebuilt per rung; on a non-circular domain
 the conformal map's self-test numbers: ``self_test_error``, the largest of
 ``exterior_cauchy_error``, ``centre_image`` and ``solve_residual``, with
-``iterations``, ``dense_fallback`` and ``eval_margin``), the numpy and scipy
+``iterations``, the Kerzman-Stein solve's operator products, and
+``eval_margin``), the numpy and scipy
 versions and the OPENBLAS_NUM_THREADS setting (null if unset).  simulate's
 manifest also has ``stats``: the sum and maximum over the steps of the
 integrator's fixed-point iterations and final update sizes.

@@ -163,18 +163,27 @@ class BoundaryCurve:
         """Over about 512 dense samples: the largest squared chord, and the
         smallest between samples at least ~pi/8 and ~pi/3 apart in parameter.
         Row s - 1 of the scanned array holds |p_i - p_{(i+s) mod ms}|^2 for the
-        cyclic index separations s = 1 ... ms // 2, so it holds every pair."""
+        cyclic index separations s = 1 ... ms // 2, so it holds every pair.  It
+        is built in one contiguous pass per coordinate, each difference squared
+        in place, so an entry rounds as dx * dx + dy * dy does; both far minima
+        read one array of row minima."""
         pts = self._dense[1].point
         sub = pts[:: max(1, len(pts) // 512)]
         ms = len(sub)
-        wrapped = np.concatenate([sub, sub[: ms // 2 + 1]])
-        # [s - 1, c, i]: coordinate c of p_{(i+s) mod ms}, a view of ``wrapped``
-        shifted = np.lib.stride_tricks.sliding_window_view(wrapped, ms, axis=0)[1: ms // 2 + 1]
-        dx = shifted[:, 0] - sub[:, 0]
-        dy = shifted[:, 1] - sub[:, 1]
-        d2 = dx * dx + dy * dy
-        far_pi8 = d2[max(2, int(np.ceil(ms / 16.0))) - 1:].min()
-        far_pi3 = d2[max(2, int(np.ceil(ms / 6.0))) - 1:].min()
+
+        def squared_differences(coord):
+            wrapped = np.concatenate([coord, coord[: ms // 2 + 1]])
+            # [s - 1, i]: the coordinate of p_{(i+s) mod ms}, a view of ``wrapped``
+            diff = np.lib.stride_tricks.sliding_window_view(wrapped, ms)[1: ms // 2 + 1] - coord
+            diff *= diff
+            return diff
+
+        xs, ys = np.ascontiguousarray(sub.T)
+        d2 = squared_differences(xs)
+        d2 += squared_differences(ys)
+        row_min = d2.min(axis=1)
+        far_pi8 = row_min[max(2, int(np.ceil(ms / 16.0))) - 1:].min()
+        far_pi3 = row_min[max(2, int(np.ceil(ms / 6.0))) - 1:].min()
         return float(d2.max()), float(far_pi8), float(far_pi3)
 
     @cached_property

@@ -65,6 +65,16 @@ def dipole_setup():
             gm.kirchhoff_routh_interaction())
 
 
+def polynomial_image(coeffs) -> gm.DomainSpec:
+    """Omega = g(D), g(u) = sum_k coeffs[k] u^k with coeffs[0] = 0 and
+    coeffs[1] = 1, univalent if sum_{k >= 2} k |coeffs[k]| < 1: its boundary
+    g(e^{it}) is a trigonometric polynomial in t, and its Riemann map g^-1
+    takes the boundary point at parameter t to e^{it} exactly."""
+    c = np.asarray(coeffs, dtype=complex)
+    # Re and Im of c_k e^{ikt}: (a cos kt - b sin kt, b cos kt + a sin kt)
+    return gm.DomainSpec(gm.BoundaryCurve(c.real, -c.imag, c.imag, c.real))
+
+
 def point_at_distance(domain, t, dist):
     """The boundary point at parameter t moved ``dist`` inward along the normal
     (outward for dist < 0)."""

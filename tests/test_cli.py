@@ -28,8 +28,7 @@ def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeyp
     diagnostics = gm.build_engine(gm.load_domain(domain)).diagnostics
     # the conformal map's self-test numbers; a fresh build reproduces them
     assert set(diagnostics) == {"self_test_error", "exterior_cauchy_error", "centre_image",
-                                "solve_residual", "iterations", "dense_fallback",
-                                "eval_margin"}
+                                "solve_residual", "iterations", "eval_margin"}
     assert manifest["engine"] == diagnostics
     assert manifest["numpy"] == np.__version__
     assert manifest["scipy"] == scipy.__version__
