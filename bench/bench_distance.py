@@ -4,8 +4,13 @@ Times ``DomainSpec.signed_boundary_distance`` on the lobed domain at
 N in {1, 3, 6, 384} points per query, exact (every point refined) and, at
 N in {3, 6, 384}, screened with ``exact_within`` the lobed 256-node engine's
 ``eval_margin`` (0.05 x diameter, the one boundary threshold an evaluation
-compares), and ``PerturbationField.evaluate`` at N = 64.  Run from the root
-of a checkout with pytest-benchmark installed:
+compares).  Those points are drawn from [-1.1, 1.1]^2, so about half of them
+take the full-resolution path.  Two screened cases hold deep points only,
+which the coarse first level settles: the ``dynamics`` workload's 6-vortex
+ring at r = 0.45, and a 384-point block (128 starts at N = 3) of admissible
+starts more than twice ``eval_margin`` inside.  Last, it times
+``PerturbationField.evaluate`` at N = 64.  Run from the root of a checkout
+with pytest-benchmark installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_distance.py
 
@@ -42,6 +47,21 @@ def test_screened_signed_boundary_distance(benchmark, lobed_domain, n):
     dist = benchmark(lobed_domain.signed_boundary_distance, pts,
                      0.05 * lobed_domain.diameter)
     assert dist.shape == (n,)
+
+
+def _deep_points(domain, case):
+    if case == "ring":
+        theta = 2 * np.pi * np.arange(6) / 6
+        return 0.45 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return gm.sample_interior(domain, 384, 0.1 * domain.diameter, seed=0)
+
+
+@pytest.mark.parametrize("case", ["ring", "starts"])
+def test_deep_signed_boundary_distance(benchmark, lobed_domain, case):
+    pts = _deep_points(lobed_domain, case)
+    margin = 0.05 * lobed_domain.diameter
+    dist = benchmark(lobed_domain.signed_boundary_distance, pts, margin)
+    assert np.all(dist > margin)
 
 
 def test_field_evaluate(benchmark, lobed_domain):

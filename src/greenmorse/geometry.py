@@ -30,6 +30,8 @@ TWO_PI = 2.0 * np.pi
 
 # dense sampling used for distance / winding / self-intersection checks
 _DENSE_MIN = 1024
+# the distance query's first level scans every _COARSE_STRIDE-th dense sample
+_COARSE_STRIDE = 8
 # pointwise tolerance for symmetry-invariance verification
 _SYMMETRY_TOL = 1e-10
 # relative coefficient tolerance of ``as_circle``
@@ -200,23 +202,24 @@ class BoundaryCurve:
         sample.  Every parameter lies within pi/m of one of the m samples and
         |z'| <= hypot(sum_k k (|a_k^x| + |b_k^x|), sum_k k (|a_k^y| + |b_k^y|)),
         so delta is pi/m times that bound, raised by 1e-9 relative to cover
-        the round-off of a scanned distance."""
+        the round-off of a scanned distance.  The same argument bounds the
+        gap of every s-th sample by s * delta."""
         k = np.arange(len(self.cos_x))
         speed_x = np.sum(k * (np.abs(self.cos_x) + np.abs(self.sin_x)))
         speed_y = np.sum(k * (np.abs(self.cos_y) + np.abs(self.sin_y)))
         m = len(self._dense[0])
         return float(np.pi / m * np.hypot(speed_x, speed_y) * (1.0 + 1e-9))
 
-    def _dense_scan(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Parameter of the nearest dense sample of each of the (N, 2) points
-        and the distance to it, two (N,) arrays.  The distance to the curve
-        is at most that distance and at least that distance minus
-        ``_sample_gap``."""
+    def _dense_scan(self, p: np.ndarray, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Parameter of the nearest of every ``stride``-th dense sample to each
+        of the (N, 2) points and the distance to it, two (N,) arrays.  The
+        distance to the curve is at most that distance and at least that
+        distance minus ``stride * _sample_gap``."""
         t, fr = self._dense
-        pts = fr.point
+        pts = fr.point[::stride]
         d2 = (pts[None, :, 0] - p[:, 0, None]) ** 2 + (pts[None, :, 1] - p[:, 1, None]) ** 2
         i = np.argmin(d2, axis=1)
-        return t[i], np.sqrt(d2[np.arange(len(p)), i])
+        return t[::stride][i], np.sqrt(d2[np.arange(len(p)), i])
 
     def _refine(self, p: np.ndarray, coarse_t: np.ndarray,
                 coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +257,11 @@ class BoundaryCurve:
         p = np.asarray(points, dtype=float).reshape(-1, 2)
         return self._refine(p, *self._dense_scan(p))
 
-    def winding_number(self, points) -> np.ndarray:
-        """Winding number of the curve about each of the (N, 2) points, (N,) ints."""
+    def winding_number(self, points, stride: int = 1) -> np.ndarray:
+        """Winding number of the curve about each of the (N, 2) points, (N,)
+        ints: that of the polygon through every ``stride``-th dense sample."""
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        pts = self._dense[1].point
+        pts = self._dense[1].point[::stride]
         ang = np.arctan2(pts[None, :, 1] - p[:, 1, None], pts[None, :, 0] - p[:, 0, None])
         dang = np.diff(ang, axis=1, append=ang[:, :1])
         dang -= TWO_PI * np.rint(dang / TWO_PI)     # each step into [-pi, pi]
@@ -416,17 +420,27 @@ class DomainSpec:
         one point of shape (2,), an (N,) array for points of shape (N, 2).
 
         All points are measured in one batched query.  On a disk the distance
-        is the closed form.  Otherwise every point gets a dense scan and a
+        is the closed form.  Otherwise, when ``exact_within`` is finite, a
+        first level scans every ``_COARSE_STRIDE``-th dense sample, whose gap
+        is delta_c = ``_COARSE_STRIDE * _sample_gap``.  A point whose
+        distance d_c to the nearest of those samples has d_c - delta_c >
+        ``exact_within`` is settled there: it reports d_c - delta_c, a lower
+        bound of its distance, signed by the winding number of the polygon
+        through those samples.  That sign is exact: every curve point z(t)
+        and the polygon point at the same parameter lie in the closed disk
+        of radius delta_c about the nearer sample, which the point is
+        outside, so the straight-line homotopy from the curve to the polygon
+        misses the point.  Every other point gets the full dense scan and
         winding pass, and the Newton refinement of ``nearest_parameter``
         runs only for points that could lie within ``exact_within`` of the
-        boundary: those whose scanned distance minus the curve's
-        ``_sample_gap`` is at most ``exact_within``.  Every other point
-        reports that lower bound, with its sign.  So the sign is always the
-        exact one, a value of magnitude at most ``exact_within`` is the exact
-        distance, and a larger one is no more than the exact distance: for
-        any threshold m <= ``exact_within``, ``d > m`` decides as the exact
-        query does.  The default, ``np.inf``, refines every point.  A point
-        with a non-finite coordinate has distance NaN."""
+        boundary: those whose scanned distance minus ``_sample_gap`` is at
+        most ``exact_within``; the rest report that lower bound, with its
+        sign.  So the sign is always the exact one, a value of magnitude at
+        most ``exact_within`` is the exact distance, and a larger one is no
+        more than the exact distance: for any threshold m <= ``exact_within``,
+        ``d > m`` decides as the exact query does.  The default, ``np.inf``,
+        skips the first level and refines every point.  A point with a
+        non-finite coordinate has distance NaN."""
         if not exact_within >= 0:
             raise ValueError("exact_within must be >= 0")
         pts = np.asarray(points, dtype=float)
@@ -440,12 +454,22 @@ class DomainSpec:
             dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
         else:
             curve = self.boundary
-            coarse_t, coarse = curve._dense_scan(flat)
-            dist = coarse - curve._sample_gap
-            near = np.flatnonzero(dist <= exact_within)
-            if len(near):
-                dist[near] = curve._refine(flat[near], coarse_t[near], coarse[near])[1]
-            dist = np.where(curve.winding_number(flat) == 1, dist, -dist)
+            if exact_within < np.inf:
+                _, coarse = curve._dense_scan(flat, _COARSE_STRIDE)
+                dist = coarse - _COARSE_STRIDE * curve._sample_gap
+                rest = np.flatnonzero(dist <= exact_within)   # not settled
+                dist = np.where(curve.winding_number(flat, _COARSE_STRIDE) == 1, dist, -dist)
+            else:
+                dist = np.empty(len(flat))
+                rest = np.arange(len(flat))
+            if len(rest):
+                p = flat[rest]
+                coarse_t, coarse = curve._dense_scan(p)
+                d = coarse - curve._sample_gap
+                near = np.flatnonzero(d <= exact_within)
+                if len(near):
+                    d[near] = curve._refine(p[near], coarse_t[near], coarse[near])[1]
+                dist[rest] = np.where(curve.winding_number(p) == 1, d, -d)
         return float(dist[0]) if pts.ndim == 1 else dist
 
 
@@ -463,8 +487,9 @@ def contains(domain: DomainSpec, points, margin: float = 0.0):
     a bool for one point of shape (2,), an (N,) bool array for (N, 2).
 
     One ``signed_boundary_distance`` query with ``exact_within=margin``: the
-    answer is that of the exact distance, and only points that could lie
-    within ``margin`` of the boundary are refined."""
+    answer is that of the exact distance.  A point more than ``margin`` plus
+    the coarse gap from every 8th boundary sample is decided there, and only
+    points that could lie within ``margin`` of the boundary are refined."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
     return domain.signed_boundary_distance(points, margin) > margin

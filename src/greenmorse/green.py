@@ -35,10 +35,11 @@ H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
 boundary-distance query for all points and the one rule of where a point
 may be: a point is admissible iff its boundary distance d > ``eval_margin``
 (OutsideDomainError for d <= 0 or NaN, else AccuracyDegradedError).  The
-query passes ``exact_within = eval_margin``, so only points that could lie
-within that distance of the boundary get the exact nearest-point solve; the
-others report a lower bound with the exact sign, and every decision, the
-point named and the message are those of the exact distance.
+query passes ``exact_within = eval_margin``, so a deep point is settled
+from every 8th boundary sample, only points that could lie within that
+distance of the boundary get the exact nearest-point solve, the others
+report a lower bound with the exact sign, and every decision, the point
+named and the message are those of the exact distance.
 ``eval_margin`` is 0.05 * diameter on the conformal and integral engines,
 1e-4 * diameter on the disk (``DiskGreenEngine``).  It computes the j <= k
 blocks.  The integral engine computes all of them with the call, from one
@@ -305,7 +306,11 @@ class _EngineBase:
         query: the boundary rule of every evaluation.  The lowest-index point
         with boundary distance d <= 0 (or NaN) is OutsideDomainError; else the
         point nearest the boundary, if d <= ``eval_margin`` (each engine's
-        accuracy contract), is AccuracyDegradedError."""
+        accuracy contract), is AccuracyDegradedError.  The query is exact
+        within ``eval_margin``: a point farther inside is admitted on a lower
+        bound, from every 8th boundary sample when that bound clears
+        ``eval_margin`` (``DomainSpec.signed_boundary_distance``), so the
+        rule and its messages are those of the exact distance."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         # exact wherever the rule could decide
         dists = self.domain.signed_boundary_distance(pts, self.eval_margin)

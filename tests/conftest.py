@@ -58,6 +58,13 @@ def tilted_domain():
 
 
 @pytest.fixture(scope="session")
+def banana_domain():
+    """x = 1.5 cos t, y = 0.45 + 0.4 sin t + 0.45 cos 2t: a curved, mirror-
+    symmetric domain whose boundary-sample centroid (0, 0.45) lies outside it."""
+    return gm.DomainSpec(gm.BoundaryCurve([0.0, 1.5], [0.0], [0.45, 0.0, 0.45], [0.0, 0.4]))
+
+
+@pytest.fixture(scope="session")
 def dipole_setup():
     a = DIPOLE_RADIUS
     return (gm.VortexStrengths([1.0, -1.0]),

@@ -200,11 +200,11 @@ def test_boundary_map_of_a_polynomial_image_is_exact(name, nodes):
     assert np.max(np.abs(turn - rotation)) <= 1e-14
 
 
-def test_centroid_outside_the_domain_moves_the_map_centre():
+def test_centroid_outside_the_domain_moves_the_map_centre(banana_domain):
     # the banana's boundary-sample centroid (0, 0.45) lies 0.05 outside it;
     # both engines then centre the map and the self-test probes on a grid
     # point deeper inside
-    banana = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.5], [0.0], [0.45, 0.0, 0.45], [0.0, 0.4]))
+    banana = banana_domain
     assert banana.signed_boundary_distance(banana.boundary.centroid) < -0.04
     engine = gm.build_engine(banana, 512)
     reference = gm.IntegralGreenEngine(banana, 512)

@@ -493,6 +493,97 @@ def test_deep_points_skip_the_newton_refinement(domain, seed, exact_within):
     assert np.all(reached[exact <= exact_within])
 
 
+@SCREEN_SETTINGS
+@given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1))
+def test_coarse_level_bounds_and_winds_as_the_curve(domain, seed):
+    # the first level's lower bound holds against a 64x finer sampling, and
+    # wherever every coarse sample is farther than delta_c the coarse
+    # polygon's winding number is the curve's
+    curve = domain.boundary
+    stride = geometry._COARSE_STRIDE
+    delta_c = stride * curve._sample_gap
+    pts = _screen_probes(domain, seed)
+    _, coarse = curve._dense_scan(pts, stride)
+    m = len(curve._dense[0])
+    fine = curve.point(2 * np.pi * np.arange(64 * m) / (64 * m))
+    nearest = np.sqrt(np.min((fine[None, :, 0] - pts[::8, 0, None]) ** 2
+                             + (fine[None, :, 1] - pts[::8, 1, None]) ** 2, axis=1))
+    assert np.all(nearest >= coarse[::8] - delta_c)
+    clear = coarse > delta_c
+    assert clear.sum() >= len(pts) // 2
+    assert np.array_equal(curve.winding_number(pts[clear], stride),
+                          curve.winding_number(pts[clear]))
+
+
+def _dynamics_ring(count=6, radius=0.45):
+    theta = 2 * np.pi * np.arange(count) / count
+    return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def test_deep_ring_settles_on_the_coarse_level(lobed_engine, monkeypatch):
+    # the dynamics ring is decided from every 8th sample: no full-resolution
+    # scan or winding pass, and no Newton refinement
+    curve_type = gm.BoundaryCurve
+    calls = []
+
+    def spy(name):
+        method = getattr(curve_type, name)
+
+        def wrapped(self, p, *args):
+            # the stride a scan or winding pass was given, if any
+            calls.append(name if name == "_refine" else (name, *args))
+            return method(self, p, *args)
+        return wrapped
+
+    for name in ("_dense_scan", "winding_number", "_refine"):
+        monkeypatch.setattr(curve_type, name, spy(name))
+    ring = _dynamics_ring()
+    assert np.array_equal(lobed_engine.require_interior(ring), ring)
+    stride = geometry._COARSE_STRIDE
+    assert calls == [("_dense_scan", stride), ("winding_number", stride)]
+
+
+def test_near_point_beside_deep_ones_keeps_its_exact_distance(lobed_domain, lobed_engine):
+    # in one batch with the deep ring, a point 0.5 eval_margin inside and one
+    # as far outside take the full path and get the exact distance
+    margin = lobed_engine.eval_margin
+    near = np.array([point_at_distance(lobed_domain, 0.7, 0.5 * margin),
+                     point_at_distance(lobed_domain, 2.3, -0.5 * margin)])
+    pts = np.vstack([_dynamics_ring(), near])
+    exact = lobed_domain.signed_boundary_distance(pts)
+    screened = lobed_domain.signed_boundary_distance(pts, margin)
+    assert np.max(np.abs(screened[6:] - exact[6:])) <= 1e-15
+    assert np.all((margin < screened[:6]) & (screened[:6] <= exact[:6]))
+    assert np.array_equal(gm.contains(lobed_domain, pts, margin), exact > margin)
+
+
+def _decision_probes(domain, margin, count, seed):
+    """``count`` points: a fifth uniform over the bounding box padded by 0.5,
+    the rest within 2e-3 of the level sets at 0, +-``margin`` and
+    2 ``margin`` (along the normals)."""
+    rng = np.random.default_rng(seed)
+    dense = domain.boundary._dense[1].point
+    box = rng.uniform(dense.min(axis=0) - 0.5, dense.max(axis=0) + 0.5, (count // 5, 2))
+    level = np.array([0.0, margin, -margin, 2 * margin])
+    offsets = (np.repeat(level, (count - len(box)) // len(level))
+               + rng.uniform(-2e-3, 2e-3, count - len(box)))
+    frame = domain.boundary.frame(rng.uniform(0.0, 2 * np.pi, len(offsets)))
+    return np.vstack([box, frame.point - offsets[:, None] * frame.normal])
+
+
+@pytest.mark.parametrize("name", ["lobed_domain", "tilted_domain", "banana_domain"])
+def test_contains_decides_as_the_exact_distance(name, request):
+    # seeded points straddling the boundary and the engines' eval_margin
+    # decide as the unscreened query does, at both thresholds the program
+    # compares against
+    domain = request.getfixturevalue(name)
+    margin = 0.05 * domain.diameter     # the conformal engine's eval_margin
+    pts = _decision_probes(domain, margin, 5000, seed=17)
+    exact = domain.signed_boundary_distance(pts)
+    for m in (0.0, margin):
+        assert np.array_equal(gm.contains(domain, pts, m), exact > m)
+
+
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------

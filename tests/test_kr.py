@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -309,6 +309,22 @@ def test_rotation_invariance_zero_spec(disk_engine):
     assert abs(val - base) <= 1e-10
 
 
+def _central_differences(engine, lam, spec, flat, h):
+    """Central differences of the value and the gradient of f_omega at the
+    flat configuration ``flat``, with step h in each coordinate."""
+    n = len(flat)
+    fd_g = np.zeros(n)
+    fd_h = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        rp = gm.f_omega(engine, lam, spec, gm.Configuration((flat + e).reshape(-1, 2)))
+        rm = gm.f_omega(engine, lam, spec, gm.Configuration((flat - e).reshape(-1, 2)))
+        fd_g[i] = (rp.value - rm.value) / (2 * h)
+        fd_h[i] = (rp.gradient - rm.gradient) / (2 * h)
+    return fd_g, fd_h
+
+
 @pytest.mark.parametrize("n_points,seed", [(1, 0), (2, 1), (3, 2)])
 def test_gradient_hessian_match_fd(disk_engine, n_points, seed):
     spec = gm.kirchhoff_routh_interaction() if n_points > 1 else gm.zero_interaction()
@@ -322,19 +338,10 @@ def test_gradient_hessian_match_fd(disk_engine, n_points, seed):
             continue
         checked += 1
         res = gm.f_omega(disk_engine, lam, spec, cfg)
-        flat = cfg.flat()
         errs_g = []
         errs_h = []
         for h in (1e-4, 5e-5):
-            fd_g = np.zeros(2 * n_points)
-            fd_h = np.zeros((2 * n_points, 2 * n_points))
-            for i in range(2 * n_points):
-                e = np.zeros(2 * n_points)
-                e[i] = h
-                rp = gm.f_omega(disk_engine, lam, spec, gm.Configuration((flat + e).reshape(-1, 2)))
-                rm = gm.f_omega(disk_engine, lam, spec, gm.Configuration((flat - e).reshape(-1, 2)))
-                fd_g[i] = (rp.value - rm.value) / (2 * h)
-                fd_h[i] = (rp.gradient - rm.gradient) / (2 * h)
+            fd_g, fd_h = _central_differences(disk_engine, lam, spec, cfg.flat(), h)
             errs_g.append(np.max(np.abs(fd_g - res.gradient)))
             errs_h.append(np.max(np.abs(fd_h - res.hessian)))
         scale_g = max(np.max(np.abs(res.gradient)), 1.0)
@@ -344,6 +351,54 @@ def test_gradient_hessian_match_fd(disk_engine, n_points, seed):
         # halving the step shrinks the mismatch about 4x (order 2)
         if errs_g[0] > 1e-11 * scale_g:
             assert errs_g[1] <= 0.4 * errs_g[0]
+
+
+LOBED_SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+# a vortex on the lobed domain: polar angle, radius (the boundary lies at
+# radius 0.95 or more, eval_margin about 0.1 inside it) and strength
+_lobed_vortex = st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, 0.8),
+                          st.sampled_from([-1.5, -1.0, 1.0, 2.0]))
+
+
+def _lobed_configuration(vortices):
+    angle, radius, lam = np.array(vortices).T
+    pts = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return gm.VortexStrengths(lam), gm.Configuration(pts)
+
+
+@LOBED_SETTINGS
+@given(vortices=st.lists(_lobed_vortex, min_size=1, max_size=3))
+def test_gradient_hessian_match_fd_on_lobed_engine(lobed_engine, vortices):
+    # the engine the search and the dynamics use, at the disk test's tolerances
+    lam, cfg = _lobed_configuration(vortices)
+    spec = gm.kirchhoff_routh_interaction() if len(cfg) > 1 else gm.zero_interaction()
+    assume(gm.check_admissible(lobed_engine, spec, cfg, 0.1))
+    # every difference step stays beyond the contract distance
+    assume(gm.contains(lobed_engine.domain, cfg.points, lobed_engine.eval_margin + 1e-3).all())
+    res = gm.f_omega(lobed_engine, lam, spec, cfg)
+    fd_g, fd_h = _central_differences(lobed_engine, lam, spec, cfg.flat(), 1e-4)
+    scale_g = max(np.max(np.abs(res.gradient)), 1.0)
+    scale_h = max(np.max(np.abs(res.hessian)), 1.0)
+    assert np.max(np.abs(fd_g - res.gradient)) <= 1e-6 * scale_g
+    assert np.max(np.abs(fd_h - res.hessian)) <= 1e-5 * scale_h
+
+
+@LOBED_SETTINGS
+@given(vortices=st.lists(_lobed_vortex, min_size=3, max_size=3),
+       perm=st.permutations(range(3)))
+def test_relabeling_invariance_on_lobed_engine(lobed_engine, vortices, perm):
+    lam, cfg = _lobed_configuration(vortices)
+    spec = gm.kirchhoff_routh_interaction()
+    assume(gm.check_admissible(lobed_engine, spec, cfg, 0.1))
+    perm = list(perm)
+    res = gm.f_omega(lobed_engine, lam, spec, cfg)
+    moved = gm.f_omega(lobed_engine, gm.VortexStrengths(lam.values[perm]), spec,
+                       gm.Configuration(cfg.points[perm]))
+    assert abs(moved.value - res.value) <= 1e-12 * max(abs(res.value), 1.0)
+    grad = res.gradient.reshape(-1, 2)[perm]
+    assert np.max(np.abs(moved.gradient.reshape(-1, 2) - grad)) <= 1e-12 * max(
+        np.max(np.abs(grad)), 1.0)
 
 
 @pytest.mark.parametrize("n_points", [1, 2, 3, 6])
