@@ -1,31 +1,31 @@
 """Command-line harness: reproducible runs with machine-readable outputs.
 
 Exit codes: 0 success, 1 quantitative (tolerance) failure, 2 malformed
-input or validation error.  All randomness flows from explicit --seed flags;
-CSV bodies are formatted at 17 significant digits so identical inputs
+input or validation error.  All randomness flows from --seed flags or fixed
+seeds; CSV bodies are formatted at 17 significant digits so identical inputs
 reproduce byte-identical files.  A run manifest is written last: the
 command, its configuration (every parsed argument but ``--out``, as given, so
-the run can be repeated from it) and outputs, the diagnostics of the
-command's base Green engine, the one ``build_engine`` selects (null for
-shape-verify, whose engines are rebuilt per rung; on a non-circular domain
-the conformal map's self-test numbers: ``self_test_error``, the largest of
-``exterior_cauchy_error``, ``centre_image`` and ``solve_residual``, with
-``iterations``, the Kerzman-Stein solve's operator products, and
-``eval_margin``), the numpy and scipy
-versions and the OPENBLAS_NUM_THREADS setting (null if unset).  simulate's
-manifest also has ``stats``: the sum and maximum over the steps of the
-integrator's fixed-point iterations and final update sizes.
+the run can be repeated from it at the same version) and outputs, the
+diagnostics of the command's base Green engine, the one ``build_engine``
+selects (null for shape-verify, whose engines are rebuilt per rung; on a
+non-circular domain the conformal map's self-test numbers:
+``self_test_error``, the largest of ``exterior_cauchy_error``,
+``centre_image`` and ``solve_residual``, with ``iterations``, the
+Kerzman-Stein solve's operator products, and ``eval_margin``), the numpy and
+scipy versions and the OPENBLAS_NUM_THREADS setting (null if unset).
+simulate's manifest also has ``stats``: the sum and maximum over the steps of
+the integrator's fixed-point iterations and final update sizes.
 
 ``find-critical`` admits points more than the engine's ``eval_margin`` inside
 and ``--collision-margin`` apart.  ``perturb-study`` exits 2, writing no
 trace, on an empty ``--eps-grid`` or an ``--equivariant`` not ``kind:order[:axis]``.
 
 ``green-check`` builds the reference Nystrom engine, ``IntegralGreenEngine``,
-next to the one ``build_engine`` selects.  It compares the Nystrom engine
-with the disk closed form on a circle, and elsewhere the conformal-map engine
-with the Nystrom engine, and checks symmetry, harmonicity and the harmonic
-measure of both.  No command imports ``scipy.linalg`` except ``green-check``,
-through the Nystrom engine.
+next to the one ``build_engine`` selects.  On 10 seeded interior point pairs
+it compares the Nystrom engine with the disk closed form on a circle, and
+elsewhere the conformal-map engine with the Nystrom engine, and checks
+symmetry, harmonicity and the harmonic measure of both.  No command imports
+``scipy.linalg`` except ``green-check``, through the Nystrom engine.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .critical import (
 from .dynamics import DynamicsConfig, Trajectory, integrate
 from .errors import DiscretizationFailureError, GreenMorseError
 from .geometry import (
-    DomainSpec,
     SymmetryGroup,
     equivariant_project,
     load_domain,
@@ -67,6 +66,9 @@ _PASS_TOL_SYMMETRY = 1e-7
 _PASS_TOL_TRACE = 1e-7
 _PASS_TOL_HARMONIC = 1e-6
 _PASS_TOL_NORMALIZATION = 1e-8
+# green-check compares the engines on this many seeded interior point pairs
+_CHECK_PAIRS = 10
+_CHECK_SEED = 20
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -102,11 +104,6 @@ def _parse_group(text: str) -> SymmetryGroup:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-def _sample_pairs(domain: DomainSpec, count: int, margin: float, seed: int = 20):
-    pts = sample_interior(domain, 2 * count, margin, seed)
-    return [(pts[2 * i], pts[2 * i + 1]) for i in range(count)]
-
 
 def _agreement(engine, reference, pairs) -> tuple:
     """Largest relative differences of ``engine`` from ``reference`` over the
@@ -151,7 +148,8 @@ def cmd_green_check(args, out: Path):
     add("construction_self_test", integral.self_test_error, 1e-8)
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
-    pairs = _sample_pairs(domain, args.points, margin)
+    pts = sample_interior(domain, 2 * _CHECK_PAIRS, margin, _CHECK_SEED)
+    pairs = list(zip(pts[0::2], pts[1::2]))
     # the disk oracle checks the integral engine; elsewhere the integral
     # engine is the reference for the conformal-map default
     if domain.is_disk():
@@ -194,8 +192,7 @@ def cmd_find_critical(args, out: Path):
     search = SearchConfig(
         starts=args.starts, seed=args.seed,
         collision_margin=args.collision_margin,
-        newton_tol=args.newton_tol,
-        dedup_radius=args.dedup_radius)
+        newton_tol=args.newton_tol)
     report = find_critical_points(engine, strengths, spec, search)
     _write_json(out / "report.json", report_to_dict(report))
     _write_csv(out / "critical_points.csv", report_csv_rows(report))
@@ -263,9 +260,8 @@ def cmd_perturb_study(args, out: Path):
         _write_json(out / "trace.json",
                     {"error": f"start configuration did not polish: {polish.failure}"})
         return 1, ["trace.json"], engine, None
-    trace = continue_critical_point(domain, field, grid, polish.configuration,
-                                    strengths, spec, nodes=args.nodes,
-                                    newton_tol=args.newton_tol)
+    trace = continue_critical_point(engine, field, grid, polish.configuration,
+                                    strengths, spec, newton_tol=args.newton_tol)
     _write_csv(out / "trace.csv", trace.csv_rows())
     _write_json(out / "trace.json", {
         "eps": list(trace.eps_values),
@@ -288,8 +284,7 @@ def cmd_simulate(args, out: Path):
     domain = load_domain(args.domain)
     strengths, config, spec = load_vortex(args.vortex)
     engine = build_engine(domain, args.nodes)
-    dyn = DynamicsConfig(integrator=args.integrator, dt=args.dt,
-                         horizon=args.horizon, solve_tol=args.solve_tol)
+    dyn = DynamicsConfig(integrator=args.integrator, dt=args.dt, horizon=args.horizon)
     trajectory = integrate(engine, strengths, spec, config.flat(), dyn)
     _write_csv(out / "trajectory.csv", trajectory.csv_rows())
     return ((1 if trajectory.truncated else 0), ["trajectory.csv"], engine,
@@ -311,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green-check", help="run Green engine oracle and property checks")
     p.add_argument("domain")
     p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--points", type=int, default=10)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_green_check)
 
@@ -323,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--newton-tol", type=float, default=1e-10)
     p.add_argument("--collision-margin", type=float, default=0.05)
-    p.add_argument("--dedup-radius", type=float, default=1e-6)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_find_critical)
 
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--integrator", choices=["midpoint", "rk4"], default="midpoint")
-    p.add_argument("--solve-tol", type=float, default=1e-13)
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_simulate)

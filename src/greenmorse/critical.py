@@ -42,15 +42,18 @@ DEGENERACY_RATIO = 1e-5
 ORBIT_ALIGNMENT_MIN = 0.999
 # a Newton polish gives up after this many accepted steps
 MAX_ITERATIONS = 60
+# converged points this close, up to a relabelling, are reported once
+DEDUP_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """The settings a search varies; 10 ``newton_tol`` < ``DEDUP_RADIUS``."""
+
     starts: int = 100
     seed: int = 0
     collision_margin: float = 0.05
     newton_tol: float = 1e-10
-    dedup_radius: float = 1e-6
 
     def __post_init__(self):
         if self.starts < 1:
@@ -61,8 +64,8 @@ class SearchConfig:
             raise ValueError("newton_tol must be positive")
         if self.collision_margin < 0:
             raise ValueError("collision_margin must be >= 0")
-        if self.dedup_radius <= 10.0 * self.newton_tol:
-            raise ValueError("dedup_radius must exceed the tolerance-scale displacement")
+        if not 10.0 * self.newton_tol < DEDUP_RADIUS:
+            raise ValueError("newton_tol must stay below DEDUP_RADIUS / 10")
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,8 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
                   x0, search: SearchConfig) -> PolishResult:
     """Levenberg-Marquardt iteration on g = grad f_omega, kept admissible by f_omega.
 
-    Each accepted iterate takes one eigendecomposition of the symmetrised
-    Hessian, H = Q diag(lam) Q^T.  A trial step is
+    Each accepted iterate takes one eigendecomposition of the Hessian, which
+    ``f_omega`` returns exactly symmetric, H = Q diag(lam) Q^T.  A trial step is
     p(mu) = -(H^2 + mu I)^-1 H g = -Q (lam / (lam^2 + mu)) Q^T g, so a rejected
     trial needs no new factorisation, and mu = 0 gives the Newton step.  mu
     starts at 0; a trial that raises ||g|| or that ``f_omega`` refuses is
@@ -216,8 +219,7 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
             return failed("merit-stationary", gnorm, iterations)
         if iterations == MAX_ITERATIONS:
             return failed("max-iterations", gnorm, iterations)
-        hess = res.hessian
-        lam, Q = np.linalg.eigh(0.5 * (hess + hess.T))
+        lam, Q = np.linalg.eigh(res.hessian)
         qg = Q.T @ res.gradient
         lam2 = lam * lam
         lam2_max = float(lam2.max())
@@ -367,7 +369,7 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
     unique = []
     for result in sorted(found, key=lambda r: tuple(np.round(r.configuration, 12))):
         if not any(_config_distance(result.configuration, u.configuration, perms)
-                   <= search.dedup_radius for u in unique):
+                   <= DEDUP_RADIUS for u in unique):
             unique.append(result)
 
     points = []
@@ -380,7 +382,7 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
             spectrum=cls.spectrum,
             morse_index=cls.morse_index,
             margin=cls.margin,
-            hessian=0.5 * (result.hessian + result.hessian.T),
+            hessian=result.hessian,
         )
         if can_tag:
             try:

@@ -4,7 +4,8 @@ The weighted symplectic form lambda_k dx_k/dt = J grad_{x_k} f (J = rotation
 by +pi/2) makes critical points of the energy exactly the equilibria and
 conserves both the energy and, on disks, the angular impulse
 sum_k lambda_k |x_k - c|^2 about the centre c.  The implicit midpoint rule
-preserves the quadratic impulse up to solver tolerance; both integrators are
+preserves the quadratic impulse up to its fixed-point tolerance
+``SOLVE_TOL``; both integrators are
 order 2 or better in the time step.
 
 The dynamics read only f and grad f, so no ``f_omega`` call here reads a
@@ -17,7 +18,6 @@ and an rk4 step makes 4, three of them in ``velocity``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +25,9 @@ import numpy as np
 from .errors import GreenMorseError, NumericError
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 
-# the midpoint rule's fixed-point iteration gives up after this many steps
+# the midpoint rule's fixed-point iteration stops once an update's max-norm
+# is at most SOLVE_TOL, and gives up after MAX_SOLVER_ITERATIONS steps
+SOLVE_TOL = 1e-13
 MAX_SOLVER_ITERATIONS = 200
 
 
@@ -34,7 +36,6 @@ class DynamicsConfig:
     integrator: str = "midpoint"      # "midpoint" | "rk4"
     dt: float = 1e-3
     horizon: float = 1.0
-    solve_tol: float = 1e-13          # implicit fixed-point tolerance
 
     def __post_init__(self):
         if self.integrator not in ("midpoint", "rk4"):
@@ -43,8 +44,6 @@ class DynamicsConfig:
             raise ValueError("time step must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least one time step")
-        if not (math.isfinite(self.solve_tol) and self.solve_tol > 0):
-            raise ValueError("solve_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,13 @@ class Trajectory:
     hamiltonian: np.ndarray      # (M,)
     angular_impulse: np.ndarray  # (M,)
     rotation_symmetric: bool
-    truncated: bool = False
-    diagnostic: str | None = None
+    diagnostic: str | None = None    # why the run stopped early; None if it did not
     solver_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     solver_updates: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def truncated(self) -> bool:
+        return self.diagnostic is not None
 
     def solver_stats(self) -> dict:
         """Sum and maximum of the per-step solver iterations and final updates."""
@@ -118,7 +120,6 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
     impulses = []
     iterations = []
     updates = []
-    truncated = False
     diagnostic = None
 
     def observables(flat):
@@ -147,22 +148,18 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
                 solved, delta = 0, 0.0
             else:
                 mid = state + 0.5 * dt * v
-                converged = False
                 for solved in range(1, MAX_SOLVER_ITERATIONS + 1):
                     new_mid = state + 0.5 * dt * _velocity_flat(engine, strengths, spec, mid)
                     delta = float(np.max(np.abs(new_mid - mid)))
                     mid = new_mid
-                    if delta <= config.solve_tol:
-                        converged = True
+                    if delta <= SOLVE_TOL:
                         break
-                if not converged:
-                    truncated = True
+                else:
                     diagnostic = f"implicit solve stalled at step {step}"
                     break
                 state = 2.0 * mid - state
             h, imp, v = observables(state)
         except GreenMorseError as exc:
-            truncated = True
             diagnostic = f"step {step}: {exc}"
             break
         times.append(step * dt)
@@ -173,8 +170,7 @@ def integrate(engine, strengths: VortexStrengths, spec: InteractionSpec,
         updates.append(delta)
 
     return Trajectory(np.array(times), np.array(states), np.array(energies),
-                      np.array(impulses), engine.domain.is_disk(),
-                      truncated, diagnostic,
+                      np.array(impulses), engine.domain.is_disk(), diagnostic,
                       np.array(iterations, dtype=int), np.array(updates, dtype=float))
 
 

@@ -426,7 +426,8 @@ class DomainSpec:
         distance d_c to the nearest of those samples has d_c - delta_c >
         ``exact_within`` is settled there: it reports d_c - delta_c, a lower
         bound of its distance, signed by the winding number of the polygon
-        through those samples.  That sign is exact: every curve point z(t)
+        through those samples, which is computed for settled points only.
+        That sign is exact: every curve point z(t)
         and the polygon point at the same parameter lie in the closed disk
         of radius delta_c about the nearer sample, which the point is
         outside, so the straight-line homotopy from the curve to the polygon
@@ -458,7 +459,11 @@ class DomainSpec:
                 _, coarse = curve._dense_scan(flat, _COARSE_STRIDE)
                 dist = coarse - _COARSE_STRIDE * curve._sample_gap
                 rest = np.flatnonzero(dist <= exact_within)   # not settled
-                dist = np.where(curve.winding_number(flat, _COARSE_STRIDE) == 1, dist, -dist)
+                if len(rest) < len(flat):
+                    # a slice, not a mask, when every point is settled: no copies
+                    settled = dist > exact_within if len(rest) else slice(None)
+                    wound = curve.winding_number(flat[settled], _COARSE_STRIDE) == 1
+                    dist[settled] = np.where(wound, dist[settled], -dist[settled])
             else:
                 dist = np.empty(len(flat))
                 rest = np.arange(len(flat))

@@ -66,17 +66,14 @@ class Configuration:
     def flat(self) -> np.ndarray:
         return self.points.reshape(-1)
 
-    def min_pair_distance(self) -> float:
-        if len(self.points) < 2:
-            return np.inf
-        return float(min_pair_distances(self.points))
-
 
 def min_pair_distances(points) -> np.ndarray:
     """Smallest distance between two of the N points of each configuration in
     a (..., N, 2) stack, shape (...); inf where N < 2."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[-2]
+    if n < 2:
+        return np.full(pts.shape[:-2], np.inf)
     d = pts[..., :, None, :] - pts[..., None, :, :]
     r2 = (d[..., 0] ** 2 + d[..., 1] ** 2).reshape(pts.shape[:-2] + (n * n,))
     r2[..., :: n + 1] = np.inf      # the diagonal, j = k
@@ -181,7 +178,7 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
         margin = spec.collision_margin if spec.collision_margin is not None else 1e-12
     if margin < 0:
         raise ValueError("collision margin must be >= 0")
-    gap = config.min_pair_distance()
+    gap = float(min_pair_distances(pts))
     if gap <= margin:
         raise CollisionError(
             f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
@@ -207,7 +204,7 @@ def check_admissible(engine, spec: InteractionSpec, config: Configuration,
         engine.require_interior(config.points)
     except (OutsideDomainError, AccuracyDegradedError) as exc:
         diagnostics.append(f"boundary: {exc}")
-    gap = config.min_pair_distance()
+    gap = float(min_pair_distances(config.points))
     if gap <= cm:
         diagnostics.append(f"collision: min pair distance {gap:.3g} <= {cm:.3g}")
     return AdmissibilityResult(not diagnostics, tuple(diagnostics))

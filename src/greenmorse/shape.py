@@ -267,8 +267,11 @@ class ContinuationTrace:
     margins: tuple              # min |Hessian eigenvalue| per rung
     predictor_used: tuple       # bool per rung
     corrector_iterations: tuple
-    truncated: bool
-    diagnostic: str | None
+    diagnostic: str | None      # why the trace ended early; None if it did not
+
+    @property
+    def truncated(self) -> bool:
+        return self.diagnostic is not None
 
     def csv_rows(self):
         n = len(self.configurations[0]) if self.configurations else 0
@@ -286,33 +289,37 @@ class ContinuationTrace:
         return rows
 
 
-def continue_critical_point(domain: DomainSpec, field: PerturbationField,
-                            eps_grid, start_configuration, strengths: VortexStrengths,
-                            spec: InteractionSpec, *, nodes: int = 256,
+def continue_critical_point(engine, field: PerturbationField, eps_grid,
+                            start_configuration, strengths: VortexStrengths,
+                            spec: InteractionSpec, *,
                             newton_tol: float = 1e-10) -> ContinuationTrace:
     """Track a critical point along the perturbation family eps -> Omega_eps.
 
-    Each accepted rung stores the continued configuration, its gradient
-    residual and the Hessian non-degeneracy margin; an eps = 0 grid point
-    stores the start.  Each rung is classified once and, unless its margin
-    sits below the degeneracy threshold, gives one predictor direction
-    H^-1 (-dGradF): an attempt at eps + d starts from x + direction * d.
-    The corrector is ``newton_polish``, Levenberg-Marquardt on the perturbed
-    gradient.  A corrector failing or needing more than 10 accepted steps
-    halves the step; below ``MIN_STEP`` the trace ends, truncated, with a
-    diagnostic.  An empty or negative grid (ValueError) or one past the
-    perturbation margin (PerturbationTooLargeError) raises before any build.
+    ``engine`` is the caller's engine on Omega_0 = ``engine.domain``; each
+    later rung builds one with ``engine.node_count`` nodes on
+    ``apply_perturbation(engine.domain, field, eps)``.  Each accepted rung
+    stores the continued configuration, its gradient residual and the
+    Hessian non-degeneracy margin; an eps = 0 grid point stores the start.
+    Each rung is classified once and, unless its margin sits below the
+    degeneracy threshold, gives one predictor direction H^-1 (-dGradF): an
+    attempt at eps + d starts from x + direction * d.  The corrector is
+    ``newton_polish``, Levenberg-Marquardt on the perturbed gradient.  A
+    corrector failing or needing more than 10 accepted steps halves the
+    step; below ``MIN_STEP`` the trace ends, truncated, with a diagnostic.
+    An empty or negative grid (ValueError) or one past the perturbation
+    margin (PerturbationTooLargeError) raises before any rung is built.
     """
     grid = sorted(set(float(e) for e in eps_grid))
     if not grid or grid[0] < 0:
         raise ValueError("eps grid must be nonempty and nonnegative")
+    # ``engine`` moves on with the accepted rungs; every rung perturbs Omega_0
+    domain, nodes = engine.domain, engine.node_count
     check_perturbation_size(domain, field, grid[-1])
     search = SearchConfig(starts=1, newton_tol=newton_tol, collision_margin=0.02)
 
     # (eps, configuration, residual, margin, predictor used, corrector iterations)
     rows = []
     x = np.asarray(start_configuration, dtype=float).reshape(-1).copy()
-    engine = build_engine(domain, nodes)
     res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)))
     hessian, cls = res.hessian, classify(res.hessian)
     eps = 0.0
@@ -357,4 +364,4 @@ def continue_critical_point(domain: DomainSpec, field: PerturbationField,
                           f"targeting {target:.6g}: {failure}")
             break
     columns = tuple(zip(*rows)) or ((),) * 6
-    return ContinuationTrace(*columns, diagnostic is not None, diagnostic)
+    return ContinuationTrace(*columns, diagnostic)

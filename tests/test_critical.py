@@ -161,7 +161,7 @@ def test_no_two_report_entries_within_dedup_radius(dipole_report):
     pts = [cp.configuration.flat() for cp in dipole_report.points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert np.linalg.norm(pts[i] - pts[j]) > 1e-6
+            assert np.linalg.norm(pts[i] - pts[j]) > gm.critical.DEDUP_RADIUS
 
 
 def test_doubling_starts_keeps_critical_set(disk_engine):
@@ -320,8 +320,8 @@ def test_detect_orbit_requires_symmetry(lobed_engine, dipole_report):
 def test_search_config_validation():
     with pytest.raises(ValueError):
         gm.SearchConfig(newton_tol=-1.0)
-    with pytest.raises(ValueError):
-        gm.SearchConfig(newton_tol=1e-4, dedup_radius=1e-4)
+    with pytest.raises(ValueError, match="DEDUP_RADIUS"):
+        gm.SearchConfig(newton_tol=gm.critical.DEDUP_RADIUS)
     with pytest.raises(ValueError):
         gm.SearchConfig(collision_margin=-1.0)
     with pytest.raises(ValueError, match="seed must be >= 0"):

@@ -520,9 +520,9 @@ def _dynamics_ring(count=6, radius=0.45):
     return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
-def test_deep_ring_settles_on_the_coarse_level(lobed_engine, monkeypatch):
-    # the dynamics ring is decided from every 8th sample: no full-resolution
-    # scan or winding pass, and no Newton refinement
+def _spy_on_distance_passes(monkeypatch):
+    """Record each distance scan, winding pass and Newton refinement of a
+    boundary curve as (name, point count, stride)."""
     curve_type = gm.BoundaryCurve
     calls = []
 
@@ -530,17 +530,37 @@ def test_deep_ring_settles_on_the_coarse_level(lobed_engine, monkeypatch):
         method = getattr(curve_type, name)
 
         def wrapped(self, p, *args):
-            # the stride a scan or winding pass was given, if any
-            calls.append(name if name == "_refine" else (name, *args))
+            stride = args[0] if args and name != "_refine" else 1
+            calls.append((name, len(p), stride))
             return method(self, p, *args)
         return wrapped
 
     for name in ("_dense_scan", "winding_number", "_refine"):
         monkeypatch.setattr(curve_type, name, spy(name))
+    return calls
+
+
+def test_deep_ring_settles_on_the_coarse_level(lobed_engine, monkeypatch):
+    # the dynamics ring is decided from every 8th sample: no full-resolution
+    # scan or winding pass, and no Newton refinement
+    calls = _spy_on_distance_passes(monkeypatch)
     ring = _dynamics_ring()
     assert np.array_equal(lobed_engine.require_interior(ring), ring)
     stride = geometry._COARSE_STRIDE
-    assert calls == [("_dense_scan", stride), ("winding_number", stride)]
+    assert calls == [("_dense_scan", 6, stride), ("winding_number", 6, stride)]
+
+
+def test_mixed_query_winds_each_point_once(lobed_domain, lobed_engine, monkeypatch):
+    # beside the deep ring, a point 0.5 eval_margin inside takes the full
+    # path alone; the coarse winding pass sees only the settled ring
+    margin = lobed_engine.eval_margin
+    near = point_at_distance(lobed_domain, 0.7, 0.5 * margin)
+    pts = np.vstack([_dynamics_ring(), near])
+    calls = _spy_on_distance_passes(monkeypatch)
+    lobed_domain.signed_boundary_distance(pts, margin)
+    stride = geometry._COARSE_STRIDE
+    assert calls == [("_dense_scan", 7, stride), ("winding_number", 6, stride),
+                     ("_dense_scan", 1, 1), ("_refine", 1, 1), ("winding_number", 1, 1)]
 
 
 def test_near_point_beside_deep_ones_keeps_its_exact_distance(lobed_domain, lobed_engine):

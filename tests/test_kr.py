@@ -476,6 +476,22 @@ def test_hessian_symmetric(disk_engine):
     assert asym <= 1e-10 * max(np.max(np.abs(res.hessian)), 1e-300)
 
 
+def test_f_omega_hessian_is_exactly_symmetric(disk_engine, lobed_engine):
+    # newton_polish and find_critical_points use f_omega's Hessian as it is,
+    # so it is symmetric bit for bit, also when a custom interaction's is not
+    def skewed(points, lam):
+        m = points.size
+        return 0.0, np.zeros(m), np.random.default_rng(m).standard_normal((m, m))
+
+    specs = (gm.kirchhoff_routh_interaction(), gm.custom_interaction(skewed, 1e-6))
+    for engine in (disk_engine, lobed_engine):
+        for n_points in range(1, 7):
+            strengths, config = spread_configuration(n_points, seed=n_points)
+            for spec in specs:
+                H = gm.f_omega(engine, strengths, spec, config).hessian
+                assert np.array_equal(H, H.T)
+
+
 def test_f_omega_raises_outside_domain(disk_engine, lobed_engine):
     with pytest.raises(gm.OutsideDomainError):
         gm.f_omega(disk_engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),

@@ -38,9 +38,9 @@ CONTINUATION_X = (
 
 
 @pytest.fixture(scope="module")
-def dipole_trace(disk_domain, dipole_setup):
+def dipole_trace(disk_engine, dipole_setup):
     lam, config, spec = dipole_setup
-    return gm.continue_critical_point(disk_domain, gm.cosine_field(3),
+    return gm.continue_critical_point(disk_engine, gm.cosine_field(3),
                                       CONTINUATION_GRID, config.flat(), lam, spec)
 
 
@@ -251,9 +251,9 @@ def test_fd_check_ladder_validation(disk_domain):
 # continuation
 # ---------------------------------------------------------------------------
 
-def test_continuation_trivial_grid(disk_domain, dipole_setup):
+def test_continuation_trivial_grid(disk_engine, dipole_setup):
     lam, config, spec = dipole_setup
-    trace = gm.continue_critical_point(disk_domain, gm.cosine_field(3), [0.0],
+    trace = gm.continue_critical_point(disk_engine, gm.cosine_field(3), [0.0],
                                        config.flat(), lam, spec)
     assert trace.eps_values == (0.0,)
     assert_allclose(trace.configurations[0], config.points, atol=1e-14)
@@ -304,7 +304,7 @@ def test_equivariant_continuation_matches(disk_domain, dipole_setup, dipole_trac
     sym = gm.SymmetryGroup("cyclic", 3)
     domain = gm.DomainSpec(gm.unit_circle(), symmetry=sym)
     projected = gm.equivariant_project(gm.cosine_field(3), sym, domain)
-    trace = gm.continue_critical_point(domain, projected, CONTINUATION_GRID,
+    trace = gm.continue_critical_point(gm.build_engine(domain), projected, CONTINUATION_GRID,
                                        config.flat(), lam, spec)
     assert not trace.truncated
     assert_allclose(trace.margins, dipole_trace.margins, rtol=1e-8, atol=1e-14)
@@ -321,7 +321,7 @@ def test_continuation_of_a_close_pair():
     # collision margin of 0.02 admits it, where the search default 0.05 does not
     R = 0.036
     a = R * DIPOLE_RADIUS
-    trace = gm.continue_critical_point(gm.DomainSpec(gm.circle(radius=R)),
+    trace = gm.continue_critical_point(gm.build_engine(gm.DomainSpec(gm.circle(radius=R))),
                                        gm.cosine_field(3, cutoff_width=0.35 * R),
                                        [0.0, 0.01 * R, 0.02 * R], [a, 0.0, -a, 0.0],
                                        gm.VortexStrengths([1.0, -1.0]),
@@ -342,7 +342,7 @@ HALVING_GRID = (0.0, 0.03, 0.08)
 
 def _halving_trace(dipole_setup):
     lam, _, spec = dipole_setup
-    return gm.continue_critical_point(gm.DomainSpec(gm.unit_circle()),
+    return gm.continue_critical_point(gm.build_engine(gm.DomainSpec(gm.unit_circle())),
                                       gm.normal_field(*HALVING_FIELD), HALVING_GRID,
                                       HALVING_START, lam, spec)
 
@@ -357,11 +357,11 @@ def test_continuation_halves_the_step(dipole_setup):
         assert res <= 1e-10
 
 
-def test_continuation_truncates_with_a_diagnostic(disk_domain):
+def test_continuation_truncates_with_a_diagnostic(disk_engine):
     # three equal vortices: the corrector fails from every step down to
     # MIN_STEP, the last run at a stationary point of its merit
     start = [[0.5, 0.0], [-0.25, 0.43], [-0.25, -0.43]]
-    trace = gm.continue_critical_point(disk_domain, gm.cosine_field(4), [0.0, 0.1], start,
+    trace = gm.continue_critical_point(disk_engine, gm.cosine_field(4), [0.0, 0.1], start,
                                        gm.VortexStrengths([1.0, 1.0, 1.0]),
                                        gm.kirchhoff_routh_interaction())
     assert trace.truncated
@@ -371,9 +371,10 @@ def test_continuation_truncates_with_a_diagnostic(disk_domain):
 
 
 def test_continuation_classifies_and_predicts_once_per_rung(monkeypatch, dipole_setup):
-    # one classification per accepted rung (the start included) and one
-    # dGradF for each rung that is stepped from with the predictor
-    calls = {"dGradF_shape": 0, "classify": 0}
+    # one classification per accepted rung (the start included), one
+    # dGradF for each rung that is stepped from with the predictor, and one
+    # engine build per corrector attempt: the start uses the caller's engine
+    calls = {"dGradF_shape": 0, "classify": 0, "build_engine": 0}
     for name in calls:
         original = getattr(shape, name)
 
@@ -384,17 +385,17 @@ def test_continuation_classifies_and_predicts_once_per_rung(monkeypatch, dipole_
         monkeypatch.setattr(shape, name, counted)
     trace = _halving_trace(dipole_setup)
     assert len(trace.eps_values) == 4
-    assert calls == {"dGradF_shape": 3, "classify": 4}
+    assert calls == {"dGradF_shape": 3, "classify": 4, "build_engine": 10}
 
 
-def test_continuation_past_the_margin_fails_before_any_build(monkeypatch, disk_domain,
+def test_continuation_past_the_margin_fails_before_any_build(monkeypatch, disk_engine,
                                                              dipole_setup):
     # the margin of the unit disk is 0.15 and sup |cos 3t| = 1: the grid's end,
-    # 0.2, is refused before the rungs below it are computed
+    # 0.2, is refused before any rung's engine is built
     lam, config, spec = dipole_setup
     builds = []
     monkeypatch.setattr(shape, "build_engine", lambda *a, **k: builds.append(a))
     with pytest.raises(gm.PerturbationTooLargeError):
-        gm.continue_critical_point(disk_domain, gm.cosine_field(3), [0.0, 0.05, 0.1, 0.2],
+        gm.continue_critical_point(disk_engine, gm.cosine_field(3), [0.0, 0.05, 0.1, 0.2],
                                    config.flat(), lam, spec)
     assert builds == []
