@@ -7,7 +7,8 @@ rejected search trial use) and once also reading ``.hessian`` (what an
 accepted search step and the Morse classification use), on the 256-node
 conformal-map engine (the default) and the 256-node Nystrom engine.  The
 Nystrom engine computes every block in the call, so its two rows differ only
-by the Hessian assembly in ``f_omega``.  It also
+by the Hessian assembly in ``f_omega``; each of its evaluations factorises
+the Dirichlet matrix anew (``lu_solve`` is one numpy LU solve).  It also
 times the construction of both engines at 256 nodes (every command but
 ``perturb-study``) and 512 nodes (a ``perturb-study`` rung), and of the
 512-node conformal-map engine on an 8:1 ellipse, whose Kerzman-Stein solve

@@ -11,8 +11,8 @@ selects (null for shape-verify, whose engines are rebuilt per rung; on a
 non-circular domain the conformal map's self-test numbers:
 ``self_test_error``, the largest of ``exterior_cauchy_error``,
 ``centre_image`` and ``solve_residual``, with ``iterations``, the
-Kerzman-Stein solve's operator products, and ``eval_margin``), the numpy and
-scipy versions and the OPENBLAS_NUM_THREADS setting (null if unset).
+Kerzman-Stein solve's operator products, and ``eval_margin``), the numpy
+version and the OPENBLAS_NUM_THREADS setting (null if unset).
 simulate's manifest also has ``stats``: the sum and maximum over the steps of
 the integrator's fixed-point iterations and final update sizes.
 
@@ -24,8 +24,10 @@ trace, on an empty ``--eps-grid`` or an ``--equivariant`` not ``kind:order[:axis
 next to the one ``build_engine`` selects.  On 10 seeded interior point pairs
 it compares the Nystrom engine with the disk closed form on a circle, and
 elsewhere the conformal-map engine with the Nystrom engine, and checks
-symmetry, harmonicity and the harmonic measure of both.  No command imports
-``scipy.linalg`` except ``green-check``, through the Nystrom engine.
+symmetry, harmonicity and the harmonic measure of both.  Each engine is read
+in three batched calls: ``blocks`` on the 20 points, ``blocks`` with each
+pair's points exchanged, and the boundary traces at the first point of every
+pair.  Every command runs on numpy alone; none imports scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .critical import (
@@ -48,7 +49,7 @@ from .critical import (
     report_csv_rows,
     report_to_dict,
 )
-from .dynamics import DynamicsConfig, Trajectory, integrate
+from .dynamics import DynamicsConfig, integrate
 from .errors import DiscretizationFailureError, GreenMorseError
 from .geometry import (
     SymmetryGroup,
@@ -58,8 +59,8 @@ from .geometry import (
     sample_interior,
 )
 from .green import IntegralGreenEngine, build_engine
-from .kr import Configuration, f_omega, load_vortex
-from .shape import continue_critical_point, fd_check
+from .kr import load_vortex
+from .shape import CORRECTOR_COLLISION_MARGIN, continue_critical_point, fd_check
 
 _PASS_TOL_ORACLE = 1e-6
 _PASS_TOL_SYMMETRY = 1e-7
@@ -105,28 +106,30 @@ def _parse_group(text: str) -> SymmetryGroup:
 # commands
 # ---------------------------------------------------------------------------
 
-def _agreement(engine, reference, pairs) -> tuple:
-    """Largest relative differences of ``engine`` from ``reference`` over the
-    pairs: H, its gradients, its Hessian blocks, and the boundary trace at
-    the first point."""
-    err_v = err_g = err_h = 0.0
-    for x, y in pairs:
-        a = engine.regular_part(x, y)
-        b = reference.regular_part(x, y)
-        err_v = max(err_v, abs(a.value - b.value) / max(abs(b.value), 1e-12))
-        gscale = max(np.abs(b.grad_x).max(), np.abs(b.grad_y).max(), 1e-12)
-        err_g = max(err_g, np.abs(a.grad_x - b.grad_x).max() / gscale,
-                    np.abs(a.grad_y - b.grad_y).max() / gscale)
-        hscale = max(np.abs(b.hess_xx).max(), np.abs(b.hess_yy).max(),
-                     np.abs(b.hess_xy).max(), 1e-12)
-        err_h = max(err_h,
-                    np.abs(a.hess_xx - b.hess_xx).max() / hscale,
-                    np.abs(a.hess_yy - b.hess_yy).max() / hscale,
-                    np.abs(a.hess_xy - b.hess_xy).max() / hscale)
-    x = pairs[0][0]
-    err_t = np.abs(engine.boundary_normal_derivative(x).values
-                   - reference.boundary_normal_derivative(x).values).max()
-    return err_v, err_g, err_h, err_t
+def _pair_readings(engine, pts) -> tuple:
+    """One engine's readings on the pairs (x, y) = (pts[2i], pts[2i + 1]),
+    each with a leading pair axis, from three batched calls: H(x, y), its
+    first-derivative blocks (grad_x, grad_y) and its second-derivative blocks
+    (hess_xx, hess_yy, hess_xy) from ``blocks(pts)``; H(y, x) from ``blocks``
+    with each pair's points exchanged; and the boundary traces at every x."""
+    first = np.arange(0, len(pts), 2)
+    pair = (first, first + 1)
+    ev = engine.blocks(pts)
+    swapped = engine.blocks(pts.reshape(-1, 2, 2)[:, ::-1].reshape(-1, 2))
+    return (ev.value[pair],
+            np.stack([ev.grad_x[pair], ev.grad_y[pair]], axis=1),
+            np.stack([ev.hess_xx[pair], ev.hess_yy[pair], ev.hess_xy[pair]], axis=1),
+            swapped.value[pair],
+            engine._traces(pts[first])[0])
+
+
+def _relative_error(a, b) -> float:
+    """Largest over the pairs (the leading axis) of max |a - b| / max |b|,
+    the scale floored at 1e-12."""
+    def largest(x):
+        return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+    return float(np.max(largest(a - b) / np.maximum(largest(b), 1e-12)))
 
 
 def cmd_green_check(args, out: Path):
@@ -149,36 +152,30 @@ def cmd_green_check(args, out: Path):
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
     pts = sample_interior(domain, 2 * _CHECK_PAIRS, margin, _CHECK_SEED)
-    pairs = list(zip(pts[0::2], pts[1::2]))
     # the disk oracle checks the integral engine; elsewhere the integral
     # engine is the reference for the conformal-map default
     if domain.is_disk():
-        label, compared, reference = "disk_oracle", integral, engine
-        engines = [("integral", integral), ("disk", engine)]
+        label, engines = "disk_oracle", {"integral": integral, "disk": engine}
+        compared, reference = "integral", "disk"
     else:
-        label, compared, reference = "conformal_vs_integral", engine, integral
-        engines = [("integral", integral), ("conformal", engine)]
+        label, engines = "conformal_vs_integral", {"integral": integral, "conformal": engine}
+        compared, reference = "conformal", "integral"
         for name in ("exterior_cauchy_error", "centre_image", "solve_residual"):
             add(f"conformal_{name}", engine.diagnostics[name], 1e-8)
-    err_v, err_g, err_h, err_t = _agreement(compared, reference, pairs)
-    add(f"{label}_value", err_v, _PASS_TOL_ORACLE)
-    add(f"{label}_gradient", err_g, _PASS_TOL_ORACLE)
-    add(f"{label}_hessian", err_h, _PASS_TOL_ORACLE)
-    add(f"{label}_trace", err_t, _PASS_TOL_TRACE)
+    readings = {name: _pair_readings(checked, pts) for name, checked in engines.items()}
+    a, b = readings[compared], readings[reference]
+    for kind, x, y in zip(("value", "gradient", "hessian"), a[:3], b[:3]):
+        add(f"{label}_{kind}", _relative_error(x, y), _PASS_TOL_ORACLE)
+    add(f"{label}_trace", np.abs(a[-1] - b[-1]).max(), _PASS_TOL_TRACE)
 
-    for label, checked in engines:
-        sym = harm = norm = 0.0
-        for x, y in pairs:
-            a = checked.regular_part(x, y)
-            b = checked.regular_part(y, x)
-            sym = max(sym, abs(a.value - b.value))
-            ratio = abs(np.trace(a.hess_xx)) / max(np.linalg.norm(a.hess_xx), 1e-300)
-            harm = max(harm, ratio)
-            trace = checked.boundary_normal_derivative(x)
-            norm = max(norm, abs(-np.sum(trace.weights * trace.values) - 1.0))
-        add(f"{label}_symmetry", sym, _PASS_TOL_SYMMETRY)
-        add(f"{label}_harmonicity_ratio", harm, _PASS_TOL_HARMONIC)
-        add(f"{label}_harmonic_measure_normalization", norm, _PASS_TOL_NORMALIZATION)
+    for name, (value, _, hessians, reverse, traces) in readings.items():
+        hess_xx = hessians[:, 0]
+        harm = (np.abs(np.trace(hess_xx, axis1=1, axis2=2))
+                / np.maximum(np.linalg.norm(hess_xx, axis=(1, 2)), 1e-300))
+        norm = np.abs(-np.sum(engines[name].weights * traces, axis=1) - 1.0)
+        add(f"{name}_symmetry", np.abs(value - reverse).max(), _PASS_TOL_SYMMETRY)
+        add(f"{name}_harmonicity_ratio", harm.max(), _PASS_TOL_HARMONIC)
+        add(f"{name}_harmonic_measure_normalization", norm.max(), _PASS_TOL_NORMALIZATION)
 
     passed = all(c["passed"] for c in checks)
     _write_json(out / "report.json", {"checks": checks, "passed": passed})
@@ -254,7 +251,8 @@ def cmd_perturb_study(args, out: Path):
         field = equivariant_project(field, group, domain)
     grid = _parse_floats(args.eps_grid)
     engine = build_engine(domain, args.nodes)
-    search = SearchConfig(starts=1, newton_tol=args.newton_tol)
+    search = SearchConfig(starts=1, collision_margin=CORRECTOR_COLLISION_MARGIN,
+                          newton_tol=args.newton_tol)
     polish = newton_polish(engine, strengths, spec, config.flat(), search)
     if not polish.converged:
         _write_json(out / "trace.json",
@@ -377,7 +375,6 @@ def main(argv=None) -> int:
         "outputs": outputs,
         "engine": None if engine is None else engine.diagnostics,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     if stats is not None:

@@ -33,7 +33,7 @@ from .errors import (
     SymmetryMismatchError,
     UndefinedOrbitError,
 )
-from .geometry import DomainSpec, contains, domain_to_dict
+from .geometry import contains, domain_to_dict
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega, min_pair_distances
 
 # a critical point counts as numerically degenerate below this fraction of

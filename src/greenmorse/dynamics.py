@@ -40,10 +40,10 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.integrator not in ("midpoint", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must be at least one time step")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("time step must be positive and finite")
+        if not self.dt <= self.horizon < np.inf:
+            raise ValueError("horizon must be finite and at least one time step")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ of the first two; the third is a reference class, built only by calling it:
   one Kerzman-Stein solve per domain (GMRES, closed by fixed-point sweeps,
   each step one product of an n x n matrix with two columns); its
   derivatives at N points are one (N, n) @ (n, 4) Cauchy product.  No
-  evaluation solves a linear system.  It needs only numpy;
+  evaluation solves a linear system;
 * ``boundary-integral`` (``IntegralGreenEngine``) — a Nystrom discretization
   on the curve's uniform parameter grid, the reference the tests and
   ``green-check`` compare against.  The Dirichlet solve uses a second-kind
@@ -24,10 +24,10 @@ of the first two; the third is a reference class, built only by calling it:
   hypersingular operators; the discrete K' is W^-1 K^T W, W = diag(weights),
   so with the Dirichlet matrix D = K - 1/2 I a trace is the transposed solve
   v = -D^-T (W b) / W.  Derivatives in the source point come from auxiliary
-  right-hand sides solved with the one LU factorization of D; derivatives in
-  the field point differentiate the representation kernel, which is smooth at
-  interior points.  It imports ``scipy.linalg`` when it is built, and solves
-  through the module-level ``lu_solve``.
+  right-hand sides solved with D; derivatives in the field point
+  differentiate the representation kernel, which is smooth at interior
+  points.  It keeps D and solves through the module-level ``lu_solve``, one
+  numpy LU solve per call.
 
 Each engine evaluates H through one path, ``blocks(points)``: every
 H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
@@ -92,12 +92,10 @@ FIXED_POINT_TOL = 2e-15
 PRODUCT_CAP = 100
 
 
-def lu_solve(lu_and_piv, b, trans=0):
-    """``scipy.linalg.lu_solve``, imported on first use so that only the
-    integral engine loads ``scipy.linalg``."""
-    from scipy.linalg import lu_solve as solve
-
-    return solve(lu_and_piv, b, trans=trans)
+def lu_solve(matrix, b, trans=0):
+    """x with matrix x = b, or matrix^T x = b if ``trans``: one LU
+    factorisation and solve (LAPACK gesv through ``np.linalg.solve``)."""
+    return np.linalg.solve(matrix.T if trans else matrix, b)
 
 
 def _kerzman_stein_solve(kernel, rhs) -> tuple:
@@ -422,13 +420,15 @@ class DiskGreenEngine(_EngineBase):
 
 
 class IntegralGreenEngine(_EngineBase):
-    """Nystrom boundary-integral engine on the curve's uniform parameter grid."""
+    """Nystrom boundary-integral engine on the curve's uniform parameter grid.
+    It keeps the Dirichlet matrix D, which each ``lu_solve`` factorises, and
+    builds only if D's exact 1-norm condition number, ``condition_estimate``,
+    is at most CONDITION_LIMIT (it is inf for a singular D, NaN for one with a
+    non-finite entry)."""
 
     backend = "boundary-integral"
 
     def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
-        from scipy.linalg import lapack, lu_factor
-
         super().__init__(domain, n)
         z, nu, kappa, w = self.nodes, self.normals, self.curvatures, self.weights
         # D = K - 1/2 I, K the double-layer kernel -w_j (z_j - z_i).nu_j
@@ -440,15 +440,10 @@ class IntegralGreenEngine(_EngineBase):
         np.fill_diagonal(r2, 1.0)
         bare = (dx * nu[None, :, 0] + dy * nu[None, :, 1]) / r2
         np.fill_diagonal(bare, kappa / 2.0)
-        dirichlet = -(bare * w[None, :]) / TWO_PI - 0.5 * np.eye(n)
-        anorm = np.linalg.norm(dirichlet, 1)
-        if not np.isfinite(anorm):
-            raise DiscretizationFailureError("discrete Dirichlet system has non-finite entries")
-        self._lu_dirichlet = lu_factor(dirichlet, check_finite=False)
-        rcond = lapack.dgecon(self._lu_dirichlet[0], anorm, norm="1")[0]
-        # 1-norm condition estimate of the discrete Dirichlet system
-        self.condition_estimate = 1.0 / max(rcond, 1e-300)
-        if rcond <= 0 or self.condition_estimate > CONDITION_LIMIT:
+        self._dirichlet = -(bare * w[None, :]) / TWO_PI - 0.5 * np.eye(n)
+        # 1-norm condition number of the discrete Dirichlet system
+        self.condition_estimate = float(np.linalg.cond(self._dirichlet, 1))
+        if not self.condition_estimate <= CONDITION_LIMIT:
             raise DiscretizationFailureError(
                 f"discrete Dirichlet system condition estimate "
                 f"{self.condition_estimate:.2e} exceeds {CONDITION_LIMIT:.0e}")
@@ -462,7 +457,7 @@ class IntegralGreenEngine(_EngineBase):
         """Reproduce the boundary data of the harmonic probe Re z^2 inside."""
         z = self.nodes
         data = z[:, 0] ** 2 - z[:, 1] ** 2
-        mu = lu_solve(self._lu_dirichlet, data)
+        mu = lu_solve(self._dirichlet, data)
         centre = _map_centre(self.domain, self.eval_margin)
         probes = []
         for shrink in (0.3, 0.55):
@@ -515,7 +510,7 @@ class IntegralGreenEngine(_EngineBase):
             (2.0 * dx * dy / r2) / r2,
             (2.0 * dy * dy / r2 - 1.0) / r2,
         ], axis=2) / TWO_PI
-        mu = lu_solve(self._lu_dirichlet, columns.reshape(self.node_count, 6 * n_pts))
+        mu = lu_solve(self._dirichlet, columns.reshape(self.node_count, 6 * n_pts))
         # [j, k, c]: moment at field point x_j of density column c for source x_k
         f0, f1, f2 = self._moments(pts, mu).reshape(3, n_pts, n_pts, 6)
         hessians = (
@@ -546,7 +541,7 @@ class IntegralGreenEngine(_EngineBase):
                         nu[:, None, 0] / r2 - 2.0 * dn * d[..., 0] / r2**2,
                         nu[:, None, 1] / r2 - 2.0 * dn * d[..., 1] / r2**2], axis=2) / TWO_PI
         # (1/2 I - K') v = b  <=>  D^T (W v) = -W b
-        sol = lu_solve(self._lu_dirichlet, -w[:, None] * rhs.reshape(self.node_count, -1),
+        sol = lu_solve(self._dirichlet, -w[:, None] * rhs.reshape(self.node_count, -1),
                        trans=1) / w[:, None]
         sol = sol.reshape(self.node_count, len(pts), 3).transpose(1, 0, 2)
         return sol[..., 0], sol[..., 1:]

@@ -44,6 +44,8 @@ _FLOOR = 1e-12
 MIN_STEP = 1e-6
 # fd_check passes when the extrapolated difference matches to this relative error
 FD_RTOL = 1e-5
+# the collision margin of every f_omega call in a continuation, its start included
+CORRECTOR_COLLISION_MARGIN = 0.02
 
 
 def _field_normal_at_nodes(engine, field: PerturbationField) -> np.ndarray:
@@ -303,8 +305,9 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     Each rung is classified once and, unless its margin sits below the
     degeneracy threshold, gives one predictor direction H^-1 (-dGradF): an
     attempt at eps + d starts from x + direction * d.  The corrector is
-    ``newton_polish``, Levenberg-Marquardt on the perturbed gradient.  A
-    corrector failing or needing more than 10 accepted steps halves the
+    ``newton_polish``, Levenberg-Marquardt on the perturbed gradient; it and
+    the start's evaluation keep pairs ``CORRECTOR_COLLISION_MARGIN`` apart.
+    A corrector failing or needing more than 10 accepted steps halves the
     step; below ``MIN_STEP`` the trace ends, truncated, with a diagnostic.
     An empty or negative grid (ValueError) or one past the perturbation
     margin (PerturbationTooLargeError) raises before any rung is built.
@@ -315,12 +318,14 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     # ``engine`` moves on with the accepted rungs; every rung perturbs Omega_0
     domain, nodes = engine.domain, engine.node_count
     check_perturbation_size(domain, field, grid[-1])
-    search = SearchConfig(starts=1, newton_tol=newton_tol, collision_margin=0.02)
+    search = SearchConfig(starts=1, newton_tol=newton_tol,
+                          collision_margin=CORRECTOR_COLLISION_MARGIN)
 
     # (eps, configuration, residual, margin, predictor used, corrector iterations)
     rows = []
     x = np.asarray(start_configuration, dtype=float).reshape(-1).copy()
-    res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)))
+    res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)),
+                  CORRECTOR_COLLISION_MARGIN)
     hessian, cls = res.hessian, classify(res.hessian)
     eps = 0.0
     if grid[0] == 0.0:

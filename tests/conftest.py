@@ -82,6 +82,35 @@ def polynomial_image(coeffs) -> gm.DomainSpec:
     return gm.DomainSpec(gm.BoundaryCurve(c.real, -c.imag, c.imag, c.real))
 
 
+def lin_green(coeffs, points) -> tuple:
+    """H(x_j, x_k) and its gradient in x_j on g(D), g(u) = sum_k coeffs[k] u^k
+    as in ``polynomial_image``, in closed form (C. C. Lin, PNAS 27 (1941)):
+    with x = g(u), y = g(v) and the divided difference Q(u, v) =
+    (g(u) - g(v)) / (u - v), summed termwise so that it is g'(u) at u = v,
+
+        H(x, y) = -(1/2pi) (ln|Q(u, v)| + ln|1 - u conj v|).
+
+    H is Re A with A(u) = -(ln Q + ln(1 - u conj v)) / 2pi, so grad_x H =
+    (Re, -Im) of dA/du / g'(u).  Each point's u comes from Newton's method on
+    g(u) = x, started at u = x.  Returns the (N, N) values and the (N, N, 2)
+    gradients in x_j."""
+    c = np.asarray(coeffs, dtype=complex)
+    poly, deriv = c[::-1], np.polyder(c[::-1])
+    x = points[:, 0] + 1j * points[:, 1]
+    u = x.copy()
+    for _ in range(30):
+        u = u - (np.polyval(poly, u) - x) / np.polyval(deriv, u)
+    assert np.max(np.abs(np.polyval(poly, u) - x)) <= 1e-15
+    uj, vk = u[:, None], u[None, :]
+    q = sum(c[k] * uj**i * vk ** (k - 1 - i) for k in range(1, len(c)) for i in range(k))
+    q_u = sum(c[k] * i * uj ** (i - 1) * vk ** (k - 1 - i)
+              for k in range(2, len(c)) for i in range(1, k))
+    b = 1.0 - uj * np.conj(vk)
+    value = -(np.log(np.abs(q)) + np.log(np.abs(b))) / (2 * np.pi)
+    a_x = -(q_u / q - np.conj(vk) / b) / (2 * np.pi * np.polyval(deriv, uj))
+    return value, np.stack([a_x.real, -a_x.imag], axis=-1)
+
+
 def point_at_distance(domain, t, dist):
     """The boundary point at parameter t moved ``dist`` inward along the normal
     (outward for dist < 0)."""

@@ -6,11 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import greenmorse as gm
 from conftest import DIPOLE_RADIUS
-from greenmorse import cli
+from greenmorse import cli, critical, shape
 
 
 def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeypatch,
@@ -34,7 +33,8 @@ def test_find_critical_manifest_records_engine_and_environment(tmp_path, monkeyp
                                 "solve_residual", "iterations", "eval_margin"}
     assert manifest["engine"] == diagnostics
     assert manifest["numpy"] == np.__version__
-    assert manifest["scipy"] == scipy.__version__
+    # no command imports scipy, so the manifest records no scipy version
+    assert "scipy" not in manifest
     assert manifest["openblas_num_threads"] == "1"
 
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
@@ -75,8 +75,9 @@ def _dipole_inputs(tmp_path, start=None):
 
 
 def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
-    # scipy.linalg was most of the rest of the start-up; only the Nystrom
-    # engine uses it, and imports it when it is built
+    # every command runs on numpy alone: importing the CLI loads no scipy
+    # module, and with scipy made unimportable the five commands and the
+    # Nystrom engine still run
     domain = tmp_path / "lobed.json"
     vortex = tmp_path / "vortex.json"
     gm.save_domain(lobed_domain, domain)
@@ -85,6 +86,7 @@ def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
                    gm.kirchhoff_routh_interaction(), vortex)
     disk, dipole, cos3 = _dipole_inputs(tmp_path)
     commands = [
+        ["green-check", str(domain)],
         ["find-critical", str(domain), str(vortex), "--starts", "4"],
         ["simulate", str(domain), str(vortex), "--dt", "0.01", "--horizon", "0.02"],
         ["perturb-study", disk, dipole, "--field", cos3, "--eps-grid", "0,0.01"],
@@ -93,23 +95,42 @@ def test_commands_do_not_load_scipy_linalg(tmp_path, lobed_domain):
     env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
     code = (
         "import sys, greenmorse.cli as cli\n"
-        "def linalg(): return sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
         f"for i, command in enumerate({commands!r}):\n"
-        f"    code = cli.main(command + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
-        "    print(code, linalg())\n"
+        f"    print(cli.main(command + ['--out', {str(tmp_path)!r} + f'/out{{i}}']))\n"
         "import greenmorse as gm\n"
         f"engine = gm.IntegralGreenEngine(gm.load_domain({str(domain)!r}))\n"
-        "value = engine.regular_part([0.3, 0.1], [-0.2, 0.2]).value\n"
-        "print(engine.self_test_error <= 1e-8, bool(linalg()), repr(value))\n")
+        "print(repr(engine.regular_part([0.3, 0.1], [-0.2, 0.2]).value))\n")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    *ran, built = result.stdout.strip().splitlines()
-    assert ran == ["0 []"] * len(commands)
-    # the lazily imported scipy.linalg serves the integral engine as before
-    ok, loaded, value = built.split()
-    assert ok == "True" and loaded == "True"
+    loaded, *ran, value = result.stdout.strip().splitlines()
+    assert loaded == "[]"
+    assert ran == ["0"] * len(commands)
     reference = gm.IntegralGreenEngine(lobed_domain)
     assert float(value) == reference.regular_part([0.3, 0.1], [-0.2, 0.2]).value
+
+
+def test_perturb_study_keeps_one_collision_margin(tmp_path, monkeypatch):
+    # the start's polish, its evaluation and every corrector step keep pairs
+    # CORRECTOR_COLLISION_MARGIN apart
+    margins = []
+
+    def spy(f_omega):
+        def recording(engine, strengths, spec, config, collision_margin=None):
+            margins.append(collision_margin)
+            return f_omega(engine, strengths, spec, config, collision_margin)
+        return recording
+
+    for module in (critical, shape):
+        monkeypatch.setattr(module, "f_omega", spy(module.f_omega))
+    domain, vortex, field = _dipole_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["perturb-study", domain, vortex, "--field", field,
+                     "--eps-grid", "0,0.01,0.02", "--out", str(out)]) == 0
+    assert len(json.loads((out / "trace.json").read_text(encoding="utf-8"))["eps"]) == 3
+    assert shape.CORRECTOR_COLLISION_MARGIN == 0.02
+    assert len(margins) >= 3 and set(margins) == {0.02}
 
 
 def test_perturb_study_writes_the_trace(tmp_path):
@@ -226,6 +247,18 @@ def _simulate_inputs(tmp_path):
                    gm.Configuration([[0.3, 0.1], [-0.2, -0.3]]),
                    gm.kirchhoff_routh_interaction(), vortex)
     return str(domain), str(vortex)
+
+
+@pytest.mark.parametrize("flag, message", [("--dt", "time step must be positive and finite"),
+                                           ("--horizon", "horizon must be finite")],
+                         ids=["dt", "horizon"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, message, value):
+    # refused by DynamicsConfig before anything is integrated
+    domain, vortex = _simulate_inputs(tmp_path)
+    assert cli.main(["simulate", domain, vortex, flag, value,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_simulate_manifest_records_solver_stats(tmp_path):

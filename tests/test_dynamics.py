@@ -106,3 +106,17 @@ def test_stalled_midpoint_solve_truncates_with_a_diagnostic(monkeypatch, disk_en
     assert traj.truncated
     assert traj.diagnostic == "implicit solve stalled at step 1"
     assert np.array_equal(traj.times, [0.0]) and len(traj.solver_iterations) == 0
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"dt": float("nan")}, "time step"),
+    ({"dt": float("inf")}, "time step"),
+    ({"dt": 0.0}, "time step"),
+    ({"horizon": float("nan")}, "horizon"),
+    ({"horizon": float("inf")}, "horizon"),
+    ({"dt": 0.1, "horizon": 0.05}, "horizon"),
+], ids=["dt-nan", "dt-inf", "dt-zero", "horizon-nan", "horizon-inf", "horizon-below-dt"])
+def test_dynamics_config_rejects_bad_settings(settings, message):
+    # NaN fails every comparison, and an infinite horizon has no step count
+    with pytest.raises(ValueError, match=message):
+        gm.DynamicsConfig(**settings)

@@ -136,6 +136,17 @@ def test_engine_diagnostics(disk_engine, lobed_integral_engine):
     assert diag["eval_margin"] == lobed_integral_engine.eval_margin > 0.0
 
 
+@pytest.mark.parametrize("condition", [2e12, np.inf, np.nan],
+                         ids=["above-the-limit", "singular", "non-finite-entry"])
+def test_integral_engine_refuses_an_ill_conditioned_system(monkeypatch, lobed_domain,
+                                                           condition):
+    # one check: the condition number must be at most CONDITION_LIMIT = 1e12,
+    # which neither inf (a singular D) nor NaN (a non-finite entry) is
+    monkeypatch.setattr(np.linalg, "cond", lambda matrix, p: condition)
+    with pytest.raises(gm.DiscretizationFailureError, match="condition estimate"):
+        gm.IntegralGreenEngine(lobed_domain, 128)
+
+
 # ---------------------------------------------------------------------------
 # boundary-integral backend vs closed form
 # ---------------------------------------------------------------------------
