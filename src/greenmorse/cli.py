@@ -16,9 +16,19 @@ version and the OPENBLAS_NUM_THREADS setting (null if unset).
 simulate's manifest also has ``stats``: the sum and maximum over the steps of
 the integrator's fixed-point iterations and final update sizes.
 
+Every default or choice list that the library holds comes from there:
+``--nodes`` from ``green.DEFAULT_NODES``, the search flags from
+``SearchConfig``, the dynamics flags from ``DynamicsConfig`` and
+``dynamics.INTEGRATORS``, the shape-verify quantities from
+``shape.QUANTITIES`` and green-check's self-test tolerance from
+``green.SELF_TEST_TOL``.
+
 ``find-critical`` admits points more than the engine's ``eval_margin`` inside
-and ``--collision-margin`` apart.  ``perturb-study`` exits 2, writing no
-trace, on an empty ``--eps-grid`` or an ``--equivariant`` not ``kind:order[:axis]``.
+and ``--collision-margin`` apart; a margin that is not >= 0, NaN included,
+exits 2 with ``SearchConfig``'s message.  ``perturb-study`` polishes its
+start and runs the continuation with the one ``shape.corrector_search``.  It
+exits 2, writing no trace, on an empty ``--eps-grid`` or an ``--equivariant``
+not ``kind:order[:axis]``.
 
 ``green-check`` builds the reference Nystrom engine, ``IntegralGreenEngine``,
 next to the one ``build_engine`` selects.  On 10 seeded interior point pairs
@@ -49,7 +59,7 @@ from .critical import (
     report_csv_rows,
     report_to_dict,
 )
-from .dynamics import DynamicsConfig, integrate
+from .dynamics import INTEGRATORS, DynamicsConfig, integrate
 from .errors import DiscretizationFailureError, GreenMorseError
 from .geometry import (
     SymmetryGroup,
@@ -58,9 +68,9 @@ from .geometry import (
     load_field,
     sample_interior,
 )
-from .green import IntegralGreenEngine, build_engine
+from .green import DEFAULT_NODES, SELF_TEST_TOL, IntegralGreenEngine, build_engine
 from .kr import load_vortex
-from .shape import CORRECTOR_COLLISION_MARGIN, continue_critical_point, fd_check
+from .shape import QUANTITIES, continue_critical_point, corrector_search, fd_check
 
 _PASS_TOL_ORACLE = 1e-6
 _PASS_TOL_SYMMETRY = 1e-7
@@ -148,7 +158,7 @@ def cmd_green_check(args, out: Path):
                        "tolerance": None, "passed": False, "detail": str(exc)})
         _write_json(out / "report.json", {"checks": checks, "passed": False})
         return 1, ["report.json"], None, None
-    add("construction_self_test", integral.self_test_error, 1e-8)
+    add("construction_self_test", integral.self_test_error, SELF_TEST_TOL)
 
     margin = max(integral.eval_margin, 0.06 * domain.diameter)
     pts = sample_interior(domain, 2 * _CHECK_PAIRS, margin, _CHECK_SEED)
@@ -161,7 +171,7 @@ def cmd_green_check(args, out: Path):
         label, engines = "conformal_vs_integral", {"integral": integral, "conformal": engine}
         compared, reference = "conformal", "integral"
         for name in ("exterior_cauchy_error", "centre_image", "solve_residual"):
-            add(f"conformal_{name}", engine.diagnostics[name], 1e-8)
+            add(f"conformal_{name}", engine.diagnostics[name], SELF_TEST_TOL)
     readings = {name: _pair_readings(checked, pts) for name, checked in engines.items()}
     a, b = readings[compared], readings[reference]
     for kind, x, y in zip(("value", "gradient", "hessian"), a[:3], b[:3]):
@@ -251,9 +261,8 @@ def cmd_perturb_study(args, out: Path):
         field = equivariant_project(field, group, domain)
     grid = _parse_floats(args.eps_grid)
     engine = build_engine(domain, args.nodes)
-    search = SearchConfig(starts=1, collision_margin=CORRECTOR_COLLISION_MARGIN,
-                          newton_tol=args.newton_tol)
-    polish = newton_polish(engine, strengths, spec, config.flat(), search)
+    polish = newton_polish(engine, strengths, spec, config.flat(),
+                           corrector_search(args.newton_tol))
     if not polish.converged:
         _write_json(out / "trace.json",
                     {"error": f"start configuration did not polish: {polish.failure}"})
@@ -303,30 +312,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green-check", help="run Green engine oracle and property checks")
     p.add_argument("domain")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_green_check)
 
     p = sub.add_parser("find-critical", help="multi-start critical point search")
     p.add_argument("domain")
     p.add_argument("vortex")
-    p.add_argument("--starts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--newton-tol", type=float, default=1e-10)
-    p.add_argument("--collision-margin", type=float, default=0.05)
+    p.add_argument("--starts", type=int, default=SearchConfig.starts)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol)
+    p.add_argument("--collision-margin", type=float, default=SearchConfig.collision_margin)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_find_critical)
 
     p = sub.add_parser("shape-verify", help="validate shape derivatives by finite differences")
     p.add_argument("domain")
     p.add_argument("--field", required=True)
-    p.add_argument("--quantity", choices=["H", "robin", "grad_f"], default="H")
+    p.add_argument("--quantity", choices=QUANTITIES, default="H")
     p.add_argument("--x", default="0.3,0.0")
     p.add_argument("--y", default="0.1,0.2")
     p.add_argument("--vortex", help="vortex file (grad_f quantity)")
     p.add_argument("--eps-ladder", default="1e-2,5e-3,2.5e-3")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_shape_verify)
 
@@ -336,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--eps-grid", default="0,0.0025,0.005,0.01,0.02,0.03,0.04,0.05")
     p.add_argument("--equivariant", help="project the field, e.g. cyclic:3")
-    p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--newton-tol", type=float, default=1e-10)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_perturb_study)
@@ -345,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the point-vortex dynamics")
     p.add_argument("domain")
     p.add_argument("vortex")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--integrator", choices=["midpoint", "rk4"], default="midpoint")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--dt", type=float, default=DynamicsConfig.dt)
+    p.add_argument("--horizon", type=float, default=DynamicsConfig.horizon)
+    p.add_argument("--integrator", choices=INTEGRATORS, default=DynamicsConfig.integrator)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -34,7 +34,14 @@ from .errors import (
     UndefinedOrbitError,
 )
 from .geometry import contains, domain_to_dict
-from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega, min_pair_distances
+from .kr import (
+    Configuration,
+    InteractionSpec,
+    VortexStrengths,
+    check_collision_margin,
+    f_omega,
+    min_pair_distances,
+)
 
 # a critical point counts as numerically degenerate below this fraction of
 # the Hessian spectral norm
@@ -62,8 +69,7 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if self.collision_margin < 0:
-            raise ValueError("collision_margin must be >= 0")
+        check_collision_margin(self.collision_margin)
         if not 10.0 * self.newton_tol < DEDUP_RADIUS:
             raise ValueError("newton_tol must stay below DEDUP_RADIUS / 10")
 
@@ -108,6 +114,14 @@ def classify(hessian: np.ndarray) -> Classification:
     return Classification(spectrum, index, margin)
 
 
+def is_degenerate(spectrum) -> bool:
+    """The degeneracy rule: a Hessian spectrum is numerically degenerate
+    unless min |eigenvalue| > ``DEGENERACY_RATIO`` max(max |eigenvalue|,
+    1e-300), so a NaN spectrum counts as degenerate."""
+    size = np.abs(spectrum)
+    return not size.min() > DEGENERACY_RATIO * max(float(size.max()), 1e-300)
+
+
 def rotation_tangent(points: np.ndarray, center) -> np.ndarray:
     """Unnormalized orbit tangent (J (x_1 - c), ..., J (x_N - c)) of rotations
     about c, J = rotation by +pi/2."""
@@ -120,7 +134,7 @@ def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
 
     The tangent of the orbit under rotations about the domain's rotation
     centre is a candidate Hessian null direction; the point is tagged
-    "rotation-orbit" when the margin is below the degeneracy threshold and
+    "rotation-orbit" when the Hessian is degenerate (``is_degenerate``) and
     the minimal-|eigenvalue| eigenvector aligns with the tangent.
     """
     domain = engine.domain
@@ -136,9 +150,7 @@ def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
     evals, evecs = np.linalg.eigh(H)
     imin = int(np.argmin(np.abs(evals)))
     alignment = float(abs(evecs[:, imin] @ tangent))
-    spectral_norm = float(np.abs(evals).max())
-    degenerate = abs(evals[imin]) <= DEGENERACY_RATIO * max(spectral_norm, 1e-300)
-    if degenerate and alignment >= ORBIT_ALIGNMENT_MIN:
+    if is_degenerate(evals) and alignment >= ORBIT_ALIGNMENT_MIN:
         return "rotation-orbit", alignment
     return "isolated", alignment
 
@@ -308,9 +320,7 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
     to one: one ``contains`` query at the engine's ``eval_margin`` for all
     its points (d > ``eval_margin``, the boundary rule of ``engine.blocks``)
     and the closest-pair distance of every candidate."""
-    pts = engine.domain.boundary._dense[1].point
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo, hi = engine.domain.boundary.bounding_box
     sampler = _ScrambledHalton(2 * n_points, search.seed)
     starts = []
     budget = max(200 * search.starts, 4000)

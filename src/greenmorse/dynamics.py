@@ -29,16 +29,18 @@ from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 # is at most SOLVE_TOL, and gives up after MAX_SOLVER_ITERATIONS steps
 SOLVE_TOL = 1e-13
 MAX_SOLVER_ITERATIONS = 200
+# the integrators DynamicsConfig accepts
+INTEGRATORS = ("midpoint", "rk4")
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    integrator: str = "midpoint"      # "midpoint" | "rk4"
+    integrator: str = "midpoint"      # one of INTEGRATORS
     dt: float = 1e-3
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.integrator not in ("midpoint", "rk4"):
+        if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("time step must be positive and finite")

@@ -197,6 +197,13 @@ class BoundaryCurve:
         return self._dense[1].point.mean(axis=0)
 
     @cached_property
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower-left and upper-right corners (lo, hi) of the box around
+        the dense boundary samples."""
+        pts = self._dense[1].point
+        return pts.min(axis=0), pts.max(axis=0)
+
+    @cached_property
     def _sample_gap(self) -> float:
         """delta: no curve point is farther than this from its nearest dense
         sample.  Every parameter lies within pi/m of one of the m samples and
@@ -509,9 +516,7 @@ def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) ->
     if count <= 0:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
-    pts = domain.boundary._dense[1].point
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo, hi = domain.boundary.bounding_box
     accepted = []
     budget = max(10_000, 2_000 * count)
     drawn = 0

@@ -40,12 +40,12 @@ from every 8th boundary sample, only points that could lie within that
 distance of the boundary get the exact nearest-point solve, the others
 report a lower bound with the exact sign, and every decision, the point
 named and the message are those of the exact distance.
-``eval_margin`` is 0.05 * diameter on the conformal and integral engines,
-1e-4 * diameter on the disk (``DiskGreenEngine``).  It computes the j <= k
-blocks.  The integral engine computes all of them with the call, from one
-solve for 6N right-hand sides, Gamma(., x_k) and its two first and three
-second derivatives in x_k for every source, and one product for the
-moments of orders 0, 1 and 2.  The disk and conformal engines compute the
+``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
+conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
+It computes the j <= k blocks.  The integral engine computes all of them
+with the call, from one solve for 6N right-hand sides, Gamma(., x_k) and its
+two first and three second derivatives in x_k for every source, and one
+product for the moments of orders 0, 1 and 2.  The disk and conformal engines compute the
 value and first-derivative blocks with the call (the conformal engine from
 F and its first three derivatives at the points) and the second-derivative
 blocks on the first read of any of them, from what the call kept; the
@@ -85,6 +85,9 @@ MIN_NODES = 64
 # reproducing a harmonic probe, and the conformal engine on its checks
 SELF_TEST_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+# the accuracy contract of the conformal and integral engines: they evaluate
+# points more than this fraction of the diameter inside
+EVAL_MARGIN_FRACTION = 0.05
 # Kerzman-Stein solve: GMRES stops at this relative residual estimate and the
 # closing fixed-point sweeps at this relative step; past this many products
 # with the operator the build fails
@@ -252,8 +255,7 @@ def _map_centre(domain: DomainSpec, margin: float) -> np.ndarray:
     centroid = domain.boundary.centroid
     if contains(domain, centroid, margin):
         return centroid
-    pts = domain.boundary._dense[1].point
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = domain.boundary.bounding_box
     u = (np.arange(16) + 0.5) / 16
     grid = lo + (hi - lo) * np.stack(np.meshgrid(u, u), axis=-1).reshape(-1, 2)
     return grid[np.argmax(domain.signed_boundary_distance(grid))]
@@ -282,12 +284,15 @@ class _EngineBase:
     """Shared quadrature geometry for every engine."""
 
     backend = "abstract"
+    # ``eval_margin`` is this fraction of the domain diameter
+    _margin_fraction = EVAL_MARGIN_FRACTION
 
     def __init__(self, domain: DomainSpec, n: int):
         if n < MIN_NODES:
             raise ValueError(f"node count must be >= {MIN_NODES}, got {n}")
         self.domain = domain
         self.node_count = n
+        self.eval_margin = self._margin_fraction * domain.diameter
         t = TWO_PI * np.arange(n) / n
         frame = domain.boundary.frame(t)
         d1 = frame.velocity
@@ -355,6 +360,7 @@ class DiskGreenEngine(_EngineBase):
     """
 
     backend = "disk-closed-form"
+    _margin_fraction = 1e-4
 
     def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
         super().__init__(domain, n)
@@ -362,7 +368,6 @@ class DiskGreenEngine(_EngineBase):
         if info is None:
             raise ValueError("DiskGreenEngine requires a circular boundary")
         self.center, self.radius = info
-        self.eval_margin = 1e-4 * domain.diameter
 
     def _reduce(self, points):
         return (points - self.center) / self.radius
@@ -448,7 +453,6 @@ class IntegralGreenEngine(_EngineBase):
                 f"discrete Dirichlet system condition estimate "
                 f"{self.condition_estimate:.2e} exceeds {CONDITION_LIMIT:.0e}")
 
-        self.eval_margin = 0.05 * domain.diameter
         self._complex_nodes = z[:, 0] + 1j * z[:, 1]
         self._moment_weights = w * (nu[:, 0] + 1j * nu[:, 1])
         self._self_test()
@@ -593,7 +597,6 @@ class ConformalGreenEngine(_EngineBase):
 
     def __init__(self, domain: DomainSpec, n: int = DEFAULT_NODES):
         super().__init__(domain, n)
-        self.eval_margin = 0.05 * domain.diameter
         z = self.nodes[:, 0] + 1j * self.nodes[:, 1]
         dz = self._velocity
         tangent = dz / self.speeds

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import AccuracyDegradedError, CollisionError, OutsideDomainError
 from .geometry import DomainSpec
 
-TWO_PI = 2.0 * np.pi
-
 # the collision margin defaults to this fraction of the domain diameter
 DEFAULT_MARGIN_FRACTION = 1e-3
 
@@ -80,6 +78,24 @@ def min_pair_distances(points) -> np.ndarray:
     return np.sqrt(r2.min(axis=-1))
 
 
+def check_collision_margin(margin: float) -> None:
+    """ValueError unless the margin is >= 0 (so NaN is refused)."""
+    if not margin >= 0:
+        raise ValueError(f"collision_margin must be >= 0, got {margin}")
+
+
+def require_apart(points, margin: float) -> None:
+    """The collision rule: a configuration is admissible iff its smallest pair
+    distance is more than ``margin`` (checked by ``check_collision_margin``);
+    CollisionError otherwise.  It is the counterpart of the engines'
+    ``require_interior``."""
+    check_collision_margin(margin)
+    gap = float(min_pair_distances(points))
+    if gap <= margin:
+        raise CollisionError(
+            f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
+
+
 @dataclass(frozen=True)
 class InteractionSpec:
     """Interaction term: "kirchhoff_routh", "zero", or "custom".
@@ -98,8 +114,8 @@ class InteractionSpec:
             raise ValueError(f"unknown interaction variant {self.variant!r}")
         if self.variant == "custom" and self.custom_evaluator is None:
             raise ValueError("custom interaction requires an evaluator")
-        if self.collision_margin is not None and self.collision_margin < 0:
-            raise ValueError("collision_margin must be >= 0")
+        if self.collision_margin is not None:
+            check_collision_margin(self.collision_margin)
 
 
 def kirchhoff_routh_interaction() -> InteractionSpec:
@@ -168,20 +184,16 @@ def _log_pair_terms(points: np.ndarray, lam: np.ndarray):
 def interaction(spec: InteractionSpec, strengths: VortexStrengths,
                 config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
     """Value, gradient, and Hessian of the interaction term alone; the
-    Hessian of the log sum is computed on first read."""
+    Hessian of the log sum is computed on first read.  The configuration must
+    pass ``require_apart`` at the given margin, else the interaction's, else 0
+    (``f_omega`` passes the margin that ``resolve_collision_margin`` gives)."""
     lam = strengths.values
     pts = config.points
     if len(lam) != len(pts):
         raise ValueError("strengths and configuration lengths differ")
-    margin = collision_margin
-    if margin is None:
-        margin = spec.collision_margin if spec.collision_margin is not None else 1e-12
-    if margin < 0:
-        raise ValueError("collision margin must be >= 0")
-    gap = float(min_pair_distances(pts))
-    if gap <= margin:
-        raise CollisionError(
-            f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
+    if collision_margin is None:
+        collision_margin = spec.collision_margin if spec.collision_margin is not None else 0.0
+    require_apart(pts, collision_margin)
     m = 2 * len(pts)
     if spec.variant == "zero":
         return EvaluationResult(0.0, np.zeros(m), lambda: np.zeros((m, m)))
@@ -196,23 +208,28 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
 def check_admissible(engine, spec: InteractionSpec, config: Configuration,
                      collision_margin: float | None = None) -> AdmissibilityResult:
     """Whether ``f_omega`` admits the configuration, with diagnostics: by
-    ``engine.require_interior`` and the collision margin.  Like ``f_omega``
+    ``require_apart`` at the margin ``resolve_collision_margin`` gives and by
+    ``engine.require_interior``, in the precedence of ``f_omega``.  A margin
+    that is not >= 0 raises ValueError, as in ``f_omega``.  Like ``f_omega``
     it names one point, the first that the boundary rule refuses."""
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
     diagnostics = []
     try:
+        require_apart(config.points, cm)
+    except CollisionError as exc:
+        diagnostics.append(f"collision: {exc}")
+    try:
         engine.require_interior(config.points)
     except (OutsideDomainError, AccuracyDegradedError) as exc:
         diagnostics.append(f"boundary: {exc}")
-    gap = float(min_pair_distances(config.points))
-    if gap <= cm:
-        diagnostics.append(f"collision: min pair distance {gap:.3g} <= {cm:.3g}")
     return AdmissibilityResult(not diagnostics, tuple(diagnostics))
 
 
 def resolve_collision_margin(domain: DomainSpec, spec: InteractionSpec,
                              collision_margin: float | None) -> float:
-    """The given margin, else the interaction's, else a fraction of the diameter."""
+    """The collision margin ``f_omega`` and ``check_admissible`` apply: the
+    given one, else the interaction's, else ``DEFAULT_MARGIN_FRACTION`` of
+    the diameter."""
     if collision_margin is None:
         collision_margin = spec.collision_margin
     if collision_margin is None:
@@ -225,12 +242,15 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     """Interaction minus the full regular-part double sum, with derivatives.
 
     All H(x_j, x_k) come from one ``engine.blocks`` call: leading (j, k) axes,
-    j > k blocks mirrored from the (k, j) blocks.  It and ``interaction``
-    decide admissibility once, one boundary-distance query per point, with
-    this precedence: CollisionError (the collision margin), then the
-    engine's boundary rule, OutsideDomainError for a point not inside and
-    AccuracyDegradedError for a point not more than ``engine.eval_margin``
-    inside.  ``check_admissible`` applies the same rules.
+    j > k blocks mirrored from the (k, j) blocks.  Admissibility is decided
+    once, by two rules in this precedence: ``require_apart`` (through
+    ``interaction``) at the margin ``resolve_collision_margin`` gives, which
+    raises ValueError for a margin not >= 0 and CollisionError for pairs not
+    more than the margin apart; then, in ``engine.blocks``, the engine's
+    ``require_interior``, one boundary-distance query for all points,
+    OutsideDomainError for a point not inside and AccuracyDegradedError for a
+    point not more than ``engine.eval_margin`` inside.  ``check_admissible``
+    applies the same two rules.
     The gradient block for point m collects lambda_m lambda_k grad_x H(x_m, x_k)
     and lambda_j lambda_m grad_y H(x_j, x_m) over all j, k (diagonal included);
     Hessian blocks assemble the same way from the second-derivative blocks.

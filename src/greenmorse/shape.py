@@ -34,9 +34,9 @@ from .errors import (
     RefitFailureError,
     UnsupportedFieldError,
 )
-from .critical import DEGENERACY_RATIO, SearchConfig, classify, newton_polish
+from .critical import SearchConfig, classify, is_degenerate, newton_polish
 from .geometry import DomainSpec, PerturbationField, apply_perturbation, check_perturbation_size
-from .green import build_engine
+from .green import DEFAULT_NODES, build_engine
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 
 _FLOOR = 1e-12
@@ -44,6 +44,8 @@ _FLOOR = 1e-12
 MIN_STEP = 1e-6
 # fd_check passes when the extrapolated difference matches to this relative error
 FD_RTOL = 1e-5
+# the quantities fd_check validates
+QUANTITIES = ("H", "robin", "grad_f")
 # the collision margin of every f_omega call in a continuation, its start included
 CORRECTOR_COLLISION_MARGIN = 0.02
 
@@ -173,7 +175,7 @@ def _observed_order(eps, fd_values, reference):
 
 def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
              eps_ladder, *, x=None, y=None, strengths=None, spec=None,
-             config=None, nodes: int = 256) -> ShapeDerivativeReport:
+             config=None, nodes: int = DEFAULT_NODES) -> ShapeDerivativeReport:
     """Validate an analytic shape derivative against rebuilt-engine differences.
 
     For each rung eps the Green engine is rebuilt on the perturbed domain and
@@ -184,9 +186,11 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
     when every rung is built and the relative error is at most ``FD_RTOL``.
     A ladder head past the perturbation margin raises before any build.
 
-    ``quantity``: "H" (needs x, y), "robin" (needs x), or "grad_f"
-    (needs strengths, spec, config).
+    ``quantity``, one of ``QUANTITIES``: "H" (needs x, y), "robin" (needs
+    x), or "grad_f" (needs strengths, spec, config).
     """
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if any(e <= 0 for e in eps_ladder) or list(eps_ladder) != sorted(eps_ladder, reverse=True):
         raise ValueError("eps ladder must be positive and strictly decreasing")
@@ -215,15 +219,13 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
 
         def evaluate(engine, eps):
             return engine.robin(x + eps * phi_x).value
-    elif quantity == "grad_f":
+    else:
         if strengths is None or spec is None or config is None:
             raise ValueError("quantity 'grad_f' requires strengths, spec, config")
         analytic = dGradF_shape(engine0, strengths, spec, config, field)
 
         def evaluate(engine, eps):
             return f_omega(engine, strengths, spec, config).gradient
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
 
     fd_values = []
     used_eps = []
@@ -291,10 +293,18 @@ class ContinuationTrace:
         return rows
 
 
+def corrector_search(newton_tol: float) -> SearchConfig:
+    """The settings of every ``newton_polish`` in a continuation, the polish
+    of its start included: one start, pairs ``CORRECTOR_COLLISION_MARGIN``
+    apart."""
+    return SearchConfig(starts=1, collision_margin=CORRECTOR_COLLISION_MARGIN,
+                        newton_tol=newton_tol)
+
+
 def continue_critical_point(engine, field: PerturbationField, eps_grid,
                             start_configuration, strengths: VortexStrengths,
                             spec: InteractionSpec, *,
-                            newton_tol: float = 1e-10) -> ContinuationTrace:
+                            newton_tol: float = SearchConfig.newton_tol) -> ContinuationTrace:
     """Track a critical point along the perturbation family eps -> Omega_eps.
 
     ``engine`` is the caller's engine on Omega_0 = ``engine.domain``; each
@@ -302,11 +312,12 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     ``apply_perturbation(engine.domain, field, eps)``.  Each accepted rung
     stores the continued configuration, its gradient residual and the
     Hessian non-degeneracy margin; an eps = 0 grid point stores the start.
-    Each rung is classified once and, unless its margin sits below the
-    degeneracy threshold, gives one predictor direction H^-1 (-dGradF): an
-    attempt at eps + d starts from x + direction * d.  The corrector is
-    ``newton_polish``, Levenberg-Marquardt on the perturbed gradient; it and
-    the start's evaluation keep pairs ``CORRECTOR_COLLISION_MARGIN`` apart.
+    Each rung is classified once and, unless ``is_degenerate`` holds for its
+    spectrum, gives one predictor direction H^-1 (-dGradF): an attempt at
+    eps + d starts from x + direction * d.  The corrector is
+    ``newton_polish``, Levenberg-Marquardt on the perturbed gradient, with
+    the settings of ``corrector_search(newton_tol)``; the start's evaluation
+    keeps the same collision margin.
     A corrector failing or needing more than 10 accepted steps halves the
     step; below ``MIN_STEP`` the trace ends, truncated, with a diagnostic.
     An empty or negative grid (ValueError) or one past the perturbation
@@ -318,14 +329,13 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     # ``engine`` moves on with the accepted rungs; every rung perturbs Omega_0
     domain, nodes = engine.domain, engine.node_count
     check_perturbation_size(domain, field, grid[-1])
-    search = SearchConfig(starts=1, newton_tol=newton_tol,
-                          collision_margin=CORRECTOR_COLLISION_MARGIN)
+    search = corrector_search(newton_tol)
 
     # (eps, configuration, residual, margin, predictor used, corrector iterations)
     rows = []
     x = np.asarray(start_configuration, dtype=float).reshape(-1).copy()
     res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)),
-                  CORRECTOR_COLLISION_MARGIN)
+                  search.collision_margin)
     hessian, cls = res.hessian, classify(res.hessian)
     eps = 0.0
     if grid[0] == 0.0:
@@ -338,8 +348,7 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
         if step is None:
             step = target - eps
             direction = None
-            spectral = float(np.abs(cls.spectrum).max())
-            if cls.margin > DEGENERACY_RATIO * max(spectral, 1e-300):
+            if not is_degenerate(cls.spectrum):
                 dg = dGradF_shape(engine, strengths, spec,
                                   Configuration(x.reshape(-1, 2)), field)
                 try:

@@ -82,6 +82,19 @@ def polynomial_image(coeffs) -> gm.DomainSpec:
     return gm.DomainSpec(gm.BoundaryCurve(c.real, -c.imag, c.imag, c.real))
 
 
+def _preimage(coeffs, points) -> np.ndarray:
+    """u with g(u) = x for each point x, g as in ``polynomial_image``, by
+    Newton's method started at u = x."""
+    c = np.asarray(coeffs, dtype=complex)
+    poly, deriv = c[::-1], np.polyder(c[::-1])
+    x = points[:, 0] + 1j * points[:, 1]
+    u = x.copy()
+    for _ in range(30):
+        u = u - (np.polyval(poly, u) - x) / np.polyval(deriv, u)
+    assert np.max(np.abs(np.polyval(poly, u) - x)) <= 1e-15
+    return u
+
+
 def lin_green(coeffs, points) -> tuple:
     """H(x_j, x_k) and its gradient in x_j on g(D), g(u) = sum_k coeffs[k] u^k
     as in ``polynomial_image``, in closed form (C. C. Lin, PNAS 27 (1941)):
@@ -91,16 +104,11 @@ def lin_green(coeffs, points) -> tuple:
         H(x, y) = -(1/2pi) (ln|Q(u, v)| + ln|1 - u conj v|).
 
     H is Re A with A(u) = -(ln Q + ln(1 - u conj v)) / 2pi, so grad_x H =
-    (Re, -Im) of dA/du / g'(u).  Each point's u comes from Newton's method on
-    g(u) = x, started at u = x.  Returns the (N, N) values and the (N, N, 2)
-    gradients in x_j."""
+    (Re, -Im) of dA/du / g'(u).  Each point's u comes from ``_preimage``.
+    Returns the (N, N) values and the (N, N, 2) gradients in x_j."""
     c = np.asarray(coeffs, dtype=complex)
-    poly, deriv = c[::-1], np.polyder(c[::-1])
-    x = points[:, 0] + 1j * points[:, 1]
-    u = x.copy()
-    for _ in range(30):
-        u = u - (np.polyval(poly, u) - x) / np.polyval(deriv, u)
-    assert np.max(np.abs(np.polyval(poly, u) - x)) <= 1e-15
+    deriv = np.polyder(c[::-1])
+    u = _preimage(coeffs, points)
     uj, vk = u[:, None], u[None, :]
     q = sum(c[k] * uj**i * vk ** (k - 1 - i) for k in range(1, len(c)) for i in range(k))
     q_u = sum(c[k] * i * uj ** (i - 1) * vk ** (k - 1 - i)
@@ -109,6 +117,21 @@ def lin_green(coeffs, points) -> tuple:
     value = -(np.log(np.abs(q)) + np.log(np.abs(b))) / (2 * np.pi)
     a_x = -(q_u / q - np.conj(vk) / b) / (2 * np.pi * np.polyval(deriv, uj))
     return value, np.stack([a_x.real, -a_x.imag], axis=-1)
+
+
+def lin_trace(coeffs, points, t) -> np.ndarray:
+    """The boundary trace d_nu G(x, .) on g(D), as in ``lin_green``, at the
+    boundary points g(e^{it}) (the curve of ``polynomial_image`` at
+    parameter t): the Poisson kernel of the disk carried over by g,
+
+        -(1 - |u|^2) / (2pi |e^{it} - u|^2 |g'(e^{it})|),  x = g(u).
+
+    Returns (N, len(t))."""
+    c = np.asarray(coeffs, dtype=complex)
+    u = _preimage(coeffs, points)[:, None]
+    w = np.exp(1j * np.asarray(t, dtype=float))[None, :]
+    speed = np.abs(np.polyval(np.polyder(c[::-1]), w))
+    return -(1.0 - np.abs(u) ** 2) / (2 * np.pi * np.abs(w - u) ** 2 * speed)
 
 
 def point_at_distance(domain, t, dist):

@@ -261,6 +261,16 @@ def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, message, v
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_find_critical_rejects_a_nan_collision_margin(tmp_path, capsys):
+    # refused by SearchConfig, through kr.check_collision_margin, before any start
+    domain, vortex = _simulate_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["find-critical", domain, vortex, "--collision-margin", "nan",
+                     "--out", str(out)]) == 2
+    assert "error: collision_margin must be >= 0, got nan" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_simulate_manifest_records_solver_stats(tmp_path):
     domain, vortex = _simulate_inputs(tmp_path)
     out = tmp_path / "out"

@@ -50,6 +50,18 @@ def test_classify_zero_matrix():
     assert cls.margin == 0.0
 
 
+@pytest.mark.parametrize("spectrum, degenerate", [
+    ([-2.0, 1.0], False),
+    ([1.0, 1e-5], True),            # min |eig| = DEGENERACY_RATIO max |eig|
+    ([1.0, -1.0001e-5], False),
+    ([0.0, 0.0], True),
+    ([np.nan, 1.0], True),
+])
+def test_degeneracy_rule(spectrum, degenerate):
+    # the one test that orbit tagging and the continuation predictor read
+    assert gm.critical.is_degenerate(np.array(spectrum)) is degenerate
+
+
 # ---------------------------------------------------------------------------
 # fixtures on the disk
 # ---------------------------------------------------------------------------
@@ -322,8 +334,9 @@ def test_search_config_validation():
         gm.SearchConfig(newton_tol=-1.0)
     with pytest.raises(ValueError, match="DEDUP_RADIUS"):
         gm.SearchConfig(newton_tol=gm.critical.DEDUP_RADIUS)
-    with pytest.raises(ValueError):
-        gm.SearchConfig(collision_margin=-1.0)
+    for margin in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="collision_margin must be >= 0"):
+            gm.SearchConfig(collision_margin=margin)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         gm.SearchConfig(seed=-1)
     with pytest.raises(ValueError, match="starts must be >= 1"):

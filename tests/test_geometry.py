@@ -216,6 +216,15 @@ def test_sample_interior_batched_draw_order(lobed_domain):
                                     [0.6441388575040923, -0.06479852375861339]])
 
 
+@pytest.mark.parametrize("name", ["disk_domain", "lobed_domain", "banana_domain"])
+def test_bounding_box_is_that_of_the_dense_samples(request, name):
+    curve = request.getfixturevalue(name).boundary
+    lo, hi = curve.bounding_box
+    samples = curve._dense[1].point
+    assert np.array_equal(lo, samples.min(axis=0)) and np.array_equal(hi, samples.max(axis=0))
+    assert curve.bounding_box is curve.bounding_box
+
+
 def test_sample_interior_postconditions(disk_domain):
     pts = gm.sample_interior(disk_domain, 10, 0.2, seed=7)
     assert pts.shape == (10, 2)

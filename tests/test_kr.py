@@ -130,9 +130,20 @@ def test_log_sum_derivatives_match_loop_n5():
 
 
 def test_collision_rejected():
+    # called alone, interaction applies the given margin, else the
+    # interaction's, else 0, so coincident points always collide
+    lam = gm.VortexStrengths([1.0, 1.0])
+    spec = gm.kirchhoff_routh_interaction()
     with pytest.raises(gm.CollisionError):
-        gm.interaction(gm.kirchhoff_routh_interaction(), gm.VortexStrengths([1.0, 1.0]),
-                       gm.Configuration([[0.1, 0.1], [0.1, 0.1 + 1e-13]]))
+        gm.interaction(spec, lam, gm.Configuration([[0.1, 0.1], [0.1, 0.1]]))
+    close = gm.Configuration([[0.1, 0.1], [0.1, 0.1 + 1e-13]])
+    assert np.isfinite(gm.interaction(spec, lam, close).value)
+    with pytest.raises(gm.CollisionError):
+        gm.interaction(spec, lam, close, collision_margin=1e-12)
+    custom = gm.custom_interaction(lambda points, values: (0.0, np.zeros(4), np.zeros((4, 4))),
+                                   collision_margin=1e-12)
+    with pytest.raises(gm.CollisionError):
+        gm.interaction(custom, lam, close)
 
 
 def test_custom_interaction():
@@ -536,13 +547,21 @@ def test_f_omega_raises_on_collision(disk_engine, lobed_engine):
 
 
 def test_negative_collision_margin_rejected(disk_engine, lobed_engine):
+    # a margin that is not >= 0, NaN included, raises ValueError in every
+    # caller of kr.require_apart, before the collision is judged
     coincident = gm.Configuration([[0.1, 0.0], [0.1, 0.0]])
-    for engine in (disk_engine, lobed_engine):
-        with pytest.raises(ValueError):
-            gm.f_omega(engine, gm.VortexStrengths([1.0, 1.0]),
-                       gm.kirchhoff_routh_interaction(), coincident, collision_margin=-1.0)
-    with pytest.raises(ValueError):
-        gm.custom_interaction(lambda points, lam: (0.0, 0.0, 0.0), -0.5)
+    spec = gm.kirchhoff_routh_interaction()
+    for margin in (-1.0, np.nan):
+        for engine in (disk_engine, lobed_engine):
+            with pytest.raises(ValueError, match="collision_margin must be >= 0"):
+                gm.f_omega(engine, gm.VortexStrengths([1.0, 1.0]), spec, coincident,
+                           collision_margin=margin)
+            with pytest.raises(ValueError, match="collision_margin must be >= 0"):
+                gm.check_admissible(engine, spec, coincident, margin)
+        with pytest.raises(ValueError, match="collision_margin must be >= 0"):
+            gm.interaction(spec, gm.VortexStrengths([1.0, 1.0]), coincident, margin)
+        with pytest.raises(ValueError, match="collision_margin must be >= 0"):
+            gm.custom_interaction(lambda points, lam: (0.0, 0.0, 0.0), margin)
 
 
 def test_vortex_file_roundtrip(tmp_path, dipole_setup):
