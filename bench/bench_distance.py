@@ -5,10 +5,13 @@ N in {1, 3, 6, 384} points per query, exact (every point refined) and, at
 N in {3, 6, 384}, screened with ``exact_within`` the lobed 256-node engine's
 ``eval_margin`` (0.05 x diameter, the one boundary threshold an evaluation
 compares).  Those points are drawn from [-1.1, 1.1]^2, so about half of them
-take the full-resolution path.  Two screened cases hold deep points only,
-which the coarse first level settles: the ``dynamics`` workload's 6-vortex
-ring at r = 0.45, and a 384-point block (128 starts at N = 3) of admissible
-starts more than twice ``eval_margin`` inside.  Last, it times
+take the full-resolution path.  Three screened cases hold deep points only.
+Two of them the cached inscribed disk settles without reading a boundary
+sample: the ``dynamics`` workload's 6-vortex ring at r = 0.45, and a
+384-point block (128 starts at N = 3) of admissible starts more than twice
+``eval_margin`` inside.  The third, ``lobes``, holds 64 points near the lobe
+tips, 1.5 to 1.7 ``eval_margin`` inside: outside the disk's reach but
+settled by the coarse level, which it keeps timed.  Last, it times
 ``PerturbationField.evaluate`` at N = 64.  Run from the root of a checkout
 with pytest-benchmark installed:
 
@@ -53,13 +56,24 @@ def _deep_points(domain, case):
     if case == "ring":
         theta = 2 * np.pi * np.arange(6) / 6
         return 0.45 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if case == "lobes":
+        rng = np.random.default_rng(0)
+        t = 2 * np.pi / 3 * rng.integers(0, 3, 64) + rng.uniform(-0.15, 0.15, 64)
+        frame = domain.boundary.frame(t)
+        depth = rng.uniform(1.5, 1.7, 64) * 0.05 * domain.diameter
+        return frame.point - depth[:, None] * frame.normal
     return gm.sample_interior(domain, 384, 0.1 * domain.diameter, seed=0)
 
 
-@pytest.mark.parametrize("case", ["ring", "starts"])
+@pytest.mark.parametrize("case", ["ring", "starts", "lobes"])
 def test_deep_signed_boundary_distance(benchmark, lobed_domain, case):
     pts = _deep_points(lobed_domain, case)
     margin = 0.05 * lobed_domain.diameter
+    center, radius = lobed_domain._inscribed_disk
+    on_disk = radius - np.hypot(*(pts - center).T) > margin
+    # the level that settles them: the disk for the ring and the starts, the
+    # coarse samples for the lobes
+    assert not on_disk.any() if case == "lobes" else on_disk.mean() > 0.99
     dist = benchmark(lobed_domain.signed_boundary_distance, pts, margin)
     assert np.all(dist > margin)
 

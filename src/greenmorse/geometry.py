@@ -422,32 +422,58 @@ class DomainSpec:
         """Centre of the domain's rotations: a disk's centre, else the origin."""
         return self._circle[0] if self._circle is not None else np.zeros(2)
 
+    @cached_property
+    def _inscribed_disk(self):
+        """(c, rho), a disk about the dense samples' centroid c that lies in
+        the domain, or None.  rho = min_i |c - p_i| - ``_sample_gap`` is a
+        lower bound of dist(c, boundary).  The disk exists only if rho > 0
+        and the dense polygon winds once about c; then the curve does too,
+        by the homotopy argument of the coarse level in
+        ``signed_boundary_distance``, so c is inside, and every x with
+        |x - c| < rho is at least rho - |x - c| from the boundary.  A domain
+        whose centroid lies outside, such as a banana, has none."""
+        curve = self.boundary
+        center = curve.centroid
+        radius = float(curve._dense_scan(center[None])[1][0]) - curve._sample_gap
+        if not (radius > 0 and curve.winding_number(center)[0] == 1):
+            return None
+        return center, radius
+
     def signed_boundary_distance(self, points, exact_within: float = np.inf):
         """Distance to the boundary, negative outside the domain: a float for
         one point of shape (2,), an (N,) array for points of shape (N, 2).
 
         All points are measured in one batched query.  On a disk the distance
-        is the closed form.  Otherwise, when ``exact_within`` is finite, a
-        first level scans every ``_COARSE_STRIDE``-th dense sample, whose gap
-        is delta_c = ``_COARSE_STRIDE * _sample_gap``.  A point whose
-        distance d_c to the nearest of those samples has d_c - delta_c >
-        ``exact_within`` is settled there: it reports d_c - delta_c, a lower
-        bound of its distance, signed by the winding number of the polygon
-        through those samples, which is computed for settled points only.
-        That sign is exact: every curve point z(t)
-        and the polygon point at the same parameter lie in the closed disk
-        of radius delta_c about the nearer sample, which the point is
-        outside, so the straight-line homotopy from the curve to the polygon
-        misses the point.  Every other point gets the full dense scan and
-        winding pass, and the Newton refinement of ``nearest_parameter``
-        runs only for points that could lie within ``exact_within`` of the
-        boundary: those whose scanned distance minus ``_sample_gap`` is at
-        most ``exact_within``; the rest report that lower bound, with its
-        sign.  So the sign is always the exact one, a value of magnitude at
-        most ``exact_within`` is the exact distance, and a larger one is no
-        more than the exact distance: for any threshold m <= ``exact_within``,
+        is the closed form.  Otherwise, when ``exact_within`` is finite, up
+        to three levels run, each only for the points the one before left
+        open:
+
+        1. the cached inscribed disk (c, rho) (``_inscribed_disk``, if the
+           domain has one): a point with rho - |x - c| > ``exact_within`` is
+           settled there and reports that lower bound, positive.  When every
+           point settles, no boundary sample is read.
+        2. every ``_COARSE_STRIDE``-th dense sample, whose gap is delta_c =
+           ``_COARSE_STRIDE * _sample_gap``: a point whose distance d_c to
+           the nearest of those samples has d_c - delta_c > ``exact_within``
+           is settled there.  It reports d_c - delta_c, a lower bound of its
+           distance, signed by the winding number of the polygon through
+           those samples, which is computed for these points only.  That
+           sign is exact: every curve point z(t) and the polygon point at
+           the same parameter lie in the closed disk of radius delta_c about
+           the nearer sample, which the point is outside, so the
+           straight-line homotopy from the curve to the polygon misses the
+           point.
+        3. the full dense scan and winding pass.  The Newton refinement of
+           ``nearest_parameter`` runs only for points that could lie within
+           ``exact_within`` of the boundary: those whose scanned distance
+           minus ``_sample_gap`` is at most ``exact_within``; the rest
+           report that lower bound, with its sign.
+
+        So the sign is always the exact one, a value of magnitude at most
+        ``exact_within`` is the exact distance, and a larger one is no more
+        than the exact distance: for any threshold m <= ``exact_within``,
         ``d > m`` decides as the exact query does.  The default, ``np.inf``,
-        skips the first level and refines every point.  A point with a
+        skips the first two levels and refines every point.  A point with a
         non-finite coordinate has distance NaN."""
         if not exact_within >= 0:
             raise ValueError("exact_within must be >= 0")
@@ -462,18 +488,21 @@ class DomainSpec:
             dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
         else:
             curve = self.boundary
+            dist = np.empty(len(flat))
+            rest = np.arange(len(flat))     # the points not settled yet
             if exact_within < np.inf:
-                _, coarse = curve._dense_scan(flat, _COARSE_STRIDE)
-                dist = coarse - _COARSE_STRIDE * curve._sample_gap
-                rest = np.flatnonzero(dist <= exact_within)   # not settled
-                if len(rest) < len(flat):
-                    # a slice, not a mask, when every point is settled: no copies
-                    settled = dist > exact_within if len(rest) else slice(None)
-                    wound = curve.winding_number(flat[settled], _COARSE_STRIDE) == 1
-                    dist[settled] = np.where(wound, dist[settled], -dist[settled])
-            else:
-                dist = np.empty(len(flat))
-                rest = np.arange(len(flat))
+                if self._inscribed_disk is not None:
+                    center, radius = self._inscribed_disk
+                    dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
+                    rest = np.flatnonzero(dist <= exact_within)
+                if len(rest):
+                    p = flat[rest]
+                    d = curve._dense_scan(p, _COARSE_STRIDE)[1] - _COARSE_STRIDE * curve._sample_gap
+                    deep = d > exact_within
+                    if deep.any():
+                        wound = curve.winding_number(p[deep], _COARSE_STRIDE) == 1
+                        dist[rest[deep]] = np.where(wound, d[deep], -d[deep])
+                        rest = rest[~deep]
             if len(rest):
                 p = flat[rest]
                 coarse_t, coarse = curve._dense_scan(p)

@@ -524,6 +524,44 @@ def test_coarse_level_bounds_and_winds_as_the_curve(domain, seed):
                           curve.winding_number(pts[clear]))
 
 
+@SCREEN_SETTINGS
+@given(domain=low_mode_domains())
+def test_inscribed_disk_lies_inside_a_finer_sampling(domain):
+    # rho is at most the distance from c to a 64x finer sampling of the
+    # curve, and c is inside
+    curve = domain.boundary
+    disk = domain._inscribed_disk
+    assert disk is not None     # a star-shaped domain about a point near its centroid
+    center, radius = disk
+    assert np.array_equal(center, curve.centroid)
+    m = len(curve._dense[0])
+    fine = curve.point(2 * np.pi * np.arange(64 * m) / (64 * m))
+    assert 0.0 < radius <= np.min(np.hypot(*(fine - center).T))
+    assert domain.signed_boundary_distance(center) >= radius
+
+
+def test_banana_has_no_inscribed_disk(banana_domain):
+    # its centroid lies outside, so the query works as without the disk: the
+    # screened answers are bit for bit those of the coarse and full levels
+    assert banana_domain._inscribed_disk is None
+    curve = banana_domain.boundary
+    stride = geometry._COARSE_STRIDE
+    margin = 0.05 * banana_domain.diameter
+    pts = _decision_probes(banana_domain, margin, 500, seed=3)
+    # the two levels below the disk, written out
+    _, coarse = curve._dense_scan(pts, stride)
+    expected = coarse - stride * curve._sample_gap
+    deep = expected > margin
+    expected[deep] *= np.where(curve.winding_number(pts[deep], stride) == 1, 1.0, -1.0)
+    coarse_t, fine = curve._dense_scan(pts[~deep])
+    d = fine - curve._sample_gap
+    near = d <= margin
+    d[near] = curve._refine(pts[~deep][near], coarse_t[near], fine[near])[1]
+    expected[~deep] = np.where(curve.winding_number(pts[~deep]) == 1, d, -d)
+    assert deep.any() and (~deep).any()
+    assert np.array_equal(banana_domain.signed_boundary_distance(pts, margin), expected)
+
+
 def _dynamics_ring(count=6, radius=0.45):
     theta = 2 * np.pi * np.arange(count) / count
     return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -549,26 +587,28 @@ def _spy_on_distance_passes(monkeypatch):
     return calls
 
 
-def test_deep_ring_settles_on_the_coarse_level(lobed_engine, monkeypatch):
-    # the dynamics ring is decided from every 8th sample: no full-resolution
-    # scan or winding pass, and no Newton refinement
+def test_deep_ring_settles_on_the_inscribed_disk(lobed_domain, lobed_engine, monkeypatch):
+    # the dynamics ring lies well inside the inscribed disk: no scan of any
+    # stride, no winding pass and no Newton refinement
+    assert lobed_domain._inscribed_disk is not None     # built before the spy
     calls = _spy_on_distance_passes(monkeypatch)
     ring = _dynamics_ring()
     assert np.array_equal(lobed_engine.require_interior(ring), ring)
-    stride = geometry._COARSE_STRIDE
-    assert calls == [("_dense_scan", 6, stride), ("winding_number", 6, stride)]
+    assert calls == []
 
 
 def test_mixed_query_winds_each_point_once(lobed_domain, lobed_engine, monkeypatch):
-    # beside the deep ring, a point 0.5 eval_margin inside takes the full
-    # path alone; the coarse winding pass sees only the settled ring
+    # beside the deep ring, a point 0.5 eval_margin inside is the only one
+    # the inscribed disk leaves open: it alone takes the coarse scan, then
+    # the full path, and no point takes the coarse winding pass
     margin = lobed_engine.eval_margin
     near = point_at_distance(lobed_domain, 0.7, 0.5 * margin)
     pts = np.vstack([_dynamics_ring(), near])
+    assert lobed_domain._inscribed_disk is not None     # built before the spy
     calls = _spy_on_distance_passes(monkeypatch)
     lobed_domain.signed_boundary_distance(pts, margin)
     stride = geometry._COARSE_STRIDE
-    assert calls == [("_dense_scan", 7, stride), ("winding_number", 6, stride),
+    assert calls == [("_dense_scan", 1, stride),
                      ("_dense_scan", 1, 1), ("_refine", 1, 1), ("winding_number", 1, 1)]
 
 
