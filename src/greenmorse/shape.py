@@ -184,7 +184,9 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
     Richardson-extrapolated and compared with the analytic boundary integral
     (plus point-motion terms where the convention requires them).  It passes
     when every rung is built and the relative error is at most ``FD_RTOL``.
-    A ladder head past the perturbation margin raises before any build.
+    A ladder that is empty, not finite and positive or not strictly
+    decreasing (ValueError), or whose head is past the perturbation margin,
+    raises before any build.
 
     ``quantity``, one of ``QUANTITIES``: "H" (needs x, y), "robin" (needs
     x), or "grad_f" (needs strengths, spec, config).
@@ -192,8 +194,9 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     eps_ladder = tuple(float(e) for e in eps_ladder)
-    if any(e <= 0 for e in eps_ladder) or list(eps_ladder) != sorted(eps_ladder, reverse=True):
-        raise ValueError("eps ladder must be positive and strictly decreasing")
+    if (not eps_ladder or not all(0 < e < np.inf for e in eps_ladder)
+            or list(eps_ladder) != sorted(set(eps_ladder), reverse=True)):
+        raise ValueError("eps ladder must be nonempty, finite, positive and strictly decreasing")
     check_perturbation_size(domain, field, eps_ladder[0])
 
     engine0 = build_engine(domain, nodes)
@@ -320,12 +323,13 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     keeps the same collision margin.
     A corrector failing or needing more than 10 accepted steps halves the
     step; below ``MIN_STEP`` the trace ends, truncated, with a diagnostic.
-    An empty or negative grid (ValueError) or one past the perturbation
-    margin (PerturbationTooLargeError) raises before any rung is built.
+    An empty grid or one with an entry that is not finite and nonnegative
+    (ValueError), or one past the perturbation margin
+    (PerturbationTooLargeError), raises before any rung is built.
     """
     grid = sorted(set(float(e) for e in eps_grid))
-    if not grid or grid[0] < 0:
-        raise ValueError("eps grid must be nonempty and nonnegative")
+    if not grid or not all(0 <= e < np.inf for e in grid):
+        raise ValueError("eps grid must be nonempty, finite and nonnegative")
     # ``engine`` moves on with the accepted rungs; every rung perturbs Omega_0
     domain, nodes = engine.domain, engine.node_count
     check_perturbation_size(domain, field, grid[-1])

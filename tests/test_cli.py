@@ -184,7 +184,9 @@ def test_manifest_config_holds_every_flag(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--equivariant", "cyclic"], "expected 'kind:order[:axis]'"),
     (["--eps-grid", "", "--svg"], "eps grid must be nonempty"),
-], ids=["group-without-order", "empty-grid"])
+    (["--eps-grid", "0,nan"], "eps grid must be nonempty, finite and nonnegative"),
+    (["--eps-grid", "0,0.01,inf"], "eps grid must be nonempty, finite and nonnegative"),
+], ids=["group-without-order", "empty-grid", "nan-grid", "inf-grid"])
 def test_perturb_study_rejects_malformed_flags(tmp_path, capsys, flags, message):
     domain, vortex, field = _dipole_inputs(tmp_path)
     out = tmp_path / "out"
@@ -212,6 +214,23 @@ def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
     assert report["passed"] and report["failures"] == []
     assert report["eps_ladder"] == [1e-2, 5e-3, 2.5e-3]
     assert len((out / "fd_ladder.csv").read_text(encoding="utf-8").splitlines()) == 4
+
+
+@pytest.mark.parametrize("ladder", ["nan", "1e-2,inf", "1e-2,nan,2.5e-3", "1e-2,1e-2", ""])
+def test_shape_verify_rejects_a_malformed_ladder(tmp_path, capsys, monkeypatch, disk_domain,
+                                                ladder):
+    # refused before the base engine is built; no report is written
+    domain = tmp_path / "disk.json"
+    gm.save_domain(disk_domain, domain)
+    field = _write_field(tmp_path / "cos3.json", 3)
+    built = []
+    monkeypatch.setattr(shape, "build_engine", lambda *args: built.append(args))
+    out = tmp_path / "out"
+    assert cli.main(["shape-verify", str(domain), "--field", field, "--eps-ladder", ladder,
+                     "--out", str(out)]) == 2
+    assert ("error: eps ladder must be nonempty, finite, positive and strictly decreasing"
+            in capsys.readouterr().err)
+    assert built == [] and not any(out.iterdir())
 
 
 @pytest.mark.parametrize("circular", [False, True])
