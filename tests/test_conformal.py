@@ -241,13 +241,25 @@ def test_engines_match_lins_closed_form(name, engine_class, nodes):
 @pytest.mark.parametrize("name", sorted(POLYNOMIAL_MAPS))
 def test_engine_traces_match_the_exact_trace(name, engine_class, nodes):
     # the boundary traces at the 40 points above against the carried-over
-    # Poisson kernel: measured 2.6e-13 (C3) and 2.3e-13 (asymmetric) of the
+    # Poisson kernel: measured 2.5e-14 (C3) and 6.2e-14 (asymmetric) of the
     # largest |trace| on the conformal engine, at most 3.0e-14 on the Nystrom
-    # engine.  The conformal error grows with the node count (1.0e-12 and
-    # 1.6e-12 at 2048 nodes), which this 512-node bound does not cover
+    # engine
     coeffs = POLYNOMIAL_MAPS[name]
     pts = _lin_points(coeffs)
     engine = engine_class(polynomial_image(coeffs), nodes)
+    exact = lin_trace(coeffs, pts, engine.node_params)
+    assert np.max(np.abs(engine._traces(pts)[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_MAPS))
+def test_conformal_traces_stay_exact_at_2048_nodes(name):
+    # |F'| from the Szego kernel has no differentiation round-off to grow
+    # with n: at 2048 nodes the traces read 1.3e-13 (C3) and 4.4e-13
+    # (asymmetric) of the largest |trace| from the exact ones, where the
+    # spectral derivative of F left 1.0e-12 and 1.6e-12
+    coeffs = POLYNOMIAL_MAPS[name]
+    pts = _lin_points(coeffs)
+    engine = gm.ConformalGreenEngine(polynomial_image(coeffs), 2048)
     exact = lin_trace(coeffs, pts, engine.node_params)
     assert np.max(np.abs(engine._traces(pts)[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
 
