@@ -528,9 +528,11 @@ def contains(domain: DomainSpec, points, margin: float = 0.0):
     a bool for one point of shape (2,), an (N,) bool array for (N, 2).
 
     One ``signed_boundary_distance`` query with ``exact_within=margin``: the
-    answer is that of the exact distance.  A point more than ``margin`` plus
-    the coarse gap from every 8th boundary sample is decided there, and only
-    points that could lie within ``margin`` of the boundary are refined."""
+    answer is that of the exact distance.  A point more than ``margin``
+    inside the domain's inscribed disk is decided there, one more than
+    ``margin`` plus the coarse gap from every 8th boundary sample next, and
+    only points that could lie within ``margin`` of the boundary are
+    refined."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
     return domain.signed_boundary_distance(points, margin) > margin

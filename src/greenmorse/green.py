@@ -35,9 +35,11 @@ H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
 boundary-distance query for all points and the one rule of where a point
 may be: a point is admissible iff its boundary distance d > ``eval_margin``
 (OutsideDomainError for d <= 0 or NaN, else AccuracyDegradedError).  The
-query passes ``exact_within = eval_margin``, so a deep point is settled
-from every 8th boundary sample, only points that could lie within that
-distance of the boundary get the exact nearest-point solve, the others
+query passes ``exact_within = eval_margin`` and runs in three levels, each
+for the points the one before left open: a deep point is settled on the
+domain's cached inscribed disk with no boundary sample read, then from
+every 8th boundary sample, and only points that could lie within that
+distance of the boundary get the exact nearest-point solve.  The others
 report a lower bound with the exact sign, and every decision, the point
 named and the message are those of the exact distance.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
@@ -311,9 +313,10 @@ class _EngineBase:
         point nearest the boundary, if d <= ``eval_margin`` (each engine's
         accuracy contract), is AccuracyDegradedError.  The query is exact
         within ``eval_margin``: a point farther inside is admitted on a lower
-        bound, from every 8th boundary sample when that bound clears
-        ``eval_margin`` (``DomainSpec.signed_boundary_distance``), so the
-        rule and its messages are those of the exact distance."""
+        bound, from the domain's inscribed disk or else from every 8th
+        boundary sample, whichever first clears ``eval_margin``
+        (``DomainSpec.signed_boundary_distance``), so the rule and its
+        messages are those of the exact distance."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         # exact wherever the rule could decide
         dists = self.domain.signed_boundary_distance(pts, self.eval_margin)
