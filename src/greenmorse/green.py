@@ -582,11 +582,12 @@ class ConformalGreenEngine(_EngineBase):
     differentiation of F(z(t)) in t, divided by z'.  Their values at interior
     points are Cauchy integrals with the one kernel 1/(z - x): a single
     (N, n) @ (n, 4) product.  The boundary speed |F'| that the traces read
-    comes from the solve itself, with no differentiation, whose round-off
-    grows with n: S is the Szego kernel S(z, a), and F' = 2 pi S^2 / S(a, a)
-    with S(a, a) = the integral of |S|^2 ds (S. R. Bell, *The Cauchy
-    Transform, Potential Theory and Conformal Mapping*, CRC 1992), so
-    |F'| = 2 pi |S|^2 / sum_j w_j |S_j|^2.  Then (C. C. Lin, PNAS 27 (1941))
+    comes from the solve instead, since the round-off of that
+    differentiation grows with n: S is the Szego kernel S(z, a), and
+    F' = 2 pi S^2 / S(a, a) with S(a, a) = the integral of |S|^2 ds (S. R.
+    Bell, *The Cauchy Transform, Potential Theory and Conformal Mapping*,
+    CRC 1992), so |F'| = 2 pi |S|^2 / sum_j w_j |S_j|^2.  Then (C. C. Lin,
+    PNAS 27 (1941))
     H(x, y) = (1/2pi) ln|Q(x, y)| - (1/2pi) ln|1 - F(x) conj F(y)| with the
     divided difference Q = (F(x) - F(y)) / (x - y), which is F'(x) at x = y
     (for pairs closer than eval_margin / 2, where the differences in Q and
@@ -635,7 +636,7 @@ class ConformalGreenEngine(_EngineBase):
             jets.append(np.fft.ifft(1j * k * np.fft.fft(jets[-1])) / dz)
         self._complex_nodes = z
         self._boundary_map = boundary_map
-        # |F'| at the nodes from the Szego kernel, with no differentiation
+        # |F'| at the nodes, from the Szego kernel
         density = s.real * s.real + s.imag * s.imag
         self._boundary_speed = TWO_PI * density / np.sum(w * density)
         # Cauchy weights: column m times 1/(z - x), summed, is F^(m)(x)

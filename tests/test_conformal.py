@@ -237,29 +237,22 @@ def test_engines_match_lins_closed_form(name, engine_class, nodes):
     assert np.max(np.abs(ev.grad_y - grad_x.swapaxes(0, 1))) <= 1e-12 * scale
 
 
-@_ENGINES_AGAINST_LIN
+@pytest.mark.parametrize(
+    "engine_class, nodes", [(gm.ConformalGreenEngine, 512), (gm.ConformalGreenEngine, 2048),
+                            (gm.IntegralGreenEngine, 256), (gm.IntegralGreenEngine, 512)],
+    ids=["conformal-512", "conformal-2048", "integral-256", "integral-512"])
 @pytest.mark.parametrize("name", sorted(POLYNOMIAL_MAPS))
 def test_engine_traces_match_the_exact_trace(name, engine_class, nodes):
     # the boundary traces at the 40 points above against the carried-over
     # Poisson kernel: measured 2.5e-14 (C3) and 6.2e-14 (asymmetric) of the
     # largest |trace| on the conformal engine, at most 3.0e-14 on the Nystrom
-    # engine
+    # engine.  The conformal |F'| comes from the Szego kernel, with no
+    # differentiation round-off to grow with n: at 2048 nodes it reads
+    # 1.3e-13 and 4.4e-13, where the spectral derivative of F left 1.0e-12
+    # and 1.6e-12
     coeffs = POLYNOMIAL_MAPS[name]
     pts = _lin_points(coeffs)
     engine = engine_class(polynomial_image(coeffs), nodes)
-    exact = lin_trace(coeffs, pts, engine.node_params)
-    assert np.max(np.abs(engine._traces(pts)[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
-
-
-@pytest.mark.parametrize("name", sorted(POLYNOMIAL_MAPS))
-def test_conformal_traces_stay_exact_at_2048_nodes(name):
-    # |F'| from the Szego kernel has no differentiation round-off to grow
-    # with n: at 2048 nodes the traces read 1.3e-13 (C3) and 4.4e-13
-    # (asymmetric) of the largest |trace| from the exact ones, where the
-    # spectral derivative of F left 1.0e-12 and 1.6e-12
-    coeffs = POLYNOMIAL_MAPS[name]
-    pts = _lin_points(coeffs)
-    engine = gm.ConformalGreenEngine(polynomial_image(coeffs), 2048)
     exact = lin_trace(coeffs, pts, engine.node_params)
     assert np.max(np.abs(engine._traces(pts)[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
 
