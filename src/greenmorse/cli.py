@@ -14,7 +14,9 @@ non-circular domain the conformal map's self-test numbers:
 Kerzman-Stein solve's operator products, and ``eval_margin``), the numpy
 version and the OPENBLAS_NUM_THREADS setting (null if unset).
 simulate's manifest also has ``stats``: the sum and maximum over the steps of
-the integrator's fixed-point iterations and final update sizes.
+the integrator's solver iterations and final update sizes, and the number of
+steps whose Newton correction was skipped.  simulate exits 2 on a
+``--horizon`` that is not a whole number of ``--dt`` steps.
 
 Every default or choice list that the library holds comes from there:
 ``--nodes`` from ``green.DEFAULT_NODES``, the search flags from
@@ -290,8 +292,8 @@ def cmd_perturb_study(args, out: Path):
 def cmd_simulate(args, out: Path):
     domain = load_domain(args.domain)
     strengths, config, spec = load_vortex(args.vortex)
-    engine = build_engine(domain, args.nodes)
     dyn = DynamicsConfig(integrator=args.integrator, dt=args.dt, horizon=args.horizon)
+    engine = build_engine(domain, args.nodes)
     trajectory = integrate(engine, strengths, spec, config.flat(), dyn)
     _write_csv(out / "trajectory.csv", trajectory.csv_rows())
     return ((1 if trajectory.truncated else 0), ["trajectory.csv"], engine,

@@ -280,6 +280,17 @@ def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, message, v
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0.1", "0.14"])
+def test_simulate_rejects_a_fractional_step_count(tmp_path, capsys, horizon):
+    # 2.5 and 3.5 steps of 0.04: refused, where rounding used to run 2 and 4
+    domain, vortex = _simulate_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", domain, vortex, "--dt", "0.04", "--horizon", horizon,
+                     "--out", str(out)]) == 2
+    assert "error: horizon must be a whole number of time steps" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_find_critical_rejects_a_nan_collision_margin(tmp_path, capsys):
     # refused by SearchConfig, through kr.check_collision_margin, before any start
     domain, vortex = _simulate_inputs(tmp_path)
