@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 quantitative (tolerance) failure, 2 malformed
 input or validation error.  All randomness flows from --seed flags or fixed
-seeds; CSV bodies are formatted at 17 significant digits so identical inputs
-reproduce byte-identical files.  A run manifest is written last: the
+seeds.  Two functions own the file format, and every command builds its
+records' rows and dicts for them: ``_write_csv`` writes float cells at 17
+significant digits, so identical inputs reproduce byte-identical files, and
+``_write_json`` turns numpy arrays and scalars into lists and numbers.  A
+field file with a non-finite coefficient, amplitude or ``cutoff_width``
+exits 2 before any engine is built.  A run manifest is written last: the
 command, its configuration (every parsed argument but ``--out``, as given, so
 the run can be repeated from it at the same version) and outputs, the
 diagnostics of the command's base Green engine, the one ``build_engine``
@@ -45,6 +49,7 @@ pair.  Every command runs on numpy alone; none imports scipy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -54,13 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .critical import (
-    SearchConfig,
-    find_critical_points,
-    newton_polish,
-    report_csv_rows,
-    report_to_dict,
-)
+from .critical import SearchConfig, find_critical_points, newton_polish
 from .dynamics import INTEGRATORS, DynamicsConfig, integrate
 from .errors import DiscretizationFailureError, GreenMorseError
 from .geometry import (
@@ -84,15 +83,29 @@ _CHECK_PAIRS = 10
 _CHECK_SEED = 20
 
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """The header, then one line per row: float cells (numpy floats included)
+    at 17 significant digits, every other cell as ``str``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for row in [header, *rows]:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n")
+
+
+def _xy(n: int) -> list:
+    """The coordinate columns x1, y1, ..., xn, yn."""
+    return [f"{c}{i}" for i in range(1, n + 1) for c in "xy"]
+
+
+def _numpy_to_json(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 
@@ -203,8 +216,21 @@ def cmd_find_critical(args, out: Path):
         collision_margin=args.collision_margin,
         newton_tol=args.newton_tol)
     report = find_critical_points(engine, strengths, spec, search)
-    _write_json(out / "report.json", report_to_dict(report))
-    _write_csv(out / "critical_points.csv", report_csv_rows(report))
+    _write_json(out / "report.json", {
+        "stats": report.stats,
+        "domain_fingerprint": report.domain_fingerprint,
+        "function_fingerprint": report.function_fingerprint,
+        "critical_points": [
+            {"points": cp.configuration.points, "residual": cp.residual,
+             "spectrum": cp.spectrum, "morse_index": cp.morse_index,
+             "margin": cp.margin, "orbit_tag": cp.orbit_tag, "alignment": cp.alignment}
+            for cp in report.points],
+    })
+    n = len(report.points[0].configuration) if report.points else 0
+    _write_csv(out / "critical_points.csv",
+               _xy(n) + ["residual", "morse_index", "margin", "orbit_tag"],
+               ([*cp.configuration.flat(), cp.residual, cp.morse_index, cp.margin,
+                 cp.orbit_tag] for cp in report.points))
     return 0, ["report.json", "critical_points.csv"], engine, None
 
 
@@ -221,12 +247,9 @@ def cmd_shape_verify(args, out: Path):
     else:
         kwargs.update(x=_parse_point(args.x), y=_parse_point(args.y))
     report = fd_check(domain, args.quantity, field, ladder, **kwargs)
-    _write_json(out / "report.json", report.to_dict())
-    rows = [["eps", "fd_value"]]
-    for eps, val in zip(report.eps_ladder, report.fd_values):
-        flat = np.atleast_1d(np.asarray(val, dtype=float))
-        rows.append([f"{eps:.17g}"] + [f"{v:.17g}" for v in flat])
-    _write_csv(out / "fd_ladder.csv", rows)
+    _write_json(out / "report.json", dataclasses.asdict(report))
+    _write_csv(out / "fd_ladder.csv", ["eps", "fd_value"],
+               ([eps, *np.ravel(val)] for eps, val in zip(report.eps_ladder, report.fd_values)))
     return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], None, None
 
 
@@ -271,7 +294,10 @@ def cmd_perturb_study(args, out: Path):
         return 1, ["trace.json"], engine, None
     trace = continue_critical_point(engine, field, grid, polish.configuration,
                                     strengths, spec, newton_tol=args.newton_tol)
-    _write_csv(out / "trace.csv", trace.csv_rows())
+    n = len(trace.configurations[0]) if trace.configurations else 0
+    _write_csv(out / "trace.csv", ["eps", *_xy(n), "residual", "min_abs_eig"],
+               ([eps, *np.ravel(cfg), res, margin] for eps, cfg, res, margin in
+                zip(trace.eps_values, trace.configurations, trace.residuals, trace.margins)))
     _write_json(out / "trace.json", {
         "eps": list(trace.eps_values),
         "residuals": list(trace.residuals),
@@ -295,7 +321,11 @@ def cmd_simulate(args, out: Path):
     dyn = DynamicsConfig(integrator=args.integrator, dt=args.dt, horizon=args.horizon)
     engine = build_engine(domain, args.nodes)
     trajectory = integrate(engine, strengths, spec, config.flat(), dyn)
-    _write_csv(out / "trajectory.csv", trajectory.csv_rows())
+    _write_csv(out / "trajectory.csv",
+               ["t", *_xy(trajectory.states.shape[1]), "hamiltonian", "angular_impulse"],
+               ([t, *state.ravel(), h, impulse] for t, state, h, impulse in
+                zip(trajectory.times, trajectory.states, trajectory.hamiltonian,
+                    trajectory.angular_impulse)))
     return ((1 if trajectory.truncated else 0), ["trajectory.csv"], engine,
             trajectory.solver_stats())
 

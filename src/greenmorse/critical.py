@@ -420,45 +420,3 @@ def _fingerprint(data: dict) -> str:
     blob = json.dumps(data, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def report_to_dict(report: MorseReport) -> dict:
-    return {
-        "stats": report.stats,
-        "domain_fingerprint": report.domain_fingerprint,
-        "function_fingerprint": report.function_fingerprint,
-        "critical_points": [
-            {
-                "points": [list(p) for p in cp.configuration.points],
-                "residual": cp.residual,
-                "spectrum": list(cp.spectrum),
-                "morse_index": cp.morse_index,
-                "margin": cp.margin,
-                "orbit_tag": cp.orbit_tag,
-                "alignment": cp.alignment,
-            }
-            for cp in report.points
-        ],
-    }
-
-
-def report_csv_rows(report: MorseReport):
-    """One row per critical point: coordinates, residual, index, margin, tag."""
-    if report.points:
-        n = len(report.points[0].configuration)
-    else:
-        n = 0
-    header = []
-    for i in range(n):
-        header += [f"x{i + 1}", f"y{i + 1}"]
-    header += ["residual", "morse_index", "margin", "orbit_tag"]
-    rows = [header]
-    for cp in report.points:
-        row = [f"{v:.17g}" for v in cp.configuration.flat()]
-        row += [f"{cp.residual:.17g}", str(cp.morse_index),
-                f"{cp.margin:.17g}", cp.orbit_tag]
-        rows.append(row)
-    return rows

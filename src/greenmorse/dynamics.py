@@ -105,20 +105,6 @@ class Trajectory:
             "newton_skipped": int(np.sum(self.newton_skipped)),
         }
 
-    def csv_rows(self):
-        n = self.states.shape[1]
-        header = ["t"]
-        for i in range(n):
-            header += [f"x{i + 1}", f"y{i + 1}"]
-        header += ["hamiltonian", "angular_impulse"]
-        rows = [header]
-        for k in range(len(self.times)):
-            row = [f"{self.times[k]:.17g}"]
-            row += [f"{v:.17g}" for v in self.states[k].reshape(-1)]
-            row += [f"{self.hamiltonian[k]:.17g}", f"{self.angular_impulse[k]:.17g}"]
-            rows.append(row)
-        return rows
-
 
 def velocity(engine, strengths: VortexStrengths, spec: InteractionSpec,
              config: Configuration, jacobian: bool = False):

@@ -42,6 +42,8 @@ REFIT_TOL = 1e-12
 REFIT_DEGREE_CAP = 256
 # ``vanishes_near`` widens the field's cutoff by this much
 _VANISH_SLACK = 1e-8
+# default width of the band inside the boundary where a normal field is nonzero
+DEFAULT_CUTOFF_WIDTH = 0.35
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -378,6 +380,18 @@ def _parameter_map(curve: BoundaryCurve, matrix: np.ndarray, is_reflection: bool
     return const
 
 
+def _parameter_maps(curve: BoundaryCurve, group: SymmetryGroup):
+    """The (parameter map constant, is_reflection) of every group element, or
+    None if some element does not map the curve to itself."""
+    maps = []
+    for matrix, is_refl in group.elements():
+        const = _parameter_map(curve, matrix, is_refl)
+        if const is None:
+            return None
+        maps.append((const, is_refl))
+    return maps
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """A smooth bounded planar domain, optionally tagged with a symmetry group.
@@ -393,11 +407,9 @@ class DomainSpec:
 
     def __post_init__(self):
         self.boundary.validate()
-        if self.symmetry is not None:
-            for matrix, is_refl in self.symmetry.elements():
-                if _parameter_map(self.boundary, matrix, is_refl) is None:
-                    raise SymmetryMismatchError(
-                        "boundary is not invariant under the declared symmetry group")
+        if self.symmetry is not None and _parameter_maps(self.boundary, self.symmetry) is None:
+            raise SymmetryMismatchError(
+                "boundary is not invariant under the declared symmetry group")
 
     @property
     def diameter(self) -> float:
@@ -588,7 +600,7 @@ class PerturbationField:
     kind: str
     cos_coeffs: np.ndarray = dc_field(default_factory=lambda: np.zeros(1))
     sin_coeffs: np.ndarray = dc_field(default_factory=lambda: np.zeros(1))
-    cutoff_width: float = 0.35
+    cutoff_width: float = DEFAULT_CUTOFF_WIDTH
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -599,12 +611,16 @@ class PerturbationField:
             arr = np.zeros(n)
             flat = np.atleast_1d(np.asarray(val, dtype=float))
             arr[: len(flat)] = flat
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"field {name} must be finite")
             if name == "sin_coeffs":
                 arr[0] = 0.0    # sin(0 t) vanishes; its coefficient is meaningless
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.cutoff_width <= 0:
-            raise ValueError("cutoff_width must be positive")
+        if not 0 < self.cutoff_width < np.inf:
+            raise ValueError("cutoff_width must be positive and finite")
+        if not np.isfinite(self.amplitude):
+            raise ValueError("field amplitude must be finite")
 
     @property
     def max_mode(self) -> int:
@@ -667,8 +683,7 @@ class PerturbationField:
         elif self.kind == "identity_dilation":
             out = np.linalg.norm(pts, axis=-1) <= 1e-10
         else:
-            reach = self.cutoff_width + _VANISH_SLACK
-            out = domain.signed_boundary_distance(pts, reach) > reach
+            out = contains(domain, pts, self.cutoff_width + _VANISH_SLACK)
         return bool(out) if pts.ndim == 1 else out
 
     def sup_boundary_norm(self, domain: DomainSpec) -> float:
@@ -680,14 +695,15 @@ class PerturbationField:
         return float(np.max(np.abs(self.profile(t))))
 
 
-def normal_field(cos_coeffs, sin_coeffs=(), cutoff_width: float = 0.35,
+def normal_field(cos_coeffs, sin_coeffs=(), cutoff_width: float = DEFAULT_CUTOFF_WIDTH,
                  amplitude: float = 1.0) -> PerturbationField:
     return PerturbationField("normal_fourier", _as_coeffs(cos_coeffs) if len(np.atleast_1d(cos_coeffs)) else np.zeros(1),
                              _as_coeffs(sin_coeffs) if len(np.atleast_1d(sin_coeffs)) else np.zeros(1),
                              cutoff_width, amplitude)
 
 
-def cosine_field(mode: int, amplitude: float = 1.0, cutoff_width: float = 0.35) -> PerturbationField:
+def cosine_field(mode: int, amplitude: float = 1.0,
+                 cutoff_width: float = DEFAULT_CUTOFF_WIDTH) -> PerturbationField:
     """Normal field g(t) = amplitude * cos(mode * t)."""
     coeffs = np.zeros(mode + 1)
     coeffs[mode] = 1.0
@@ -788,11 +804,8 @@ def apply_perturbation(domain: DomainSpec, field: PerturbationField, eps: float)
                 raise
             k_fit *= 2
     symmetry = domain.symmetry
-    if symmetry is not None:
-        for matrix, is_refl in symmetry.elements():
-            if _parameter_map(new_curve, matrix, is_refl) is None:
-                symmetry = None
-                break
+    if symmetry is not None and _parameter_maps(new_curve, symmetry) is None:
+        symmetry = None
     return DomainSpec(new_curve, symmetry)
 
 
@@ -808,13 +821,9 @@ def equivariant_project(field: PerturbationField, group: SymmetryGroup,
     parameter maps, so the average is taken directly on the Fourier
     coefficients of the normal profile.  Idempotent and linear.
     """
-    maps = []
-    for matrix, is_refl in group.elements():
-        const = _parameter_map(domain.boundary, matrix, is_refl)
-        if const is None:
-            raise SymmetryMismatchError(
-                "domain is not invariant under the group; cannot project")
-        maps.append((const, is_refl))
+    maps = _parameter_maps(domain.boundary, group)
+    if maps is None:
+        raise SymmetryMismatchError("domain is not invariant under the group; cannot project")
     if field.kind == "identity_dilation":
         return PerturbationField("identity_dilation", amplitude=field.amplitude)
     n = len(field.cos_coeffs)
@@ -890,7 +899,7 @@ def field_from_dict(data: dict) -> PerturbationField:
     return normal_field(
         np.asarray(data.get("cos", [0.0]), dtype=float),
         np.asarray(data.get("sin", [0.0]), dtype=float),
-        float(data.get("cutoff_width", 0.35)),
+        float(data.get("cutoff_width", DEFAULT_CUTOFF_WIDTH)),
         float(data.get("amplitude", 1.0)))
 
 

@@ -127,23 +127,6 @@ class ShapeDerivativeReport:
     passed: bool
     failures: tuple = ()
 
-    def to_dict(self) -> dict:
-        def conv(v):
-            if isinstance(v, np.ndarray):
-                return list(v)
-            return v
-        return {
-            "quantity": self.quantity,
-            "eps_ladder": list(self.eps_ladder),
-            "fd_values": [conv(v) for v in self.fd_values],
-            "analytic": conv(self.analytic),
-            "richardson": conv(self.richardson),
-            "observed_order": self.observed_order,
-            "rel_error": self.rel_error,
-            "passed": bool(self.passed),
-            "failures": list(self.failures),
-        }
-
 
 def _neville_to_zero(eps, values):
     """Polynomial extrapolation in eps^2 to eps = 0."""
@@ -279,21 +262,6 @@ class ContinuationTrace:
     @property
     def truncated(self) -> bool:
         return self.diagnostic is not None
-
-    def csv_rows(self):
-        n = len(self.configurations[0]) if self.configurations else 0
-        header = ["eps"]
-        for i in range(n):
-            header += [f"x{i + 1}", f"y{i + 1}"]
-        header += ["residual", "min_abs_eig"]
-        rows = [header]
-        for eps, cfg, res, mar in zip(self.eps_values, self.configurations,
-                                      self.residuals, self.margins):
-            row = [f"{eps:.17g}"]
-            row += [f"{v:.17g}" for v in np.asarray(cfg).reshape(-1)]
-            row += [f"{res:.17g}", f"{mar:.17g}"]
-            rows.append(row)
-        return rows
 
 
 def corrector_search(newton_tol: float) -> SearchConfig:

@@ -203,6 +203,43 @@ def test_perturb_study_grid_past_the_margin(tmp_path, capsys):
     assert "exceeds the margin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [{"amplitude": float("nan")},
+                                   {"cos": [0.0, 0.0, 0.0, float("nan")]},
+                                   {"cutoff_width": float("nan")}],
+                         ids=["nan-amplitude", "nan-coefficient", "nan-cutoff"])
+def test_commands_reject_a_non_finite_field(tmp_path, capsys, monkeypatch, entry):
+    # refused when the field file is read, before any engine is built
+    domain, vortex, _ = _dipole_inputs(tmp_path)
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"type": "normal_fourier", "cos": [0.0, 0.0, 0.0, 1.0],
+                                 **entry}), encoding="utf-8")
+    built = []
+    monkeypatch.setattr(shape, "build_engine", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "build_engine", lambda *args: built.append(args))
+    for command in (["shape-verify", domain], ["perturb-study", domain, vortex]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--field", str(field), "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert built == [] and not any(out.iterdir())
+
+
+def test_find_critical_writes_the_points_csv(tmp_path):
+    domain, vortex, _ = _dipole_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["find-critical", domain, vortex, "--starts", "8", "--out", str(out)]) == 0
+    points = json.loads((out / "report.json").read_text(encoding="utf-8"))["critical_points"]
+    rows = [line.split(",") for line in
+            (out / "critical_points.csv").read_text(encoding="utf-8").splitlines()]
+    assert rows[0] == ["x1", "y1", "x2", "y2", "residual", "morse_index", "margin",
+                       "orbit_tag"]
+    assert points and len(rows) == len(points) + 1
+    for row, cp in zip(rows[1:], points):
+        # 17 significant digits reproduce each double exactly
+        assert [float(v) for v in row[:4]] == [v for p in cp["points"] for v in p]
+        assert [float(row[4]), int(row[5]), float(row[6]), row[7]] == [
+            cp["residual"], cp["morse_index"], cp["margin"], cp["orbit_tag"]]
+
+
 @pytest.mark.parametrize("lobed", [False, True])
 def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
     domain = tmp_path / "domain.json"
@@ -214,6 +251,21 @@ def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
     assert report["passed"] and report["failures"] == []
     assert report["eps_ladder"] == [1e-2, 5e-3, 2.5e-3]
     assert len((out / "fd_ladder.csv").read_text(encoding="utf-8").splitlines()) == 4
+
+    # grad_f of the dipole: each ladder row holds eps and the 2N = 4 differences
+    vortex = tmp_path / "dipole.json"
+    gm.save_vortex(gm.VortexStrengths([1.0, -1.0]),
+                   gm.Configuration([[DIPOLE_RADIUS, 0.0], [-DIPOLE_RADIUS, 0.0]]),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    assert cli.main(["shape-verify", str(domain), "--field", field, "--quantity", "grad_f",
+                     "--vortex", str(vortex), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] and len(report["analytic"]) == 4
+    rows = [line.split(",") for line in
+            (out / "fd_ladder.csv").read_text(encoding="utf-8").splitlines()]
+    assert rows[0] == ["eps", "fd_value"]
+    assert [[float(v) for v in row] for row in rows[1:]] == [
+        [eps, *values] for eps, values in zip(report["eps_ladder"], report["fd_values"])]
 
 
 @pytest.mark.parametrize("ladder", ["nan", "1e-2,inf", "1e-2,nan,2.5e-3", "1e-2,1e-2", ""])

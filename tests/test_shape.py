@@ -310,12 +310,6 @@ def test_equivariant_continuation_matches(disk_domain, dipole_setup, dipole_trac
     assert_allclose(trace.margins, dipole_trace.margins, rtol=1e-8, atol=1e-14)
 
 
-def test_continuation_csv_rows(dipole_trace):
-    rows = dipole_trace.csv_rows()
-    assert rows[0] == ["eps", "x1", "y1", "x2", "y2", "residual", "min_abs_eig"]
-    assert len(rows) == len(CONTINUATION_GRID) + 1
-
-
 def test_continuation_of_a_close_pair():
     # the dipole of a disk of radius 0.036 is 0.035 apart: the corrector's
     # collision margin of 0.02 admits it, where the search default 0.05 does not
