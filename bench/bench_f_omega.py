@@ -1,14 +1,17 @@
 """Layer micro-benchmark of ``f_omega`` (L2) and of engine builds (L1) on the
 lobed domain.
 
-Times one ``f_omega`` call for N in {2, 4, 8, 16} same-sign vortices on a ring,
-once reading only the value and gradient (what the vortex dynamics and a
-rejected search trial use) and once also reading ``.hessian`` (what an
-accepted search step and the Morse classification use), on the 256-node
-conformal-map engine (the default) and the 256-node Nystrom engine.  The
-Nystrom engine computes every block in the call, so its two rows differ only
-by the Hessian assembly in ``f_omega``; each of its evaluations factorises
-the Dirichlet matrix anew (``lu_solve`` is one numpy LU solve).  It also
+Times one ``f_omega`` call for N in {2, 4, 8, 16} same-sign vortices on a ring
+and for the search workload's N = 3, lambda = (1, 1, -1), once reading only
+the value and gradient (what the vortex dynamics and a rejected search trial
+use) and once also reading ``.hessian`` (what an accepted search step and the
+Morse classification use), on the 256-node conformal-map engine (the
+default), which sums the regular parts in complex form, and the 256-node
+Nystrom engine, which contracts per-pair blocks.  The Nystrom engine computes
+every block in the call, so its two rows differ only by the Hessian
+contraction in ``regular_sum`` and the subtraction in ``f_omega``; each of
+its evaluations factorises the Dirichlet matrix anew (``lu_solve`` is one
+numpy LU solve).  It also
 times the construction of both engines at 256 nodes (every command but
 ``perturb-study``) and 512 nodes (a ``perturb-study`` rung), and of the
 512-node conformal-map engine on an 8:1 ellipse, whose Kerzman-Stein solve
@@ -53,11 +56,12 @@ def _hessian(engine, strengths, spec, config):
 
 
 @pytest.mark.parametrize("read", [_gradient, _hessian], ids=["gradient", "hessian"])
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_f_omega(benchmark, lobed_engine, n, read):
-    strengths = gm.VortexStrengths(np.ones(n))
+@pytest.mark.parametrize("lam", [(1.0,) * 2, (1.0, 1.0, -1.0), (1.0,) * 4, (1.0,) * 8,
+                                 (1.0,) * 16], ids=["2", "3-mixed", "4", "8", "16"])
+def test_f_omega(benchmark, lobed_engine, lam, read):
+    strengths = gm.VortexStrengths(lam)
     result = benchmark(read, lobed_engine, strengths, gm.kirchhoff_routh_interaction(),
-                       _ring(n))
+                       _ring(len(lam)))
     assert np.all(np.isfinite(result))
 
 

@@ -226,9 +226,8 @@ def cmd_find_critical(args, out: Path):
              "margin": cp.margin, "orbit_tag": cp.orbit_tag, "alignment": cp.alignment}
             for cp in report.points],
     })
-    n = len(report.points[0].configuration) if report.points else 0
     _write_csv(out / "critical_points.csv",
-               _xy(n) + ["residual", "morse_index", "margin", "orbit_tag"],
+               _xy(len(strengths)) + ["residual", "morse_index", "margin", "orbit_tag"],
                ([*cp.configuration.flat(), cp.residual, cp.morse_index, cp.margin,
                  cp.orbit_tag] for cp in report.points))
     return 0, ["report.json", "critical_points.csv"], engine, None
@@ -239,16 +238,18 @@ def cmd_shape_verify(args, out: Path):
     field = load_field(args.field)
     ladder = _parse_floats(args.eps_ladder)
     kwargs = {"nodes": args.nodes}
+    header = ["eps", "fd_value"]
     if args.quantity == "grad_f":
         strengths, config, spec = load_vortex(args.vortex)
         kwargs.update(strengths=strengths, spec=spec, config=config)
+        header = ["eps", *_xy(len(config))]
     elif args.quantity == "robin":
         kwargs.update(x=_parse_point(args.x))
     else:
         kwargs.update(x=_parse_point(args.x), y=_parse_point(args.y))
     report = fd_check(domain, args.quantity, field, ladder, **kwargs)
     _write_json(out / "report.json", dataclasses.asdict(report))
-    _write_csv(out / "fd_ladder.csv", ["eps", "fd_value"],
+    _write_csv(out / "fd_ladder.csv", header,
                ([eps, *np.ravel(val)] for eps, val in zip(report.eps_ladder, report.fd_values)))
     return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], None, None
 

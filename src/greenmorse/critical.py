@@ -318,8 +318,9 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
     mapped onto the bounding box of the boundary.  Each block of 128
     candidates is tested at once by the rules ``check_admissible`` applies
     to one: one ``contains`` query at the engine's ``eval_margin`` for all
-    its points (d > ``eval_margin``, the boundary rule of ``engine.blocks``)
-    and the closest-pair distance of every candidate."""
+    its points (d > ``eval_margin``, the boundary rule of
+    ``engine.require_interior``) and the closest-pair distance of every
+    candidate."""
     lo, hi = engine.domain.boundary.bounding_box
     sampler = _ScrambledHalton(2 * n_points, search.seed)
     starts = []

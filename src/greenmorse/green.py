@@ -29,9 +29,14 @@ of the first two; the third is a reference class, built only by calling it:
   points.  It keeps D and solves through the module-level ``lu_solve``, one
   numpy LU solve per call.
 
-Each engine evaluates H through one path, ``blocks(points)``: every
-H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with two leading
-(j, k) axes.  It checks the points with ``require_interior``, one batched
+Each engine evaluates H at N points through two batched calls.
+``blocks(points)`` gives every H(x_j, x_k) with its derivatives, as a
+``GreenEvaluation`` with two leading (j, k) axes.  ``regular_sum(points,
+lam)`` gives the double sum S = sum_{j,k} lam_j lam_k H(x_j, x_k) that
+``kr.f_omega`` subtracts, with its gradient and a thunk for its Hessian: on
+the disk and integral engines the contraction of one ``blocks`` call, on
+the conformal engine a complex form that builds no per-pair blocks.  Both
+check the points with ``require_interior``, one batched
 boundary-distance query for all points and the one rule of where a point
 may be: a point is admissible iff its boundary distance d > ``eval_margin``
 (OutsideDomainError for d <= 0 or NaN, else AccuracyDegradedError).  The
@@ -44,7 +49,7 @@ report a lower bound with the exact sign, and every decision, the point
 named and the message are those of the exact distance.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
 conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
-It computes the j <= k blocks.  The integral engine computes all of them
+``blocks`` computes the j <= k blocks.  The integral engine computes all of them
 with the call, from one solve for 6N right-hand sides, Gamma(., x_k) and its
 two first and three second derivatives in x_k for every source, and one
 product for the moments of orders 0, 1 and 2.  The disk and conformal engines compute the
@@ -53,15 +58,17 @@ F and its first three derivatives at the points) and the second-derivative
 blocks on the first read of any of them, from what the call kept; the
 result is cached.  Each j > k block is copied from the (k, j) block with x
 and y exchanged.
-``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``;
-it, ``robin`` and the boundary traces check their points by the same rule.
+``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``
+and ``robin(x)`` is ``regular_sum([x], [1.0])``; they and the boundary
+traces check their points by the same rule.
 ``_traces(points)`` gives the traces of N points and their gradients from
 one query and one evaluation (the integral engine with one solve for 3N
 right-hand sides); ``boundary_normal_derivative`` and ``trace_gradient`` are
 its single-point forms.
 
 Engines are immutable after construction and all evaluations are pure; a
-second-derivative read fills a cache of the evaluation and never raises.
+second-derivative read fills a cache of the evaluation and never raises, and
+neither does a call of ``regular_sum``'s Hessian thunk.
 """
 
 from __future__ import annotations
@@ -338,12 +345,33 @@ class _EngineBase:
         """Numbers the engine computed about its own accuracy."""
         return {"eval_margin": self.eval_margin}
 
+    def regular_sum(self, points, lam) -> tuple:
+        """S = sum_{j,k} lam_j lam_k H(x_j, x_k) over all pairs, the diagonal
+        included, at the N points, which ``require_interior`` checks: the
+        value, the gradient (2N,) and a thunk for the Hessian (2N, 2N).  It
+        contracts the blocks of one ``blocks`` call: the gradient of x_m
+        collects lam_m lam_k grad_x H(x_m, x_k) and lam_j lam_m
+        grad_y H(x_j, x_m) over all j, k, and the Hessian assembles the same
+        way from the second-derivative blocks, which the thunk reads."""
+        ev = self.blocks(points)
+        n = len(ev.value)
+        c = np.outer(lam, lam)
+        grad = np.einsum("jk,jka->ja", c, ev.grad_x) + np.einsum("jk,jka->ka", c, ev.grad_y)
+
+        def hessian():
+            cross = np.einsum("jk,jkab->jakb", c, ev.hess_xy)
+            hess = cross + cross.transpose(2, 3, 0, 1)
+            diag = np.arange(n)
+            hess[diag, :, diag, :] += (np.einsum("jk,jkab->jab", c, ev.hess_xx)
+                                       + np.einsum("jk,jkab->kab", c, ev.hess_yy))
+            return hess.reshape(2 * n, 2 * n)
+
+        return float(np.sum(c * ev.value)), grad.reshape(2 * n), hessian
+
     def robin(self, x) -> RobinEvaluation:
-        """h(x) = H(x, x) via the chain rule on the diagonal restriction."""
-        ev = self.blocks([x]).pair(0, 0)
-        grad = ev.grad_x + ev.grad_y
-        hess = ev.hess_xx + ev.hess_yy + ev.hess_xy + ev.hess_xy.T
-        return RobinEvaluation(ev.value, grad, 0.5 * (hess + hess.T))
+        """h(x) = H(x, x): ``regular_sum`` of the one point x with strength 1."""
+        value, grad, hessian = self.regular_sum([x], [1.0])
+        return RobinEvaluation(value, grad, hessian())
 
     def green(self, x, y) -> float:
         """G(x, y) = Gamma(x, y) - H(x, y); positive for interior points."""
@@ -592,8 +620,12 @@ class ConformalGreenEngine(_EngineBase):
     divided difference Q = (F(x) - F(y)) / (x - y), which is F'(x) at x = y
     (for pairs closer than eval_margin / 2, where the differences in Q and
     its derivatives would cancel, integrals of F', F'' and F''' along the
-    segment from y to x), and the Poisson kernel pulled back through F,
+    segment from y to x; ``_quotients`` alone applies that rule), and the
+    Poisson kernel pulled back through F,
     d_nu G(x, z) = -|F'(z)| (1 - |F(x)|^2) / (2 pi |F(z) - F(x)|^2).
+    H is the real part of a function holomorphic in x, so ``regular_sum``
+    sums the lam-weighted H and its derivatives as complex N x N arrays;
+    ``blocks`` builds real 2 x 2 blocks from the same quotients.
 
     The construction self-test checks what |F| = 1 on the boundary, true by
     construction, cannot: the Cauchy integral of F at points outside the
@@ -677,24 +709,39 @@ class ConformalGreenEngine(_EngineBase):
                 "iterations": self.iterations,
                 "eval_margin": self.eval_margin}
 
-    def blocks(self, points) -> GreenEvaluation:
-        pts = self.require_interior(points)
-        x = pts[:, 0] + 1j * pts[:, 1]
-        f, f1, f2, f3 = self._map(x).T
+    def _quotients(self, x: np.ndarray, f, f1, f2, f3) -> tuple:
+        """The divided difference Q(x_j, x_k) = (F(x_j) - F(x_k)) / (x_j - x_k)
+        at the complex points x, given F and its first three derivatives
+        there, with dQ/dx and dQ/dy, all (N, N), and a thunk for d2Q/dx2 and
+        d2Q/dxdy.  On the diagonal Q = F', dQ/dx = dQ/dy = F''/2,
+        d2Q/dx2 = F'''/3 and d2Q/dxdy = F'''/6.  The differences cancel as
+        x_k nears x_j; for pairs closer than eval_margin / 2 all five come
+        from ``_segment_quotients`` instead."""
         diff = x[:, None] - x                   # [j, k]: x_j - x_k
         same = diff == 0
         diff[same] = 1.0
-        # divided differences Q(x_j, x_k) and dQ/dx, dQ/dy; on the diagonal
-        # Q = F', dQ/dx = dQ/dy = F''/2
         q = np.where(same, f1[:, None], (f[:, None] - f) / diff)
         qx = np.where(same, f2[:, None] / 2.0, (f1[:, None] - q) / diff)
         qy = np.where(same, f2[:, None] / 2.0, (q - f1) / diff)
-        # the differences cancel as x_k nears x_j; closer than eval_margin / 2
-        # they come from integrals along the segment instead
         near = np.nonzero((np.abs(diff) < 0.5 * self.eval_margin) & ~same)
         if len(near[0]):
             close = self._segment_quotients(x[near[0]], x[near[1]])
             q[near], qx[near], qy[near] = close[:3]
+
+        def second():
+            qxx = np.where(same, f3[:, None] / 3.0, (f2[:, None] - 2.0 * qx) / diff)
+            qxy = np.where(same, f3[:, None] / 6.0, (qx - qy) / diff)
+            if len(near[0]):
+                qxx[near], qxy[near] = close[3:]
+            return qxx, qxy
+
+        return q, qx, qy, second
+
+    def blocks(self, points) -> GreenEvaluation:
+        pts = self.require_interior(points)
+        x = pts[:, 0] + 1j * pts[:, 1]
+        f, f1, f2, f3 = self._map(x).T
+        q, qx, qy, second = self._quotients(x, f, f1, f2, f3)
         fc = np.conj(f)
         b = 1.0 - f[:, None] * fc
         # H = Re A with A holomorphic in x_j: A = (ln Q - ln b) / 2pi
@@ -702,10 +749,7 @@ class ConformalGreenEngine(_EngineBase):
         ax = (qx / q + u) / TWO_PI
 
         def hessians():
-            qxx = np.where(same, f3[:, None] / 3.0, (f2[:, None] - 2.0 * qx) / diff)
-            qxy = np.where(same, f3[:, None] / 6.0, (qx - qy) / diff)
-            if len(near[0]):
-                qxx[near], qxy[near] = close[3:]
+            qxx, qxy = second()
             axx = (qxx / q - (qx / q) ** 2 + f2[:, None] * fc / b + u * u) / TWO_PI
             # d2/dx dy ln Q, and d2/dx d(conj y) ln b
             p = (qxy - qx * qy / q) / q
@@ -718,6 +762,45 @@ class ConformalGreenEngine(_EngineBase):
         grad_x = np.stack([ax.real, -ax.imag], axis=-1)
         return _mirrored((np.log(np.abs(q)) - np.log(np.abs(b))) / TWO_PI,
                          grad_x, grad_x.swapaxes(0, 1).copy(), hessians)
+
+    def regular_sum(self, points, lam) -> tuple:
+        """``_EngineBase.regular_sum`` in complex form, from N x N arrays and
+        no per-pair real blocks.  With c = lam lam^T, b = 1 - F(x_j)
+        conj F(x_k) and A = (ln Q - ln b) / 2pi, H = Re A with A holomorphic
+        in x_j, and H is symmetric, so grad_{x_m} S = (Re g_m, -Im g_m) with
+        g_m = 2 sum_k c_mk dA/dx(x_m, x_k).  g_m depends on x_m
+        holomorphically through the first argument of every term (the sum
+        added to the diagonal of ``hol``), and on each x_k holomorphically
+        through Q (``hol``) and antiholomorphically through conj F(x_k)
+        (``mix``).  A holomorphic derivative h and an antiholomorphic one m
+        give the real block [[Re h + Re m, Im m - Im h], [-Im h - Im m,
+        Re m - Re h]]."""
+        pts = self.require_interior(points)
+        n = len(pts)
+        x = pts[:, 0] + 1j * pts[:, 1]
+        f, f1, f2, f3 = self._map(x).T
+        q, qx, qy, second = self._quotients(x, f, f1, f2, f3)
+        c = np.outer(lam, lam)
+        fc = np.conj(f)
+        b = 1.0 - f[:, None] * fc
+        u = f1[:, None] * fc / b
+        r = qx / q
+        g = (c * (r + u)).sum(axis=1) / np.pi
+        value = float((c * (np.log(np.abs(q)) - np.log(np.abs(b)))).sum()) / TWO_PI
+
+        def hessian():
+            qxx, qxy = second()
+            hol = c * (qxy - r * qy) / q
+            own = qxx / q - r * r + f2[:, None] * fc / b + u * u     # 2pi d2A/dx2
+            hol.flat[:: n + 1] += (c * own).sum(axis=1)
+            mix = c * f1[:, None] * np.conj(f1) / (b * b)
+            hess = _matrix2(hol.real + mix.real, mix.imag - hol.imag,
+                            -hol.imag - mix.imag, mix.real - hol.real)
+            hess = hess.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n) / np.pi
+            return 0.5 * (hess + hess.T)
+
+        # conj g viewed as floats is (Re g_1, -Im g_1, ..., Re g_N, -Im g_N)
+        return value, g.conj().view(float), hessian
 
     def _segment_quotients(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Q = (F(x) - F(y)) / (x - y) at complex pairs (x, y), with dQ/dx,

@@ -241,53 +241,38 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
             config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
     """Interaction minus the full regular-part double sum, with derivatives.
 
-    All H(x_j, x_k) come from one ``engine.blocks`` call: leading (j, k) axes,
-    j > k blocks mirrored from the (k, j) blocks.  Admissibility is decided
-    once, by two rules in this precedence: ``require_apart`` (through
-    ``interaction``) at the margin ``resolve_collision_margin`` gives, which
-    raises ValueError for a margin not >= 0 and CollisionError for pairs not
-    more than the margin apart; then, in ``engine.blocks``, the engine's
+    The double sum S = sum_{j,k} lambda_j lambda_k H(x_j, x_k), diagonal
+    included, comes from one ``engine.regular_sum`` call, and the result is
+    the interaction minus S.  Admissibility is decided once, by two rules in
+    this precedence: ``require_apart`` (through ``interaction``) at the
+    margin ``resolve_collision_margin`` gives, which raises ValueError for a
+    margin not >= 0 and CollisionError for pairs not more than the margin
+    apart; then, in ``engine.regular_sum``, the engine's
     ``require_interior``, one boundary-distance query for all points,
     OutsideDomainError for a point not inside and AccuracyDegradedError for a
     point not more than ``engine.eval_margin`` inside.  ``check_admissible``
     applies the same two rules.
-    The gradient block for point m collects lambda_m lambda_k grad_x H(x_m, x_k)
-    and lambda_j lambda_m grad_y H(x_j, x_m) over all j, k (diagonal included);
-    Hessian blocks assemble the same way from the second-derivative blocks.
 
-    The value and gradient are computed by the call, from the first-order
-    blocks (on the conformal-map engine one Cauchy product, on the integral
-    engine one ``lu_solve``, which factorises the Dirichlet matrix and solves
-    for 6N right-hand sides, giving the second-derivative blocks too).  The Hessian is assembled on the first read of
-    ``.hessian``, which reads the engine's second-derivative blocks (computed
-    on that read by the disk and conformal-map engines) and is then cached;
-    callers that need only the gradient, such as the vortex dynamics and
-    rejected search trials, never pay for it.
+    The value and gradient are computed by the call: on the conformal-map
+    engine from F and its first three derivatives at the points (one Cauchy
+    product) in complex form, on the disk and integral engines by contracting
+    the first-order blocks of one ``blocks`` call (on the integral engine one
+    ``lu_solve``, which factorises the Dirichlet matrix and solves for 6N
+    right-hand sides, giving the second-derivative blocks too).  The Hessian
+    is assembled on the first read of ``.hessian``, from S's Hessian thunk,
+    and is then cached; callers that need only the gradient, such as the
+    vortex dynamics and rejected search trials, never pay for it.  It is
+    symmetrised, so it is symmetric bit for bit whatever the interaction's.
     """
-    lam = strengths.values
-    pts = config.points
-    n = len(pts)
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
     inter = interaction(spec, strengths, config, collision_margin=cm)
-
-    ev = engine.blocks(pts)
-    c = np.outer(lam, lam)
-    value = inter.value - np.sum(c * ev.value)
-    grad = (inter.gradient.reshape(n, 2)
-            - np.einsum("jk,jka->ja", c, ev.grad_x)
-            - np.einsum("jk,jka->ka", c, ev.grad_y))
-    m = 2 * n
+    value, grad, regular_hessian = engine.regular_sum(config.points, strengths.values)
 
     def hessian():
-        cross = np.einsum("jk,jkab->jakb", c, ev.hess_xy)
-        hess = inter.hessian.reshape(n, 2, n, 2) - cross - cross.transpose(2, 3, 0, 1)
-        diag = np.arange(n)
-        hess[diag, :, diag, :] -= (np.einsum("jk,jkab->jab", c, ev.hess_xx)
-                                   + np.einsum("jk,jkab->kab", c, ev.hess_yy))
-        H = hess.reshape(m, m)
+        H = inter.hessian - regular_hessian()
         return 0.5 * (H + H.T)
 
-    return EvaluationResult(value, grad.reshape(m), hessian)
+    return EvaluationResult(inter.value - value, inter.gradient - grad, hessian)
 
 
 # ---------------------------------------------------------------------------

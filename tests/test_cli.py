@@ -240,6 +240,23 @@ def test_find_critical_writes_the_points_csv(tmp_path):
             cp["residual"], cp["morse_index"], cp["margin"], cp["orbit_tag"]]
 
 
+def test_find_critical_csv_header_without_points(tmp_path, lobed_domain):
+    # the coordinate columns come from the vortex file's strengths, so a
+    # search that converges nowhere (no gradient norm reaches 1e-30) writes
+    # the same header as one that finds points
+    domain, vortex = tmp_path / "lobed.json", tmp_path / "vortex.json"
+    gm.save_domain(lobed_domain, domain)
+    gm.save_vortex(gm.VortexStrengths([1.0, 1.0, -1.0]),
+                   gm.Configuration([[0.3, 0.0], [-0.15, 0.25], [-0.15, -0.25]]),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    out = tmp_path / "out"
+    assert cli.main(["find-critical", str(domain), str(vortex), "--starts", "1",
+                     "--newton-tol", "1e-30", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["critical_points"] == []
+    assert (out / "critical_points.csv").read_text(encoding="utf-8").splitlines() == [
+        "x1,y1,x2,y2,x3,y3,residual,morse_index,margin,orbit_tag"]
+
+
 @pytest.mark.parametrize("lobed", [False, True])
 def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
     domain = tmp_path / "domain.json"
@@ -252,7 +269,8 @@ def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
     assert report["eps_ladder"] == [1e-2, 5e-3, 2.5e-3]
     assert len((out / "fd_ladder.csv").read_text(encoding="utf-8").splitlines()) == 4
 
-    # grad_f of the dipole: each ladder row holds eps and the 2N = 4 differences
+    # grad_f of the dipole: each ladder row holds eps and the 2N = 4
+    # differences, one column named for each coordinate
     vortex = tmp_path / "dipole.json"
     gm.save_vortex(gm.VortexStrengths([1.0, -1.0]),
                    gm.Configuration([[DIPOLE_RADIUS, 0.0], [-DIPOLE_RADIUS, 0.0]]),
@@ -263,7 +281,8 @@ def test_shape_verify_dH(tmp_path, disk_domain, lobed_domain, lobed):
     assert report["passed"] and len(report["analytic"]) == 4
     rows = [line.split(",") for line in
             (out / "fd_ladder.csv").read_text(encoding="utf-8").splitlines()]
-    assert rows[0] == ["eps", "fd_value"]
+    assert rows[0] == ["eps", "x1", "y1", "x2", "y2"]
+    assert all(len(row) == len(rows[0]) for row in rows)
     assert [[float(v) for v in row] for row in rows[1:]] == [
         [eps, *values] for eps, values in zip(report["eps_ladder"], report["fd_values"])]
 

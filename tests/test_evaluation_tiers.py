@@ -3,8 +3,10 @@
 The references below are the eager evaluation path that computed every
 derivative block in one pass: all second-derivative blocks of the disk closed
 form, every block of a fresh evaluation read at once on the conformal-map and
-integral engines, and ``f_omega``'s Hessian assembled with its value and
-gradient.  The split path must reproduce them bit for bit.
+integral engines, and the regular-part double sum contracted from them with
+its value and gradient.  The split path must reproduce them bit for bit; the
+conformal engine's complex-form ``regular_sum`` must reproduce the block
+contraction to round-off.
 """
 
 import numpy as np
@@ -81,26 +83,36 @@ def _eager_log_pair_terms(points, lam):
     return value, grad.reshape(m), hess.reshape(m, m)
 
 
-def eager_f_omega(engine, strengths, config):
-    """``f_omega`` for the Kirchhoff-Routh interaction, assembled in one pass."""
-    lam = strengths.values
-    pts = config.points
+def eager_regular_sum(engine, lam, pts):
+    """sum_{j,k} lam_j lam_k H(x_j, x_k) contracted from the eager blocks."""
     n = len(pts)
-    inter_value, inter_grad, inter_hess = _eager_log_pair_terms(pts, lam)
     ev = eager_blocks(engine, pts)
     c = np.outer(lam, lam)
-    value = inter_value - np.sum(c * ev["value"])
-    grad = (inter_grad.reshape(n, 2)
-            - np.einsum("jk,jka->ja", c, ev["grad_x"])
-            - np.einsum("jk,jka->ka", c, ev["grad_y"]))
+    value = np.sum(c * ev["value"])
+    grad = (np.einsum("jk,jka->ja", c, ev["grad_x"])
+            + np.einsum("jk,jka->ka", c, ev["grad_y"]))
     cross = np.einsum("jk,jkab->jakb", c, ev["hess_xy"])
-    hess = inter_hess.reshape(n, 2, n, 2) - cross - cross.transpose(2, 3, 0, 1)
+    hess = cross + cross.transpose(2, 3, 0, 1)
     diag = np.arange(n)
-    hess[diag, :, diag, :] -= (np.einsum("jk,jkab->jab", c, ev["hess_xx"])
+    hess[diag, :, diag, :] += (np.einsum("jk,jkab->jab", c, ev["hess_xx"])
                                + np.einsum("jk,jkab->kab", c, ev["hess_yy"]))
     m = 2 * n
-    H = hess.reshape(m, m)
-    return value, grad.reshape(m), 0.5 * (H + H.T)
+    return value, grad.reshape(m), hess.reshape(m, m)
+
+
+def eager_f_omega(engine, strengths, config):
+    """``f_omega`` for the Kirchhoff-Routh interaction, assembled in one pass
+    from the block contraction."""
+    lam = strengths.values
+    pts = config.points
+    inter_value, inter_grad, inter_hess = _eager_log_pair_terms(pts, lam)
+    value, grad, hess = eager_regular_sum(engine, lam, pts)
+    H = inter_hess - hess
+    return inter_value - value, inter_grad - grad, 0.5 * (H + H.T)
+
+
+def _relative_error(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
 
 def _ring(domain, n, radius_fraction=0.35, phase=0.3):
@@ -138,11 +150,51 @@ def test_split_evaluation_equals_eager_path(request, engine_name, n):
     for name in BLOCK_FIELDS:
         assert np.array_equal(getattr(ev, name), ref[name]), name
 
+    # the generic regular_sum is the block contraction, on every engine
+    value, grad, hessian = green._EngineBase.regular_sum(engine, pts, lam.values)
+    ref_value, ref_grad, ref_hess = eager_regular_sum(engine, lam.values, pts)
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(hessian(), ref_hess)
+
+    # f_omega goes through it on the disk and integral engines; the
+    # conformal engine sums in complex form, equal to round-off
     res = gm.f_omega(engine, lam, gm.kirchhoff_routh_interaction(), config)
     value, grad, hess = eager_f_omega(engine, lam, config)
-    assert res.value == value
-    assert np.array_equal(res.gradient, grad)
-    assert np.array_equal(res.hessian, hess)
+    if isinstance(engine, gm.ConformalGreenEngine):
+        assert _relative_error(res.value, value) <= 1e-13
+        assert _relative_error(res.gradient, grad) <= 1e-13
+        assert _relative_error(res.hessian, hess) <= 1e-13
+    else:
+        assert res.value == value
+        assert np.array_equal(res.gradient, grad)
+        assert np.array_equal(res.hessian, hess)
+
+
+@pytest.mark.parametrize("engine_name", ["lobed_engine", "tilted_engine"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_conformal_regular_sum_equals_block_contraction(monkeypatch, request, engine_name, n):
+    # mixed-sign strengths; for n >= 2 points 0 and 1 are closer than
+    # eval_margin / 2, so their divided differences and second derivatives
+    # come from the segment quotients
+    engine = request.getfixturevalue(engine_name)
+    pts = _ring(engine.domain, n)
+    if n > 1:
+        pts[1] = pts[0] + 0.3 * engine.eval_margin * np.array([0.6, -0.8])
+    lam = np.array([1.0, -0.7, 1.3, 0.9, -1.1, 0.6])[:n]
+    segments = []
+    quotients = engine._segment_quotients
+    monkeypatch.setattr(engine, "_segment_quotients",
+                        lambda x, y: segments.append(len(x)) or quotients(x, y))
+
+    value, grad, hessian = engine.regular_sum(pts, lam)
+    hess = hessian()
+    assert segments == ([] if n == 1 else [2])
+    ref_value, ref_grad, ref_hessian = green._EngineBase.regular_sum(engine, pts, lam)
+    assert _relative_error(value, ref_value) <= 1e-13
+    assert _relative_error(grad, ref_grad) <= 1e-13
+    assert _relative_error(hess, ref_hessian()) <= 1e-13
+    assert np.array_equal(hess, hess.T)
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -441,7 +441,8 @@ def test_blocks_exactly_exchange_symmetric(lobed_engine):
 
 def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     strengths, config = spread_configuration(6, seed=6)
-    calls = {"blocks": 0, "regular_part": 0, "distance": 0, "admissible": 0, "f_omega": 0}
+    calls = {"regular_sum": 0, "blocks": 0, "mirrored": 0, "regular_part": 0, "distance": 0,
+             "admissible": 0, "f_omega": 0}
     distance_batches = []
 
     def counted(name, fn):
@@ -455,7 +456,10 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
         distance_batches.append(np.shape(points))
         return signed_boundary_distance(domain, points, *args, **kwargs)
 
+    monkeypatch.setattr(lobed_engine, "regular_sum",
+                        counted("regular_sum", lobed_engine.regular_sum))
     monkeypatch.setattr(lobed_engine, "blocks", counted("blocks", lobed_engine.blocks))
+    monkeypatch.setattr(gm.green, "_mirrored", counted("mirrored", gm.green._mirrored))
     monkeypatch.setattr(lobed_engine, "regular_part",
                         counted("regular_part", lobed_engine.regular_part))
     # DomainSpec is a frozen dataclass, so the method is patched on the class
@@ -463,9 +467,12 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
     monkeypatch.setattr(gm.kr, "check_admissible", counted("admissible", gm.kr.check_admissible))
     monkeypatch.setattr(gm.critical, "f_omega", counted("f_omega", gm.critical.f_omega))
-    gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
-    assert calls == {"blocks": 1, "regular_part": 0, "distance": 1, "admissible": 0,
-                     "f_omega": 0}
+    # the conformal engine sums in complex form, with no blocks, also for the
+    # Hessian
+    res = gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
+    res.hessian
+    assert calls == {"regular_sum": 1, "blocks": 0, "mirrored": 0, "regular_part": 0,
+                     "distance": 1, "admissible": 0, "f_omega": 0}
     assert distance_batches == [(6, 2)]
 
     # Newton polish checks nothing outside f_omega: one query per evaluation
