@@ -65,17 +65,21 @@ class Configuration:
         return self.points.reshape(-1)
 
 
+def _pair_differences(points: np.ndarray) -> tuple:
+    """x_j - x_k at [..., j, k] for a (..., N, 2) stack (NaN, without a
+    warning, for a non-finite point), and its squared length, inf at j = k."""
+    with np.errstate(invalid="ignore"):
+        d = points[..., :, None, :] - points[..., None, :, :]
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    diag = np.arange(points.shape[-2])
+    r2[..., diag, diag] = np.inf
+    return d, r2
+
+
 def min_pair_distances(points) -> np.ndarray:
-    """Smallest distance between two of the N points of each configuration in
-    a (..., N, 2) stack, shape (...); inf where N < 2."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[-2]
-    if n < 2:
-        return np.full(pts.shape[:-2], np.inf)
-    d = pts[..., :, None, :] - pts[..., None, :, :]
-    r2 = (d[..., 0] ** 2 + d[..., 1] ** 2).reshape(pts.shape[:-2] + (n * n,))
-    r2[..., :: n + 1] = np.inf      # the diagonal, j = k
-    return np.sqrt(r2.min(axis=-1))
+    """Smallest distance between two of the N >= 1 points of each
+    configuration in a (..., N, 2) stack, shape (...); inf where N = 1."""
+    return np.sqrt(_pair_differences(np.asarray(points, dtype=float))[1].min(axis=(-2, -1)))
 
 
 def check_collision_margin(margin: float) -> None:
@@ -84,16 +88,18 @@ def check_collision_margin(margin: float) -> None:
         raise ValueError(f"collision_margin must be >= 0, got {margin}")
 
 
-def require_apart(points, margin: float) -> None:
+def require_apart(points, margin: float) -> tuple:
     """The collision rule: a configuration is admissible iff its smallest pair
     distance is more than ``margin`` (checked by ``check_collision_margin``);
     CollisionError otherwise.  It is the counterpart of the engines'
-    ``require_interior``."""
+    ``require_interior``.  It returns ``_pair_differences`` of the points."""
     check_collision_margin(margin)
-    gap = float(min_pair_distances(points))
+    d, r2 = _pair_differences(np.asarray(points, dtype=float))
+    gap = float(np.sqrt(r2.min()))
     if gap <= margin:
         raise CollisionError(
             f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
+    return d, r2
 
 
 @dataclass(frozen=True)
@@ -156,12 +162,11 @@ class AdmissibilityResult:
         return self.ok
 
 
-def _log_pair_terms(points: np.ndarray, lam: np.ndarray):
+def _log_pair_terms(d: np.ndarray, r2: np.ndarray, lam: np.ndarray):
     """Value and gradient of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|, and
-    a thunk for its Hessian."""
-    n = len(points)
-    d = points[:, None, :] - points[None, :, :]     # [j, k] = x_j - x_k
-    r2 = np.sum(d * d, axis=-1)
+    a thunk for its Hessian, from the ``require_apart`` differences d and
+    squared lengths r2 (whose diagonal it overwrites)."""
+    n = len(lam)
     np.fill_diagonal(r2, 1.0)
     c = np.outer(lam, lam) / np.pi
     np.fill_diagonal(c, 0.0)
@@ -193,12 +198,12 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
         raise ValueError("strengths and configuration lengths differ")
     if collision_margin is None:
         collision_margin = spec.collision_margin if spec.collision_margin is not None else 0.0
-    require_apart(pts, collision_margin)
+    d, r2 = require_apart(pts, collision_margin)
     m = 2 * len(pts)
     if spec.variant == "zero":
         return EvaluationResult(0.0, np.zeros(m), lambda: np.zeros((m, m)))
     if spec.variant == "kirchhoff_routh":
-        return EvaluationResult(*_log_pair_terms(pts, lam))
+        return EvaluationResult(*_log_pair_terms(d, r2, lam))
     value, grad, hess = spec.custom_evaluator(pts, lam)
     hess = np.asarray(hess, dtype=float).reshape(m, m)
     return EvaluationResult(float(value), np.asarray(grad, dtype=float).reshape(m),
@@ -254,15 +259,15 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     applies the same two rules.
 
     The value and gradient are computed by the call: on the conformal-map
-    engine from F and its first three derivatives at the points (one Cauchy
-    product) in complex form, on the disk and integral engines by contracting
-    the first-order blocks of one ``blocks`` call (on the integral engine one
-    ``lu_solve``, which factorises the Dirichlet matrix and solves for 6N
-    right-hand sides, giving the second-derivative blocks too).  The Hessian
-    is assembled on the first read of ``.hessian``, from S's Hessian thunk,
-    and is then cached; callers that need only the gradient, such as the
-    vortex dynamics and rejected search trials, never pay for it.  It is
-    symmetrised, so it is symmetric bit for bit whatever the interaction's.
+    and disk engines in complex form from F and its first three derivatives
+    at the points, on the integral engine by contracting the first-order
+    blocks of one ``blocks`` call (one ``lu_solve``, which factorises the
+    Dirichlet matrix and solves for 6N right-hand sides, giving the
+    second-derivative blocks too).  The Hessian is assembled on the first
+    read of ``.hessian``, from S's Hessian thunk, and is then cached; callers
+    that need only the gradient, such as the vortex dynamics and rejected
+    search trials, never pay for it.  It is symmetrised, so it is symmetric
+    bit for bit whatever the interaction's.
     """
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
     inter = interaction(spec, strengths, config, collision_margin=cm)

@@ -1,12 +1,11 @@
 """Value-and-gradient evaluations with Hessians computed on first read.
 
 The references below are the eager evaluation path that computed every
-derivative block in one pass: all second-derivative blocks of the disk closed
-form, every block of a fresh evaluation read at once on the conformal-map and
-integral engines, and the regular-part double sum contracted from them with
-its value and gradient.  The split path must reproduce them bit for bit; the
-conformal engine's complex-form ``regular_sum`` must reproduce the block
-contraction to round-off.
+derivative block in one pass: every block of a fresh evaluation read at once,
+and the regular-part double sum contracted from them with its value and
+gradient.  The split path must reproduce them bit for bit; the complex-form
+``regular_sum`` of the conformal-map engines, the disk among them, must
+reproduce the block contraction to round-off.
 """
 
 import numpy as np
@@ -15,53 +14,10 @@ import pytest
 import greenmorse as gm
 from greenmorse import green
 
-TWO_PI = 2 * np.pi
-
-
-def _eager_mirrored(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy):
-    lower = np.tril_indices(len(value), -1)
-    upper = lower[::-1]
-    value[lower] = value[upper]
-    grad_x[lower], grad_y[lower] = grad_y[upper], grad_x[upper]
-    hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
-    hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
-    return dict(value=value, grad_x=grad_x, grad_y=grad_y,
-                hess_xx=hess_xx, hess_yy=hess_yy, hess_xy=hess_xy)
-
-
-def _eager_disk_blocks(engine, pts):
-    xt = (pts - engine.center) / engine.radius
-    R = engine.radius
-    X = xt[:, None, :]
-    Y = xt[None, :, :]
-    xx = np.sum(X * X, axis=-1, keepdims=True)
-    yy = np.sum(Y * Y, axis=-1, keepdims=True)
-    eye = np.eye(2)
-    s = 1.0 - 2.0 * np.sum(X * Y, axis=-1, keepdims=True) + xx * yy
-    sx = -2.0 * Y + 2.0 * X * yy
-    sy = -2.0 * X + 2.0 * Y * xx
-    sxx = 2.0 * yy[..., None] * eye
-    syy = 2.0 * xx[..., None] * eye
-    sxy = -2.0 * eye + 4.0 * X[..., :, None] * Y[..., None, :]
-    c = -1.0 / (2.0 * TWO_PI)
-    s1 = s[..., None]
-    s2 = s1 * s1
-    return _eager_mirrored(
-        c * np.log(s[..., 0]) - np.log(R) / TWO_PI,
-        c * sx / s / R,
-        c * sy / s / R,
-        c * (sxx / s1 - sx[..., :, None] * sx[..., None, :] / s2) / R**2,
-        c * (syy / s1 - sy[..., :, None] * sy[..., None, :] / s2) / R**2,
-        c * (sxy / s1 - sx[..., :, None] * sy[..., None, :] / s2) / R**2,
-    )
-
 
 def eager_blocks(engine, points):
     """Every block of ``engine.blocks(points)``, all computed in one pass."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if isinstance(engine, gm.DiskGreenEngine):
-        return _eager_disk_blocks(engine, pts)
-    ev = engine.blocks(pts)
+    ev = engine.blocks(np.asarray(points, dtype=float).reshape(-1, 2))
     return {name: getattr(ev, name) for name in BLOCK_FIELDS}
 
 
@@ -157,8 +113,8 @@ def test_split_evaluation_equals_eager_path(request, engine_name, n):
     assert np.array_equal(grad, ref_grad)
     assert np.array_equal(hessian(), ref_hess)
 
-    # f_omega goes through it on the disk and integral engines; the
-    # conformal engine sums in complex form, equal to round-off
+    # f_omega goes through it on the integral engine; the conformal-map
+    # engines, the disk among them, sum in complex form, equal to round-off
     res = gm.f_omega(engine, lam, gm.kirchhoff_routh_interaction(), config)
     value, grad, hess = eager_f_omega(engine, lam, config)
     if isinstance(engine, gm.ConformalGreenEngine):

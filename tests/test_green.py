@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -105,6 +107,77 @@ def test_disk_green_vanishes_near_boundary(disk_engine):
 def test_disk_poisson_kernel_at_center(disk_engine):
     trace = disk_engine.boundary_normal_derivative([0.0, 0.0])
     assert_allclose(trace.values, -1 / TWO_PI, rtol=1e-14)
+
+
+def _image_formula_blocks(engine, pts):
+    """Every block of H on a circle from the image formula in the reduced
+    coordinates x~ = (x - c) / R: H = -(1/4pi) ln s - (1/2pi) ln R with
+    s = 1 - 2 x~.y~ + |x~|^2 |y~|^2, differentiated by hand."""
+    xt = (pts - engine.center) / engine.radius
+    R = engine.radius
+    X = xt[:, None, :]
+    Y = xt[None, :, :]
+    xx = np.sum(X * X, axis=-1, keepdims=True)
+    yy = np.sum(Y * Y, axis=-1, keepdims=True)
+    eye = np.eye(2)
+    s = 1.0 - 2.0 * np.sum(X * Y, axis=-1, keepdims=True) + xx * yy
+    sx = -2.0 * Y + 2.0 * X * yy
+    sy = -2.0 * X + 2.0 * Y * xx
+    sxx = 2.0 * yy[..., None] * eye
+    syy = 2.0 * xx[..., None] * eye
+    sxy = -2.0 * eye + 4.0 * X[..., :, None] * Y[..., None, :]
+    c = -1.0 / (2.0 * TWO_PI)
+    s1 = s[..., None]
+    s2 = s1 * s1
+    return dict(
+        value=c * np.log(s[..., 0]) - np.log(R) / TWO_PI,
+        grad_x=c * sx / s / R,
+        grad_y=c * sy / s / R,
+        hess_xx=c * (sxx / s1 - sx[..., :, None] * sx[..., None, :] / s2) / R**2,
+        hess_yy=c * (syy / s1 - sy[..., :, None] * sy[..., None, :] / s2) / R**2,
+        hess_xy=c * (sxy / s1 - sx[..., :, None] * sy[..., None, :] / s2) / R**2,
+    )
+
+
+@pytest.mark.parametrize("center, radius", [((0.0, 0.0), 1.0), ((0.5, -0.25), 2.5)])
+def test_disk_engine_matches_the_image_formula(center, radius):
+    # the disk engine is the conformal engine with the exact map; the image
+    # formula, derived independently, agrees with every block to round-off.
+    # Both take logs of numbers near 1, whose rounding is absolute: near the
+    # centre H ~ |x|^2 / 2pi is off by about eps / 2pi in either form, so
+    # the value's scale is at least 1 / 2pi.
+    engine = gm.build_engine(gm.DomainSpec(gm.circle(center=center, radius=radius)))
+    rng = np.random.default_rng(11)
+    for n in rng.integers(1, 8, size=200):
+        r = radius * np.sqrt(rng.uniform(0.0, 0.9, n))
+        theta = rng.uniform(0.0, TWO_PI, n)
+        pts = np.asarray(center) + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        ev = engine.blocks(pts)
+        ref = _image_formula_blocks(engine, pts)
+        for name, expected in ref.items():
+            scale = np.max(np.abs(expected), initial=1.0 / TWO_PI if name == "value" else 0.0)
+            assert np.max(np.abs(getattr(ev, name) - expected)) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("center, radius", [((0.0, 0.0), 1.0), ((0.5, -0.25), 2.5)])
+@pytest.mark.parametrize("depth", [1e-2, 1e-3, 2.5e-4])
+def test_disk_robin_near_the_circle(center, radius, depth):
+    # h(x) = -(1/2pi) ln((R^2 - |x - c|^2) / R) with gradient
+    # (x - c) / (pi (R^2 - |x - c|^2)); R^2 - |x - c|^2 is formed exactly from
+    # the floats, so the reference is accurate to a few ulps.  The points are
+    # depth * R inside, down to 1.25 eval_margin.
+    engine = gm.build_engine(gm.DomainSpec(gm.circle(center=center, radius=radius)))
+    assert depth * radius > engine.eval_margin
+    for theta in (0.0, 0.7, 2.0, 4.1):
+        x = (np.asarray(center)
+             + (1.0 - depth) * radius * np.array([np.cos(theta), np.sin(theta)]))
+        d = [Fraction(a) - Fraction(b) for a, b in zip(x, center)]
+        gap = Fraction(radius) ** 2 - d[0] ** 2 - d[1] ** 2
+        value = -np.log(float(gap / Fraction(radius))) / TWO_PI
+        grad = np.array([float(di / gap) for di in d]) / np.pi
+        rob = engine.robin(x)
+        assert abs(rob.value - value) <= 1e-12 * abs(value)
+        assert np.max(np.abs(rob.gradient - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def test_harmonic_measure_normalization(disk_engine, integral_engine, lobed_engine):
