@@ -1,0 +1,38 @@
+"""Layer micro-benchmark of a continuation rung's domain build (L0).
+
+Every rung of ``perturb-study`` displaces the base boundary and re-fits it
+(``apply_perturbation``), then validates the new curve, whose chord scan
+gives the self-intersection probe and the diameter behind ``eval_margin``.
+This times ``apply_perturbation(disk, cosine_field(3), 0.03)``, a rung of the
+``continuation`` workload's grid, and ``BoundaryCurve._chord_scan`` on that
+rung's curve, recomputed each round past its cache.  The cos 3t rungs are
+nearly of constant width, the hard case of the scan.  Run from the root of a
+checkout with pytest-benchmark installed:
+
+    OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_perturb.py
+
+The ``testpaths`` setting keeps tier-1 test runs from collecting this file.
+"""
+
+import pytest
+
+import greenmorse as gm
+from greenmorse.geometry import BoundaryCurve
+
+EPS = 0.03
+
+
+@pytest.fixture(scope="module")
+def disk():
+    return gm.DomainSpec(gm.unit_circle())
+
+
+def test_apply_perturbation(benchmark, disk):
+    rung = benchmark(gm.apply_perturbation, disk, gm.cosine_field(3), EPS)
+    assert rung.boundary.max_degree == 4
+
+
+def test_chord_scan(benchmark, disk):
+    curve = gm.apply_perturbation(disk, gm.cosine_field(3), EPS).boundary
+    largest, _, _ = benchmark(BoundaryCurve._chord_scan.func, curve)
+    assert largest == curve._chord_scan[0]

@@ -335,6 +335,11 @@ def cmd_simulate(args, out: Path):
 # wiring
 # ---------------------------------------------------------------------------
 
+_NEWTON_TOL_HELP = ("Newton converges where |grad f| <= this; near or below the gradient's "
+                    "round-off floor, about 1e-16 on a lobed N = 3 search, rounding decides "
+                    "whether a start converges")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greenmorse",
@@ -355,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=SearchConfig.starts)
     p.add_argument("--seed", type=int, default=SearchConfig.seed)
     p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol)
+    p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol,
+                   help=_NEWTON_TOL_HELP)
     p.add_argument("--collision-margin", type=float, default=SearchConfig.collision_margin)
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_find_critical)
@@ -379,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", default="0,0.0025,0.005,0.01,0.02,0.03,0.04,0.05")
     p.add_argument("--equivariant", help="project the field, e.g. cyclic:3")
     p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol)
+    p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol,
+                   help=_NEWTON_TOL_HELP)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_perturb_study)

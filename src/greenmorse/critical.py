@@ -55,7 +55,12 @@ DEDUP_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The settings a search varies; 10 ``newton_tol`` < ``DEDUP_RADIUS``."""
+    """The settings a search varies; 10 ``newton_tol`` < ``DEDUP_RADIUS``.
+
+    A Newton polish converges where |grad f| <= ``newton_tol``.  The
+    gradient has a round-off floor, about 1e-16 on the lobed N = 3 search:
+    a ``newton_tol`` near or below it is accepted, but whether a start
+    converges there is decided by rounding, not by the start."""
 
     starts: int = 100
     seed: int = 0

@@ -32,6 +32,8 @@ TWO_PI = 2.0 * np.pi
 _DENSE_MIN = 1024
 # the distance query's first level scans every _COARSE_STRIDE-th dense sample
 _COARSE_STRIDE = 8
+# the chord scan first builds every _CHORD_STRIDE-th index separation
+_CHORD_STRIDE = 8
 # pointwise tolerance for symmetry-invariance verification
 _SYMMETRY_TOL = 1e-10
 # relative coefficient tolerance of ``as_circle``
@@ -166,29 +168,66 @@ class BoundaryCurve:
     def _chord_scan(self) -> tuple[float, float, float]:
         """Over about 512 dense samples: the largest squared chord, and the
         smallest between samples at least ~pi/8 and ~pi/3 apart in parameter.
-        Row s - 1 of the scanned array holds |p_i - p_{(i+s) mod ms}|^2 for the
-        cyclic index separations s = 1 ... ms // 2, so it holds every pair.  It
-        is built in one contiguous pass per coordinate, each difference squared
-        in place, so an entry rounds as dx * dx + dy * dy does; both far minima
-        read one array of row minima."""
+        Row s of the scan holds |p_{(i+s) mod ms} - p_i|^2 for i = 0 ... ms - 1
+        and the cyclic index separations s = 1 ... ms // 2, so the rows hold
+        every pair; each row is built in one contiguous pass per coordinate,
+        each difference squared in place, so an entry rounds as dx * dx +
+        dy * dy.  Only some rows are built, and the three values are those of
+        all rows: first every _CHORD_STRIDE-th row, then the rows whose
+        bounds from the built rows on either side cannot rule them out.
+        Moving the far end of every chord of a row by one sample moves each
+        chord length by at most the spacing 2 * step * ``_sample_gap``, so
+        the root of row s's max is at most that of a built row s' plus
+        |s - s'| spacings, and the root of its min at least that minus as
+        many.  A row is built if its bound reaches the root of the largest
+        chord built, or, at or past a far separation, of the smallest chord
+        built there.  A slack of 1e-12 times the largest coordinate widens
+        every bound by more than the round-off of a sample or an entry."""
         pts = self._dense[1].point
-        sub = pts[:: max(1, len(pts) // 512)]
+        step = max(1, len(pts) // 512)
+        sub = pts[::step]
         ms = len(sub)
-
-        def squared_differences(coord):
-            wrapped = np.concatenate([coord, coord[: ms // 2 + 1]])
-            # [s - 1, i]: the coordinate of p_{(i+s) mod ms}, a view of ``wrapped``
-            diff = np.lib.stride_tricks.sliding_window_view(wrapped, ms)[1: ms // 2 + 1] - coord
-            diff *= diff
-            return diff
-
+        half = ms // 2
         xs, ys = np.ascontiguousarray(sub.T)
-        d2 = squared_differences(xs)
-        d2 += squared_differences(ys)
-        row_min = d2.min(axis=1)
-        far_pi8 = row_min[max(2, int(np.ceil(ms / 16.0))) - 1:].min()
-        far_pi3 = row_min[max(2, int(np.ceil(ms / 6.0))) - 1:].min()
-        return float(d2.max()), float(far_pi8), float(far_pi3)
+        # [s, i]: the coordinates of p_{(i+s) mod ms}, views of the wrapped ones
+        window_x, window_y = (np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([c, c[: half + 1]]), ms) for c in (xs, ys))
+
+        def rows(separations: slice) -> np.ndarray:
+            d2 = window_x[separations] - xs
+            d2 *= d2
+            dy = window_y[separations] - ys
+            dy *= dy
+            d2 += dy
+            return d2
+
+        far = [max(2, int(np.ceil(ms / 16.0))), max(2, int(np.ceil(ms / 6.0)))]
+        stride = _CHORD_STRIDE
+        # the smallest squared chord of each built row; row 0 is all zeros
+        row_min = np.full(half + 1, np.inf)
+        d2 = rows(slice(0, half + 1, stride))
+        row_min[::stride] = d2.min(axis=1)
+        largest = d2.max()
+        top, bottom = np.sqrt(d2.max(axis=1)), np.sqrt(row_min[::stride])
+        k, off = np.divmod(np.arange(half + 1), stride)
+        spacing = 2 * step * self._sample_gap
+        slack = 1e-12 * np.max(np.abs(sub))
+        upper = np.minimum(top[k] + off * spacing,
+                           np.append(top[1:], np.inf)[k] + (stride - off) * spacing)
+        lower = np.maximum(bottom[k] - off * spacing,
+                           np.append(bottom[1:], -np.inf)[k] - (stride - off) * spacing)
+        build = upper + slack >= np.sqrt(largest)
+        for f in far:
+            build[f:] |= lower[f:] - slack <= np.sqrt(row_min[f:].min())
+        # runs of rows to build, bridging gaps of at most a stride (rebuilding
+        # a built row gives the same entries)
+        wanted = np.flatnonzero(build)
+        for run in np.split(wanted, np.flatnonzero(np.diff(wanted) > stride) + 1):
+            if len(run):
+                d2 = rows(slice(run[0], run[-1] + 1))
+                row_min[run[0]: run[-1] + 1] = d2.min(axis=1)
+                largest = max(largest, d2.max())
+        return float(largest), float(row_min[far[0]:].min()), float(row_min[far[1]:].min())
 
     @cached_property
     def diameter(self) -> float:
@@ -579,6 +618,10 @@ def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) ->
 # perturbation fields
 # ---------------------------------------------------------------------------
 
+# the parameters at which ``sup_boundary_norm`` samples a field
+_SUP_GRID = TWO_PI * np.arange(2048) / 2048
+
+
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     """C^2 step: 0 at u<=0, 1 at u>=1."""
     u = np.clip(u, 0.0, 1.0)
@@ -687,12 +730,17 @@ class PerturbationField:
         return bool(out) if pts.ndim == 1 else out
 
     def sup_boundary_norm(self, domain: DomainSpec) -> float:
-        """Max of |psi| over the boundary."""
-        t = TWO_PI * np.arange(2048) / 2048
+        """Max of |psi| over the boundary, sampled at 2,048 parameters."""
         if self.kind == "identity_dilation":
             return float(self.amplitude) * float(
-                np.max(np.hypot(*domain.boundary.point(t).T)))
-        return float(np.max(np.abs(self.profile(t))))
+                np.max(np.hypot(*domain.boundary.point(_SUP_GRID).T)))
+        return self._profile_sup
+
+    @cached_property
+    def _profile_sup(self) -> float:
+        """Max of |g| of a normal_fourier field: it does not depend on the
+        domain, so a continuation samples it once, not on every rung."""
+        return float(np.max(np.abs(self.profile(_SUP_GRID))))
 
 
 def normal_field(cos_coeffs, sin_coeffs=(), cutoff_width: float = DEFAULT_CUTOFF_WIDTH,

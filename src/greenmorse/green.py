@@ -12,9 +12,10 @@ class, built only by calling it:
   H(x, y) = (1/2pi) ln|(F(x) - F(y)) / (x - y)| - (1/2pi) ln|1 - F(x) conj F(y)|,
   and the Poisson kernel pulled back through F for the traces.  F comes from
   one Kerzman-Stein solve per domain (GMRES, closed by fixed-point sweeps,
-  each step one product of an n x n matrix with two columns); its
-  derivatives at N points are one (N, n) @ (n, 4) Cauchy product.  No
-  evaluation solves a linear system;
+  each step two products of the antisymmetric n x n Cauchy matrix, of
+  which three blocks are formed, with one column); its derivatives at N
+  points are one (N, n) @ (n, 4) Cauchy product.  No evaluation solves a
+  linear system;
 * ``disk-closed-form`` (``DiskGreenEngine``) — the same engine on a circle,
   with its exact map F(x) = (x - c) / R in place of the solve, which makes
   those formulas the image method's;
@@ -539,8 +540,12 @@ class ConformalGreenEngine(_EngineBase):
     - conj(T_i / (2 pi i (z_i - z_j)))], K_ii = 0; then F = S T / (i conj S)
     on the boundary.  K is never formed: with R_ij = 1 / (z_i - z_j) (zero
     diagonal), K S = R (c1 S) - c2 conj(R conj(w S)), c1 = -z' / (n i) and
-    c2 = conj(T / (2 pi i)), so a product with K is one product of R with two
-    columns.  ``_kerzman_stein_solve`` runs GMRES and closes with fixed-point
+    c2 = conj(T / (2 pi i)), so a product with K is two products of R with
+    one column each (OpenBLAS takes longer for one product with two
+    columns).  R = -R^T, so only three blocks of R are formed: split at
+    h = n // 2, R = [[R11, R12], [-R12^T, R22]] (unequal blocks for odd n),
+    and R v = (R11 v1 + R12 v2, R22 v2 - R12^T v1), R12^T a transposed view.
+    ``_kerzman_stein_solve`` runs GMRES and closes with fixed-point
     sweeps S <- rhs + K S; ``iterations`` counts its products with K (6 on
     the lobed fixture, 16 on an 8:1 ellipse at 512 nodes).  A solve that
     needs more than PRODUCT_CAP products fails the build.
@@ -584,18 +589,30 @@ class ConformalGreenEngine(_EngineBase):
         w = self.weights
         centre = _map_centre(domain, self.eval_margin)
         a = complex(centre[0], centre[1])
-        r = np.subtract.outer(z, z)
-        r.flat[:: n + 1] = 1.0
-        np.divide(1.0, r, out=r)
-        r.flat[:: n + 1] = 0.0
+        # R = [[r11, r12], [-r12^T, r22]], its lower left block never formed.
+        # The three blocks share one allocation: as three arrays, their freed
+        # memory went back to the system after every build and was faulted
+        # in again by the next (5 times the minor page faults over 40 builds)
+        h, m = n // 2, n - n // 2
+        buffer = np.empty(h * n + m * m, dtype=complex)
+        r11 = np.subtract.outer(z[:h], z[:h], out=buffer[: h * h].reshape(h, h))
+        r12 = np.subtract.outer(z[:h], z[h:], out=buffer[h * h: h * n].reshape(h, m))
+        r22 = np.subtract.outer(z[h:], z[h:], out=buffer[h * n:].reshape(m, m))
+        r11.flat[:: h + 1] = r22.flat[:: m + 1] = 1.0
+        np.divide(1.0, buffer, out=buffer)
+        r11.flat[:: h + 1] = r22.flat[:: m + 1] = 0.0
         c1 = 1j * dz / n
         c2 = np.conj(tangent / (2j * np.pi))
         rhs = np.conj(tangent / (2j * np.pi * (z - a)))
 
+        def cauchy(v):
+            """R v."""
+            u1, u2 = v[:h], v[h:]
+            return np.concatenate([r11 @ u1 + r12 @ u2, r22 @ u2 - r12.T @ u1])
+
         def kernel(s):
             """K s."""
-            p = r @ np.stack([c1 * s, np.conj(w * s)], axis=1)
-            return p[:, 0] - c2 * np.conj(p[:, 1])
+            return cauchy(c1 * s) - c2 * np.conj(cauchy(np.conj(w * s)))
 
         s, self.iterations, self.solve_residual = _kerzman_stein_solve(kernel, rhs)
 

@@ -358,9 +358,24 @@ def _degree_97_curve():
     return gm.BoundaryCurve(*coeffs)
 
 
+def _moved(curve, scale, shift):
+    """The curve scaled about the origin, then translated."""
+    cos_x, cos_y = scale * curve.cos_x, scale * curve.cos_y
+    return gm.BoundaryCurve(cos_x + np.r_[shift[0], np.zeros(len(cos_x) - 1)], scale * curve.sin_x,
+                            cos_y + np.r_[shift[1], np.zeros(len(cos_y) - 1)], scale * curve.sin_y)
+
+
 def test_chord_scan_equals_full_scan(disk_domain, lobed_domain, tilted_domain):
+    # the cos 3t rungs of a continuation from the disk are nearly of constant
+    # width, so every antipodal row comes close to the largest chord; the 8:1
+    # ellipse has long flat stretches for the far minima.  The moved copies
+    # put the round-off of the coordinates above that of the chords
+    rungs = [gm.apply_perturbation(disk_domain, gm.cosine_field(3), eps).boundary
+             for eps in (0.00125, 0.025, 0.05)]
+    ellipse = gm.BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.125])
     curves = [disk_domain.boundary, lobed_domain.boundary, tilted_domain.boundary,
-              _degree_97_curve()]
+              _degree_97_curve(), *rungs, ellipse,
+              _moved(rungs[0], 1e-3, (1e3, -2e3)), _moved(ellipse, 1e4, (-3.0, 0.5))]
     assert len(curves[3]._dense[1].point[::3]) == 523
     for curve in curves:
         # the same pairs, each squared length from the same operations
