@@ -514,11 +514,14 @@ class DomainSpec:
            the nearer sample, which the point is outside, so the
            straight-line homotopy from the curve to the polygon misses the
            point.
-        3. the full dense scan and winding pass.  The Newton refinement of
+        3. the full dense scan.  The Newton refinement of
            ``nearest_parameter`` runs only for points that could lie within
            ``exact_within`` of the boundary: those whose scanned distance
            minus ``_sample_gap`` is at most ``exact_within``; the rest
-           report that lower bound, with its sign.
+           report that lower bound.  A point at most ``_sample_gap`` from
+           its nearest sample is signed by the outward normal at its nearest
+           boundary point (between a chord and its arc, the dense polygon's
+           winding number is wrong); the others by that winding number.
 
         So the sign is always the exact one, a value of magnitude at most
         ``exact_within`` is the exact distance, and a larger one is no more
@@ -556,12 +559,19 @@ class DomainSpec:
                         rest = rest[~deep]
             if len(rest):
                 p = flat[rest]
-                coarse_t, coarse = curve._dense_scan(p)
+                t, coarse = curve._dense_scan(p)
                 d = coarse - curve._sample_gap
                 near = np.flatnonzero(d <= exact_within)
                 if len(near):
-                    d[near] = curve._refine(p[near], coarse_t[near], coarse[near])[1]
-                dist[rest] = np.where(curve.winding_number(p) == 1, d, -d)
+                    t[near], d[near] = curve._refine(p[near], t[near], coarse[near])
+                inside = np.empty(len(p), dtype=bool)
+                hug = coarse <= curve._sample_gap
+                if hug.any():
+                    fr = curve.frame(t[hug])
+                    inside[hug] = np.sum((p[hug] - fr.point) * fr.normal, axis=1) <= 0.0
+                if not hug.all():
+                    inside[~hug] = curve.winding_number(p[~hug]) == 1
+                dist[rest] = np.where(inside, d, -d)
         return float(dist[0]) if pts.ndim == 1 else dist
 
 

@@ -33,24 +33,22 @@ class, built only by calling it:
   points.  It keeps D and solves through the module-level ``lu_solve``, one
   numpy LU solve per call.
 
-Each engine evaluates H at N points through two batched calls.
-``blocks(points)`` gives every H(x_j, x_k) with its derivatives, as a
-``GreenEvaluation`` with two leading (j, k) axes.  ``regular_sum(points,
-lam)`` gives the double sum S = sum_{j,k} lam_j lam_k H(x_j, x_k) that
-``kr.f_omega`` subtracts, with its gradient and a thunk for its Hessian: on
-the integral engine the contraction of one ``blocks`` call, on the conformal
-and disk engines a complex form that builds no per-pair blocks.  Both check
-the points with ``require_interior``, one batched boundary-distance query
-for all points and the one rule of where a point may be: a point is
-admissible iff its boundary distance d > ``eval_margin`` (OutsideDomainError
-for d <= 0 or NaN, else AccuracyDegradedError).  The query passes
-``exact_within = eval_margin`` and runs in three levels, each for the points
-the one before left open: a deep point is settled on the domain's cached
-inscribed disk with no boundary sample read, then from every 8th boundary
-sample, and only points that could lie within that distance of the boundary
-get the exact nearest-point solve.  The others report a lower bound with the
-exact sign, and every decision, the point named and the message are those
-of the exact distance.
+Each engine evaluates H at N points in batched calls.  ``blocks(points)``
+gives every H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with
+two leading (j, k) axes.  ``regular_sum(points, lam)`` gives the double sum
+S = sum_{j,k} lam_j lam_k H(x_j, x_k) with its gradient and a thunk for its
+Hessian: on the integral engine the contraction of one ``blocks`` call, on
+the conformal and disk engines a complex form that builds no per-pair
+blocks.  Those two engines also have ``green_sum(points, lam)``, the
+Kirchhoff-Routh energy that ``kr.f_omega`` returns, the log sum of the
+pairs minus S, in the same complex pass.  All check the points with
+``require_interior``, one batched boundary-distance query for all points
+and the one rule of where a point may be: a point is admissible iff its
+boundary distance d > ``eval_margin`` (OutsideDomainError for d <= 0 or
+NaN, else AccuracyDegradedError).  The query is exact within
+``eval_margin`` (``DomainSpec.signed_boundary_distance``): a deep point is
+admitted on a lower bound, and every decision, the point named and the
+message are those of the exact distance.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
 conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
 ``blocks`` computes the j <= k blocks.  The integral engine computes all of
@@ -72,13 +70,13 @@ its single-point forms.
 
 Engines are immutable after construction and all evaluations are pure; a
 second-derivative read fills a cache of the evaluation and never raises, and
-neither does a call of ``regular_sum``'s Hessian thunk.
+neither does a call of a Hessian thunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -254,18 +252,51 @@ class BoundaryTrace:
     weights: np.ndarray     # (n,) arc-length weights
 
 
-def _matrix2(a, b, c, d) -> np.ndarray:
-    """Stack equal-shape arrays into [[a, b], [c, d]] on two trailing axes."""
-    out = np.empty(np.shape(a) + (2, 2))
+def _matrix2(a, b, c, d, out=None) -> np.ndarray:
+    """Stack equal-shape arrays into [[a, b], [c, d]] on two trailing axes
+    (of ``out``, if given)."""
+    out = np.empty(np.shape(a) + (2, 2)) if out is None else out
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
     return out
 
 
-def _complex_block(h, m) -> np.ndarray:
+def _complex_block(h, m, out=None) -> np.ndarray:
     """The real blocks d2H/dx_a dy_b of H = Re A, A holomorphic in x, from
-    h = d2A/dxdy and m = d2A/dx d(conj y), on two trailing axes; with y = x
-    and m = 0, the Hessian of H in x."""
-    return _matrix2(h.real + m.real, m.imag - h.imag, -h.imag - m.imag, m.real - h.real)
+    h = d2A/dxdy and m = d2A/dx d(conj y), on two trailing axes (of ``out``,
+    if given); with y = x and m = 0, the Hessian of H in x."""
+    return _matrix2(h.real + m.real, m.imag - h.imag, -h.imag - m.imag, m.real - h.real, out)
+
+
+def _weighted_sum(c, logs, a, second_order) -> tuple:
+    """sum_{j,k} c_jk Re A(x_j, x_k), c and Re A symmetric, A holomorphic in
+    x_j, from 2pi A, 2pi dA/dx and a thunk as ``_lin_terms`` gives them: the
+    value, the gradient (2N,) and a thunk for the symmetric Hessian (2N, 2N),
+    written once into an (N, 2, N, 2) array."""
+    n = len(c)
+    g = (c * a).sum(axis=1) / np.pi
+    value = float((c * logs).sum()) / TWO_PI
+
+    def hessian():
+        own, hol, mix = second_order()
+        hol = c * hol
+        hol.flat[:: n + 1] += (c * own).sum(axis=1)
+        hess = np.empty((2 * n, 2 * n))
+        _complex_block(hol, c * mix, hess.reshape(n, 2, n, 2).transpose(0, 2, 1, 3))
+        return (hess + hess.T) / TWO_PI
+
+    # conj g viewed as floats is (Re g_1, -Im g_1, ..., Re g_N, -Im g_N)
+    return value, g.conj().view(float), hessian
+
+
+@cache
+def _gauss_legendre() -> tuple:
+    """Read-only nodes s on [0, 1] and weights of 10-point Gauss-Legendre."""
+    from numpy.polynomial.legendre import leggauss
+
+    t, w = leggauss(10)
+    s, w = 0.5 * (t + 1.0), 0.5 * w
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 def _map_centre(domain: DomainSpec, margin: float) -> np.ndarray:
@@ -569,7 +600,8 @@ class ConformalGreenEngine(_EngineBase):
     d_nu G(x, z) = -|F'(z)| (1 - |F(x)|^2) / (2 pi |F(z) - F(x)|^2).
     H is the real part of a function holomorphic in x.  ``_lin_terms``
     gives it and its derivatives as complex N x N arrays, which
-    ``regular_sum`` sums lam-weighted and ``blocks`` turns into real blocks.
+    ``regular_sum`` and ``green_sum`` sum lam-weighted and ``blocks`` turns
+    into real blocks.
     ``DiskGreenEngine`` replaces only the map and the quotients.
 
     The construction self-test checks what |F| = 1 on the boundary, true by
@@ -672,24 +704,30 @@ class ConformalGreenEngine(_EngineBase):
         there, with dQ/dx and dQ/dy, all (N, N), and a thunk for d2Q/dx2 and
         d2Q/dxdy.  On the diagonal Q = F', dQ/dx = dQ/dy = F''/2,
         d2Q/dx2 = F'''/3 and d2Q/dxdy = F'''/6.  The differences cancel as
-        x_k nears x_j; for pairs closer than eval_margin / 2 all five come
-        from ``_segment_quotients`` instead."""
+        x_k nears x_j; for off-diagonal pairs closer than eval_margin / 2,
+        coincident ones included, all five come from ``_segment_quotients``
+        instead."""
+        diag = slice(None, None, len(x) + 1)    # the diagonal of a flat N x N array
         diff = x[:, None] - x                   # [j, k]: x_j - x_k
-        same = diff == 0
-        diff[same] = 1.0
-        q = np.where(same, f1[:, None], (f[:, None] - f) / diff)
-        qx = np.where(same, f2[:, None] / 2.0, (f1[:, None] - q) / diff)
-        qy = np.where(same, f2[:, None] / 2.0, (q - f1) / diff)
-        near = np.nonzero((np.abs(diff) < 0.5 * self.eval_margin) & ~same)
+        close = np.abs(diff) < 0.5 * self.eval_margin
+        diff[close] = 1.0
+        close.flat[diag] = False
+        near = np.nonzero(close)
+        q = (f[:, None] - f) / diff
+        q.flat[diag] = f1
+        qx = (f1[:, None] - q) / diff
+        qy = (q - f1) / diff
+        qx.flat[diag] = qy.flat[diag] = f2 / 2.0
         if len(near[0]):
-            close = self._segment_quotients(x[near[0]], x[near[1]])
-            q[near], qx[near], qy[near] = close[:3]
+            segment = self._segment_quotients(x[near[0]], x[near[1]])
+            q[near], qx[near], qy[near] = segment[:3]
 
         def second():
-            qxx = np.where(same, f3[:, None] / 3.0, (f2[:, None] - 2.0 * qx) / diff)
-            qxy = np.where(same, f3[:, None] / 6.0, (qx - qy) / diff)
+            qxx = (f2[:, None] - 2.0 * qx) / diff
+            qxy = (qx - qy) / diff
+            qxx.flat[diag], qxy.flat[diag] = f3 / 3.0, f3 / 6.0
             if len(near[0]):
-                qxx[near], qxy[near] = close[3:]
+                qxx[near], qxy[near] = segment[3:]
             return qxx, qxy
 
         return q, qx, qy, second
@@ -698,8 +736,9 @@ class ConformalGreenEngine(_EngineBase):
         """Lin's formula at the N points (``require_interior`` checks them)
         as complex N x N arrays [j, k]: with b = 1 - F(x_j) conj F(x_k), H is
         Re A for A = (ln Q - ln b) / 2pi, holomorphic in x = x_j.  Returns
-        2pi H, 2pi dA/dx and a thunk for 2pi times d2A/dx2 (own), d2A/dxdy
-        (hol, through Q) and d2A/dx d(conj y) (mix, through conj F(x_k))."""
+        the points x as complex numbers, 2pi H, 2pi dA/dx and a thunk for 2pi
+        times d2A/dx2 (own), d2A/dxdy (hol, through Q) and d2A/dx d(conj y)
+        (mix, through conj F(x_k))."""
         pts = self.require_interior(points)
         x = pts[:, 0] + 1j * pts[:, 1]
         f, f1, f2, f3 = self._map(x).T
@@ -714,10 +753,10 @@ class ConformalGreenEngine(_EngineBase):
             own = qxx / q - r * r + f2[:, None] * fc / b + u * u
             return own, (qxy - r * qy) / q, f1[:, None] * np.conj(f1) / (b * b)
 
-        return np.log(np.abs(q)) - np.log(np.abs(b)), r + u, second_order
+        return x, np.log(np.abs(q)) - np.log(np.abs(b)), r + u, second_order
 
     def blocks(self, points) -> GreenEvaluation:
-        logs, a, second_order = self._lin_terms(points)
+        _, logs, a, second_order = self._lin_terms(points)
 
         def hessians():
             own, hol, mix = second_order()
@@ -733,33 +772,40 @@ class ConformalGreenEngine(_EngineBase):
         g_m = 2 sum_k c_mk dA/dx(x_m, x_k), c = lam lam^T; g_m is holomorphic
         in x_m through every term (c own, summed onto the diagonal of c hol)
         and depends on x_k through hol and mix."""
-        logs, a, second_order = self._lin_terms(points)
-        n = len(logs)
-        c = np.outer(lam, lam)
-        g = (c * a).sum(axis=1) / np.pi
-        value = float((c * logs).sum()) / TWO_PI
+        _, logs, a, second_order = self._lin_terms(points)
+        return _weighted_sum(np.multiply.outer(lam, lam), logs, a, second_order)
 
-        def hessian():
+    def green_sum(self, points, lam) -> tuple:
+        """E = sum_{j != k} c_jk Gamma(x_j, x_k) - S, with c and S as in
+        ``regular_sum``: ``kr.f_omega`` with the Kirchhoff-Routh interaction,
+        in the same form.  Off the diagonal
+        2pi (Gamma - H) = -Re(ln(x_j - x_k) + ln Q - ln b), so
+        ln|x_j - x_k|, 1/(x_j - x_k) and -/+ 1/(x_j - x_k)^2 join the logs,
+        dA/dx, own and hol, and E is their sum with -c for c.  The points
+        must be apart (``kr.require_apart``)."""
+        x, logs, a, second_order = self._lin_terms(points)
+        d = x[:, None] - x
+        d.flat[:: len(x) + 1] = 1.0             # where ln|d| = 0
+        inv = 1.0 / d
+        inv.flat[:: len(x) + 1] = 0.0
+
+        def free_second_order():
             own, hol, mix = second_order()
-            hol = c * hol
-            hol.flat[:: n + 1] += (c * own).sum(axis=1)
-            hess = _complex_block(hol, c * mix).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n) / np.pi
-            return 0.5 * (hess + hess.T)
+            inv2 = inv * inv
+            return own - inv2, hol + inv2, mix
 
-        # conj g viewed as floats is (Re g_1, -Im g_1, ..., Re g_N, -Im g_N)
-        return value, g.conj().view(float), hessian
+        return _weighted_sum(-np.multiply.outer(lam, lam), logs + np.log(np.abs(d)), a + inv,
+                             free_second_order)
 
     def _segment_quotients(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Q = (F(x) - F(y)) / (x - y) at complex pairs (x, y), with dQ/dx,
         dQ/dy, d2Q/dx2 and d2Q/dxdy: the integrals over s in [0, 1] of F',
         s F'', (1 - s) F'', s^2 F''' and s (1 - s) F''' at y + s (x - y), by
-        10-point Gauss-Legendre.  For |x - y| < eval_margin / 2 between
-        points eval_margin inside, the segment keeps 3/4 of eval_margin from
-        the boundary, and the rule's error is below 1e-15 relative."""
-        from numpy.polynomial.legendre import leggauss
-
-        t, w = leggauss(10)
-        s, w = 0.5 * (t + 1.0), 0.5 * w
+        10-point Gauss-Legendre (``_gauss_legendre``).  For |x - y| <
+        eval_margin / 2 between points eval_margin inside, the segment keeps
+        3/4 of eval_margin from the boundary, and the rule's error is below
+        1e-15 relative."""
+        s, w = _gauss_legendre()
         jets = self._map((y[:, None] + (x - y)[:, None] * s).ravel()).reshape(len(x), -1, 4)
         return (jets[..., 1] @ w, jets[..., 2] @ (w * s), jets[..., 2] @ (w * (1.0 - s)),
                 jets[..., 3] @ (w * s * s), jets[..., 3] @ (w * s * (1.0 - s)))

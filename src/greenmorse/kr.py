@@ -7,7 +7,8 @@ The assembled function is
 with the double sum running over all pairs including j = k, so the diagonal
 contributes the Robin terms -lambda_k^2 h(x_k).  The interaction f is either
 the point-vortex log sum -(1/2pi) sum_{j != k} lambda_j lambda_k ln|x_j - x_k|,
-identically zero, or a caller-supplied C^2 evaluator.
+identically zero, or a caller-supplied C^2 evaluator.  ``f_omega`` sums the
+log sum and the double sum in one pass where the engine can (``green_sum``).
 """
 
 from __future__ import annotations
@@ -186,6 +187,13 @@ def _log_pair_terms(d: np.ndarray, r2: np.ndarray, lam: np.ndarray):
     return value, grad.reshape(m), hessian
 
 
+def _require_pairs(strengths: VortexStrengths, config: Configuration, margin: float) -> tuple:
+    """``require_apart`` at the margin, after the length check (ValueError)."""
+    if len(strengths) != len(config):
+        raise ValueError("strengths and configuration lengths differ")
+    return require_apart(config.points, margin)
+
+
 def interaction(spec: InteractionSpec, strengths: VortexStrengths,
                 config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
     """Value, gradient, and Hessian of the interaction term alone; the
@@ -194,11 +202,9 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
     (``f_omega`` passes the margin that ``resolve_collision_margin`` gives)."""
     lam = strengths.values
     pts = config.points
-    if len(lam) != len(pts):
-        raise ValueError("strengths and configuration lengths differ")
     if collision_margin is None:
         collision_margin = spec.collision_margin if spec.collision_margin is not None else 0.0
-    d, r2 = require_apart(pts, collision_margin)
+    d, r2 = _require_pairs(strengths, config, collision_margin)
     m = 2 * len(pts)
     if spec.variant == "zero":
         return EvaluationResult(0.0, np.zeros(m), lambda: np.zeros((m, m)))
@@ -246,30 +252,30 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
             config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
     """Interaction minus the full regular-part double sum, with derivatives.
 
-    The double sum S = sum_{j,k} lambda_j lambda_k H(x_j, x_k), diagonal
-    included, comes from one ``engine.regular_sum`` call, and the result is
-    the interaction minus S.  Admissibility is decided once, by two rules in
-    this precedence: ``require_apart`` (through ``interaction``) at the
-    margin ``resolve_collision_margin`` gives, which raises ValueError for a
-    margin not >= 0 and CollisionError for pairs not more than the margin
-    apart; then, in ``engine.regular_sum``, the engine's
-    ``require_interior``, one boundary-distance query for all points,
-    OutsideDomainError for a point not inside and AccuracyDegradedError for a
-    point not more than ``engine.eval_margin`` inside.  ``check_admissible``
-    applies the same two rules.
+    Admissibility is decided once, by two rules in this precedence, after a
+    check that there are as many strengths as points: ``require_apart`` at
+    the margin ``resolve_collision_margin`` gives (ValueError for a margin
+    not >= 0, CollisionError for pairs not more than the margin apart); then
+    the engine's ``require_interior``, one boundary-distance query for all
+    points (OutsideDomainError for a point not inside, AccuracyDegradedError
+    for one not more than ``engine.eval_margin`` inside).
+    ``check_admissible`` applies the same two rules.
 
-    The value and gradient are computed by the call: on the conformal-map
-    and disk engines in complex form from F and its first three derivatives
-    at the points, on the integral engine by contracting the first-order
-    blocks of one ``blocks`` call (one ``lu_solve``, which factorises the
-    Dirichlet matrix and solves for 6N right-hand sides, giving the
-    second-derivative blocks too).  The Hessian is assembled on the first
-    read of ``.hessian``, from S's Hessian thunk, and is then cached; callers
-    that need only the gradient, such as the vortex dynamics and rejected
-    search trials, never pay for it.  It is symmetrised, so it is symmetric
-    bit for bit whatever the interaction's.
+    With the Kirchhoff-Routh interaction on an engine with ``green_sum``
+    (the conformal-map and disk engines), the result is one ``green_sum``
+    call, which sums the log sum and S = sum_{j,k} lambda_j lambda_k
+    H(x_j, x_k) in one complex pass.  Otherwise it is ``interaction`` minus
+    S from one ``engine.regular_sum`` call (on the integral engine, the
+    contraction of one ``blocks`` call, whose ``lu_solve`` solves for 6N
+    right-hand sides).  The value and gradient are computed by the call; the
+    Hessian on the first read of ``.hessian``, then cached, so callers that
+    need only the gradient, such as the vortex dynamics and rejected search
+    trials, never pay for it.  It is symmetric bit for bit.
     """
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
+    if spec.variant == "kirchhoff_routh" and hasattr(engine, "green_sum"):
+        _require_pairs(strengths, config, cm)
+        return EvaluationResult(*engine.green_sum(config.points, strengths.values))
     inter = interaction(spec, strengths, config, collision_margin=cm)
     value, grad, regular_hessian = engine.regular_sum(config.points, strengths.values)
 

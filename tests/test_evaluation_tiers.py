@@ -5,11 +5,14 @@ derivative block in one pass: every block of a fresh evaluation read at once,
 and the regular-part double sum contracted from them with its value and
 gradient.  The split path must reproduce them bit for bit; the complex-form
 ``regular_sum`` of the conformal-map engines, the disk among them, must
-reproduce the block contraction to round-off.
+reproduce the block contraction to round-off, and their ``green_sum`` the
+interaction minus ``regular_sum``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenmorse as gm
 from greenmorse import green
@@ -151,6 +154,38 @@ def test_conformal_regular_sum_equals_block_contraction(monkeypatch, request, en
     assert _relative_error(grad, ref_grad) <= 1e-13
     assert _relative_error(hess, ref_hessian()) <= 1e-13
     assert np.array_equal(hess, hess.T)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(lam=st.lists(st.floats(0.3, 1.5) | st.floats(-1.5, -0.3), min_size=1, max_size=6),
+       radius_fraction=st.floats(0.2, 0.4), phase=st.floats(0.0, 2.0 * np.pi),
+       pair_angle=st.one_of(st.none(), st.floats(0.0, 2.0 * np.pi)))
+def test_green_sum_equals_interaction_minus_regular_sum(disk_engine, lobed_engine, tilted_engine,
+                                                       lam, radius_fraction, phase, pair_angle):
+    # the one complex pass of the Kirchhoff-Routh energy against the log sum
+    # in real form minus the regular-part sum, N = 1...6 with mixed signs; if
+    # a pair angle is drawn (N >= 2), point 1 sits 0.3 eval_margin from point
+    # 0, closer than eval_margin / 2, which takes the segment quotients on
+    # the lobed and tilted engines.  The two sides cancel, so each is
+    # compared relative to the larger of its two terms
+    lam = np.array(lam)
+    n = len(lam)
+    spec = gm.kirchhoff_routh_interaction()
+    for engine in (disk_engine, lobed_engine, tilted_engine):
+        pts = _ring(engine.domain, n, radius_fraction, phase)
+        if pair_angle is not None and n > 1:
+            pts[1] = pts[0] + 0.3 * engine.eval_margin * np.array([np.cos(pair_angle),
+                                                                   np.sin(pair_angle)])
+        inter = gm.interaction(spec, gm.VortexStrengths(lam), gm.Configuration(pts))
+        value, grad, hessian = engine.green_sum(pts, lam)
+        hess = hessian()
+        reg_value, reg_grad, reg_hessian = engine.regular_sum(pts, lam)
+        reg_hess = reg_hessian()
+        for ours, term, reg in ((value, inter.value, reg_value), (grad, inter.gradient, reg_grad),
+                                (hess, inter.hessian, reg_hess)):
+            scale = max(np.max(np.abs(term)), np.max(np.abs(reg)))
+            assert np.max(np.abs(ours - (term - reg))) <= 1e-13 * scale
+        assert np.array_equal(hess, hess.T)
 
 
 @pytest.mark.parametrize("n", [1, 3])

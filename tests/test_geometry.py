@@ -641,6 +641,34 @@ def test_near_point_beside_deep_ones_keeps_its_exact_distance(lobed_domain, lobe
     assert np.array_equal(gm.contains(lobed_domain, pts, margin), exact > margin)
 
 
+@pytest.mark.parametrize("name", ["lobed_domain", "banana_domain"])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["inside", "outside"])
+def test_sign_between_a_chord_and_its_arc(request, name, side):
+    # points 1e-9 to 1e-6 from the curve at parameters midway between dense
+    # samples lie between a chord of the dense polygon and its arc, on the
+    # inside where the curve bulges out (the lobed domain) and on the outside
+    # where it bends in (the banana); each must read its own side and its
+    # exact distance, with the margin 0 of contains and without a screen
+    domain = request.getfixturevalue(name)
+    m = len(domain.boundary._dense[0])
+    t = 2.0 * np.pi * (np.arange(0, m, 4) + 0.5) / m
+    for dist in (1e-9, 1e-8, 1e-7, 1e-6):
+        pts = point_at_distance(domain, t, side * dist)
+        for exact_within in (0.0, np.inf):
+            signed = domain.signed_boundary_distance(pts, exact_within)
+            assert np.max(np.abs(signed - side * dist)) <= 1e-14
+        assert np.all(gm.contains(domain, pts) == (side > 0))
+
+
+def test_point_a_hair_inside_is_accuracy_degraded(lobed_engine):
+    # the boundary rule reports a point 1e-8 inside, midway between dense
+    # samples, as too near the boundary, not as outside
+    m = len(lobed_engine.domain.boundary._dense[0])
+    point = point_at_distance(lobed_engine.domain, 2.0 * np.pi * 100.5 / m, 1e-8)
+    with pytest.raises(gm.AccuracyDegradedError):
+        lobed_engine.require_interior(point)
+
+
 def _decision_probes(domain, margin, count, seed):
     """``count`` points: a fifth uniform over the bounding box padded by 0.5,
     the rest within 2e-3 of the level sets at 0, +-``margin`` and

@@ -441,8 +441,8 @@ def test_blocks_exactly_exchange_symmetric(lobed_engine):
 
 def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     strengths, config = spread_configuration(6, seed=6)
-    calls = {"regular_sum": 0, "blocks": 0, "mirrored": 0, "regular_part": 0, "distance": 0,
-             "admissible": 0, "f_omega": 0}
+    calls = {"green_sum": 0, "regular_sum": 0, "blocks": 0, "mirrored": 0, "regular_part": 0,
+             "distance": 0, "admissible": 0, "f_omega": 0}
     distance_batches = []
 
     def counted(name, fn):
@@ -456,6 +456,7 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
         distance_batches.append(np.shape(points))
         return signed_boundary_distance(domain, points, *args, **kwargs)
 
+    monkeypatch.setattr(lobed_engine, "green_sum", counted("green_sum", lobed_engine.green_sum))
     monkeypatch.setattr(lobed_engine, "regular_sum",
                         counted("regular_sum", lobed_engine.regular_sum))
     monkeypatch.setattr(lobed_engine, "blocks", counted("blocks", lobed_engine.blocks))
@@ -467,12 +468,12 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
     monkeypatch.setattr(gm.kr, "check_admissible", counted("admissible", gm.kr.check_admissible))
     monkeypatch.setattr(gm.critical, "f_omega", counted("f_omega", gm.critical.f_omega))
-    # the conformal engine sums in complex form, with no blocks, also for the
-    # Hessian
+    # the conformal engine sums the whole energy in complex form, with no
+    # blocks and no separate regular-part sum, also for the Hessian
     res = gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
     res.hessian
-    assert calls == {"regular_sum": 1, "blocks": 0, "mirrored": 0, "regular_part": 0,
-                     "distance": 1, "admissible": 0, "f_omega": 0}
+    assert calls == {"green_sum": 1, "regular_sum": 0, "blocks": 0, "mirrored": 0,
+                     "regular_part": 0, "distance": 1, "admissible": 0, "f_omega": 0}
     assert distance_batches == [(6, 2)]
 
     # Newton polish checks nothing outside f_omega: one query per evaluation
