@@ -11,7 +11,11 @@ sample: the ``dynamics`` workload's 6-vortex ring at r = 0.45, and a
 384-point block (128 starts at N = 3) of admissible starts more than twice
 ``eval_margin`` inside.  The third, ``lobes``, holds 64 points near the lobe
 tips, 1.5 to 1.7 ``eval_margin`` inside: outside the disk's reach but
-settled by the coarse level, which it keeps timed.  Last, it times
+settled by the coarse level, which it keeps timed.  Two screened cases time
+what a refused search trial queries: two points of the dynamics ring and one
+0.04 outside the lobed curve (a point outside the domain) or 0.06 inside it
+(within ``eval_margin``, so accuracy-degraded); the third point takes every
+level, the Newton refinement included.  Last, it times
 ``PerturbationField.evaluate`` at N = 64.  Run from the root of a checkout
 with pytest-benchmark installed:
 
@@ -76,6 +80,16 @@ def test_deep_signed_boundary_distance(benchmark, lobed_domain, case):
     assert not on_disk.any() if case == "lobes" else on_disk.mean() > 0.99
     dist = benchmark(lobed_domain.signed_boundary_distance, pts, margin)
     assert np.all(dist > margin)
+
+
+@pytest.mark.parametrize("depth", [-0.04, 0.06], ids=["outside", "inside"])
+def test_refused_trial_signed_boundary_distance(benchmark, lobed_domain, depth):
+    frame = lobed_domain.boundary.frame(0.7)
+    pts = np.vstack([_deep_points(lobed_domain, "ring")[:2],
+                     frame.point - depth * frame.normal])
+    margin = 0.05 * lobed_domain.diameter
+    dist = benchmark(lobed_domain.signed_boundary_distance, pts, margin)
+    assert np.all(dist[:2] > margin) and abs(dist[2] - depth) <= 1e-12
 
 
 def test_field_evaluate(benchmark, lobed_domain):

@@ -222,13 +222,14 @@ def cmd_find_critical(args, out: Path):
         "function_fingerprint": report.function_fingerprint,
         "critical_points": [
             {"points": cp.configuration.points, "residual": cp.residual,
-             "spectrum": cp.spectrum, "morse_index": cp.morse_index,
+             "spectrum": cp.spectrum, "morse_index": cp.morse_index, "nullity": cp.nullity,
              "margin": cp.margin, "orbit_tag": cp.orbit_tag, "alignment": cp.alignment}
             for cp in report.points],
     })
     _write_csv(out / "critical_points.csv",
-               _xy(len(strengths)) + ["residual", "morse_index", "margin", "orbit_tag"],
-               ([*cp.configuration.flat(), cp.residual, cp.morse_index, cp.margin,
+               _xy(len(strengths)) + ["residual", "morse_index", "nullity", "margin",
+                                      "orbit_tag"],
+               ([*cp.configuration.flat(), cp.residual, cp.morse_index, cp.nullity, cp.margin,
                  cp.orbit_tag] for cp in report.points))
     return 0, ["report.json", "critical_points.csv"], engine, None
 

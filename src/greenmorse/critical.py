@@ -17,7 +17,6 @@ spectrum of the (symmetrized) Hessian.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -82,7 +81,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class Classification:
     spectrum: np.ndarray     # ascending eigenvalues
-    morse_index: int         # count of negative eigenvalues
+    morse_index: int         # count of negative eigenvalues outside the null band
+    nullity: int             # count of eigenvalues in it (see ``is_degenerate``)
     margin: float            # min |eigenvalue|
 
 
@@ -92,6 +92,7 @@ class CriticalPoint:
     residual: float
     spectrum: np.ndarray
     morse_index: int
+    nullity: int
     margin: float
     hessian: np.ndarray
     orbit_tag: str = "isolated"
@@ -107,24 +108,36 @@ class MorseReport:
 
 
 def classify(hessian: np.ndarray) -> Classification:
-    """Spectrum / Morse index / non-degeneracy margin of a symmetric Hessian."""
+    """Spectrum, Morse index, nullity and non-degeneracy margin of a
+    symmetric Hessian.  The eigenvalues that ``is_degenerate`` counts as
+    zero make the nullity; the index counts the negative ones among the
+    rest, so it does not flip with the sign of a round-off eigenvalue, and
+    at a nondegenerate point it is the count of negative eigenvalues."""
     H = np.asarray(hessian, dtype=float)
     H = 0.5 * (H + H.T)
     try:
         spectrum = np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    index = int(np.sum(spectrum < 0.0))
+    null = _null_band(spectrum)
+    index = int(np.sum((spectrum < 0.0) & ~null))
     margin = float(np.abs(spectrum).min())
-    return Classification(spectrum, index, margin)
+    return Classification(spectrum, index, int(np.sum(null)), margin)
+
+
+def _null_band(spectrum) -> np.ndarray:
+    """Which eigenvalues the degeneracy rule counts as zero: those with
+    |eigenvalue| not above ``DEGENERACY_RATIO`` max(max |eigenvalue|,
+    1e-300), NaN included."""
+    size = np.abs(spectrum)
+    return ~(size > DEGENERACY_RATIO * max(float(size.max()), 1e-300))
 
 
 def is_degenerate(spectrum) -> bool:
-    """The degeneracy rule: a Hessian spectrum is numerically degenerate
-    unless min |eigenvalue| > ``DEGENERACY_RATIO`` max(max |eigenvalue|,
-    1e-300), so a NaN spectrum counts as degenerate."""
-    size = np.abs(spectrum)
-    return not size.min() > DEGENERACY_RATIO * max(float(size.max()), 1e-300)
+    """The degeneracy rule: a Hessian spectrum is numerically degenerate if
+    some eigenvalue lies in ``_null_band``, so a NaN spectrum counts as
+    degenerate."""
+    return bool(_null_band(spectrum).any())
 
 
 def rotation_tangent(points: np.ndarray, center) -> np.ndarray:
@@ -227,7 +240,7 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     except _INADMISSIBLE:
         return failed("inadmissible-start", np.inf, 0)
 
-    gnorm = float(np.linalg.norm(res.gradient))
+    gnorm = math.sqrt(res.gradient @ res.gradient)
     mu = 0.0
     iterations = 0
     stagnant = False
@@ -240,7 +253,8 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
         qg = Q.T @ res.gradient
         lam2 = lam * lam
         lam2_max = float(lam2.max())
-        if np.linalg.norm(lam * qg) <= 1e-3 * np.sqrt(lam2_max) * gnorm:
+        lq = lam * qg
+        if math.sqrt(lq @ lq) <= 1e-3 * np.sqrt(lam2_max) * gnorm:
             return failed("merit-stationary", gnorm, iterations)
         while True:
             # an exactly zero eigenvalue at mu = 0 takes the mu -> 0+ limit, 0
@@ -252,7 +266,7 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
             except _INADMISSIBLE:
                 pass
             else:
-                gnorm_new = float(np.linalg.norm(trial.gradient))
+                gnorm_new = math.sqrt(trial.gradient @ trial.gradient)
                 if gnorm_new < gnorm:
                     break
             mu = max(4.0 * mu, 1e-3 * lam2_max)
@@ -397,6 +411,7 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
             residual=result.residual,
             spectrum=cls.spectrum,
             morse_index=cls.morse_index,
+            nullity=cls.nullity,
             margin=cls.margin,
             hessian=result.hessian,
         )
@@ -423,6 +438,9 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
 
 
 def _fingerprint(data: dict) -> str:
+    # imported here: loading OpenSSL costs every command's start-up memory
+    import hashlib
+
     blob = json.dumps(data, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

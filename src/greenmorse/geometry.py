@@ -98,12 +98,6 @@ class BoundaryCurve:
     def max_degree(self) -> int:
         return len(self.cos_x) - 1
 
-    def _trig(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.arange(len(self.cos_x))
-        kt = np.outer(t, k)
-        return np.cos(kt), np.sin(kt)
-
     @cached_property
     def _jet_coeffs(self) -> np.ndarray:
         """(2K, 6) matrix taking [cos(kt), sin(kt)] to (z, z', z''), x before y:
@@ -118,9 +112,22 @@ class BoundaryCurve:
             sin_rows.append(b)
         return np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
 
+    @cached_property
+    def _ik(self) -> np.ndarray:
+        """i k for the wavenumbers k = 0 ... K - 1."""
+        return 1j * np.arange(len(self.cos_x))
+
+    def _complex_jet(self, t: np.ndarray) -> np.ndarray:
+        """z, z' and z'' at the 1-d parameters ``t`` as complex numbers, shape
+        (len(t), 3): one product of [cos(kt), sin(kt)], read off e^{ikt},
+        with ``_jet_coeffs``."""
+        e = np.exp(np.multiply.outer(t, self._ik))
+        return (np.concatenate([e.real, e.imag], axis=1) @ self._jet_coeffs).view(complex)
+
     def jet(self, t) -> np.ndarray:
         """z, z' and z'' at parameters ``t``, shape (len(t), 3, 2)."""
-        return (np.hstack(self._trig(t)) @ self._jet_coeffs).reshape(-1, 3, 2)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return self._complex_jet(t).view(float).reshape(-1, 3, 2)
 
     def point(self, t) -> np.ndarray:
         """Boundary points at parameters ``t``, shape (len(t), 2)."""
@@ -272,27 +279,30 @@ class BoundaryCurve:
     def _refine(self, p: np.ndarray, coarse_t: np.ndarray,
                 coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``nearest_parameter`` for (N, 2) points from their ``_dense_scan``:
-        up to 6 Newton steps on d/dt |z(t) - p|^2 = 0 from the sample; a point
-        whose Newton answer is farther than that sample keeps the sample."""
-        ti = coarse_t.copy()
-        live = np.arange(len(p))    # points still iterating
-        for _ in range(6):
-            z, d1, d2v = self.jet(ti[live]).transpose(1, 0, 2)
-            r = z - p[live]
-            g = 2.0 * (r[:, 0] * d1[:, 0] + r[:, 1] * d1[:, 1])
-            h = 2.0 * (d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1]
-                       + (r[:, 0] * d2v[:, 0] + r[:, 1] * d2v[:, 1]))
-            steps = np.abs(h) >= 1e-14
-            live = live[steps]
-            step = g[steps] / h[steps]
-            ti[live] -= step
-            live = live[np.abs(step) >= 1e-14]
-            if not len(live):
+        up to 6 Newton steps on Re(conj(z(t) - p) z'(t)) = 0, half of
+        d/dt |z(t) - p|^2 = 0, from the sample, in complex arithmetic on
+        ``_complex_jet``.  A point stops at its first step below 1e-14, which
+        it does not take (a point where the second derivative is below 1e-14
+        takes none), so its answer does not depend on the other points; a
+        point whose Newton answer is farther than that sample keeps the
+        sample."""
+        t = coarse_t.copy()
+        pc = p[:, 0] + 1j * p[:, 1]
+        for steps in range(7):      # 6 steps and the evaluation after them
+            z, z1, z2 = self._complex_jet(t).T
+            r = np.conj(z - pc)
+            if steps == 6:
                 break
-        r = self.point(ti) - p
-        dist = np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1])
+            h = (z1 * np.conj(z1) + r * z2).real
+            h[np.abs(h) < 5e-15] = np.inf
+            step = (r * z1).real / h
+            moving = np.abs(step) >= 1e-14
+            if not moving.any():
+                break
+            t -= np.where(moving, step, 0.0)
+        dist = np.abs(r)
         wandered = dist > coarse    # Newton wandered; keep the coarse answer
-        return np.where(wandered, coarse_t, ti % TWO_PI), np.where(wandered, coarse, dist)
+        return np.where(wandered, coarse_t, t % TWO_PI), np.where(wandered, coarse, dist)
 
     def nearest_parameter(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Parameters of the closest boundary points and the distances to them,
@@ -502,7 +512,8 @@ class DomainSpec:
         1. the cached inscribed disk (c, rho) (``_inscribed_disk``, if the
            domain has one): a point with rho - |x - c| > ``exact_within`` is
            settled there and reports that lower bound, positive.  When every
-           point settles, no boundary sample is read.
+           point settles, the query returns at once and reads no boundary
+           sample.
         2. every ``_COARSE_STRIDE``-th dense sample, whose gap is delta_c =
            ``_COARSE_STRIDE * _sample_gap``: a point whose distance d_c to
            the nearest of those samples has d_c - delta_c > ``exact_within``
@@ -521,7 +532,9 @@ class DomainSpec:
            report that lower bound.  A point at most ``_sample_gap`` from
            its nearest sample is signed by the outward normal at its nearest
            boundary point (between a chord and its arc, the dense polygon's
-           winding number is wrong); the others by that winding number.
+           winding number is wrong); one more than delta_c from it, so from
+           every sample, by the winding number of the stride-8 polygon, by
+           the argument of level 2; the others by the dense polygon's.
 
         So the sign is always the exact one, a value of magnitude at most
         ``exact_within`` is the exact distance, and a larger one is no more
@@ -533,6 +546,13 @@ class DomainSpec:
             raise ValueError("exact_within must be >= 0")
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
+        disk = self._inscribed_disk if exact_within < np.inf and self._circle is None else None
+        if disk is not None:
+            center, radius = disk
+            dist = radius - np.hypot(*(flat - center).T)
+            # every point settles here (a non-finite one does not)
+            if dist.min(initial=np.inf) > exact_within:
+                return float(dist[0]) if pts.ndim == 1 else dist
         if not np.isfinite(flat).all():
             finite = np.isfinite(flat).all(axis=1)
             dist = np.full(len(flat), np.nan)
@@ -542,21 +562,19 @@ class DomainSpec:
             dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
         else:
             curve = self.boundary
-            dist = np.empty(len(flat))
-            rest = np.arange(len(flat))     # the points not settled yet
-            if exact_within < np.inf:
-                if self._inscribed_disk is not None:
-                    center, radius = self._inscribed_disk
-                    dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
-                    rest = np.flatnonzero(dist <= exact_within)
-                if len(rest):
-                    p = flat[rest]
-                    d = curve._dense_scan(p, _COARSE_STRIDE)[1] - _COARSE_STRIDE * curve._sample_gap
-                    deep = d > exact_within
-                    if deep.any():
-                        wound = curve.winding_number(p[deep], _COARSE_STRIDE) == 1
-                        dist[rest[deep]] = np.where(wound, d[deep], -d[deep])
-                        rest = rest[~deep]
+            if disk is not None:
+                rest = np.flatnonzero(dist <= exact_within)     # the points not settled yet
+            else:
+                dist = np.empty(len(flat))
+                rest = np.arange(len(flat))
+            if exact_within < np.inf and len(rest):
+                p = flat[rest]
+                d = curve._dense_scan(p, _COARSE_STRIDE)[1] - _COARSE_STRIDE * curve._sample_gap
+                deep = d > exact_within
+                if deep.any():
+                    wound = curve.winding_number(p[deep], _COARSE_STRIDE) == 1
+                    dist[rest[deep]] = np.where(wound, d[deep], -d[deep])
+                    rest = rest[~deep]
             if len(rest):
                 p = flat[rest]
                 t, coarse = curve._dense_scan(p)
@@ -569,8 +587,13 @@ class DomainSpec:
                 if hug.any():
                     fr = curve.frame(t[hug])
                     inside[hug] = np.sum((p[hug] - fr.point) * fr.normal, axis=1) <= 0.0
-                if not hug.all():
-                    inside[~hug] = curve.winding_number(p[~hug]) == 1
+                # farther than the coarse gap from every sample: level 2's argument
+                far = coarse > _COARSE_STRIDE * curve._sample_gap
+                if far.any():
+                    inside[far] = curve.winding_number(p[far], _COARSE_STRIDE) == 1
+                between = ~(hug | far)
+                if between.any():
+                    inside[between] = curve.winding_number(p[between]) == 1
                 dist[rest] = np.where(inside, d, -d)
         return float(dist[0]) if pts.ndim == 1 else dist
 

@@ -36,12 +36,15 @@ class, built only by calling it:
 Each engine evaluates H at N points in batched calls.  ``blocks(points)``
 gives every H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with
 two leading (j, k) axes.  ``regular_sum(points, lam)`` gives the double sum
-S = sum_{j,k} lam_j lam_k H(x_j, x_k) with its gradient and a thunk for its
-Hessian: on the integral engine the contraction of one ``blocks`` call, on
-the conformal and disk engines a complex form that builds no per-pair
-blocks.  Those two engines also have ``green_sum(points, lam)``, the
+S = sum_{j,k} lam_j lam_k H(x_j, x_k) as a thunk for its value, its gradient
+and a thunk for its Hessian: on the integral engine the contraction of one
+``blocks`` call, on the conformal and disk engines a complex form that
+builds no per-pair blocks.  Those two engines also have ``green_sum(points, lam, diff)``, the
 Kirchhoff-Routh energy that ``kr.f_omega`` returns, the log sum of the
-pairs minus S, in the same complex pass.  All check the points with
+pairs minus S, in the same complex pass, from the pair differences ``diff``
+that ``kr.require_apart`` formed (``_lin_terms`` and ``_quotients`` read
+the same array).  Each sum gives its gradient with the call and its value
+and Hessian through thunks.  All check the points with
 ``require_interior``, one batched boundary-distance query for all points
 and the one rule of where a point may be: a point is admissible iff its
 boundary distance d > ``eval_margin`` (OutsideDomainError for d <= 0 or
@@ -269,12 +272,15 @@ def _complex_block(h, m, out=None) -> np.ndarray:
 
 def _weighted_sum(c, logs, a, second_order) -> tuple:
     """sum_{j,k} c_jk Re A(x_j, x_k), c and Re A symmetric, A holomorphic in
-    x_j, from 2pi A, 2pi dA/dx and a thunk as ``_lin_terms`` gives them: the
-    value, the gradient (2N,) and a thunk for the symmetric Hessian (2N, 2N),
-    written once into an (N, 2, N, 2) array."""
+    x_j, from thunks for 2pi Re A and the second derivatives and 2pi dA/dx,
+    as ``_lin_terms`` gives them: a thunk for the value, the gradient (2N,)
+    and a thunk for the symmetric Hessian (2N, 2N), written once into an
+    (N, 2, N, 2) array."""
     n = len(c)
     g = (c * a).sum(axis=1) / np.pi
-    value = float((c * logs).sum()) / TWO_PI
+
+    def value():
+        return float((c * logs()).sum()) / TWO_PI
 
     def hessian():
         own, hol, mix = second_order()
@@ -365,22 +371,23 @@ class _EngineBase:
         bound, from the domain's inscribed disk or else from every 8th
         boundary sample, whichever first clears ``eval_margin``
         (``DomainSpec.signed_boundary_distance``), so the rule and its
-        messages are those of the exact distance."""
+        messages are those of the exact distance.  Points whose smallest
+        distance clears ``eval_margin`` are admitted on that one comparison."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         # exact wherever the rule could decide
         dists = self.domain.signed_boundary_distance(pts, self.eval_margin)
+        if dists.min() > self.eval_margin:      # admitted (a NaN is not)
+            return pts
         outside = np.flatnonzero(~(dists > 0.0))
         if len(outside):
             i = outside[0]
             raise OutsideDomainError(f"point {i} at {tuple(pts[i])} is not inside the domain")
         i = int(np.argmin(dists))
-        if not dists[i] > self.eval_margin:
-            bound = float(np.exp(-np.pi * self.node_count * dists[i]
-                                 / self.domain.boundary.perimeter))
-            raise AccuracyDegradedError(
-                f"point {i} is {dists[i]:.3g} from the boundary, not beyond the accuracy "
-                f"contract distance {self.eval_margin:.3g}", estimated_bound=bound)
-        return pts
+        bound = float(np.exp(-np.pi * self.node_count * dists[i]
+                             / self.domain.boundary.perimeter))
+        raise AccuracyDegradedError(
+            f"point {i} is {dists[i]:.3g} from the boundary, not beyond the accuracy "
+            f"contract distance {self.eval_margin:.3g}", estimated_bound=bound)
 
     @property
     def diagnostics(self) -> dict:
@@ -389,9 +396,9 @@ class _EngineBase:
 
     def regular_sum(self, points, lam) -> tuple:
         """S = sum_{j,k} lam_j lam_k H(x_j, x_k) over all pairs, the diagonal
-        included, at the N points, which ``require_interior`` checks: the
-        value, the gradient (2N,) and a thunk for the Hessian (2N, 2N).  It
-        contracts the blocks of one ``blocks`` call: the gradient of x_m
+        included, at the N points, which ``require_interior`` checks: a thunk
+        for the value, the gradient (2N,) and a thunk for the Hessian
+        (2N, 2N).  It contracts the blocks of one ``blocks`` call: the gradient of x_m
         collects lam_m lam_k grad_x H(x_m, x_k) and lam_j lam_m
         grad_y H(x_j, x_m) over all j, k, and the Hessian assembles the same
         way from the second-derivative blocks, which the thunk reads."""
@@ -408,12 +415,12 @@ class _EngineBase:
                                        + np.einsum("jk,jkab->kab", c, ev.hess_yy))
             return hess.reshape(2 * n, 2 * n)
 
-        return float(np.sum(c * ev.value)), grad.reshape(2 * n), hessian
+        return lambda: float(np.sum(c * ev.value)), grad.reshape(2 * n), hessian
 
     def robin(self, x) -> RobinEvaluation:
         """h(x) = H(x, x): ``regular_sum`` of the one point x with strength 1."""
         value, grad, hessian = self.regular_sum([x], [1.0])
-        return RobinEvaluation(value, grad, hessian())
+        return RobinEvaluation(value(), grad, hessian())
 
     def green(self, x, y) -> float:
         """G(x, y) = Gamma(x, y) - H(x, y); positive for interior points."""
@@ -698,21 +705,22 @@ class ConformalGreenEngine(_EngineBase):
                 "iterations": self.iterations,
                 "eval_margin": self.eval_margin}
 
-    def _quotients(self, x: np.ndarray, f, f1, f2, f3) -> tuple:
+    def _quotients(self, x: np.ndarray, diff: np.ndarray, f, f1, f2, f3) -> tuple:
         """The divided difference Q(x_j, x_k) = (F(x_j) - F(x_k)) / (x_j - x_k)
-        at the complex points x, given F and its first three derivatives
-        there, with dQ/dx and dQ/dy, all (N, N), and a thunk for d2Q/dx2 and
-        d2Q/dxdy.  On the diagonal Q = F', dQ/dx = dQ/dy = F''/2,
+        at the complex points x, given their differences ``diff`` (diagonal
+        1, as ``_lin_terms`` passes them) and F and its first three
+        derivatives there, with dQ/dx and dQ/dy, all (N, N), and a thunk for
+        d2Q/dx2 and d2Q/dxdy.  On the diagonal Q = F', dQ/dx = dQ/dy = F''/2,
         d2Q/dx2 = F'''/3 and d2Q/dxdy = F'''/6.  The differences cancel as
         x_k nears x_j; for off-diagonal pairs closer than eval_margin / 2,
         coincident ones included, all five come from ``_segment_quotients``
         instead."""
         diag = slice(None, None, len(x) + 1)    # the diagonal of a flat N x N array
-        diff = x[:, None] - x                   # [j, k]: x_j - x_k
         close = np.abs(diff) < 0.5 * self.eval_margin
-        diff[close] = 1.0
         close.flat[diag] = False
         near = np.nonzero(close)
+        if len(near[0]):
+            diff = np.where(close, 1.0, diff)   # a copy: the caller's differences stay
         q = (f[:, None] - f) / diff
         q.flat[diag] = f1
         qx = (f1[:, None] - q) / diff
@@ -732,17 +740,22 @@ class ConformalGreenEngine(_EngineBase):
 
         return q, qx, qy, second
 
-    def _lin_terms(self, points) -> tuple:
+    def _lin_terms(self, points, diff=None) -> tuple:
         """Lin's formula at the N points (``require_interior`` checks them)
         as complex N x N arrays [j, k]: with b = 1 - F(x_j) conj F(x_k), H is
-        Re A for A = (ln Q - ln b) / 2pi, holomorphic in x = x_j.  Returns
-        the points x as complex numbers, 2pi H, 2pi dA/dx and a thunk for 2pi
-        times d2A/dx2 (own), d2A/dxdy (hol, through Q) and d2A/dx d(conj y)
-        (mix, through conj F(x_k))."""
+        Re A for A = (ln Q - ln b) / 2pi, holomorphic in x = x_j.  ``diff``
+        holds the differences x_j - x_k as complex numbers, as
+        ``kr.require_apart`` returns them; they are formed here if not given.
+        Returns ``diff`` with its diagonal set to 1, a thunk for 2pi H,
+        2pi dA/dx and a thunk for 2pi times d2A/dx2 (own), d2A/dxdy (hol,
+        through Q) and d2A/dx d(conj y) (mix, through conj F(x_k))."""
         pts = self.require_interior(points)
         x = pts[:, 0] + 1j * pts[:, 1]
+        if diff is None:
+            diff = x[:, None] - x
+        diff.flat[:: len(x) + 1] = 1.0
         f, f1, f2, f3 = self._map(x).T
-        q, qx, qy, second = self._quotients(x, f, f1, f2, f3)
+        q, qx, qy, second = self._quotients(x, diff, f, f1, f2, f3)
         fc = np.conj(f)
         b = 1.0 - f[:, None] * fc
         u = f1[:, None] * fc / b
@@ -753,7 +766,7 @@ class ConformalGreenEngine(_EngineBase):
             own = qxx / q - r * r + f2[:, None] * fc / b + u * u
             return own, (qxy - r * qy) / q, f1[:, None] * np.conj(f1) / (b * b)
 
-        return x, np.log(np.abs(q)) - np.log(np.abs(b)), r + u, second_order
+        return diff, lambda: np.log(np.abs(q)) - np.log(np.abs(b)), r + u, second_order
 
     def blocks(self, points) -> GreenEvaluation:
         _, logs, a, second_order = self._lin_terms(points)
@@ -764,7 +777,7 @@ class ConformalGreenEngine(_EngineBase):
             return hess_xx, hess_xx.swapaxes(0, 1).copy(), _complex_block(hol, mix) / TWO_PI
 
         grad_x = np.stack([a.real, -a.imag], axis=-1) / TWO_PI
-        return _mirrored(logs / TWO_PI, grad_x, grad_x.swapaxes(0, 1).copy(), hessians)
+        return _mirrored(logs() / TWO_PI, grad_x, grad_x.swapaxes(0, 1).copy(), hessians)
 
     def regular_sum(self, points, lam) -> tuple:
         """``_EngineBase.regular_sum`` in complex form, with no per-pair real
@@ -775,27 +788,27 @@ class ConformalGreenEngine(_EngineBase):
         _, logs, a, second_order = self._lin_terms(points)
         return _weighted_sum(np.multiply.outer(lam, lam), logs, a, second_order)
 
-    def green_sum(self, points, lam) -> tuple:
+    def green_sum(self, points, lam, diff=None) -> tuple:
         """E = sum_{j != k} c_jk Gamma(x_j, x_k) - S, with c and S as in
         ``regular_sum``: ``kr.f_omega`` with the Kirchhoff-Routh interaction,
         in the same form.  Off the diagonal
         2pi (Gamma - H) = -Re(ln(x_j - x_k) + ln Q - ln b), so
         ln|x_j - x_k|, 1/(x_j - x_k) and -/+ 1/(x_j - x_k)^2 join the logs,
         dA/dx, own and hol, and E is their sum with -c for c.  The points
-        must be apart (``kr.require_apart``)."""
-        x, logs, a, second_order = self._lin_terms(points)
-        d = x[:, None] - x
-        d.flat[:: len(x) + 1] = 1.0             # where ln|d| = 0
-        inv = 1.0 / d
-        inv.flat[:: len(x) + 1] = 0.0
+        must be apart (``kr.require_apart``); ``diff`` is their complex
+        differences as that returns them, which this call overwrites (see
+        ``_lin_terms``)."""
+        d, logs, a, second_order = self._lin_terms(points, diff)
+        inv = 1.0 / d                           # d is 1 on the diagonal, where ln|d| = 0
+        inv.flat[:: len(d) + 1] = 0.0
 
         def free_second_order():
             own, hol, mix = second_order()
             inv2 = inv * inv
             return own - inv2, hol + inv2, mix
 
-        return _weighted_sum(-np.multiply.outer(lam, lam), logs + np.log(np.abs(d)), a + inv,
-                             free_second_order)
+        return _weighted_sum(-np.multiply.outer(lam, lam), lambda: logs() + np.log(np.abs(d)),
+                             a + inv, free_second_order)
 
     def _segment_quotients(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Q = (F(x) - F(y)) / (x - y) at complex pairs (x, y), with dQ/dx,
@@ -853,7 +866,7 @@ class DiskGreenEngine(ConformalGreenEngine):
         zero = np.zeros_like(f)
         return np.stack([f, zero + 1.0 / self.radius, zero, zero], axis=1)
 
-    def _quotients(self, x: np.ndarray, f, f1, f2, f3) -> tuple:
+    def _quotients(self, x: np.ndarray, diff: np.ndarray, f, f1, f2, f3) -> tuple:
         """Q = 1/R for every pair, with zero derivatives: a difference
         quotient of F would add eps |x| / |x_j - x_k|^2 of round-off to dQ/dx
         beyond the segment rule's eval_margin / 2."""

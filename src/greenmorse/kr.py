@@ -9,11 +9,14 @@ contributes the Robin terms -lambda_k^2 h(x_k).  The interaction f is either
 the point-vortex log sum -(1/2pi) sum_{j != k} lambda_j lambda_k ln|x_j - x_k|,
 identically zero, or a caller-supplied C^2 evaluator.  ``f_omega`` sums the
 log sum and the double sum in one pass where the engine can (``green_sum``).
+The collision rule ``require_apart`` forms the pair differences x_j - x_k
+once, as complex numbers, and the log sum and ``green_sum`` reuse them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -67,13 +70,15 @@ class Configuration:
 
 
 def _pair_differences(points: np.ndarray) -> tuple:
-    """x_j - x_k at [..., j, k] for a (..., N, 2) stack (NaN, without a
-    warning, for a non-finite point), and its squared length, inf at j = k."""
+    """x_j - x_k at [..., j, k] as complex numbers for a (..., N, 2) stack of
+    points (NaN, without a warning, for a non-finite point), and its squared
+    length dx * dx + dy * dy, inf at j = k."""
+    z = np.ascontiguousarray(points).view(complex)[..., 0]
     with np.errstate(invalid="ignore"):
-        d = points[..., :, None, :] - points[..., None, :, :]
-    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    diag = np.arange(points.shape[-2])
-    r2[..., diag, diag] = np.inf
+        d = z[..., :, None] - z[..., None, :]
+    r2 = d.real * d.real + d.imag * d.imag
+    n = z.shape[-1]
+    r2.reshape(-1, n * n)[:, :: n + 1] = np.inf
     return d, r2
 
 
@@ -93,10 +98,11 @@ def require_apart(points, margin: float) -> tuple:
     """The collision rule: a configuration is admissible iff its smallest pair
     distance is more than ``margin`` (checked by ``check_collision_margin``);
     CollisionError otherwise.  It is the counterpart of the engines'
-    ``require_interior``.  It returns ``_pair_differences`` of the points."""
+    ``require_interior``.  It returns ``_pair_differences`` of the points,
+    which ``f_omega`` passes on, so they are formed once per evaluation."""
     check_collision_margin(margin)
     d, r2 = _pair_differences(np.asarray(points, dtype=float))
-    gap = float(np.sqrt(r2.min()))
+    gap = math.sqrt(r2.min())
     if gap <= margin:
         raise CollisionError(
             f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
@@ -139,14 +145,18 @@ def custom_interaction(evaluator: Callable, collision_margin: float) -> Interact
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """Value and gradient, computed when the result is made, and the Hessian,
-    computed by the private thunk ``_hessian`` on first read of ``hessian``
-    and then cached.  Admissibility is decided when the result is made, so
-    reading ``hessian`` does not raise."""
+    """The gradient, computed when the result is made, and the value and the
+    Hessian, computed by the private thunks ``_value`` and ``_hessian`` on
+    first read of ``value`` and ``hessian`` and then cached.  Admissibility
+    is decided when the result is made, so neither read raises."""
 
-    value: float
+    _value: Callable = field(repr=False, compare=False)     # () -> float
     gradient: np.ndarray    # (2N,)
     _hessian: Callable = field(repr=False, compare=False)   # () -> (2N, 2N)
+
+    @cached_property
+    def value(self) -> float:
+        return self._value()
 
     @cached_property
     def hessian(self) -> np.ndarray:
@@ -164,15 +174,14 @@ class AdmissibilityResult:
 
 
 def _log_pair_terms(d: np.ndarray, r2: np.ndarray, lam: np.ndarray):
-    """Value and gradient of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|, and
-    a thunk for its Hessian, from the ``require_apart`` differences d and
-    squared lengths r2 (whose diagonal it overwrites)."""
+    """The gradient of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|, and thunks
+    for its value and Hessian, from the ``require_apart`` complex differences
+    d and squared lengths r2 (whose diagonal it overwrites)."""
     n = len(lam)
+    d = d.view(float).reshape(n, n, 2)      # (dx, dy) at [j, k]
     np.fill_diagonal(r2, 1.0)
     c = np.outer(lam, lam) / np.pi
     np.fill_diagonal(c, 0.0)
-    # every pair appears as (j, k) and (k, j)
-    value = -0.25 * np.sum(c * np.log(r2))
     grad = -np.sum((c / r2)[..., None] * d, axis=1)
     m = 2 * n
 
@@ -184,7 +193,8 @@ def _log_pair_terms(d: np.ndarray, r2: np.ndarray, lam: np.ndarray):
         hess[diag, :, diag, :] -= hess.sum(axis=2)
         return hess.reshape(m, m)
 
-    return value, grad.reshape(m), hessian
+    # every pair appears as (j, k) and (k, j)
+    return lambda: -0.25 * np.sum(c * np.log(r2)), grad.reshape(m), hessian
 
 
 def _require_pairs(strengths: VortexStrengths, config: Configuration, margin: float) -> tuple:
@@ -207,12 +217,12 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
     d, r2 = _require_pairs(strengths, config, collision_margin)
     m = 2 * len(pts)
     if spec.variant == "zero":
-        return EvaluationResult(0.0, np.zeros(m), lambda: np.zeros((m, m)))
+        return EvaluationResult(lambda: 0.0, np.zeros(m), lambda: np.zeros((m, m)))
     if spec.variant == "kirchhoff_routh":
         return EvaluationResult(*_log_pair_terms(d, r2, lam))
     value, grad, hess = spec.custom_evaluator(pts, lam)
-    hess = np.asarray(hess, dtype=float).reshape(m, m)
-    return EvaluationResult(float(value), np.asarray(grad, dtype=float).reshape(m),
+    value, hess = float(value), np.asarray(hess, dtype=float).reshape(m, m)
+    return EvaluationResult(lambda: value, np.asarray(grad, dtype=float).reshape(m),
                             lambda: hess)
 
 
@@ -264,18 +274,20 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     With the Kirchhoff-Routh interaction on an engine with ``green_sum``
     (the conformal-map and disk engines), the result is one ``green_sum``
     call, which sums the log sum and S = sum_{j,k} lambda_j lambda_k
-    H(x_j, x_k) in one complex pass.  Otherwise it is ``interaction`` minus
-    S from one ``engine.regular_sum`` call (on the integral engine, the
-    contraction of one ``blocks`` call, whose ``lu_solve`` solves for 6N
-    right-hand sides).  The value and gradient are computed by the call; the
-    Hessian on the first read of ``.hessian``, then cached, so callers that
-    need only the gradient, such as the vortex dynamics and rejected search
-    trials, never pay for it.  It is symmetric bit for bit.
+    H(x_j, x_k) in one complex pass, from the pair differences that
+    ``require_apart`` formed.  Otherwise it is ``interaction`` minus S from
+    one ``engine.regular_sum`` call (on the integral engine, the contraction
+    of one ``blocks`` call, whose ``lu_solve`` solves for 6N right-hand
+    sides).  The gradient is computed by the call; the value on the first
+    read of ``.value`` and the Hessian on the first read of ``.hessian``,
+    then cached, so callers that need only the gradient, such as the search
+    trials and the vortex dynamics' velocity, never pay for them.  The
+    Hessian is symmetric bit for bit.
     """
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
     if spec.variant == "kirchhoff_routh" and hasattr(engine, "green_sum"):
-        _require_pairs(strengths, config, cm)
-        return EvaluationResult(*engine.green_sum(config.points, strengths.values))
+        d, _ = _require_pairs(strengths, config, cm)
+        return EvaluationResult(*engine.green_sum(config.points, strengths.values, d))
     inter = interaction(spec, strengths, config, collision_margin=cm)
     value, grad, regular_hessian = engine.regular_sum(config.points, strengths.values)
 
@@ -283,7 +295,7 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
         H = inter.hessian - regular_hessian()
         return 0.5 * (H + H.T)
 
-    return EvaluationResult(inter.value - value, inter.gradient - grad, hessian)
+    return EvaluationResult(lambda: inter.value - value(), inter.gradient - grad, hessian)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,16 @@ def test_cli_import_does_not_load_scipy_stats():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_openssl():
+    # hashlib loads OpenSSL, several MB of every command's resident set;
+    # only find-critical's report fingerprints use it, and import it then
+    env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
+    code = "import sys, greenmorse.cli; print('_hashlib' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def _write_field(path, mode):
     cos = [0.0] * mode + [1.0]
     path.write_text(json.dumps({"type": "normal_fourier", "cos": cos}), encoding="utf-8")
@@ -230,14 +240,14 @@ def test_find_critical_writes_the_points_csv(tmp_path):
     points = json.loads((out / "report.json").read_text(encoding="utf-8"))["critical_points"]
     rows = [line.split(",") for line in
             (out / "critical_points.csv").read_text(encoding="utf-8").splitlines()]
-    assert rows[0] == ["x1", "y1", "x2", "y2", "residual", "morse_index", "margin",
+    assert rows[0] == ["x1", "y1", "x2", "y2", "residual", "morse_index", "nullity", "margin",
                        "orbit_tag"]
     assert points and len(rows) == len(points) + 1
     for row, cp in zip(rows[1:], points):
         # 17 significant digits reproduce each double exactly
         assert [float(v) for v in row[:4]] == [v for p in cp["points"] for v in p]
-        assert [float(row[4]), int(row[5]), float(row[6]), row[7]] == [
-            cp["residual"], cp["morse_index"], cp["margin"], cp["orbit_tag"]]
+        assert [float(row[4]), int(row[5]), int(row[6]), float(row[7]), row[8]] == [
+            cp["residual"], cp["morse_index"], cp["nullity"], cp["margin"], cp["orbit_tag"]]
 
 
 def test_find_critical_csv_header_without_points(tmp_path, lobed_domain):
@@ -254,7 +264,7 @@ def test_find_critical_csv_header_without_points(tmp_path, lobed_domain):
                      "--newton-tol", "1e-30", "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text(encoding="utf-8"))["critical_points"] == []
     assert (out / "critical_points.csv").read_text(encoding="utf-8").splitlines() == [
-        "x1,y1,x2,y2,x3,y3,residual,morse_index,margin,orbit_tag"]
+        "x1,y1,x2,y2,x3,y3,residual,morse_index,nullity,margin,orbit_tag"]
 
 
 @pytest.mark.parametrize("lobed", [False, True])

@@ -47,7 +47,18 @@ def test_classify_mixed_diagonal():
 def test_classify_zero_matrix():
     cls = gm.classify(np.zeros((4, 4)))
     assert cls.morse_index == 0
+    assert cls.nullity == 4
     assert cls.margin == 0.0
+
+
+def test_classify_counts_the_index_outside_the_null_band():
+    # an eigenvalue within DEGENERACY_RATIO of the largest counts towards the
+    # nullity, whatever its sign; the index counts the negative ones beyond
+    for tiny in (-1e-9, 0.0, 1e-9):
+        cls = gm.classify(np.diag([-2.0, tiny, 1.0, -1.0]))
+        assert (cls.morse_index, cls.nullity) == (2, 1)
+    cls = gm.classify(np.diag([-2.0, 1.0, -1.0, 0.5]))
+    assert (cls.morse_index, cls.nullity) == (2, 0)
 
 
 @pytest.mark.parametrize("spectrum, degenerate", [
@@ -100,6 +111,17 @@ def test_dipole_orbit_tags(dipole_report):
         assert cp.orbit_tag == "rotation-orbit"
         assert cp.alignment >= 0.999
         assert cp.margin <= 1e-5 * np.max(np.abs(cp.spectrum))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_dipole_orbit_has_index_3_and_nullity_1(disk_engine, seed):
+    # the orbit's tangent eigenvalue is round-off (below 1e-10); its sign
+    # used to decide between index 3 and 4 from point to point
+    report = gm.find_critical_points(
+        disk_engine, gm.VortexStrengths([1.0, -1.0]), gm.kirchhoff_routh_interaction(),
+        gm.SearchConfig(starts=24, seed=seed))
+    assert report.points
+    assert {(cp.morse_index, cp.nullity) for cp in report.points} == {(3, 1)}
 
 
 def test_dipole_found_at_multiple_angles(dipole_report):
@@ -289,7 +311,7 @@ def test_detect_orbit_about_off_centre_disk(dipole_setup):
     assert result.converged
     cls = gm.classify(result.hessian)
     cp = gm.CriticalPoint(gm.Configuration(result.configuration.reshape(-1, 2)),
-                          result.residual, cls.spectrum, cls.morse_index,
+                          result.residual, cls.spectrum, cls.morse_index, cls.nullity,
                           cls.margin, result.hessian)
     tag, alignment = gm.detect_rotation_orbit(engine, cp)
     assert tag == "rotation-orbit"
@@ -298,7 +320,7 @@ def test_detect_orbit_about_off_centre_disk(dipole_setup):
 
 def test_detect_orbit_undefined_at_origin(disk_engine):
     cp = gm.CriticalPoint(gm.Configuration([[0.0, 0.0]]), 0.0,
-                          np.array([-1 / np.pi, -1 / np.pi]), 2, 1 / np.pi,
+                          np.array([-1 / np.pi, -1 / np.pi]), 2, 0, 1 / np.pi,
                           -np.eye(2) / np.pi)
     with pytest.raises(gm.UndefinedOrbitError):
         gm.detect_rotation_orbit(disk_engine, cp)
@@ -315,7 +337,7 @@ def test_detect_orbit_isolated_on_lobed_domain(lobed_engine, dipole_setup):
     assert result.converged
     cls = gm.classify(result.hessian)
     cp = gm.CriticalPoint(gm.Configuration(result.configuration.reshape(-1, 2)),
-                          result.residual, cls.spectrum, cls.morse_index,
+                          result.residual, cls.spectrum, cls.morse_index, cls.nullity,
                           cls.margin, result.hessian)
     tag, _ = gm.detect_rotation_orbit(engine, cp)
     assert tag == "isolated"

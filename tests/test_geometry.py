@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -615,16 +616,82 @@ def test_deep_ring_settles_on_the_inscribed_disk(lobed_domain, lobed_engine, mon
 def test_mixed_query_winds_each_point_once(lobed_domain, lobed_engine, monkeypatch):
     # beside the deep ring, a point 0.5 eval_margin inside is the only one
     # the inscribed disk leaves open: it alone takes the coarse scan, then
-    # the full path, and no point takes the coarse winding pass
+    # the full scan and the refinement, and is signed once, by the stride-8
+    # polygon, since it is farther than the coarse gap from every sample
     margin = lobed_engine.eval_margin
     near = point_at_distance(lobed_domain, 0.7, 0.5 * margin)
     pts = np.vstack([_dynamics_ring(), near])
+    stride = geometry._COARSE_STRIDE
+    assert 0.5 * margin > stride * lobed_domain.boundary._sample_gap
     assert lobed_domain._inscribed_disk is not None     # built before the spy
     calls = _spy_on_distance_passes(monkeypatch)
     lobed_domain.signed_boundary_distance(pts, margin)
-    stride = geometry._COARSE_STRIDE
     assert calls == [("_dense_scan", 1, stride),
-                     ("_dense_scan", 1, 1), ("_refine", 1, 1), ("winding_number", 1, 1)]
+                     ("_dense_scan", 1, 1), ("_refine", 1, 1), ("winding_number", 1, stride)]
+
+
+@pytest.fixture(scope="module")
+def ellipse_domain():
+    """The 8:1 ellipse: curvature radius b^2 / a = 1/64 at the tips."""
+    return gm.DomainSpec(ellipse(1.0, 0.125))
+
+
+@pytest.mark.parametrize("name", ["lobed_domain", "banana_domain", "ellipse_domain"])
+@pytest.mark.parametrize("seed", range(5))
+def test_screened_query_near_the_boundary_equals_the_exact_one(request, name, seed):
+    # points on both sides, from _sample_gap to eval_margin + 8 _sample_gap
+    # along the normal: those that pass the coarse level reach the full
+    # scan, which signs the ones farther than 8 _sample_gap from every
+    # sample by the stride-8 polygon; the sign and every value in the exact
+    # range must be the unscreened query's.  Half the points lie midway
+    # between the samples of a stride 2 ... 64 polygon, where a chord
+    # strays farthest from its arc, at depths log-uniform up to 32 gaps
+    domain = request.getfixturevalue(name)
+    curve = domain.boundary
+    gap = curve._sample_gap
+    margin = 0.05 * domain.diameter     # the conformal engine's eval_margin
+    rng = np.random.default_rng(seed)
+    m = len(curve._dense[0])
+    stride = 2 ** rng.integers(1, 7, 100)
+    t = np.concatenate([2 * np.pi * (stride * rng.integers(0, m // stride) + stride / 2) / m,
+                        rng.uniform(0.0, 2 * np.pi, 100)])
+    depth = np.concatenate([gap * np.exp(rng.uniform(0.0, np.log(32.0), 100)),
+                            rng.uniform(gap, margin + geometry._COARSE_STRIDE * gap, 100)])
+    pts = point_at_distance(domain, t, (depth * rng.choice([-1.0, 1.0], 200))[:, None])
+    exact = domain.signed_boundary_distance(pts)
+    screened = domain.signed_boundary_distance(pts, margin)
+    assert np.array_equal(np.sign(screened), np.sign(exact))
+    # and the sign is the curve's: every point is more than _sample_gap / 8
+    # from the polygon through 8 m samples, whose winding number is then the
+    # curve's by the same homotopy argument
+    fine = curve.point(2 * np.pi * np.arange(8 * m) / (8 * m))
+    angle = np.arctan2(fine[None, :, 1] - pts[:, 1, None], fine[None, :, 0] - pts[:, 0, None])
+    turn = np.diff(angle, axis=1, append=angle[:, :1])
+    turn -= 2 * np.pi * np.rint(turn / (2 * np.pi))
+    assert np.array_equal(exact > 0, np.rint(turn.sum(axis=1) / (2 * np.pi)) == 1)
+    close = np.abs(exact) <= margin
+    assert np.array_equal(screened[close], exact[close])
+    assert np.all(np.abs(screened[~close]) <= np.abs(exact[~close]))
+    # the stride-8 sign is exercised on both sides
+    _, nearest = curve._dense_scan(pts)
+    far = nearest > geometry._COARSE_STRIDE * gap
+    assert (far & (exact > 0)).any() and (far & (exact < 0)).any()
+
+
+def test_non_finite_point_refused_without_a_warning(lobed_engine, disk_engine):
+    # a NaN or infinite coordinate reads distance NaN at every level, and
+    # the boundary rule refuses it as outside; no step warns (warnings are
+    # errors here, and this makes it explicit)
+    margin = lobed_engine.eval_margin
+    pts = np.array([[0.1, 0.0], [np.inf, 0.0], [np.nan, 0.2], [0.0, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = lobed_engine.domain.signed_boundary_distance(pts, margin)
+        assert dist[0] > margin and np.all(np.isnan(dist[1:]))
+        for engine in (lobed_engine, disk_engine):
+            for point in pts[1:]:
+                with pytest.raises(gm.OutsideDomainError):
+                    engine.require_interior([[0.1, 0.0], point])
 
 
 def test_near_point_beside_deep_ones_keeps_its_exact_distance(lobed_domain, lobed_engine):
