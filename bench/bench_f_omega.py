@@ -18,9 +18,9 @@ than eval_margin / 2 on the conformal-map engine, whose divided differences
 for that pair come from the segment rule (``_segment_quotients``).  It also
 times the construction of the conformal-map and Nystrom engines at 256 nodes
 (every command but ``perturb-study``) and 512 nodes (a ``perturb-study``
-rung), and of the 512-node conformal-map engine on an 8:1 ellipse, whose
-Kerzman-Stein solve takes the most GMRES steps of the test domains.  Run
-from the root of a checkout with pytest-benchmark installed:
+rung); ``bench/bench_perturb.py`` times the conformal-map builds of a rung
+and of an 8:1 ellipse.  Run from the root of a checkout with
+pytest-benchmark installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_f_omega.py
 
@@ -85,10 +85,4 @@ def test_f_omega_near_pair(benchmark, lobed_domain, read):
 @pytest.mark.parametrize("nodes", [256, 512])
 def test_build_engine(benchmark, lobed_domain, nodes, backend):
     engine = benchmark(ENGINES[backend], lobed_domain, nodes)
-    assert engine.self_test_error <= 1e-8
-
-
-def test_build_thin_ellipse(benchmark):
-    ellipse = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.125]))
-    engine = benchmark(gm.ConformalGreenEngine, ellipse, 512)
     assert engine.self_test_error <= 1e-8

@@ -6,8 +6,12 @@ gives the self-intersection probe and the diameter behind ``eval_margin``.
 This times ``apply_perturbation(disk, cosine_field(3), 0.03)``, a rung of the
 ``continuation`` workload's grid, and ``BoundaryCurve._chord_scan`` on that
 rung's curve, recomputed each round past its cache.  The cos 3t rungs are
-nearly of constant width, the hard case of the scan.  Run from the root of a
-checkout with pytest-benchmark installed:
+nearly of constant width, the hard case of the scan.  It also times the
+rung's 512-node engine build, whose Kerzman-Stein density is resolved on a
+128-node sub-grid, and the 512-node build on an 8:1 ellipse, whose density
+is resolved on no sub-grid: it pays for the refused 64-, 128- and 256-node
+solves before the full one, which takes the most GMRES steps of the test
+domains.  Run from the root of a checkout with pytest-benchmark installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_perturb.py
 
@@ -36,3 +40,15 @@ def test_chord_scan(benchmark, disk):
     curve = gm.apply_perturbation(disk, gm.cosine_field(3), EPS).boundary
     largest, _, _ = benchmark(BoundaryCurve._chord_scan.func, curve)
     assert largest == curve._chord_scan[0]
+
+
+def test_build_rung_engine(benchmark, disk):
+    rung = gm.apply_perturbation(disk, gm.cosine_field(3), EPS)
+    engine = benchmark(gm.build_engine, rung, 512)
+    assert engine.solve_nodes < 512
+
+
+def test_build_thin_ellipse(benchmark):
+    ellipse = gm.DomainSpec(gm.BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.125]))
+    engine = benchmark(gm.build_engine, ellipse, 512)
+    assert engine.solve_nodes == 512 and engine.self_test_error <= 1e-8

@@ -36,7 +36,6 @@ from .geometry import (
     contains,
     cosine_field,
     equivariant_project,
-    eval_boundary,
     identity_dilation,
     load_domain,
     load_field,
@@ -55,8 +54,6 @@ from .green import (
     RobinEvaluation,
     build_engine,
     gamma,
-    grad_gamma,
-    hess_gamma,
 )
 from .kr import (
     Configuration,

@@ -15,7 +15,8 @@ selects (null for shape-verify, whose engines are rebuilt per rung; on a
 non-circular domain the conformal map's self-test numbers:
 ``self_test_error``, the largest of ``exterior_cauchy_error``,
 ``centre_image`` and ``solve_residual``, with ``iterations``, the
-Kerzman-Stein solve's operator products, and ``eval_margin``), the numpy
+Kerzman-Stein solve's operator products, ``solve_nodes``, the number of
+nodes it was solved on, and ``eval_margin``), the numpy
 version and the OPENBLAS_NUM_THREADS setting (null if unset).
 simulate's manifest also has ``stats``: the sum and maximum over the steps of
 the integrator's solver iterations and final update sizes, and the number of

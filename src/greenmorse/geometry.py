@@ -602,11 +602,6 @@ class DomainSpec:
 # spec'd operations on domains
 # ---------------------------------------------------------------------------
 
-def eval_boundary(curve: BoundaryCurve, t: float) -> BoundaryFrame:
-    """Point, unit tangent, outward unit normal, curvature at parameter t."""
-    return curve.frame(t)
-
-
 def contains(domain: DomainSpec, points, margin: float = 0.0):
     """True iff the point is inside with distance to the boundary > margin:
     a bool for one point of shape (2,), an (N,) bool array for (N, 2).

@@ -12,10 +12,11 @@ class, built only by calling it:
   H(x, y) = (1/2pi) ln|(F(x) - F(y)) / (x - y)| - (1/2pi) ln|1 - F(x) conj F(y)|,
   and the Poisson kernel pulled back through F for the traces.  F comes from
   one Kerzman-Stein solve per domain (GMRES, closed by fixed-point sweeps,
-  each step two products of the antisymmetric n x n Cauchy matrix, of
-  which three blocks are formed, with one column); its derivatives at N
-  points are one (N, n) @ (n, 4) Cauchy product.  No evaluation solves a
-  linear system;
+  each step two products of the antisymmetric m x m Cauchy matrix, of
+  which three blocks are formed, with one column), on the coarsest sub-grid
+  of m of the n nodes that resolves the density, which is then interpolated
+  to all n nodes; its derivatives at N points are one (N, n) @ (n, 4)
+  Cauchy product.  No evaluation solves a linear system;
 * ``disk-closed-form`` (``DiskGreenEngine``) — the same engine on a circle,
   with its exact map F(x) = (x - c) / R in place of the solve, which makes
   those formulas the image method's;
@@ -103,8 +104,10 @@ CONDITION_LIMIT = 1e12
 # points more than this fraction of the diameter inside
 EVAL_MARGIN_FRACTION = 0.05
 # Kerzman-Stein solve: GMRES stops at this relative residual estimate and the
-# closing fixed-point sweeps at this relative step; past this many products
-# with the operator the build fails
+# closing fixed-point sweeps at this relative step, and a sub-grid density is
+# resolved when its top quarter band is at most this fraction of its largest
+# DFT coefficient; past this many products with the operator a sub-grid solve
+# is refused and a solve on all nodes fails the build
 FIXED_POINT_TOL = 2e-15
 PRODUCT_CAP = 100
 
@@ -170,6 +173,73 @@ def _kerzman_stein_solve(kernel, rhs) -> tuple:
         f"Kerzman-Stein solve did not converge in {PRODUCT_CAP} operator products")
 
 
+def _szego_density(z, dz, tangent, w, a) -> tuple:
+    """``_kerzman_stein_solve`` of (I - K) S = conj(T / (2 pi i (z - a))) on
+    the nodes z of a uniform parameter grid, with velocities dz = z'(t), unit
+    tangents T and trapezoid weights w (see ``ConformalGreenEngine``): S, the
+    products with K and the relative residual.  R_ij = 1 / (z_i - z_j) (zero diagonal) is
+    antisymmetric, so only three of its blocks are formed, in one allocation:
+    as three arrays, their freed memory went back to the system after every
+    build and was faulted in again by the next (5 times the minor page
+    faults over 40 builds)."""
+    n = len(z)
+    h, m = n // 2, n - n // 2
+    buffer = np.empty(h * n + m * m, dtype=complex)
+    r11 = np.subtract.outer(z[:h], z[:h], out=buffer[: h * h].reshape(h, h))
+    r12 = np.subtract.outer(z[:h], z[h:], out=buffer[h * h: h * n].reshape(h, m))
+    r22 = np.subtract.outer(z[h:], z[h:], out=buffer[h * n:].reshape(m, m))
+    r11.flat[:: h + 1] = r22.flat[:: m + 1] = 1.0
+    np.divide(1.0, buffer, out=buffer)
+    r11.flat[:: h + 1] = r22.flat[:: m + 1] = 0.0
+    c1 = 1j * dz / n
+    c2 = np.conj(tangent / (2j * np.pi))
+
+    def cauchy(v):
+        """R v, R = [[r11, r12], [-r12^T, r22]]."""
+        u1, u2 = v[:h], v[h:]
+        return np.concatenate([r11 @ u1 + r12 @ u2, r22 @ u2 - r12.T @ u1])
+
+    def kernel(s):
+        """K s."""
+        return cauchy(c1 * s) - c2 * np.conj(cauchy(np.conj(w * s)))
+
+    return _kerzman_stein_solve(kernel, np.conj(tangent / (2j * np.pi * (z - a))))
+
+
+def _resolved_density(z, dz, tangent, w, a) -> tuple:
+    """The Szego density S at the n nodes z from ``_szego_density`` on the
+    coarsest sub-grid that resolves it, with that solve's products and
+    residual and its node count m.  The levels are m = n / 2^k >= MIN_NODES,
+    the every-(n/m)-th nodes with weights (n/m) w, tried from the smallest.
+    A coarse S is kept when its DFT coefficients of index 3m/8 ... 5m/8, the
+    top quarter of its band, are all at most FIXED_POINT_TOL times the
+    largest, and carried to the n nodes by trigonometric interpolation (its
+    DFT zero-padded, the Nyquist coefficient split in half); a coarse solve
+    past PRODUCT_CAP counts as unresolved.  Level n is the plain solve."""
+    n = m = len(z)
+    while m % 2 == 0 and m // 2 >= MIN_NODES:
+        m //= 2
+    while m < n:
+        q = n // m
+        try:
+            s, products, residual = _szego_density(z[::q], dz[::q], tangent[::q],
+                                                   q * w[::q], a)
+        except DiscretizationFailureError:
+            m *= 2
+            continue
+        coeffs = np.fft.fft(s)
+        size = np.abs(coeffs)
+        if np.max(size[(3 * m + 7) // 8: 5 * m // 8 + 1]) <= FIXED_POINT_TOL * np.max(size):
+            half = (m + 1) // 2
+            padded = np.zeros(n, dtype=complex)
+            padded[:half], padded[n - m + half:] = coeffs[:half], coeffs[half:]
+            if m % 2 == 0:
+                padded[half] = padded[n - half] = 0.5 * coeffs[half]
+            return np.fft.ifft(padded) * q, products, residual, m
+        m *= 2
+    return (*_szego_density(z, dz, tangent, w, a), n)
+
+
 def gamma(x, y) -> float:
     """Free-space kernel -(1/2pi) ln|x-y|."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -177,24 +247,6 @@ def gamma(x, y) -> float:
     if r < 1e-14:
         raise SingularityError("gamma evaluated at coincident points")
     return -np.log(r) / TWO_PI
-
-
-def grad_gamma(x, y) -> np.ndarray:
-    """Gradient of gamma in its first argument."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r2 = d @ d
-    if r2 < 1e-28:
-        raise SingularityError("grad_gamma evaluated at coincident points")
-    return -d / (TWO_PI * r2)
-
-
-def hess_gamma(x, y) -> np.ndarray:
-    """Hessian of gamma in its first argument (trace-free)."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r2 = d @ d
-    if r2 < 1e-28:
-        raise SingularityError("hess_gamma evaluated at coincident points")
-    return -(np.eye(2) * r2 - 2.0 * np.outer(d, d)) / (TWO_PI * r2 * r2)
 
 
 @dataclass(frozen=True)
@@ -585,8 +637,16 @@ class ConformalGreenEngine(_EngineBase):
     and R v = (R11 v1 + R12 v2, R22 v2 - R12^T v1), R12^T a transposed view.
     ``_kerzman_stein_solve`` runs GMRES and closes with fixed-point
     sweeps S <- rhs + K S; ``iterations`` counts its products with K (6 on
-    the lobed fixture, 16 on an 8:1 ellipse at 512 nodes).  A solve that
-    needs more than PRODUCT_CAP products fails the build.
+    the lobed fixture, 16 on an 8:1 ellipse at 512 nodes).
+
+    The trapezoid-rule Nystrom solve converges geometrically for analytic
+    data (Trefethen & Weideman, SIAM Rev. 56 (2014)), so S is solved on the
+    coarsest sub-grid of every q-th node that resolves it and interpolated
+    to the n nodes (``_resolved_density``); ``solve_nodes`` is that grid's
+    size, and ``iterations`` and ``solve_residual`` are those of its solve.
+    The cos 3t rungs of ``perturb-study`` solve on 64 or 128 of 512 nodes,
+    the lobed fixture on 128 of 256, an 8:1 ellipse and any odd n on all n.
+    The map, its jets, |F'| and the self-test are computed at the n nodes.
 
     The derivatives dF/dz up to the third on the boundary come from spectral
     differentiation of F(z(t)) in t, divided by z'.  Their values at interior
@@ -628,33 +688,8 @@ class ConformalGreenEngine(_EngineBase):
         w = self.weights
         centre = _map_centre(domain, self.eval_margin)
         a = complex(centre[0], centre[1])
-        # R = [[r11, r12], [-r12^T, r22]], its lower left block never formed.
-        # The three blocks share one allocation: as three arrays, their freed
-        # memory went back to the system after every build and was faulted
-        # in again by the next (5 times the minor page faults over 40 builds)
-        h, m = n // 2, n - n // 2
-        buffer = np.empty(h * n + m * m, dtype=complex)
-        r11 = np.subtract.outer(z[:h], z[:h], out=buffer[: h * h].reshape(h, h))
-        r12 = np.subtract.outer(z[:h], z[h:], out=buffer[h * h: h * n].reshape(h, m))
-        r22 = np.subtract.outer(z[h:], z[h:], out=buffer[h * n:].reshape(m, m))
-        r11.flat[:: h + 1] = r22.flat[:: m + 1] = 1.0
-        np.divide(1.0, buffer, out=buffer)
-        r11.flat[:: h + 1] = r22.flat[:: m + 1] = 0.0
-        c1 = 1j * dz / n
-        c2 = np.conj(tangent / (2j * np.pi))
-        rhs = np.conj(tangent / (2j * np.pi * (z - a)))
-
-        def cauchy(v):
-            """R v."""
-            u1, u2 = v[:h], v[h:]
-            return np.concatenate([r11 @ u1 + r12 @ u2, r22 @ u2 - r12.T @ u1])
-
-        def kernel(s):
-            """K s."""
-            return cauchy(c1 * s) - c2 * np.conj(cauchy(np.conj(w * s)))
-
-        s, self.iterations, self.solve_residual = _kerzman_stein_solve(kernel, rhs)
-
+        s, self.iterations, self.solve_residual, self.solve_nodes = _resolved_density(
+            z, dz, tangent, w, a)
         boundary_map = s * tangent / (1j * np.conj(s))
         k = np.fft.fftfreq(n, 1.0 / n)
         if n % 2 == 0:
@@ -703,6 +738,7 @@ class ConformalGreenEngine(_EngineBase):
                 "centre_image": self.centre_image,
                 "solve_residual": self.solve_residual,
                 "iterations": self.iterations,
+                "solve_nodes": self.solve_nodes,
                 "eval_margin": self.eval_margin}
 
     def _quotients(self, x: np.ndarray, diff: np.ndarray, f, f1, f2, f3) -> tuple:

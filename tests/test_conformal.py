@@ -128,9 +128,12 @@ ELLIPSE_POINTS = np.array([[-0.4, 0.005], [0.05, -0.008], [0.35, 0.0]])
 
 
 def _dense_solve(domain, n):
-    """A stand-in for ``green._kerzman_stein_solve``: ``np.linalg.solve`` of
-    the assembled I - K, K = R diag(c1) - diag(c2) conj(R) diag(w) on the
-    engine's nodes, with the relative residual of the engine's own K."""
+    """A stand-in for ``green._kerzman_stein_solve`` on the n-node level:
+    ``np.linalg.solve`` of the assembled I - K, K = R diag(c1) - diag(c2)
+    conj(R) diag(w) on the level's nodes, with the relative residual of the
+    engine's own K.  It leaves the solves of the other levels to the Krylov
+    solve."""
+    krylov = green._kerzman_stein_solve
     frame = domain.boundary.frame(TWO_PI * np.arange(n) / n)
     z, dz, tangent = (v @ np.array([1.0, 1.0j]) for v in (frame.point, frame.velocity,
                                                           frame.tangent))
@@ -142,6 +145,8 @@ def _dense_solve(domain, n):
     system = np.eye(n) - r * (1j * dz / n) + c2[:, None] * np.conj(r) * (np.abs(dz) * TWO_PI / n)
 
     def solve(kernel, rhs):
+        if len(rhs) != n:
+            return krylov(kernel, rhs)
         s = np.linalg.solve(system, rhs)
         return s, 1, float(np.max(np.abs(rhs + kernel(s) - s)) / np.max(np.abs(s)))
 
@@ -155,10 +160,12 @@ def _dense_solve(domain, n):
                          ids=["lobed_domain-1e-13", "tilted_domain-1e-13", "thin_ellipse-1e-12",
                               "tilted_domain-255-nodes"])
 def test_krylov_map_equals_the_dense_solve(request, monkeypatch, name, n, block_tol):
+    # the dense solve stands in on the level whose density the engine keeps
     domain = request.getfixturevalue(name)
     engine = gm.ConformalGreenEngine(domain, n)
-    monkeypatch.setattr(green, "_kerzman_stein_solve", _dense_solve(domain, n))
+    monkeypatch.setattr(green, "_kerzman_stein_solve", _dense_solve(domain, engine.solve_nodes))
     dense = gm.ConformalGreenEngine(domain, n)
+    assert dense.solve_nodes == engine.solve_nodes
     assert dense.solve_residual <= 1e-14
     # a solve fixes S to round-off of max |S|, and F = S T / (i conj S) moves
     # by that over |S|; |S|^2 is proportional to |F'|, which on the ellipse
@@ -187,9 +194,67 @@ def test_thin_ellipse_in_few_products(thin_ellipse):
 
 
 def test_solve_past_the_product_cap_fails_the_build(monkeypatch, lobed_domain):
+    # the 64- and 128-node levels are refused on the way; level n fails the build
     monkeypatch.setattr(green, "PRODUCT_CAP", 3)
     with pytest.raises(gm.DiscretizationFailureError, match="3 operator products"):
         gm.ConformalGreenEngine(lobed_domain, 256)
+
+
+@pytest.fixture(scope="module")
+def wide_ellipse():
+    """The 2:1 ellipse x = cos t, y = sin(t) / 2."""
+    return gm.DomainSpec(gm.BoundaryCurve([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5]))
+
+
+@pytest.fixture(scope="module")
+def rung_00125(disk_domain):
+    return gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.00125)
+
+
+@pytest.fixture(scope="module")
+def rung_0025(disk_domain):
+    return gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.025)
+
+
+# the lobed domain is the eps = 0.05 rung of the continuation's cos 3t grid;
+# kept levels measured: 128, 256, 256, 64 and 128 of 512 nodes
+@pytest.mark.parametrize("name", ["lobed_domain", "tilted_domain", "wide_ellipse", "rung_00125",
+                                  "rung_0025"])
+def test_kept_level_equals_the_full_solve(request, monkeypatch, name):
+    domain = request.getfixturevalue(name)
+    engine = gm.ConformalGreenEngine(domain, 512)
+    assert engine.solve_nodes < 512
+    monkeypatch.setattr(green, "MIN_NODES", 512)     # level n alone
+    full = gm.ConformalGreenEngine(domain, 512)
+    assert full.solve_nodes == 512
+    # the bounds of the dense-solve comparison above
+    weight = np.sqrt(full._boundary_speed / np.max(full._boundary_speed))
+    assert np.max(np.abs(engine._boundary_map - full._boundary_map) * weight) <= 1e-14
+    pts = _margin_ring(domain, 3)
+    ev, ref = engine.blocks(pts), full.blocks(pts)
+    for field_name in BLOCK_FIELDS:
+        err = _relative(getattr(ev, field_name), getattr(ref, field_name))
+        assert err <= 1e-13, (field_name, err)
+
+
+# the 8:1 ellipse's density is not resolved below 512 nodes (its tails read
+# 8.4e-2 to 9.9e-6 at 64 to 256); an odd node count has no sub-grid
+@pytest.mark.parametrize("name, n", [("thin_ellipse", 512), ("tilted_domain", 255)])
+def test_unresolved_density_is_solved_on_all_nodes(request, name, n):
+    assert gm.ConformalGreenEngine(request.getfixturevalue(name), n).solve_nodes == n
+
+
+def test_coarse_level_past_the_product_cap_is_refused(monkeypatch, lobed_domain):
+    # the lobed density is resolved at 128 of 512 nodes; a cap of 3 products
+    # on that level alone moves the solve to 256
+    krylov, cap = green._kerzman_stein_solve, green.PRODUCT_CAP
+
+    def capped(kernel, rhs):
+        monkeypatch.setattr(green, "PRODUCT_CAP", 3 if len(rhs) == 128 else cap)
+        return krylov(kernel, rhs)
+
+    monkeypatch.setattr(green, "_kerzman_stein_solve", capped)
+    assert gm.ConformalGreenEngine(lobed_domain, 512).solve_nodes == 256
 
 
 # g(u) = u + sum_k c_k u^k with sum k |c_k| < 1: univalent on the disk
@@ -252,13 +317,24 @@ def test_engine_traces_match_the_exact_trace(name, engine_class, nodes):
     # largest |trace| on the conformal engine, at most 3.0e-14 on the Nystrom
     # engine.  The conformal |F'| comes from the Szego kernel, with no
     # differentiation round-off to grow with n: at 2048 nodes it reads
-    # 1.3e-13 and 4.4e-13, where the spectral derivative of F left 1.0e-12
+    # 2.9e-14 and 4.4e-13, where the spectral derivative of F left 1.0e-12
     # and 1.6e-12
     coeffs = POLYNOMIAL_MAPS[name]
     pts = _lin_points(coeffs)
     engine = engine_class(polynomial_image(coeffs), nodes)
     exact = lin_trace(coeffs, pts, engine.node_params)
     assert np.max(np.abs(engine._traces(pts)[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_resolved_density_keeps_the_traces_accurate_at_2048_nodes():
+    # the C3 density is resolved at 512 nodes: its traces read 2.9e-14 at
+    # 1024 and 2048 nodes, where a solve on all nodes read 4.9e-14 and 1.4e-13
+    coeffs = POLYNOMIAL_MAPS["c3-symmetric"]
+    pts = _lin_points(coeffs)
+    engine = gm.ConformalGreenEngine(polynomial_image(coeffs), 2048)
+    assert engine.solve_nodes < 2048
+    exact = lin_trace(coeffs, pts, engine.node_params)
+    assert np.max(np.abs(engine._traces(pts)[0] - exact)) <= 5e-14 * np.max(np.abs(exact))
 
 
 def test_centroid_outside_the_domain_moves_the_map_centre(banana_domain):

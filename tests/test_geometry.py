@@ -21,14 +21,14 @@ def ellipse(a, b):
 # ---------------------------------------------------------------------------
 
 def test_circle_frame_at_zero(disk_domain):
-    fr = gm.eval_boundary(disk_domain.boundary, 0.0)
+    fr = disk_domain.boundary.frame(0.0)
     assert_allclose(fr.point, [1.0, 0.0], atol=1e-15)
     assert_allclose(fr.normal, [1.0, 0.0], atol=1e-15)
     assert_allclose(fr.curvature, 1.0, atol=1e-14)
 
 
 def test_circle_frame_at_quarter(disk_domain):
-    fr = gm.eval_boundary(disk_domain.boundary, np.pi / 2)
+    fr = disk_domain.boundary.frame(np.pi / 2)
     assert_allclose(fr.point, [0.0, 1.0], atol=1e-15)
     assert_allclose(fr.normal, [0.0, 1.0], atol=1e-15)
     assert_allclose(np.linalg.norm(fr.normal), 1.0, atol=1e-15)

@@ -18,32 +18,9 @@ def test_gamma_values():
     assert_allclose(gm.gamma([np.exp(-1.0), 0.0], [0.0, 0.0]), 1 / TWO_PI, rtol=1e-14)
 
 
-def test_gamma_hessian_trace_free():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        if np.hypot(*(x - y)) < 1e-3:
-            continue
-        h = gm.hess_gamma(x, y)
-        assert abs(np.trace(h)) <= 1e-12 * np.linalg.norm(h)
-
-
 def test_gamma_coincidence_error():
     with pytest.raises(gm.SingularityError):
         gm.gamma([0.3, 0.3], [0.3, 0.3])
-
-
-def test_gamma_derivatives_match_fd():
-    x = np.array([0.3, -0.2])
-    y = np.array([-0.1, 0.4])
-    h = 1e-6
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        fd = (gm.gamma(x + e, y) - gm.gamma(x - e, y)) / (2 * h)
-        assert_allclose(gm.grad_gamma(x, y)[i], fd, atol=1e-9)
-        fdg = (gm.grad_gamma(x + e, y) - gm.grad_gamma(x - e, y)) / (2 * h)
-        assert_allclose(gm.hess_gamma(x, y)[:, i], fdg, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
