@@ -2,11 +2,14 @@
 
 Times, on the 256-node conformal-map engine of the lobed domain and for the
 ``search`` workload's N = 3, lambda = (1, 1, -1): one ``newton_polish`` run
-from each of two fixed Halton starts, and one ``find_critical_points`` call
-with the workload's 32 starts and the Halton seed of its first operation at
-``--seed 1``.  The engine is built once, so the second row is the search
-alone, without the build and the output files of the CLI command.  Run from
-the root of a checkout with pytest-benchmark installed:
+from each of two fixed Halton starts (a run of its own, S = 1, the path of
+the ``continuation`` corrector), one ``f_omega_stack`` call on the
+workload's 32 starts (the gradients of one lockstep round), and one
+``find_critical_points`` call with the workload's 32 starts and the Halton
+seed of its first operation at ``--seed 1``.  The engine is built once, so
+the last row is the search alone, without the build and the output files of
+the CLI command.  Run from the root of a checkout with pytest-benchmark
+installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_search.py
 
@@ -38,6 +41,14 @@ def test_newton_polish(benchmark, lobed_engine, start):
     x0 = _halton_starts(lobed_engine, search, 3)[start]
     result = benchmark(gm.newton_polish, lobed_engine, STRENGTHS, SPEC, x0, search)
     assert result.converged and result.evaluations > result.iterations
+
+
+def test_stacked_evaluation(benchmark, lobed_engine):
+    search = gm.SearchConfig(starts=32, seed=SEED)
+    points = np.reshape(_halton_starts(lobed_engine, search, 3), (-1, 3, 2))
+    ok, res = benchmark(gm.f_omega_stack, lobed_engine, STRENGTHS, SPEC, points,
+                        search.collision_margin)
+    assert ok.all() and res.gradient.shape == (32, 6)
 
 
 def test_find_critical_points(benchmark, lobed_engine):

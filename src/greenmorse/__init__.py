@@ -63,6 +63,7 @@ from .kr import (
     check_admissible,
     custom_interaction,
     f_omega,
+    f_omega_stack,
     interaction,
     kirchhoff_routh_interaction,
     load_vortex,

@@ -20,7 +20,8 @@ nodes it was solved on, and ``eval_margin``), the numpy
 version and the OPENBLAS_NUM_THREADS setting (null if unset).
 simulate's manifest also has ``stats``: the sum and maximum over the steps of
 the integrator's solver iterations and final update sizes, and the number of
-steps whose Newton correction was skipped.  simulate exits 2 on a
+steps whose Newton correction was skipped; find-critical's has ``stats``
+with ``rounds``, the search's lockstep rounds (``MorseReport.rounds``).  simulate exits 2 on a
 ``--horizon`` that is not a whole number of ``--dt`` steps.
 
 Every default or choice list that the library holds comes from there:
@@ -232,7 +233,7 @@ def cmd_find_critical(args, out: Path):
                                       "orbit_tag"],
                ([*cp.configuration.flat(), cp.residual, cp.morse_index, cp.nullity, cp.margin,
                  cp.orbit_tag] for cp in report.points))
-    return 0, ["report.json", "critical_points.csv"], engine, None
+    return 0, ["report.json", "critical_points.csv"], engine, {"rounds": report.rounds}
 
 
 def cmd_shape_verify(args, out: Path):

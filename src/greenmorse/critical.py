@@ -1,18 +1,31 @@
 """Multi-start Levenberg-Marquardt search for critical points, with Morse data.
 
 Starts are drawn from a scrambled Halton sequence over admissible N-point
-configurations (those ``check_admissible`` passes: points more than the
-engine's ``eval_margin`` inside, pairs more than the collision margin apart),
-so runs are reproducible for a fixed seed.  The sequence is Owen's randomized
-Halton sequence (A. B. Owen, "A randomized Halton algorithm in R",
-arXiv:1706.02808, 2017), drawn by the private ``_ScrambledHalton``; its
-stream equals that of ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``
-bit for bit, without importing ``scipy.stats``.  From each start
-``newton_polish`` runs Levenberg-Marquardt on the gradient: trial points
-that ``f_omega`` refuses or that raise the gradient norm are rejected and
-raise the damping, so every iterate stays admissible; convergence is
-measured on the gradient norm.  Converged points are classified by the
-spectrum of the (symmetrized) Hessian.
+configurations (those ``kr.admitted`` passes, the rules of ``f_omega``:
+points more than the engine's ``eval_margin`` inside, pairs more than the
+collision margin apart), so runs are reproducible for a fixed seed.  The
+sequence is Owen's randomized Halton sequence (A. B. Owen, "A randomized
+Halton algorithm in R", arXiv:1706.02808, 2017), drawn by the private
+``_ScrambledHalton``; its stream equals that of
+``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`` bit for bit, without
+importing ``scipy.stats``.  From each start ``newton_polish`` runs
+Levenberg-Marquardt on the gradient: trial points that ``f_omega`` refuses
+or that raise the gradient norm are rejected and raise the damping, so
+every iterate stays admissible; convergence is measured on the gradient
+norm.  Converged points are classified by the spectrum of the (symmetrized)
+Hessian.
+
+The search runs its starts in lockstep: each round evaluates one trial
+point of every live start in one ``kr.f_omega_stack`` call (one
+boundary-distance query for all of them) and decomposes the Hessians of
+the accepted ones in one batched ``eigh``, while each start keeps its own
+damping, counters and flags.  The rules are written once, over a stack of
+runs (``_polish``), and a run's arithmetic does not depend on the stack it
+is in, so a start leaves the lockstep once |grad f| <= sqrt(``newton_tol``)
+or when its run ends, and ``newton_polish`` resumes it from there and
+returns what it would have returned from the start alone.  The stacked
+evaluations are made in slices of at most ``_STACK_ELEMENTS`` Cauchy-matrix
+entries, so memory does not grow with the number of starts.
 """
 
 from __future__ import annotations
@@ -24,22 +37,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    AccuracyDegradedError,
-    CollisionError,
-    NumericError,
-    OutsideDomainError,
-    SymmetryMismatchError,
-    UndefinedOrbitError,
-)
-from .geometry import contains, domain_to_dict
+from .errors import NumericError, SymmetryMismatchError, UndefinedOrbitError
+from .geometry import domain_to_dict
 from .kr import (
     Configuration,
     InteractionSpec,
     VortexStrengths,
+    admitted,
     check_collision_margin,
-    f_omega,
-    min_pair_distances,
+    f_omega_stack,
 )
 
 # a critical point counts as numerically degenerate below this fraction of
@@ -105,6 +111,7 @@ class MorseReport:
     stats: dict
     domain_fingerprint: str
     function_fingerprint: str
+    rounds: int             # lockstep rounds of the search (``find_critical_points``)
 
 
 def classify(hessian: np.ndarray) -> Classification:
@@ -177,8 +184,8 @@ def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
 class PolishResult:
     """Outcome of one ``newton_polish`` run.
 
-    ``iterations`` counts accepted steps; ``evaluations`` counts ``f_omega``
-    calls, rejected and inadmissible trial points included.  ``failure`` is
+    ``iterations`` counts accepted steps; ``evaluations`` counts evaluated
+    points, rejected and inadmissible trial points included.  ``failure`` is
     None if converged, else one of
 
     * "inadmissible-start": ``f_omega`` refused the start;
@@ -196,12 +203,175 @@ class PolishResult:
     failure: str | None = None
 
 
-# f_omega refuses a configuration outside the admissible region with these
-_INADMISSIBLE = (AccuracyDegradedError, OutsideDomainError, CollisionError)
+# a lockstep round evaluates at most this many Cauchy-matrix entries (points
+# times engine nodes) in one stacked call: the search's 32 N = 3 starts at
+# 256 nodes fit in one, and memory does not grow with the number of starts
+_STACK_ELEMENTS = 1 << 15
+
+
+@dataclass
+class _Runs:
+    """The Levenberg-Marquardt state of S runs, one row each, as
+    ``newton_polish`` defines the iteration, taken at an iterate whose checks
+    (convergence, stagnation, the iteration cap, the merit test) are still
+    to be made: the iterates ``x``, their gradients and Hessians as stacked
+    arrays, and per run the gradient norm, the damping mu, the counters, the
+    stagnation flag and the failure reason (None while running or
+    converged), Python numbers as in a run of its own."""
+
+    x: np.ndarray               # (S, 2N)
+    gradient: np.ndarray        # (S, 2N)
+    hessian: np.ndarray         # (S, 2N, 2N)
+    gnorm: list                 # inf for a refused start
+    mu: list
+    iterations: list            # accepted steps
+    evaluations: list           # evaluated points
+    stagnant: list
+    failure: list
+
+    @classmethod
+    def start(cls, engine, strengths, spec, search, x0) -> "_Runs":
+        """Runs from the (S, 2N) starts, each evaluated once; a start that
+        ``f_omega`` refuses fails as "inadmissible-start"."""
+        s, m = x0.shape
+        runs = cls(x0.copy(), np.zeros((s, m)), np.zeros((s, m, m)), [math.inf] * s,
+                   [0.0] * s, [0] * s, [1] * s, [False] * s, [None] * s)
+        for first, ok, res in _evaluate(engine, strengths, spec, search, x0):
+            rows = slice(first, first + len(ok))
+            runs.gradient[rows][ok] = res.gradient
+            runs.hessian[rows][ok] = res.hessian
+            norms = iter(_norms(res.gradient).tolist())
+            for i, admitted in enumerate(ok.tolist(), first):
+                if admitted:
+                    runs.gnorm[i] = next(norms)
+                else:
+                    runs.failure[i] = "inadmissible-start"
+        return runs
+
+    def take(self, rows: list) -> "_Runs":
+        """The rows as a state of their own."""
+        return _Runs(self.x[rows], self.gradient[rows], self.hessian[rows],
+                     *([getattr(self, name)[i] for i in rows] for name in _SCALARS))
+
+    def result(self, i: int) -> PolishResult:
+        if self.failure[i] is not None:
+            return PolishResult(None, self.gnorm[i], None, self.iterations[i],
+                                self.evaluations[i], False, self.failure[i])
+        return PolishResult(self.x[i].copy(), self.gnorm[i], self.hessian[i].copy(),
+                            self.iterations[i], self.evaluations[i], True)
+
+
+_SCALARS = ("gnorm", "mu", "iterations", "evaluations", "stagnant", "failure")
+
+
+def _norms(g: np.ndarray) -> np.ndarray:
+    """|g| of each row of g, from one dot product per row, as ``g @ g``."""
+    return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+
+
+def _evaluate(engine, strengths, spec, search, x):
+    """``f_omega_stack`` of the (S, 2N) points in slices of at most
+    ``_STACK_ELEMENTS`` / (N n) configurations, n the engine's node count:
+    for each slice, the index of its first row, the verdicts and the
+    result."""
+    n_points = x.shape[1] // 2
+    size = max(1, _STACK_ELEMENTS // (n_points * engine.node_count))
+    for first in range(0, len(x), size):
+        ok, res = f_omega_stack(engine, strengths, spec,
+                                x[first: first + size].reshape(-1, n_points, 2),
+                                search.collision_margin)
+        yield first, ok, res
+
+
+def _polish(engine, strengths, spec, search, runs: _Runs, tol: float) -> int:
+    """Advance the runs that have not ended together, in place, by the rules
+    of ``newton_polish``, until each has |grad f| <= ``tol`` at a check or
+    has ended; returns the number of rounds.  A round evaluates one trial
+    point of every live run (``_evaluate``); the Hessians of the accepted
+    ones are decomposed together at the next round's checks."""
+    s, m = runs.x.shape
+    live = [i for i, reason in enumerate(runs.failure) if reason is None]
+    fresh = [True] * s                          # at an iterate not checked yet
+    lam, lam2, q, qg = np.empty((s, m)), np.empty((s, m)), np.empty((s, m, m)), np.empty((s, m))
+    lam2_max = [0.0] * s
+    rounds = 0
+    while True:
+        # the checks at a new iterate, in this order; a run whose damping
+        # passed its bound has ended already
+        running, check = [], []
+        for i in live:
+            if not fresh[i]:
+                if runs.failure[i] is None:
+                    running.append(i)
+            elif runs.gnorm[i] <= tol:          # a NaN gradient is not converged
+                pass
+            elif runs.stagnant[i] or runs.iterations[i] == MAX_ITERATIONS:
+                runs.failure[i] = "merit-stationary" if runs.stagnant[i] else "max-iterations"
+            else:
+                check.append(i)
+        if check:
+            rows = check if len(check) < s else slice(None)
+            values, vectors = np.linalg.eigh(runs.hessian[rows])
+            projected = (vectors.swapaxes(1, 2) @ runs.gradient[rows][:, :, None])[:, :, 0]
+            squares = values * values
+            if len(check) == s:
+                lam, lam2, q, qg = values, squares, vectors, projected
+            else:
+                lam[rows], lam2[rows], q[rows], qg[rows] = values, squares, vectors, projected
+            size = squares.max(axis=1).tolist()
+            merit = _norms(values * projected).tolist()
+            for i, largest, lq in zip(check, size, merit):
+                lam2_max[i] = largest
+                if lq <= 1e-3 * math.sqrt(largest) * runs.gnorm[i]:
+                    runs.failure[i] = "merit-stationary"
+                else:
+                    running.append(i)
+        if not running:
+            return rounds
+        live = sorted(running)
+        rounds += 1
+        every = len(live) == s
+        # an exactly zero eigenvalue at mu = 0 takes the mu -> 0+ limit, 0
+        mu = np.array([runs.mu[i] for i in live])[:, None]
+        if every:
+            x, lam_, denom, q_, qg_ = runs.x, lam, lam2 + mu, q, qg
+        else:
+            x, lam_, denom, q_, qg_ = runs.x[live], lam[live], lam2[live] + mu, q[live], qg[live]
+        scale = np.divide(lam_, denom, out=np.zeros_like(lam_), where=denom > 0.0)
+        trials = x - (q_ @ (scale * qg_)[:, :, None])[:, :, 0]
+        fresh = [False] * s
+        for first, ok, res in _evaluate(engine, strengths, spec, search, trials):
+            norms = _norms(res.gradient).tolist()
+            accepted, better, stacked = [], [], []  # rows of runs, result and trials
+            j = -1
+            for k, admitted in enumerate(ok.tolist(), first):
+                i = live[k]
+                runs.evaluations[i] += 1
+                j += admitted
+                gnorm = norms[j] if admitted else math.nan
+                if gnorm < runs.gnorm[i]:       # accepted: the trial is the new iterate
+                    accepted.append(i)
+                    better.append(j)
+                    stacked.append(k)
+                    runs.stagnant[i] = gnorm > (1.0 - 1e-4) * runs.gnorm[i]
+                    runs.gnorm[i] = gnorm
+                    runs.mu[i] *= 0.25
+                    runs.iterations[i] += 1
+                    fresh[i] = True
+                else:                           # rejected: raise the damping, up to its bound
+                    runs.mu[i] = max(4.0 * runs.mu[i], 1e-3 * lam2_max[i])
+                    if runs.mu[i] > 1e8 * lam2_max[i]:
+                        runs.failure[i] = "merit-stationary"
+            if len(accepted) == s:              # every run, in one slice
+                runs.x, runs.gradient, runs.hessian = trials, res.gradient, res.hessian
+            elif accepted:
+                runs.x[accepted] = trials[stacked]
+                runs.gradient[accepted] = res.gradient[better]
+                runs.hessian[accepted] = res.hessian[better]
 
 
 def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
-                  x0, search: SearchConfig) -> PolishResult:
+                  x0, search: SearchConfig, state: _Runs | None = None) -> PolishResult:
     """Levenberg-Marquardt iteration on g = grad f_omega, kept admissible by f_omega.
 
     Each accepted iterate takes one eigendecomposition of the Hessian, which
@@ -222,63 +392,19 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     A trial is judged by its gradient alone, so only the start and accepted
     trials read ``.hessian``; ``f_omega`` computes it on that read, and a
     rejected trial costs a value-and-gradient evaluation.
+
+    The rules are written once, over a stack of runs (``_Runs``, ``_polish``),
+    and a run's arithmetic does not depend on the stack it is in:
+    ``find_critical_points`` advances all its starts together and hands each
+    one's ``state`` here, where the run resumes, x0 unused, with its
+    iterate, damping, flags and counters, and ends as it would have from x0
+    alone.  Each evaluation is one ``kr.f_omega_stack`` call of one point.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    evaluations = 0
-
-    def evaluate(flat):
-        nonlocal evaluations
-        evaluations += 1
-        return f_omega(engine, strengths, spec, Configuration(flat.reshape(-1, 2)),
-                       search.collision_margin)
-
-    def failed(reason, residual, iterations):
-        return PolishResult(None, residual, None, iterations, evaluations, False, reason)
-
-    try:
-        res = evaluate(x)
-    except _INADMISSIBLE:
-        return failed("inadmissible-start", np.inf, 0)
-
-    gnorm = math.sqrt(res.gradient @ res.gradient)
-    mu = 0.0
-    iterations = 0
-    stagnant = False
-    while not gnorm <= search.newton_tol:    # a NaN gradient is not converged
-        if stagnant:
-            return failed("merit-stationary", gnorm, iterations)
-        if iterations == MAX_ITERATIONS:
-            return failed("max-iterations", gnorm, iterations)
-        lam, Q = np.linalg.eigh(res.hessian)
-        qg = Q.T @ res.gradient
-        lam2 = lam * lam
-        lam2_max = float(lam2.max())
-        lq = lam * qg
-        if math.sqrt(lq @ lq) <= 1e-3 * np.sqrt(lam2_max) * gnorm:
-            return failed("merit-stationary", gnorm, iterations)
-        while True:
-            # an exactly zero eigenvalue at mu = 0 takes the mu -> 0+ limit, 0
-            denom = lam2 + mu
-            scale = np.divide(lam, denom, out=np.zeros_like(lam), where=denom > 0.0)
-            step = -(Q @ (scale * qg))
-            try:
-                trial = evaluate(x + step)
-            except _INADMISSIBLE:
-                pass
-            else:
-                gnorm_new = math.sqrt(trial.gradient @ trial.gradient)
-                if gnorm_new < gnorm:
-                    break
-            mu = max(4.0 * mu, 1e-3 * lam2_max)
-            if mu > 1e8 * lam2_max:
-                return failed("merit-stationary", gnorm, iterations)
-        x = x + step
-        res = trial
-        stagnant = gnorm_new > (1.0 - 1e-4) * gnorm
-        gnorm = gnorm_new
-        mu *= 0.25
-        iterations += 1
-    return PolishResult(x, gnorm, res.hessian, iterations, evaluations, True)
+    if state is None:
+        state = _Runs.start(engine, strengths, spec, search,
+                            np.asarray(x0, dtype=float).reshape(1, -1))
+    _polish(engine, strengths, spec, search, state, search.newton_tol)
+    return state.result(0)
 
 
 def _first_primes(n: int) -> list[int]:
@@ -335,11 +461,8 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
     """Admissible starting configurations from Owen's scrambled Halton
     sequence (``_ScrambledHalton``, the stream of scipy's ``qmc.Halton``),
     mapped onto the bounding box of the boundary.  Each block of 128
-    candidates is tested at once by the rules ``check_admissible`` applies
-    to one: one ``contains`` query at the engine's ``eval_margin`` for all
-    its points (d > ``eval_margin``, the boundary rule of
-    ``engine.require_interior``) and the closest-pair distance of every
-    candidate."""
+    candidates is tested at once by ``kr.admitted``, the verdicts of the two
+    rules of ``f_omega`` at the search's collision margin."""
     lo, hi = engine.domain.boundary.bounding_box
     sampler = _ScrambledHalton(2 * n_points, search.seed)
     starts = []
@@ -349,9 +472,7 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
         block = sampler.random(128)
         drawn += len(block)
         cands = lo + block.reshape(-1, n_points, 2) * (hi - lo)
-        inside = contains(engine.domain, cands.reshape(-1, 2),
-                          engine.eval_margin).reshape(-1, n_points)
-        ok = inside.all(axis=1) & (min_pair_distances(cands) > search.collision_margin)
+        ok = admitted(engine, cands, search.collision_margin)[0]
         starts.extend(cands[ok].reshape(-1, 2 * n_points)[: search.starts - len(starts)])
     return starts
 
@@ -379,16 +500,27 @@ def _config_distance(a: np.ndarray, b: np.ndarray, perms) -> float:
 
 def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSpec,
                          search: SearchConfig) -> MorseReport:
-    """Multi-start search; deterministic for a fixed seed."""
+    """Multi-start search; deterministic for a fixed seed.
+
+    The starts run in lockstep (``_polish``): each round evaluates one trial
+    point of every live start in one stacked call and decomposes the
+    Hessians of the accepted ones in one batched call.  A start leaves the
+    lockstep once |grad f| <= sqrt(``newton_tol``) or when its run ends, and
+    ``newton_polish`` resumes its state and finishes it, so each start's
+    result is the one ``newton_polish`` gives from that start alone.
+    ``rounds`` counts the lockstep rounds."""
     n_points = len(strengths)
     starts = _halton_starts(engine, search, n_points)
     perms = _lambda_preserving_permutations(strengths.values)
+    runs = _Runs.start(engine, strengths, spec, search,
+                       np.reshape(starts, (-1, 2 * n_points)))
+    rounds = _polish(engine, strengths, spec, search, runs, math.sqrt(search.newton_tol))
 
     found = []
     failures = Counter()
     iterations = evaluations = 0
-    for x0 in starts:
-        result = newton_polish(engine, strengths, spec, x0, search)
+    for i, x0 in enumerate(starts):
+        result = newton_polish(engine, strengths, spec, x0, search, runs.take([i]))
         iterations += result.iterations
         evaluations += result.evaluations
         if result.converged:
@@ -434,7 +566,7 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
     return MorseReport(tuple(points), stats,
                        _fingerprint(domain_to_dict(engine.domain)),
                        _fingerprint({"lambda": list(strengths.values),
-                                     "interaction": spec.variant}))
+                                     "interaction": spec.variant}), rounds)
 
 
 def _fingerprint(data: dict) -> str:

@@ -39,20 +39,29 @@ gives every H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with
 two leading (j, k) axes.  ``regular_sum(points, lam)`` gives the double sum
 S = sum_{j,k} lam_j lam_k H(x_j, x_k) as a thunk for its value, its gradient
 and a thunk for its Hessian: on the integral engine the contraction of one
-``blocks`` call, on the conformal and disk engines a complex form that
-builds no per-pair blocks.  Those two engines also have ``green_sum(points, lam, diff)``, the
-Kirchhoff-Routh energy that ``kr.f_omega`` returns, the log sum of the
-pairs minus S, in the same complex pass, from the pair differences ``diff``
-that ``kr.require_apart`` formed (``_lin_terms`` and ``_quotients`` read
-the same array).  Each sum gives its gradient with the call and its value
-and Hessian through thunks.  All check the points with
-``require_interior``, one batched boundary-distance query for all points
-and the one rule of where a point may be: a point is admissible iff its
-boundary distance d > ``eval_margin`` (OutsideDomainError for d <= 0 or
-NaN, else AccuracyDegradedError).  The query is exact within
-``eval_margin`` (``DomainSpec.signed_boundary_distance``): a deep point is
-admitted on a lower bound, and every decision, the point named and the
-message are those of the exact distance.
+``_blocks`` call, on the conformal and disk engines a complex form that
+builds no per-pair blocks.  Those two engines also have
+``green_sum(points, lam, diff)``, the Kirchhoff-Routh energy that
+``kr.f_omega`` returns, the log sum of the pairs minus S, in the same
+complex pass, from the pair differences ``diff`` that ``kr.apart`` formed
+(``_lin_terms`` and ``_quotients`` read the same array).  Each sum gives its
+gradient with the call and its value and Hessian through thunks.  Both sums
+also take a stack of S configurations, (S, N, 2), and return values (S,),
+gradients (S, 2N) and Hessians (S, 2N, 2N): on the conformal and disk
+engines the complex arrays become (S, N, N) and each configuration's
+Cauchy product is made on its own, so every row equals that
+configuration's sum alone; the integral engine sums one configuration after
+another.  The sums take points that ``kr`` has admitted and check nothing.
+The rule of where a point may be is ``interior``, one batched
+boundary-distance query for all the points of a stack, with one verdict per
+configuration: a point is admissible iff its boundary distance
+d > ``eval_margin``.  ``require_interior`` is its raising form for one
+configuration (OutsideDomainError for d <= 0 or NaN, else
+AccuracyDegradedError), which ``blocks``, ``robin`` and the traces apply.
+The query is exact within ``eval_margin``
+(``DomainSpec.signed_boundary_distance``): a deep point is admitted on a
+lower bound, and every decision, the point named and the message are those
+of the exact distance.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
 conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
 ``blocks`` computes the j <= k blocks.  The integral engine computes all of
@@ -65,8 +74,7 @@ blocks on the first read of any of them, from what the call kept; the
 result is cached.  Each j > k block is copied from the (k, j) block with x
 and y exchanged.
 ``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``
-and ``robin(x)`` is ``regular_sum([x], [1.0])``; they and the boundary
-traces check their points by the same rule.
+and ``robin(x)`` is ``regular_sum([x], [1.0])`` of its checked point.
 ``_traces(points)`` gives the traces of N points and their gradients from
 one query and one evaluation (the integral engine with one solve for 3N
 right-hand sides); ``boundary_normal_derivative`` and ``trace_gradient`` are
@@ -325,25 +333,40 @@ def _complex_block(h, m, out=None) -> np.ndarray:
 def _weighted_sum(c, logs, a, second_order) -> tuple:
     """sum_{j,k} c_jk Re A(x_j, x_k), c and Re A symmetric, A holomorphic in
     x_j, from thunks for 2pi Re A and the second derivatives and 2pi dA/dx,
-    as ``_lin_terms`` gives them: a thunk for the value, the gradient (2N,)
-    and a thunk for the symmetric Hessian (2N, 2N), written once into an
-    (N, 2, N, 2) array."""
+    as ``_lin_terms`` gives them for one configuration, (N, N) arrays, or a
+    stack, (S, N, N): a thunk for the value, a float or (S,), the gradient,
+    (2N,) or (S, 2N), and a thunk for the symmetric Hessian, (2N, 2N) or
+    (S, 2N, 2N), written once into an (..., N, 2, N, 2) array."""
     n = len(c)
-    g = (c * a).sum(axis=1) / np.pi
+    lead = a.shape[:-2]
+    g = (c * a).sum(axis=-1) / np.pi
 
     def value():
-        return float((c * logs()).sum()) / TWO_PI
+        total = (c * logs()).sum(axis=(-2, -1))
+        return total / TWO_PI if lead else float(total) / TWO_PI
 
     def hessian():
         own, hol, mix = second_order()
         hol = c * hol
-        hol.flat[:: n + 1] += (c * own).sum(axis=1)
-        hess = np.empty((2 * n, 2 * n))
-        _complex_block(hol, c * mix, hess.reshape(n, 2, n, 2).transpose(0, 2, 1, 3))
-        return (hess + hess.T) / TWO_PI
+        _set_diagonal(hol, hol.diagonal(0, -2, -1) + (c * own).sum(axis=-1))
+        hess = np.empty(lead + (2 * n, 2 * n))
+        _complex_block(hol, c * mix, hess.reshape(lead + (n, 2, n, 2)).swapaxes(-3, -2))
+        return (hess + hess.swapaxes(-1, -2)) / TWO_PI
 
     # conj g viewed as floats is (Re g_1, -Im g_1, ..., Re g_N, -Im g_N)
     return value, g.conj().view(float), hessian
+
+
+def _stack_terms(terms, m: int) -> tuple:
+    """One (value thunk, gradient, Hessian thunk) for a stack from those of
+    its K configurations, in 2N = ``m`` coordinates: values (K,), gradients
+    (K, m) and Hessians (K, m, m)."""
+    k = len(terms)
+    values = [value for value, _, _ in terms]
+    hessians = [hessian for _, _, hessian in terms]
+    return (lambda: np.array([value() for value in values], dtype=float).reshape(k),
+            np.array([grad for _, grad, _ in terms], dtype=float).reshape(k, m),
+            lambda: np.array([hessian() for hessian in hessians], dtype=float).reshape(k, m, m))
 
 
 @cache
@@ -368,6 +391,16 @@ def _map_centre(domain: DomainSpec, margin: float) -> np.ndarray:
     u = (np.arange(16) + 0.5) / 16
     grid = lo + (hi - lo) * np.stack(np.meshgrid(u, u), axis=-1).reshape(-1, 2)
     return grid[np.argmax(domain.signed_boundary_distance(grid))]
+
+
+def _set_diagonal(a: np.ndarray, values) -> None:
+    """Write the diagonal of a C-contiguous (N, N) array, or the diagonals of
+    an (S, N, N) stack, from values (N,) or (S, N)."""
+    n = a.shape[-1]
+    if a.ndim == 2:
+        a.flat[:: n + 1] = values
+    else:
+        a.reshape(-1, n * n)[:, :: n + 1] = values
 
 
 def _mirrored(value, grad_x, grad_y, hessians) -> GreenEvaluation:
@@ -413,9 +446,23 @@ class _EngineBase:
         self._velocity = d1[:, 0] + 1j * d1[:, 1]      # z'(t) at the nodes
         self.weights = self.speeds * TWO_PI / n
 
+    def interior(self, points) -> tuple:
+        """The boundary rule for a (..., N, 2) stack of configurations, from
+        one batched boundary-distance query for all its points: a
+        configuration is admitted iff each of its points has boundary
+        distance d > ``eval_margin``, so one with a NaN point is not.
+        Returns the verdicts, shape (...), and the distances, (..., N),
+        exact wherever they are at most ``eval_margin`` (see
+        ``require_interior``)."""
+        pts = np.asarray(points, dtype=float)
+        dists = self.domain.signed_boundary_distance(pts.reshape(-1, 2), self.eval_margin)
+        dists = dists.reshape(pts.shape[:-1])
+        return dists.min(axis=-1) > self.eval_margin, dists
+
     def require_interior(self, points) -> np.ndarray:
-        """The points as an (N, 2) array, after one batched boundary-distance
-        query: the boundary rule of every evaluation.  The lowest-index point
+        """``interior`` for one configuration, raising: the points as an
+        (N, 2) array, after one batched boundary-distance query, the boundary
+        rule of every evaluation.  The lowest-index point
         with boundary distance d <= 0 (or NaN) is OutsideDomainError; else the
         point nearest the boundary, if d <= ``eval_margin`` (each engine's
         accuracy contract), is AccuracyDegradedError.  The query is exact
@@ -426,9 +473,8 @@ class _EngineBase:
         messages are those of the exact distance.  Points whose smallest
         distance clears ``eval_margin`` are admitted on that one comparison."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        # exact wherever the rule could decide
-        dists = self.domain.signed_boundary_distance(pts, self.eval_margin)
-        if dists.min() > self.eval_margin:      # admitted (a NaN is not)
+        admitted, dists = self.interior(pts)
+        if admitted:
             return pts
         outside = np.flatnonzero(~(dists > 0.0))
         if len(outside):
@@ -446,15 +492,25 @@ class _EngineBase:
         """Numbers the engine computed about its own accuracy."""
         return {"eval_margin": self.eval_margin}
 
+    def blocks(self, points) -> GreenEvaluation:
+        """Every H(x_j, x_k) at the N points, which ``require_interior``
+        checks, with its derivative blocks."""
+        return self._blocks(self.require_interior(points))
+
     def regular_sum(self, points, lam) -> tuple:
         """S = sum_{j,k} lam_j lam_k H(x_j, x_k) over all pairs, the diagonal
-        included, at the N points, which ``require_interior`` checks: a thunk
-        for the value, the gradient (2N,) and a thunk for the Hessian
-        (2N, 2N).  It contracts the blocks of one ``blocks`` call: the gradient of x_m
+        included, at N admitted points (``kr.f_omega`` applies the rules; this
+        checks nothing): a thunk for the value, the gradient (2N,) and a
+        thunk for the Hessian (2N, 2N), or for an (S, N, 2) stack the same
+        with a leading axis S, one configuration after another.  It
+        contracts the blocks of one ``_blocks`` call: the gradient of x_m
         collects lam_m lam_k grad_x H(x_m, x_k) and lam_j lam_m
         grad_y H(x_j, x_m) over all j, k, and the Hessian assembles the same
         way from the second-derivative blocks, which the thunk reads."""
-        ev = self.blocks(points)
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 3:
+            return _stack_terms([self.regular_sum(p, lam) for p in pts], 2 * pts.shape[1])
+        ev = self._blocks(pts.reshape(-1, 2))
         n = len(ev.value)
         c = np.outer(lam, lam)
         grad = np.einsum("jk,jka->ja", c, ev.grad_x) + np.einsum("jk,jka->ka", c, ev.grad_y)
@@ -470,8 +526,9 @@ class _EngineBase:
         return lambda: float(np.sum(c * ev.value)), grad.reshape(2 * n), hessian
 
     def robin(self, x) -> RobinEvaluation:
-        """h(x) = H(x, x): ``regular_sum`` of the one point x with strength 1."""
-        value, grad, hessian = self.regular_sum([x], [1.0])
+        """h(x) = H(x, x): ``regular_sum`` of the one point x, which
+        ``require_interior`` checks, with strength 1."""
+        value, grad, hessian = self.regular_sum(self.require_interior([x]), [1.0])
         return RobinEvaluation(value(), grad, hessian())
 
     def green(self, x, y) -> float:
@@ -563,8 +620,7 @@ class IntegralGreenEngine(_EngineBase):
         b1 = b0 * inv
         return -(np.stack([b0, b1, 2.0 * (b1 * inv)]) @ densities) / TWO_PI
 
-    def blocks(self, points) -> GreenEvaluation:
-        pts = self.require_interior(points)
+    def _blocks(self, pts) -> GreenEvaluation:
         n_pts = len(pts)
         d = self.nodes[:, None, :] - pts[None, :, :]
         r2 = np.sum(d * d, axis=2)
@@ -707,8 +763,12 @@ class ConformalGreenEngine(_EngineBase):
         self._self_test(a)
 
     def _map(self, x: np.ndarray) -> np.ndarray:
-        """F, F', F'', F''' at the complex points x, (N, 4)."""
-        return (1.0 / (self._complex_nodes[None, :] - x[:, None])) @ self._jets
+        """F, F', F'', F''' at the complex points x, shape x.shape + (4,).
+        Along the last axis of x the Cauchy matrix 1 / (z - x) makes one
+        product with the jets, so a stack (S, N) makes S products of one
+        configuration each, and each gives what its N points alone give, bit
+        for bit (one product over all S N points does not, for N = 1)."""
+        return (1.0 / (self._complex_nodes - x[..., None])) @ self._jets
 
     def _self_test(self, a: complex):
         z = self._complex_nodes
@@ -743,33 +803,36 @@ class ConformalGreenEngine(_EngineBase):
 
     def _quotients(self, x: np.ndarray, diff: np.ndarray, f, f1, f2, f3) -> tuple:
         """The divided difference Q(x_j, x_k) = (F(x_j) - F(x_k)) / (x_j - x_k)
-        at the complex points x, given their differences ``diff`` (diagonal
-        1, as ``_lin_terms`` passes them) and F and its first three
-        derivatives there, with dQ/dx and dQ/dy, all (N, N), and a thunk for
-        d2Q/dx2 and d2Q/dxdy.  On the diagonal Q = F', dQ/dx = dQ/dy = F''/2,
-        d2Q/dx2 = F'''/3 and d2Q/dxdy = F'''/6.  The differences cancel as
-        x_k nears x_j; for off-diagonal pairs closer than eval_margin / 2,
-        coincident ones included, all five come from ``_segment_quotients``
-        instead."""
-        diag = slice(None, None, len(x) + 1)    # the diagonal of a flat N x N array
+        at the complex points x, (N,) or a stack (S, N), given their
+        differences ``diff`` (diagonal 1, as ``_lin_terms`` passes them) and F
+        and its first three derivatives there, with dQ/dx and dQ/dy, all
+        (..., N, N), and a thunk for d2Q/dx2 and d2Q/dxdy.  On the diagonal
+        Q = F', dQ/dx = dQ/dy = F''/2, d2Q/dx2 = F'''/3 and d2Q/dxdy = F'''/6.
+        The differences cancel as x_k nears x_j; for off-diagonal pairs
+        closer than eval_margin / 2, coincident ones included, all five come
+        from ``_segment_quotients`` instead."""
         close = np.abs(diff) < 0.5 * self.eval_margin
-        close.flat[diag] = False
-        near = np.nonzero(close)
+        _set_diagonal(close, False)
+        near = np.nonzero(close)                # (..., j, k) indices
         if len(near[0]):
             diff = np.where(close, 1.0, diff)   # a copy: the caller's differences stay
-        q = (f[:, None] - f) / diff
-        q.flat[diag] = f1
-        qx = (f1[:, None] - q) / diff
-        qy = (q - f1) / diff
-        qx.flat[diag] = qy.flat[diag] = f2 / 2.0
+        row = (..., slice(None), None)          # [..., j] broadcast along k
+        q = (f[row] - f[..., None, :]) / diff
+        _set_diagonal(q, f1)
+        qx = (f1[row] - q) / diff
+        qy = (q - f1[..., None, :]) / diff
+        half = f2 / 2.0
+        _set_diagonal(qx, half)
+        _set_diagonal(qy, half)
         if len(near[0]):
-            segment = self._segment_quotients(x[near[0]], x[near[1]])
+            segment = self._segment_quotients(x[near[:-1]], x[near[:-2] + near[-1:]])
             q[near], qx[near], qy[near] = segment[:3]
 
         def second():
-            qxx = (f2[:, None] - 2.0 * qx) / diff
+            qxx = (f2[row] - 2.0 * qx) / diff
             qxy = (qx - qy) / diff
-            qxx.flat[diag], qxy.flat[diag] = f3 / 3.0, f3 / 6.0
+            _set_diagonal(qxx, f3 / 3.0)
+            _set_diagonal(qxy, f3 / 6.0)
             if len(near[0]):
                 qxx[near], qxy[near] = segment[3:]
             return qxx, qxy
@@ -777,35 +840,37 @@ class ConformalGreenEngine(_EngineBase):
         return q, qx, qy, second
 
     def _lin_terms(self, points, diff=None) -> tuple:
-        """Lin's formula at the N points (``require_interior`` checks them)
-        as complex N x N arrays [j, k]: with b = 1 - F(x_j) conj F(x_k), H is
-        Re A for A = (ln Q - ln b) / 2pi, holomorphic in x = x_j.  ``diff``
-        holds the differences x_j - x_k as complex numbers, as
-        ``kr.require_apart`` returns them; they are formed here if not given.
-        Returns ``diff`` with its diagonal set to 1, a thunk for 2pi H,
-        2pi dA/dx and a thunk for 2pi times d2A/dx2 (own), d2A/dxdy (hol,
-        through Q) and d2A/dx d(conj y) (mix, through conj F(x_k))."""
-        pts = self.require_interior(points)
-        x = pts[:, 0] + 1j * pts[:, 1]
+        """Lin's formula at N admitted points (N, 2), or at a stack of
+        configurations (S, N, 2), as complex (..., N, N) arrays [..., j, k]:
+        with b = 1 - F(x_j) conj F(x_k), H is Re A for A = (ln Q - ln b) / 2pi,
+        holomorphic in x = x_j.  ``diff`` holds the differences x_j - x_k as
+        complex numbers, as ``kr.apart`` returns them; they are formed here
+        if not given.  Returns ``diff`` with its diagonal set to 1, a thunk
+        for 2pi H, 2pi dA/dx and a thunk for 2pi times d2A/dx2 (own),
+        d2A/dxdy (hol, through Q) and d2A/dx d(conj y) (mix, through
+        conj F(x_k))."""
+        pts = np.asarray(points, dtype=float)
+        x = pts[..., 0] + 1j * pts[..., 1]
         if diff is None:
-            diff = x[:, None] - x
-        diff.flat[:: len(x) + 1] = 1.0
-        f, f1, f2, f3 = self._map(x).T
+            diff = x[..., :, None] - x[..., None, :]
+        _set_diagonal(diff, 1.0)
+        jets = self._map(x)
+        f, f1, f2, f3 = jets[..., 0], jets[..., 1], jets[..., 2], jets[..., 3]
         q, qx, qy, second = self._quotients(x, diff, f, f1, f2, f3)
-        fc = np.conj(f)
-        b = 1.0 - f[:, None] * fc
-        u = f1[:, None] * fc / b
+        fc = np.conj(f)[..., None, :]
+        b = 1.0 - f[..., :, None] * fc
+        u = f1[..., :, None] * fc / b
         r = qx / q
 
         def second_order():
             qxx, qxy = second()
-            own = qxx / q - r * r + f2[:, None] * fc / b + u * u
-            return own, (qxy - r * qy) / q, f1[:, None] * np.conj(f1) / (b * b)
+            own = qxx / q - r * r + f2[..., :, None] * fc / b + u * u
+            return own, (qxy - r * qy) / q, f1[..., :, None] * np.conj(f1)[..., None, :] / (b * b)
 
         return diff, lambda: np.log(np.abs(q)) - np.log(np.abs(b)), r + u, second_order
 
-    def blocks(self, points) -> GreenEvaluation:
-        _, logs, a, second_order = self._lin_terms(points)
+    def _blocks(self, pts) -> GreenEvaluation:
+        _, logs, a, second_order = self._lin_terms(pts)
 
         def hessians():
             own, hol, mix = second_order()
@@ -817,8 +882,9 @@ class ConformalGreenEngine(_EngineBase):
 
     def regular_sum(self, points, lam) -> tuple:
         """``_EngineBase.regular_sum`` in complex form, with no per-pair real
-        blocks.  H is symmetric, so grad_{x_m} S = (Re g_m, -Im g_m) with
-        g_m = 2 sum_k c_mk dA/dx(x_m, x_k), c = lam lam^T; g_m is holomorphic
+        blocks, for one configuration or a stack at once.  H is symmetric, so
+        grad_{x_m} S = (Re g_m, -Im g_m) with g_m = 2 sum_k c_mk dA/dx(x_m, x_k),
+        c = lam lam^T; g_m is holomorphic
         in x_m through every term (c own, summed onto the diagonal of c hol)
         and depends on x_k through hol and mix."""
         _, logs, a, second_order = self._lin_terms(points)
@@ -827,16 +893,16 @@ class ConformalGreenEngine(_EngineBase):
     def green_sum(self, points, lam, diff=None) -> tuple:
         """E = sum_{j != k} c_jk Gamma(x_j, x_k) - S, with c and S as in
         ``regular_sum``: ``kr.f_omega`` with the Kirchhoff-Routh interaction,
-        in the same form.  Off the diagonal
+        in the same form, for one configuration or a stack at once.  Off the diagonal
         2pi (Gamma - H) = -Re(ln(x_j - x_k) + ln Q - ln b), so
         ln|x_j - x_k|, 1/(x_j - x_k) and -/+ 1/(x_j - x_k)^2 join the logs,
         dA/dx, own and hol, and E is their sum with -c for c.  The points
-        must be apart (``kr.require_apart``); ``diff`` is their complex
-        differences as that returns them, which this call overwrites (see
-        ``_lin_terms``)."""
+        must be admitted by both rules (``kr.admitted``), which this call
+        does not check; ``diff`` is their complex differences as ``kr.apart``
+        returns them, which this call overwrites (see ``_lin_terms``)."""
         d, logs, a, second_order = self._lin_terms(points, diff)
         inv = 1.0 / d                           # d is 1 on the diagonal, where ln|d| = 0
-        inv.flat[:: len(d) + 1] = 0.0
+        _set_diagonal(inv, 0.0)
 
         def free_second_order():
             own, hol, mix = second_order()
@@ -900,13 +966,13 @@ class DiskGreenEngine(ConformalGreenEngine):
         """F = (x - c) / R, F' = 1/R and F'' = F''' = 0 at the complex points x."""
         f = (x - complex(*self.center)) / self.radius
         zero = np.zeros_like(f)
-        return np.stack([f, zero + 1.0 / self.radius, zero, zero], axis=1)
+        return np.stack([f, zero + 1.0 / self.radius, zero, zero], axis=-1)
 
     def _quotients(self, x: np.ndarray, diff: np.ndarray, f, f1, f2, f3) -> tuple:
         """Q = 1/R for every pair, with zero derivatives: a difference
         quotient of F would add eps |x| / |x_j - x_k|^2 of round-off to dQ/dx
         beyond the segment rule's eval_margin / 2."""
-        q = np.full((len(x), len(x)), 1.0 / self.radius, dtype=complex)
+        q = np.full(x.shape + x.shape[-1:], 1.0 / self.radius, dtype=complex)
         zero = np.zeros_like(q)
         return q, zero, zero, lambda: (zero, zero)
 

@@ -9,7 +9,15 @@ contributes the Robin terms -lambda_k^2 h(x_k).  The interaction f is either
 the point-vortex log sum -(1/2pi) sum_{j != k} lambda_j lambda_k ln|x_j - x_k|,
 identically zero, or a caller-supplied C^2 evaluator.  ``f_omega`` sums the
 log sum and the double sum in one pass where the engine can (``green_sum``).
-The collision rule ``require_apart`` forms the pair differences x_j - x_k
+
+Evaluation takes a stack: ``f_omega_stack`` evaluates S configurations,
+given as an (S, N, 2) array, at once.  The collision rule ``apart`` and the
+engine's boundary rule ``interior`` each give one verdict per
+configuration, from one gap comparison and one batched boundary-distance
+query, and the configurations both admit are evaluated together.
+``f_omega`` is the raising S = 1 form, as ``require_apart`` and
+``engine.require_interior`` are of the two rules, with the messages of the
+rule that refused.  The collision rule forms the pair differences x_j - x_k
 once, as complex numbers, and the log sum and ``green_sum`` reuse them.
 """
 
@@ -25,6 +33,7 @@ import numpy as np
 
 from .errors import AccuracyDegradedError, CollisionError, OutsideDomainError
 from .geometry import DomainSpec
+from .green import _set_diagonal, _stack_terms
 
 # the collision margin defaults to this fraction of the domain diameter
 DEFAULT_MARGIN_FRACTION = 1e-3
@@ -77,15 +86,8 @@ def _pair_differences(points: np.ndarray) -> tuple:
     with np.errstate(invalid="ignore"):
         d = z[..., :, None] - z[..., None, :]
     r2 = d.real * d.real + d.imag * d.imag
-    n = z.shape[-1]
-    r2.reshape(-1, n * n)[:, :: n + 1] = np.inf
+    _set_diagonal(r2, np.inf)
     return d, r2
-
-
-def min_pair_distances(points) -> np.ndarray:
-    """Smallest distance between two of the N >= 1 points of each
-    configuration in a (..., N, 2) stack, shape (...); inf where N = 1."""
-    return np.sqrt(_pair_differences(np.asarray(points, dtype=float))[1].min(axis=(-2, -1)))
 
 
 def check_collision_margin(margin: float) -> None:
@@ -94,19 +96,38 @@ def check_collision_margin(margin: float) -> None:
         raise ValueError(f"collision_margin must be >= 0, got {margin}")
 
 
+def apart(points, margin: float) -> tuple:
+    """The collision rule for a (..., N, 2) stack of configurations: a
+    configuration is admissible iff its smallest pair distance is more than
+    ``margin`` (a NaN distance is not refused here; the boundary rule refuses
+    its point).  Returns the verdicts, shape (...), and the
+    ``_pair_differences`` of the points, which the evaluation reuses."""
+    d, r2 = _pair_differences(points)
+    return ~(np.sqrt(r2.min(axis=(-2, -1))) <= margin), d, r2
+
+
 def require_apart(points, margin: float) -> tuple:
-    """The collision rule: a configuration is admissible iff its smallest pair
-    distance is more than ``margin`` (checked by ``check_collision_margin``);
-    CollisionError otherwise.  It is the counterpart of the engines'
-    ``require_interior``.  It returns ``_pair_differences`` of the points,
-    which ``f_omega`` passes on, so they are formed once per evaluation."""
+    """``apart`` for one configuration (N, 2), raising: ValueError for a margin
+    that ``check_collision_margin`` refuses, CollisionError for pairs not more
+    than ``margin`` apart.  It is the counterpart of the engines'
+    ``require_interior``, and returns the pair differences d and r2."""
     check_collision_margin(margin)
-    d, r2 = _pair_differences(np.asarray(points, dtype=float))
-    gap = math.sqrt(r2.min())
-    if gap <= margin:
-        raise CollisionError(
-            f"minimal pair distance {gap:.3e} not above the collision margin {margin:.3e}")
+    ok, d, r2 = apart(np.asarray(points, dtype=float), margin)
+    if not ok:
+        raise CollisionError(f"minimal pair distance {math.sqrt(r2.min()):.3e} not above "
+                             f"the collision margin {margin:.3e}")
     return d, r2
+
+
+def admitted(engine, points, collision_margin: float) -> tuple:
+    """Both rules of ``f_omega`` for a (..., N, 2) stack: the verdicts of
+    ``apart`` at the margin (checked by ``check_collision_margin``) and of
+    ``engine.interior``, one boundary-distance query for all the points,
+    with the pair differences d and r2 of ``apart``."""
+    check_collision_margin(collision_margin)
+    pts = np.asarray(points, dtype=float)
+    ok, d, r2 = apart(pts, collision_margin)
+    return ok & engine.interior(pts)[0], d, r2
 
 
 @dataclass(frozen=True)
@@ -175,26 +196,48 @@ class AdmissibilityResult:
 
 def _log_pair_terms(d: np.ndarray, r2: np.ndarray, lam: np.ndarray):
     """The gradient of -(1/2pi) sum_{j != k} l_j l_k ln|x_j - x_k|, and thunks
-    for its value and Hessian, from the ``require_apart`` complex differences
-    d and squared lengths r2 (whose diagonal it overwrites)."""
+    for its value and Hessian, from the ``apart`` complex differences d and
+    squared lengths r2 (whose diagonal it overwrites) of one configuration
+    or a stack."""
     n = len(lam)
-    d = d.view(float).reshape(n, n, 2)      # (dx, dy) at [j, k]
-    np.fill_diagonal(r2, 1.0)
+    d = d.view(float).reshape(d.shape + (2,))     # (dx, dy) at [..., j, k]
+    _set_diagonal(r2, 1.0)
     c = np.outer(lam, lam) / np.pi
     np.fill_diagonal(c, 0.0)
-    grad = -np.sum((c / r2)[..., None] * d, axis=1)
+    grad = -np.sum((c / r2)[..., None] * d, axis=-2)
     m = 2 * n
 
     def hessian():
         a = (np.eye(2) * r2[..., None, None]
              - 2.0 * d[..., :, None] * d[..., None, :]) / (r2 * r2)[..., None, None]
-        hess = np.einsum("jk,jkab->jakb", c, a)
+        hess = np.einsum("jk,...jkab->...jakb", c, a)
         diag = np.arange(n)
-        hess[diag, :, diag, :] -= hess.sum(axis=2)
-        return hess.reshape(m, m)
+        # the indexed diagonal puts its j axis first
+        hess[..., diag, :, diag, :] -= np.moveaxis(hess.sum(axis=-2), -3, 0)
+        return hess.reshape(hess.shape[:-4] + (m, m))
 
     # every pair appears as (j, k) and (k, j)
-    return lambda: -0.25 * np.sum(c * np.log(r2)), grad.reshape(m), hessian
+    return (lambda: -0.25 * np.sum(c * np.log(r2), axis=(-2, -1)),
+            grad.reshape(grad.shape[:-2] + (m,)), hessian)
+
+
+def _interaction_terms(spec: InteractionSpec, lam: np.ndarray, pts: np.ndarray, d, r2) -> tuple:
+    """The interaction's value thunk, gradient and Hessian thunk at one
+    configuration (N, 2) or a stack (S, N, 2) of configurations that
+    ``apart`` admitted, with its differences d and r2; a custom evaluator is
+    called once per configuration."""
+    m = 2 * pts.shape[-2]
+    lead = pts.shape[:-2]
+    if spec.variant == "zero":
+        value = np.zeros(lead) if lead else 0.0
+        return lambda: value, np.zeros(lead + (m,)), lambda: np.zeros(lead + (m, m))
+    if spec.variant == "kirchhoff_routh":
+        return _log_pair_terms(d, r2, lam)
+    if lead:
+        return _stack_terms([_interaction_terms(spec, lam, p, None, None) for p in pts], m)
+    value, grad, hess = spec.custom_evaluator(pts, lam)
+    value, hess = float(value), np.asarray(hess, dtype=float).reshape(m, m)
+    return lambda: value, np.asarray(grad, dtype=float).reshape(m), lambda: hess
 
 
 def _require_pairs(strengths: VortexStrengths, config: Configuration, margin: float) -> tuple:
@@ -210,20 +253,10 @@ def interaction(spec: InteractionSpec, strengths: VortexStrengths,
     Hessian of the log sum is computed on first read.  The configuration must
     pass ``require_apart`` at the given margin, else the interaction's, else 0
     (``f_omega`` passes the margin that ``resolve_collision_margin`` gives)."""
-    lam = strengths.values
-    pts = config.points
     if collision_margin is None:
         collision_margin = spec.collision_margin if spec.collision_margin is not None else 0.0
     d, r2 = _require_pairs(strengths, config, collision_margin)
-    m = 2 * len(pts)
-    if spec.variant == "zero":
-        return EvaluationResult(lambda: 0.0, np.zeros(m), lambda: np.zeros((m, m)))
-    if spec.variant == "kirchhoff_routh":
-        return EvaluationResult(*_log_pair_terms(d, r2, lam))
-    value, grad, hess = spec.custom_evaluator(pts, lam)
-    value, hess = float(value), np.asarray(hess, dtype=float).reshape(m, m)
-    return EvaluationResult(lambda: value, np.asarray(grad, dtype=float).reshape(m),
-                            lambda: hess)
+    return EvaluationResult(*_interaction_terms(spec, strengths.values, config.points, d, r2))
 
 
 def check_admissible(engine, spec: InteractionSpec, config: Configuration,
@@ -258,9 +291,28 @@ def resolve_collision_margin(domain: DomainSpec, spec: InteractionSpec,
     return collision_margin
 
 
+def _energy(engine, spec: InteractionSpec, lam: np.ndarray, pts: np.ndarray, d, r2) -> tuple:
+    """The value thunk, gradient and Hessian thunk of one admitted
+    configuration (N, 2) or of an admitted stack (S, N, 2), from the pair
+    differences d and r2 of ``apart``: one ``green_sum`` call where
+    ``f_omega`` says, else the interaction minus one ``engine.regular_sum``
+    call."""
+    if spec.variant == "kirchhoff_routh" and hasattr(engine, "green_sum"):
+        return engine.green_sum(pts, lam, d)
+    inter_value, inter_grad, inter_hessian = _interaction_terms(spec, lam, pts, d, r2)
+    value, grad, regular_hessian = engine.regular_sum(pts, lam)
+
+    def hessian():
+        H = inter_hessian() - regular_hessian()
+        return 0.5 * (H + H.swapaxes(-1, -2))
+
+    return lambda: inter_value() - value(), inter_grad - grad, hessian
+
+
 def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
             config: Configuration, collision_margin: float | None = None) -> EvaluationResult:
-    """Interaction minus the full regular-part double sum, with derivatives.
+    """Interaction minus the full regular-part double sum, with derivatives:
+    the raising S = 1 form of ``f_omega_stack``.
 
     Admissibility is decided once, by two rules in this precedence, after a
     check that there are as many strengths as points: ``require_apart`` at
@@ -285,17 +337,45 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     Hessian is symmetric bit for bit.
     """
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
-    if spec.variant == "kirchhoff_routh" and hasattr(engine, "green_sum"):
-        d, _ = _require_pairs(strengths, config, cm)
-        return EvaluationResult(*engine.green_sum(config.points, strengths.values, d))
-    inter = interaction(spec, strengths, config, collision_margin=cm)
-    value, grad, regular_hessian = engine.regular_sum(config.points, strengths.values)
+    d, r2 = _require_pairs(strengths, config, cm)
+    engine.require_interior(config.points)
+    return EvaluationResult(*_energy(engine, spec, strengths.values, config.points, d, r2))
 
-    def hessian():
-        H = inter.hessian - regular_hessian()
-        return 0.5 * (H + H.T)
 
-    return EvaluationResult(lambda: inter.value - value(), inter.gradient - grad, hessian)
+def f_omega_stack(engine, strengths: VortexStrengths, spec: InteractionSpec, points,
+                  collision_margin: float | None = None) -> tuple:
+    """``f_omega`` of an (S, N, 2) stack of configurations at once.
+
+    Returns the verdicts of both rules (``admitted``, at the margin
+    ``resolve_collision_margin`` gives), a bool array (S,), and the
+    ``EvaluationResult`` of the K configurations they admit, in stack order:
+    gradients (K, 2N), and on first read values (K,) and Hessians
+    (K, 2N, 2N).  Each row is that configuration's ``f_omega``, bit for bit
+    where the arithmetic is elementwise; the engine's Cauchy products are
+    made per configuration, so they match too.  A refused configuration
+    costs its part of the two rules' checks and nothing more.  A stack of
+    one runs the same rules and arithmetic on (N, 2) and (N, N) arrays,
+    which cost less per call than their (1, ...) forms.  ValueError unless
+    the stack has one point per strength."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-2] != len(strengths):
+        raise ValueError("strengths and configuration lengths differ")
+    cm = resolve_collision_margin(engine.domain, spec, collision_margin)
+    one = len(pts) == 1
+    ok, d, r2 = admitted(engine, pts[0] if one else pts, cm)
+    if one:
+        ok = ok[None]
+    if not ok.any():
+        m = 2 * len(strengths)
+        return ok, EvaluationResult(lambda: np.zeros(0), np.zeros((0, m)),
+                                    lambda: np.zeros((0, m, m)))
+    if one:
+        value, grad, hessian = _energy(engine, spec, strengths.values, pts[0], d, r2)
+        return ok, EvaluationResult(lambda: np.array([value()]), grad[None],
+                                    lambda: hessian()[None])
+    if not ok.all():
+        pts, d, r2 = pts[ok], d[ok], r2[ok]
+    return ok, EvaluationResult(*_energy(engine, spec, strengths.values, pts, d, r2))
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,15 @@ def test_perturb_study_keeps_one_collision_margin(tmp_path, monkeypatch):
     # CORRECTOR_COLLISION_MARGIN apart
     margins = []
 
-    def spy(f_omega):
+    def spy(evaluate):
         def recording(engine, strengths, spec, config, collision_margin=None):
             margins.append(collision_margin)
-            return f_omega(engine, strengths, spec, config, collision_margin)
+            return evaluate(engine, strengths, spec, config, collision_margin)
         return recording
 
-    for module in (critical, shape):
-        monkeypatch.setattr(module, "f_omega", spy(module.f_omega))
+    # newton_polish evaluates through f_omega_stack, the rest of shape through f_omega
+    monkeypatch.setattr(critical, "f_omega_stack", spy(critical.f_omega_stack))
+    monkeypatch.setattr(shape, "f_omega", spy(shape.f_omega))
     domain, vortex, field = _dipole_inputs(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["perturb-study", domain, vortex, "--field", field,

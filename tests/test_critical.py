@@ -162,17 +162,17 @@ def test_first_polish_step_is_newton_step(monkeypatch, disk_domain, dipole_setup
     lam, config, spec = dipole_setup
     engine = gm.build_engine(gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.0025))
     search = gm.SearchConfig(starts=1, collision_margin=0.02)
-    f_omega = gm.critical.f_omega
+    f_omega_stack = gm.critical.f_omega_stack
     trials = []
 
-    def recording(engine, strengths, spec, configuration, *margins):
-        trials.append(configuration.flat())
-        return f_omega(engine, strengths, spec, configuration, *margins)
+    def recording(engine, strengths, spec, points, *margins):
+        trials.extend(p.reshape(-1) for p in points)
+        return f_omega_stack(engine, strengths, spec, points, *margins)
 
-    monkeypatch.setattr(gm.critical, "f_omega", recording)
+    monkeypatch.setattr(gm.critical, "f_omega_stack", recording)
     result = gm.newton_polish(engine, lam, spec, config.flat(), search)
     assert result.converged and result.evaluations == len(trials) >= 2
-    res = f_omega(engine, lam, spec, config, 0.02)
+    res = gm.f_omega(engine, lam, spec, config, 0.02)
     newton = np.linalg.solve(res.hessian, -res.gradient)
     assert np.linalg.norm(trials[1] - trials[0] - newton) <= 1e-10 * np.linalg.norm(newton)
 
@@ -383,14 +383,17 @@ X0 = np.array([0.5, 0.0])
 ], ids=["merit-gradient", "relative-decrease", "damping-bound"])
 def test_polish_merit_stationary_rules(monkeypatch, gradient, hessian, admissible, x0,
                                        iterations, evaluations):
-    def fake_f_omega(engine, strengths, spec, configuration, *margins):
-        x = configuration.flat()
-        if admissible is not None and not admissible(x):
-            raise gm.OutsideDomainError("refused")
-        return SimpleNamespace(gradient=gradient(x), hessian=hessian(x))
+    def fake_f_omega_stack(engine, strengths, spec, points, *margins):
+        xs = [p.reshape(-1) for p in points]
+        ok = np.array([admissible is None or admissible(x) for x in xs])
+        kept = [x for x, keep in zip(xs, ok) if keep]
+        return ok, SimpleNamespace(gradient=np.reshape([gradient(x) for x in kept], (-1, 2)),
+                                   hessian=np.reshape([hessian(x) for x in kept], (-1, 2, 2)))
 
-    monkeypatch.setattr(gm.critical, "f_omega", fake_f_omega)
-    result = gm.newton_polish(None, None, None, x0, gm.SearchConfig(starts=1))
+    monkeypatch.setattr(gm.critical, "f_omega_stack", fake_f_omega_stack)
+    # the engine's node count sizes the slices of a stacked evaluation
+    result = gm.newton_polish(SimpleNamespace(node_count=256), None, None, x0,
+                              gm.SearchConfig(starts=1))
     assert result.failure == "merit-stationary"
     assert (result.iterations, result.evaluations) == (iterations, evaluations)
 
@@ -405,3 +408,84 @@ def test_polish_from_accuracy_band_is_inadmissible_start(lobed_engine):
                               gm.zero_interaction(), start, search)
     assert result.failure == "inadmissible-start"
     assert result.iterations == 0 and not result.converged
+
+
+# ---------------------------------------------------------------------------
+# the lockstep search and serial polishing
+# ---------------------------------------------------------------------------
+
+def _search_and_serial(monkeypatch, engine, strengths, spec, search):
+    """Each start's result in the search, as ``find_critical_points`` hands
+    it over, with ``newton_polish`` run alone from the same start."""
+    starts = gm.critical._halton_starts(engine, search, len(strengths))
+    polish = gm.critical.newton_polish
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(polish(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(gm.critical, "newton_polish", recording)
+    report = gm.find_critical_points(engine, strengths, spec, search)
+    monkeypatch.setattr(gm.critical, "newton_polish", polish)
+    assert len(results) == len(starts) == report.stats["starts"]
+    return report, [(got, polish(engine, strengths, spec, x0, search))
+                    for x0, got in zip(starts, results)]
+
+
+def _assert_same_run(got, alone):
+    assert (got.converged, got.failure) == (alone.converged, alone.failure)
+    assert (got.iterations, got.evaluations) == (alone.iterations, alone.evaluations)
+    if alone.converged:
+        assert np.max(np.abs(got.configuration - alone.configuration)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_matches_serial_polishing(monkeypatch, lobed_engine, seed):
+    # the search advances its starts together; each start's outcome is that
+    # of newton_polish from it alone, so are the report's counts
+    lam = gm.VortexStrengths([1.0, 1.0, -1.0])
+    search = gm.SearchConfig(starts=12, seed=seed)
+    report, runs = _search_and_serial(monkeypatch, lobed_engine, lam,
+                                      gm.kirchhoff_routh_interaction(), search)
+    for got, alone in runs:
+        _assert_same_run(got, alone)
+    assert report.rounds >= 1
+    assert report.stats["evaluations"] == sum(alone.evaluations for _, alone in runs)
+    assert report.stats["iterations"] == sum(alone.iterations for _, alone in runs)
+
+
+def test_lockstep_matches_serial_polishing_where_starts_fail(monkeypatch, lobed_engine):
+    # an accuracy-band start among the Halton starts is refused at once
+    lam = gm.VortexStrengths([1.0, 1.0, -1.0])
+    band = point_at_distance(lobed_engine.domain, 0.3, 0.7 * lobed_engine.eval_margin)
+    halton = gm.critical._halton_starts
+    monkeypatch.setattr(gm.critical, "_halton_starts", lambda *args: halton(*args)[:5] + [
+        np.concatenate([band, [0.1, 0.0, -0.1, 0.2]])])
+    report, runs = _search_and_serial(monkeypatch, lobed_engine, lam,
+                                      gm.kirchhoff_routh_interaction(),
+                                      gm.SearchConfig(starts=6, seed=1))
+    assert report.stats["failures_by_reason"]["inadmissible-start"] == 1
+    for got, alone in runs:
+        _assert_same_run(got, alone)
+
+    # a fake f = x^3/3 - x + y^2/2, refused where x > 2: critical points at
+    # (+-1, 0), and the merit |grad f|^2 is stationary on x = 0
+    def fake_f_omega_stack(engine, strengths, spec, points, *margins):
+        p = points.reshape(-1, 2)
+        ok = p[:, 0] <= 2.0
+        x, y = p[ok].T
+        hessian = np.zeros((len(x), 2, 2))
+        hessian[:, 0, 0], hessian[:, 1, 1] = 2.0 * x, 1.0
+        return ok, SimpleNamespace(gradient=np.stack([x * x - 1.0, y], axis=1), hessian=hessian)
+
+    starts = [np.array(p) for p in ([0.0, 0.0], [1.5, 0.5], [-1.4, -0.3], [0.0, 0.7],
+                                    [3.0, 0.0], [1.2, -0.1])]
+    monkeypatch.setattr(gm.critical, "_halton_starts", lambda *args: starts)
+    monkeypatch.setattr(gm.critical, "f_omega_stack", fake_f_omega_stack)
+    report, runs = _search_and_serial(monkeypatch, lobed_engine, gm.VortexStrengths([1.0]),
+                                      gm.zero_interaction(), gm.SearchConfig(starts=6))
+    assert report.stats["failures_by_reason"] == {"inadmissible-start": 1,
+                                                  "merit-stationary": 2}
+    for got, alone in runs:
+        _assert_same_run(got, alone)

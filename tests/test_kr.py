@@ -228,9 +228,9 @@ def test_check_admissible_iff_f_omega_admits(disk_engine, lobed_engine, draws, p
         result = gm.check_admissible(engine, spec, config)
         assert bool(result) == _f_omega_admits(engine, spec, config), result.diagnostics
         assert bool(result) == (not result.diagnostics)
-        starts_rule = (gm.contains(engine.domain, config.points, engine.eval_margin).all()
-                       and gm.kr.min_pair_distances(config.points) > cm)
-        assert bool(result) == starts_rule
+        # the search starts' block test: the stacked verdicts of a stack of one
+        starts_rule = gm.kr.admitted(engine, config.points[None], cm)[0]
+        assert starts_rule.shape == (1,) and bool(result) == starts_rule[0]
 
 
 def test_boundary_rule_at_the_contract_distance(disk_domain, monkeypatch):
@@ -442,7 +442,7 @@ def test_blocks_exactly_exchange_symmetric(lobed_engine):
 def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     strengths, config = spread_configuration(6, seed=6)
     calls = {"green_sum": 0, "regular_sum": 0, "blocks": 0, "mirrored": 0, "regular_part": 0,
-             "distance": 0, "admissible": 0, "f_omega": 0}
+             "distance": 0, "admissible": 0, "f_omega_stack": 0}
     distance_batches = []
 
     def counted(name, fn):
@@ -467,24 +467,116 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     signed_boundary_distance = gm.DomainSpec.signed_boundary_distance
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
     monkeypatch.setattr(gm.kr, "check_admissible", counted("admissible", gm.kr.check_admissible))
-    monkeypatch.setattr(gm.critical, "f_omega", counted("f_omega", gm.critical.f_omega))
+    monkeypatch.setattr(gm.critical, "f_omega_stack",
+                        counted("f_omega_stack", gm.critical.f_omega_stack))
     # the conformal engine sums the whole energy in complex form, with no
     # blocks and no separate regular-part sum, also for the Hessian
     res = gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
     res.hessian
     assert calls == {"green_sum": 1, "regular_sum": 0, "blocks": 0, "mirrored": 0,
-                     "regular_part": 0, "distance": 1, "admissible": 0, "f_omega": 0}
+                     "regular_part": 0, "distance": 1, "admissible": 0, "f_omega_stack": 0}
     assert distance_batches == [(6, 2)]
 
-    # Newton polish checks nothing outside f_omega: one query per evaluation
+    # Newton polish checks nothing outside its stacked evaluations: one query
+    # per evaluation
     calls.update(distance=0)
     a = DIPOLE_RADIUS
     result = gm.newton_polish(lobed_engine, gm.VortexStrengths([1.0, -1.0]),
                               gm.kirchhoff_routh_interaction(), [a, 0.0, -a, 0.0],
                               gm.SearchConfig(starts=1))
-    assert result.converged and calls["f_omega"] >= 2
-    assert calls["distance"] == calls["f_omega"]
+    assert result.converged and calls["f_omega_stack"] == result.evaluations >= 2
+    assert calls["distance"] == calls["f_omega_stack"]
     assert calls["admissible"] == 0
+
+    # a search makes one batched query per lockstep round (and one for its
+    # starts' first evaluation), and one per evaluation of the polishes that
+    # finish its starts; it checks nothing else outside the start filter
+    stacks = []
+    polishing = []
+    f_omega_stack, newton_polish = gm.critical.f_omega_stack, gm.critical.newton_polish
+
+    def recording_stack(*args, **kwargs):
+        before = calls["distance"]
+        result = f_omega_stack(*args, **kwargs)
+        stacks.append((bool(polishing), len(args[3]), calls["distance"] - before))
+        return result
+
+    def flagged_polish(*args, **kwargs):
+        polishing.append(True)
+        try:
+            return newton_polish(*args, **kwargs)
+        finally:
+            polishing.pop()
+
+    monkeypatch.setattr(gm.critical, "f_omega_stack", recording_stack)
+    monkeypatch.setattr(gm.critical, "newton_polish", flagged_polish)
+    report = gm.find_critical_points(lobed_engine, gm.VortexStrengths([1.0, 1.0, -1.0]),
+                                     gm.kirchhoff_routh_interaction(),
+                                     gm.SearchConfig(starts=8, seed=1))
+    lockstep = [size for inside, size, _ in stacks if not inside]
+    assert report.rounds >= 1 and len(lockstep) == report.rounds + 1
+    assert lockstep[0] == 8 and max(lockstep[1:]) == 8
+    assert all(queries == 1 for _, _, queries in stacks)
+    assert all(size == 1 for inside, size, _ in stacks if inside)
+    # every evaluation a start counts is one row of one stack
+    assert sum(size for _, size, _ in stacks) == report.stats["evaluations"]
+    assert calls["admissible"] == 0
+
+
+def _quadratic(points, lam):
+    """A custom interaction: sum_j lam_j |x_j|^2 + x_1 y_2."""
+    m = points.size
+    grad = 2.0 * np.repeat(lam, 2) * points.reshape(m)
+    hess = np.diag(2.0 * np.repeat(lam, 2))
+    value = float(np.sum(lam * np.sum(points * points, axis=1)))
+    if len(points) > 1:
+        value += points[0, 0] * points[1, 1]
+        grad[0] += points[1, 1]
+        grad[3] += points[0, 0]
+        hess[0, 3] = hess[3, 0] = 1.0
+    return value, grad, hess
+
+
+@pytest.mark.parametrize("spec", [gm.kirchhoff_routh_interaction(), gm.zero_interaction(),
+                                  gm.custom_interaction(_quadratic, 1e-5)],
+                         ids=["kirchhoff_routh", "zero", "custom"])
+@pytest.mark.parametrize("engine_name", ["disk_engine", "lobed_engine", "lobed_integral_engine"])
+def test_stacked_evaluation_matches_single_calls(request, engine_name, spec):
+    # one stack of admitted configurations and of each kind of refusal: the
+    # verdicts are the raising rules', and every admitted row is f_omega's
+    engine = request.getfixturevalue(engine_name)
+    domain, margin = engine.domain, 1e-5
+    lam = gm.VortexStrengths([1.0, 1.0, -1.0])
+    theta = 0.3 + 2.0 * np.pi * np.arange(3) / 3
+    ring = 0.45 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    colliding, outside, band, near = ring.copy(), ring.copy(), ring.copy(), ring.copy()
+    colliding[1] = ring[0] + [1e-7, 0.0]
+    outside[2] = point_at_distance(domain, 1.0, -0.1)
+    band[2] = point_at_distance(domain, 2.0, 0.5 * engine.eval_margin)
+    # closer than eval_margin / 2: the conformal engine's segment rule
+    near[1] = ring[0] + 0.3 * engine.eval_margin * np.array([0.6, -0.8])
+    stack = np.array([ring, 0.8 * ring[::-1], colliding, outside, band, near, -0.5 * ring])
+    ok, res = gm.kr.f_omega_stack(engine, lam, spec, stack, margin)
+    assert ok.tolist() == [True, True, False, False, False, True, True]
+    for row, config in enumerate(stack):
+        try:
+            single = gm.f_omega(engine, lam, spec, gm.Configuration(config), margin)
+        except _REFUSALS:
+            assert not ok[row]
+            continue
+        assert ok[row]
+        k = int(np.sum(ok[:row]))
+        got = (res.gradient[k], res.hessian[k], res.value[k])
+        want = (single.gradient, single.hessian, single.value)
+        if row == 5:
+            # the segment rule maps the near pairs of the whole stack in one
+            # product, so only this row may differ, in the last bits
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert res.gradient.shape == (4, 6) and res.hessian.shape == (4, 6, 6)
+    assert res.value.shape == (4,)
 
 
 def test_hessian_symmetric(disk_engine):
