@@ -2,9 +2,10 @@
 
 Times, on the 256-node conformal-map engine of the lobed domain and for the
 ``search`` workload's N = 3, lambda = (1, 1, -1): one ``newton_polish`` run
-from each of two fixed Halton starts (a run of its own, S = 1, the path of
-the ``continuation`` corrector), one ``f_omega_stack`` call on the
-workload's 32 starts (the gradients of one lockstep round), and one
+from each of two fixed Halton starts (the stack-of-one path, S = 1, that
+the ``continuation`` corrector runs; the search runs every start to its
+end in the lockstep), one ``f_omega_stack`` call on the workload's 32
+starts (the gradients of one lockstep round), and one
 ``find_critical_points`` call with the workload's 32 starts and the Halton
 seed of its first operation at ``--seed 1``.  The engine is built once, so
 the last row is the search alone, without the build and the output files of

@@ -15,17 +15,16 @@ every iterate stays admissible; convergence is measured on the gradient
 norm.  Converged points are classified by the spectrum of the (symmetrized)
 Hessian.
 
-The search runs its starts in lockstep: each round evaluates one trial
-point of every live start in one ``kr.f_omega_stack`` call (one
-boundary-distance query for all of them) and decomposes the Hessians of
-the accepted ones in one batched ``eigh``, while each start keeps its own
-damping, counters and flags.  The rules are written once, over a stack of
-runs (``_polish``), and a run's arithmetic does not depend on the stack it
-is in, so a start leaves the lockstep once |grad f| <= sqrt(``newton_tol``)
-or when its run ends, and ``newton_polish`` resumes it from there and
-returns what it would have returned from the start alone.  The stacked
-evaluations are made in slices of at most ``_STACK_ELEMENTS`` Cauchy-matrix
-entries, so memory does not grow with the number of starts.
+The search runs its starts in lockstep until each has ended: each round
+evaluates one trial point of every live start in one ``kr.f_omega_stack``
+call (one boundary-distance query for all of them) and decomposes the
+Hessians of the accepted ones in one batched ``eigh``, while each start
+keeps its own damping, counters and flags.  The rules are written once,
+over a stack of runs (``_polish``), and a run's arithmetic does not depend
+on the stack it is in, so each start ends as ``newton_polish`` would end it
+from that start alone.  The stacked evaluations are made in slices of at
+most ``_STACK_ELEMENTS`` Cauchy-matrix entries, so memory does not grow
+with the number of starts.
 """
 
 from __future__ import annotations
@@ -212,12 +211,11 @@ _STACK_ELEMENTS = 1 << 15
 @dataclass
 class _Runs:
     """The Levenberg-Marquardt state of S runs, one row each, as
-    ``newton_polish`` defines the iteration, taken at an iterate whose checks
-    (convergence, stagnation, the iteration cap, the merit test) are still
-    to be made: the iterates ``x``, their gradients and Hessians as stacked
-    arrays, and per run the gradient norm, the damping mu, the counters, the
-    stagnation flag and the failure reason (None while running or
-    converged), Python numbers as in a run of its own."""
+    ``newton_polish`` defines the iteration and ``_polish`` advances it: the
+    iterates ``x``, their gradients and Hessians as stacked arrays, and per
+    run the gradient norm, the damping mu, the counters, the stagnation flag
+    and the failure reason (None while running or converged), Python
+    numbers as in a run of its own."""
 
     x: np.ndarray               # (S, 2N)
     gradient: np.ndarray        # (S, 2N)
@@ -283,13 +281,17 @@ def _evaluate(engine, strengths, spec, search, x):
         yield first, ok, res
 
 
-def _polish(engine, strengths, spec, search, runs: _Runs, tol: float) -> int:
-    """Advance the runs that have not ended together, in place, by the rules
-    of ``newton_polish``, until each has |grad f| <= ``tol`` at a check or
-    has ended; returns the number of rounds.  A round evaluates one trial
-    point of every live run (``_evaluate``); the Hessians of the accepted
-    ones are decomposed together at the next round's checks."""
-    s, m = runs.x.shape
+def _polish(engine, strengths, spec, search, x0: np.ndarray) -> tuple:
+    """Runs from the (S, 2N) starts x0, advanced together by the rules of
+    ``newton_polish`` until each has ended, converged at |grad f| <=
+    ``search.newton_tol`` or failed; returns the ended runs (``_Runs``) and
+    the number of rounds.  A round evaluates one trial point of every live
+    run (``_evaluate``); the Hessians of the accepted ones are decomposed
+    together at the next round's checks."""
+    s, m = x0.shape
+    if m != 2 * len(strengths):
+        raise ValueError("strengths and configuration lengths differ")
+    runs = _Runs.start(engine, strengths, spec, search, x0)
     live = [i for i, reason in enumerate(runs.failure) if reason is None]
     fresh = [True] * s                          # at an iterate not checked yet
     lam, lam2, q, qg = np.empty((s, m)), np.empty((s, m)), np.empty((s, m, m)), np.empty((s, m))
@@ -303,7 +305,7 @@ def _polish(engine, strengths, spec, search, runs: _Runs, tol: float) -> int:
             if not fresh[i]:
                 if runs.failure[i] is None:
                     running.append(i)
-            elif runs.gnorm[i] <= tol:          # a NaN gradient is not converged
+            elif runs.gnorm[i] <= search.newton_tol:  # a NaN gradient is not converged
                 pass
             elif runs.stagnant[i] or runs.iterations[i] == MAX_ITERATIONS:
                 runs.failure[i] = "merit-stationary" if runs.stagnant[i] else "max-iterations"
@@ -327,7 +329,7 @@ def _polish(engine, strengths, spec, search, runs: _Runs, tol: float) -> int:
                 else:
                     running.append(i)
         if not running:
-            return rounds
+            return runs, rounds
         live = sorted(running)
         rounds += 1
         every = len(live) == s
@@ -394,16 +396,16 @@ def newton_polish(engine, strengths: VortexStrengths, spec: InteractionSpec,
     rejected trial costs a value-and-gradient evaluation.
 
     The rules are written once, over a stack of runs (``_Runs``, ``_polish``),
-    and a run's arithmetic does not depend on the stack it is in:
-    ``find_critical_points`` advances all its starts together and hands each
-    one's ``state`` here, where the run resumes, x0 unused, with its
-    iterate, damping, flags and counters, and ends as it would have from x0
-    alone.  Each evaluation is one ``kr.f_omega_stack`` call of one point.
+    and a run's arithmetic does not depend on the stack it is in.  From x0
+    this is ``_polish`` on a stack of one, each evaluation one
+    ``kr.f_omega_stack`` call of one point; ValueError unless x0 holds 2N
+    coordinates.  Given ``state``, the single ended run that
+    ``find_critical_points`` ran in its lockstep, x0 is unused and nothing
+    is evaluated: the result is that run's, the one x0 alone gives.
     """
     if state is None:
-        state = _Runs.start(engine, strengths, spec, search,
-                            np.asarray(x0, dtype=float).reshape(1, -1))
-    _polish(engine, strengths, spec, search, state, search.newton_tol)
+        state, _ = _polish(engine, strengths, spec, search,
+                           np.asarray(x0, dtype=float).reshape(1, -1))
     return state.result(0)
 
 
@@ -502,19 +504,17 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
                          search: SearchConfig) -> MorseReport:
     """Multi-start search; deterministic for a fixed seed.
 
-    The starts run in lockstep (``_polish``): each round evaluates one trial
-    point of every live start in one stacked call and decomposes the
-    Hessians of the accepted ones in one batched call.  A start leaves the
-    lockstep once |grad f| <= sqrt(``newton_tol``) or when its run ends, and
-    ``newton_polish`` resumes its state and finishes it, so each start's
-    result is the one ``newton_polish`` gives from that start alone.
-    ``rounds`` counts the lockstep rounds."""
+    The starts run in lockstep (``_polish``) until each has ended: each
+    round evaluates one trial point of every live start in one stacked call
+    and decomposes the Hessians of the accepted ones in one batched call,
+    so each start's result is the one ``newton_polish`` gives from that
+    start alone.  ``newton_polish`` hands over each start's ended run, once
+    per start.  ``rounds`` counts the lockstep rounds."""
     n_points = len(strengths)
     starts = _halton_starts(engine, search, n_points)
     perms = _lambda_preserving_permutations(strengths.values)
-    runs = _Runs.start(engine, strengths, spec, search,
-                       np.reshape(starts, (-1, 2 * n_points)))
-    rounds = _polish(engine, strengths, spec, search, runs, math.sqrt(search.newton_tol))
+    runs, rounds = _polish(engine, strengths, spec, search,
+                           np.reshape(starts, (-1, 2 * n_points)))
 
     found = []
     failures = Counter()

@@ -356,10 +356,10 @@ def f_omega_stack(engine, strengths: VortexStrengths, spec: InteractionSpec, poi
     costs its part of the two rules' checks and nothing more.  A stack of
     one runs the same rules and arithmetic on (N, 2) and (N, N) arrays,
     which cost less per call than their (1, ...) forms.  ValueError unless
-    the stack has one point per strength."""
+    ``points`` is (S, N, 2) with N = ``len(strengths)``."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[-2] != len(strengths):
-        raise ValueError("strengths and configuration lengths differ")
+    if pts.ndim != 3 or pts.shape[1:] != (len(strengths), 2):
+        raise ValueError("points must be an (S, N, 2) stack, N = len(strengths)")
     cm = resolve_collision_margin(engine.domain, spec, collision_margin)
     one = len(pts) == 1
     ok, d, r2 = admitted(engine, pts[0] if one else pts, cm)

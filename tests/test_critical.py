@@ -392,8 +392,8 @@ def test_polish_merit_stationary_rules(monkeypatch, gradient, hessian, admissibl
 
     monkeypatch.setattr(gm.critical, "f_omega_stack", fake_f_omega_stack)
     # the engine's node count sizes the slices of a stacked evaluation
-    result = gm.newton_polish(SimpleNamespace(node_count=256), None, None, x0,
-                              gm.SearchConfig(starts=1))
+    result = gm.newton_polish(SimpleNamespace(node_count=256), gm.VortexStrengths([1.0]),
+                              None, x0, gm.SearchConfig(starts=1))
     assert result.failure == "merit-stationary"
     assert (result.iterations, result.evaluations) == (iterations, evaluations)
 
@@ -408,6 +408,14 @@ def test_polish_from_accuracy_band_is_inadmissible_start(lobed_engine):
                               gm.zero_interaction(), start, search)
     assert result.failure == "inadmissible-start"
     assert result.iterations == 0 and not result.converged
+
+
+def test_polish_start_of_wrong_size(disk_engine):
+    lam = gm.VortexStrengths([1.0, -1.0])
+    for x0 in ([0.3, 0.0, -0.3], [0.3, 0.0, -0.3, 0.1, 0.0, 0.2]):
+        with pytest.raises(ValueError, match="strengths and configuration lengths differ"):
+            gm.newton_polish(disk_engine, lam, gm.kirchhoff_routh_interaction(), x0,
+                             gm.SearchConfig(starts=1))
 
 
 # ---------------------------------------------------------------------------

@@ -489,8 +489,8 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     assert calls["admissible"] == 0
 
     # a search makes one batched query per lockstep round (and one for its
-    # starts' first evaluation), and one per evaluation of the polishes that
-    # finish its starts; it checks nothing else outside the start filter
+    # starts' first evaluation), evaluates nothing in the per-start polishes
+    # that hand its runs over, and checks nothing else outside the start filter
     stacks = []
     polishing = []
     f_omega_stack, newton_polish = gm.critical.f_omega_stack, gm.critical.newton_polish
@@ -517,10 +517,23 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     assert report.rounds >= 1 and len(lockstep) == report.rounds + 1
     assert lockstep[0] == 8 and max(lockstep[1:]) == 8
     assert all(queries == 1 for _, _, queries in stacks)
-    assert all(size == 1 for inside, size, _ in stacks if inside)
+    assert not any(inside for inside, _, _ in stacks)
     # every evaluation a start counts is one row of one stack
     assert sum(size for _, size, _ in stacks) == report.stats["evaluations"]
     assert calls["admissible"] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_evaluation_takes_only_stacks(disk_engine, n):
+    # an unstacked (N, 2) configuration is refused, not read as N stacks of
+    # one point, and so is a stack of the wrong N
+    lam, spec = gm.VortexStrengths([1.0, -1.0][:n]), gm.kirchhoff_routh_interaction()
+    config = np.array([[0.3, 0.0], [-0.3, 0.1]])[:n]
+    ok, res = gm.f_omega_stack(disk_engine, lam, spec, config[None])
+    assert ok.shape == (1,) and res.gradient.shape == (1, 2 * n)
+    for points in (config, np.concatenate([config, config])[None]):
+        with pytest.raises(ValueError, match=r"\(S, N, 2\) stack"):
+            gm.f_omega_stack(disk_engine, lam, spec, points)
 
 
 def _quadratic(points, lam):
