@@ -1,7 +1,9 @@
 """Layer micro-benchmark of the critical-point search (L3) on the lobed domain.
 
 Times, on the 256-node conformal-map engine of the lobed domain and for the
-``search`` workload's N = 3, lambda = (1, 1, -1): one ``newton_polish`` run
+``search`` workload's N = 3, lambda = (1, 1, -1): drawing the workload's 32
+Halton starts (the scramble's permutations and the candidates' admissibility
+verdicts), one ``newton_polish`` run
 from each of two fixed Halton starts (the stack-of-one path, S = 1, that
 the ``continuation`` corrector runs; the search runs every start to its
 end in the lockstep), one ``f_omega_stack`` call on the workload's 32
@@ -36,17 +38,23 @@ def lobed_engine():
     return gm.build_engine(domain, 256)
 
 
+def test_halton_starts(benchmark, lobed_engine):
+    search = gm.SearchConfig(starts=32, seed=SEED)
+    starts, candidates = benchmark(_halton_starts, lobed_engine, search, 3)
+    assert len(starts) == 32 and candidates % 128 == 0
+
+
 @pytest.mark.parametrize("start", [0, 1])
 def test_newton_polish(benchmark, lobed_engine, start):
     search = gm.SearchConfig(starts=32, seed=SEED)
-    x0 = _halton_starts(lobed_engine, search, 3)[start]
+    x0 = _halton_starts(lobed_engine, search, 3)[0][start]
     result = benchmark(gm.newton_polish, lobed_engine, STRENGTHS, SPEC, x0, search)
     assert result.converged and result.evaluations > result.iterations
 
 
 def test_stacked_evaluation(benchmark, lobed_engine):
     search = gm.SearchConfig(starts=32, seed=SEED)
-    points = np.reshape(_halton_starts(lobed_engine, search, 3), (-1, 3, 2))
+    points = np.reshape(_halton_starts(lobed_engine, search, 3)[0], (-1, 3, 2))
     ok, res = benchmark(gm.f_omega_stack, lobed_engine, STRENGTHS, SPEC, points,
                         search.collision_margin)
     assert ok.all() and res.gradient.shape == (32, 6)

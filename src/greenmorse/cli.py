@@ -21,8 +21,10 @@ version and the OPENBLAS_NUM_THREADS setting (null if unset).
 simulate's manifest also has ``stats``: the sum and maximum over the steps of
 the integrator's solver iterations and final update sizes, and the number of
 steps whose Newton correction was skipped; find-critical's has ``stats``
-with ``rounds``, the search's lockstep rounds (``MorseReport.rounds``).  simulate exits 2 on a
-``--horizon`` that is not a whole number of ``--dt`` steps.
+with ``rounds``, the search's lockstep rounds (``MorseReport.rounds``), and
+``candidates``, the Halton candidates it drew for its starts: a search that
+finds fewer starts than ``--starts`` has drawn its whole budget.  simulate
+exits 2 on a ``--horizon`` that is not a whole number of ``--dt`` steps.
 
 Every default or choice list that the library holds comes from there:
 ``--nodes`` from ``green.DEFAULT_NODES``, the search flags from
@@ -233,7 +235,8 @@ def cmd_find_critical(args, out: Path):
                                       "orbit_tag"],
                ([*cp.configuration.flat(), cp.residual, cp.morse_index, cp.nullity, cp.margin,
                  cp.orbit_tag] for cp in report.points))
-    return 0, ["report.json", "critical_points.csv"], engine, {"rounds": report.rounds}
+    return 0, ["report.json", "critical_points.csv"], engine, {
+        "rounds": report.rounds, "candidates": report.candidates}
 
 
 def cmd_shape_verify(args, out: Path):

@@ -17,7 +17,7 @@ Hessian.
 
 The search runs its starts in lockstep until each has ended: each round
 evaluates one trial point of every live start in one ``kr.f_omega_stack``
-call (one boundary-distance query for all of them) and decomposes the
+call (one boundary verdict query for all of them) and decomposes the
 Hessians of the accepted ones in one batched ``eigh``, while each start
 keeps its own damping, counters and flags.  The rules are written once,
 over a stack of runs (``_polish``), and a run's arithmetic does not depend
@@ -111,6 +111,7 @@ class MorseReport:
     domain_fingerprint: str
     function_fingerprint: str
     rounds: int             # lockstep rounds of the search (``find_critical_points``)
+    candidates: int         # Halton candidates drawn for the starts (``_halton_starts``)
 
 
 def classify(hessian: np.ndarray) -> Classification:
@@ -419,52 +420,142 @@ def _first_primes(n: int) -> list[int]:
     return primes
 
 
+# numpy's SeedSequence hash constants, and the multiplier of its PCG64
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+class _PCG64:
+    """``numpy.random.default_rng(seed)`` for an integer seed >= 0, as far
+    as ``permutation(n)`` reads it for n < 2^32, without importing
+    ``numpy.random`` (and, through it, ``secrets`` and OpenSSL).
+
+    The seed is hashed as ``SeedSequence(seed)`` hashes it: its 32-bit
+    words, least significant first, mixed into a pool of 4 words, from which
+    ``generate_state(4, uint64)`` draws the initial state and increment of
+    the 128-bit LCG.  Each draw steps the LCG and outputs the XSL-RR
+    permutation of the new state (M. E. O'Neill, "PCG: a family of simple
+    fast space-efficient statistically good algorithms for random number
+    generation", HMC-CS-2014-0905).  32-bit draws take the low half of a
+    64-bit output first and keep the high half for the next one.  A shuffle
+    swaps entry i, for i = n-1 ... 1, with the first 32-bit draw masked to
+    i's bit length that is <= i, as ``Generator.shuffle`` does."""
+
+    def __init__(self, seed: int):
+        words, rest = [], int(seed)
+        while True:
+            words.append(rest & _MASK32)
+            rest >>= 32
+            if not rest:
+                break
+        const = _HASH_INIT_A
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * _HASH_MULT_A & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return value ^ value >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const, state = _HASH_INIT_B, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * _HASH_MULT_B & _MASK32
+            value = value * const & _MASK32
+            state.append(value ^ value >> 16)
+        # the 8 words as 4 little-endian uint64: state (s0, s1), increment (s2, s3)
+        s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+        self._next32 = self._draws(s0 << 64 | s1, s2 << 64 | s3).__next__
+
+    @staticmethod
+    def _draws(initstate: int, initseq: int):
+        """The 32-bit draws: the low, then the high half of each output."""
+        inc = (initseq << 1 | 1) & _MASK128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        while True:
+            state = (state * _PCG_MULT + inc) & _MASK128
+            rot = state >> 122
+            value = ((state >> 64) ^ state) & _MASK64
+            value = (value >> rot | value << (64 - rot)) & _MASK64
+            yield value & _MASK32
+            yield value >> 32
+
+    def permutation(self, n: int) -> list:
+        perm = list(range(n))
+        draw = self._next32
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = draw() & mask
+            while j > i:
+                j = draw() & mask
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+
 class _ScrambledHalton:
     """Owen's randomized Halton sequence in [0, 1)^d (arXiv:1706.02808).
 
     Coordinate k is the van der Corput sequence in the k-th prime base b
     with every digit passed through its own random permutation of
-    0..b-1: value i is sum_j perm_j[digit_j(i)] / b^(j+1).  A double
-    resolves digits while b^-j > 2^-54, so each base gets
-    ceil(54 / log2 b) - 1 permutations.  They are shuffled by one
-    ``default_rng(seed)``, base after base, and the sum runs left to right
-    with the weight divided by b at each digit.  This is the stream of
-    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``, bit for bit;
+    0..b-1: value i is sum_j perm_j[digit_j(i)] / b^(j+1), digit_j(i) =
+    i // b^j % b.  A double resolves digits while b^-j > 2^-54, so each
+    base gets ceil(54 / log2 b) - 1 permutations.  They are drawn by one
+    ``_PCG64(seed)``, base after base, as ``default_rng(seed)`` would shuffle
+    them, and the terms are summed left to right (a cumulative sum along the
+    digits) with the weight divided by b at each digit.  This is the stream
+    of ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``, bit for bit;
     indices continue across ``random`` calls.
     """
 
     def __init__(self, d: int, seed: int):
-        rng = np.random.default_rng(seed)
-        self._bases = _first_primes(d)
-        self._perms = []
-        for base in self._bases:
+        rng = _PCG64(seed)
+        self._bases = []
+        for base in _first_primes(d):
             count = math.ceil(54 / math.log2(base)) - 1
-            perms = np.repeat(np.arange(base)[None], count, axis=0)
-            for perm in perms:
-                rng.shuffle(perm)
-            self._perms.append(perms)
+            weights = [1.0 / base]
+            for _ in range(count - 1):
+                weights.append(weights[-1] / base)
+            perms = np.array([rng.permutation(base) for _ in range(count)])
+            # row j: perm_j[v] * b^-(j+1), the term of digit value v at digit j
+            terms = perms * np.array(weights)[:, None]
+            self._bases.append((base, base ** np.arange(count),
+                                base * np.arange(count), terms.ravel()))
         self._index = 0
 
     def random(self, n: int) -> np.ndarray:
-        index = np.arange(self._index, self._index + n)
+        index = np.arange(self._index, self._index + n)[:, None]
         self._index += n
-        sample = np.zeros((n, len(self._bases)))
-        for k, (base, perms) in enumerate(zip(self._bases, self._perms)):
-            rest = index.copy()
-            weight = 1.0 / base
-            for perm in perms:
-                sample[:, k] += perm[rest % base] * weight
-                weight /= base
-                rest //= base
+        sample = np.empty((n, len(self._bases)))
+        for k, (base, powers, rows, terms) in enumerate(self._bases):
+            sample[:, k] = np.cumsum(terms.take(index // powers % base + rows), axis=1)[:, -1]
         return sample
 
 
-def _halton_starts(engine, search: SearchConfig, n_points: int):
+def _halton_starts(engine, search: SearchConfig, n_points: int) -> tuple:
     """Admissible starting configurations from Owen's scrambled Halton
     sequence (``_ScrambledHalton``, the stream of scipy's ``qmc.Halton``),
-    mapped onto the bounding box of the boundary.  Each block of 128
-    candidates is tested at once by ``kr.admitted``, the verdicts of the two
-    rules of ``f_omega`` at the search's collision margin."""
+    mapped onto the bounding box of the boundary, and the number of
+    candidates drawn.  Each block of 128 candidates is tested at once by
+    ``kr.admitted``, the verdicts of the two rules of ``f_omega`` at the
+    search's collision margin; drawing stops at ``search.starts`` starts or
+    once max(200 ``search.starts``, 4000) candidates are drawn."""
     lo, hi = engine.domain.boundary.bounding_box
     sampler = _ScrambledHalton(2 * n_points, search.seed)
     starts = []
@@ -476,7 +567,7 @@ def _halton_starts(engine, search: SearchConfig, n_points: int):
         cands = lo + block.reshape(-1, n_points, 2) * (hi - lo)
         ok = admitted(engine, cands, search.collision_margin)[0]
         starts.extend(cands[ok].reshape(-1, 2 * n_points)[: search.starts - len(starts)])
-    return starts
+    return starts, drawn
 
 
 def _lambda_preserving_permutations(lam: np.ndarray):
@@ -509,9 +600,10 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
     and decomposes the Hessians of the accepted ones in one batched call,
     so each start's result is the one ``newton_polish`` gives from that
     start alone.  ``newton_polish`` hands over each start's ended run, once
-    per start.  ``rounds`` counts the lockstep rounds."""
+    per start.  ``rounds`` counts the lockstep rounds and ``candidates``
+    the Halton candidates drawn for the starts."""
     n_points = len(strengths)
-    starts = _halton_starts(engine, search, n_points)
+    starts, candidates = _halton_starts(engine, search, n_points)
     perms = _lambda_preserving_permutations(strengths.values)
     runs, rounds = _polish(engine, strengths, spec, search,
                            np.reshape(starts, (-1, 2 * n_points)))
@@ -566,7 +658,7 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
     return MorseReport(tuple(points), stats,
                        _fingerprint(domain_to_dict(engine.domain)),
                        _fingerprint({"lambda": list(strengths.values),
-                                     "interaction": spec.variant}), rounds)
+                                     "interaction": spec.variant}), rounds, candidates)
 
 
 def _fingerprint(data: dict) -> str:

@@ -30,7 +30,8 @@ TWO_PI = 2.0 * np.pi
 
 # dense sampling used for distance / winding / self-intersection checks
 _DENSE_MIN = 1024
-# the distance query's first level scans every _COARSE_STRIDE-th dense sample
+# the coarse level of the distance and verdict queries scans every
+# _COARSE_STRIDE-th dense sample
 _COARSE_STRIDE = 8
 # the chord scan first builds every _CHORD_STRIDE-th index separation
 _CHORD_STRIDE = 8
@@ -304,6 +305,31 @@ class BoundaryCurve:
         wandered = dist > coarse    # Newton wandered; keep the coarse answer
         return np.where(wandered, coarse_t, t % TWO_PI), np.where(wandered, coarse, dist)
 
+    def _signed_scan(self, p: np.ndarray, t: np.ndarray, coarse: np.ndarray,
+                     exact_within: float) -> np.ndarray:
+        """Signed boundary distances of the (N, 2) points from their
+        ``_dense_scan`` (t, coarse), exact where at most ``exact_within``:
+        the full-scan level of ``DomainSpec.signed_boundary_distance``, whose
+        refinement and signs it applies, and of ``contains``.  ``t`` is
+        overwritten."""
+        d = coarse - self._sample_gap
+        near = np.flatnonzero(d <= exact_within)
+        if len(near):
+            t[near], d[near] = self._refine(p[near], t[near], coarse[near])
+        inside = np.empty(len(p), dtype=bool)
+        hug = coarse <= self._sample_gap
+        if hug.any():
+            fr = self.frame(t[hug])
+            inside[hug] = np.sum((p[hug] - fr.point) * fr.normal, axis=1) <= 0.0
+        # farther than the coarse gap from every sample: the coarse level's argument
+        far = coarse > _COARSE_STRIDE * self._sample_gap
+        if far.any():
+            inside[far] = self.winding_number(p[far], _COARSE_STRIDE) == 1
+        between = ~(hug | far)
+        if between.any():
+            inside[between] = self.winding_number(p[between]) == 1
+        return np.where(inside, d, -d)
+
     def nearest_parameter(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Parameters of the closest boundary points and the distances to them,
         two (N,) arrays for points of shape (N, 2).
@@ -500,6 +526,17 @@ class DomainSpec:
             return None
         return center, radius
 
+    @cached_property
+    def _circumscribed_radius(self) -> float:
+        """R = max_i |p_i - c| + ``_sample_gap`` about the dense samples'
+        centroid c.  Every curve point lies within ``_sample_gap`` of a
+        sample, so the curve lies in the closed disk of radius R about c,
+        and so does the domain it bounds: a point farther than R from c is
+        outside."""
+        curve = self.boundary
+        offsets = curve._dense[1].point - curve.centroid
+        return float(np.hypot(*offsets.T).max()) + curve._sample_gap
+
     def signed_boundary_distance(self, points, exact_within: float = np.inf):
         """Distance to the boundary, negative outside the domain: a float for
         one point of shape (2,), an (N,) array for points of shape (N, 2).
@@ -525,23 +562,27 @@ class DomainSpec:
            the nearer sample, which the point is outside, so the
            straight-line homotopy from the curve to the polygon misses the
            point.
-        3. the full dense scan.  The Newton refinement of
-           ``nearest_parameter`` runs only for points that could lie within
-           ``exact_within`` of the boundary: those whose scanned distance
-           minus ``_sample_gap`` is at most ``exact_within``; the rest
-           report that lower bound.  A point at most ``_sample_gap`` from
-           its nearest sample is signed by the outward normal at its nearest
-           boundary point (between a chord and its arc, the dense polygon's
-           winding number is wrong); one more than delta_c from it, so from
-           every sample, by the winding number of the stride-8 polygon, by
-           the argument of level 2; the others by the dense polygon's.
+        3. the full dense scan (``BoundaryCurve._signed_scan``).  The Newton
+           refinement of ``nearest_parameter`` runs only for points that
+           could lie within ``exact_within`` of the boundary: those whose
+           scanned distance minus ``_sample_gap`` is at most
+           ``exact_within``; the rest report that lower bound.  A point at
+           most ``_sample_gap`` from its nearest sample is signed by the
+           outward normal at its nearest boundary point (between a chord and
+           its arc, the dense polygon's winding number is wrong); one more
+           than delta_c from it, so from every sample, by the winding number
+           of the stride-8 polygon, by the argument of level 2; the others
+           by the dense polygon's.
 
         So the sign is always the exact one, a value of magnitude at most
         ``exact_within`` is the exact distance, and a larger one is no more
         than the exact distance: for any threshold m <= ``exact_within``,
         ``d > m`` decides as the exact query does.  The default, ``np.inf``,
         skips the first two levels and refines every point.  A point with a
-        non-finite coordinate has distance NaN."""
+        non-finite coordinate has distance NaN.  Where only the verdict
+        d > m is wanted, ``contains`` gives it without measuring the points
+        it refuses; the engines' boundary rule uses it, and measures
+        distances here only for the messages of a refusal."""
         if not exact_within >= 0:
             raise ValueError("exact_within must be >= 0")
         pts = np.asarray(points, dtype=float)
@@ -577,24 +618,7 @@ class DomainSpec:
                     rest = rest[~deep]
             if len(rest):
                 p = flat[rest]
-                t, coarse = curve._dense_scan(p)
-                d = coarse - curve._sample_gap
-                near = np.flatnonzero(d <= exact_within)
-                if len(near):
-                    t[near], d[near] = curve._refine(p[near], t[near], coarse[near])
-                inside = np.empty(len(p), dtype=bool)
-                hug = coarse <= curve._sample_gap
-                if hug.any():
-                    fr = curve.frame(t[hug])
-                    inside[hug] = np.sum((p[hug] - fr.point) * fr.normal, axis=1) <= 0.0
-                # farther than the coarse gap from every sample: level 2's argument
-                far = coarse > _COARSE_STRIDE * curve._sample_gap
-                if far.any():
-                    inside[far] = curve.winding_number(p[far], _COARSE_STRIDE) == 1
-                between = ~(hug | far)
-                if between.any():
-                    inside[between] = curve.winding_number(p[between]) == 1
-                dist[rest] = np.where(inside, d, -d)
+                dist[rest] = curve._signed_scan(p, *curve._dense_scan(p), exact_within)
         return float(dist[0]) if pts.ndim == 1 else dist
 
 
@@ -606,15 +630,69 @@ def contains(domain: DomainSpec, points, margin: float = 0.0):
     """True iff the point is inside with distance to the boundary > margin:
     a bool for one point of shape (2,), an (N,) bool array for (N, 2).
 
-    One ``signed_boundary_distance`` query with ``exact_within=margin``: the
-    answer is that of the exact distance.  A point more than ``margin``
-    inside the domain's inscribed disk is decided there, one more than
-    ``margin`` plus the coarse gap from every 8th boundary sample next, and
-    only points that could lie within ``margin`` of the boundary are
-    refined."""
-    if margin < 0:
+    This is the verdict of the exact distance, ``signed_boundary_distance(p)
+    > margin``, from one batched query that measures no distance it does
+    not need.  On a disk it is the closed form.  Otherwise each level below
+    runs only for the points the ones before left open, and a point is
+    refused without a sign or a refinement wherever it is decided outside
+    or within ``margin`` of the boundary:
+
+    1. the cached inscribed disk (c, rho) (``_inscribed_disk``, if the
+       domain has one) admits a point with rho - |x - c| > ``margin``; when
+       it admits every point, the query returns at once.
+    2. the circumscribed disk about the same centroid c
+       (``_circumscribed_radius`` R) refuses a point with |x - c| > R, which
+       is outside, and a point with a non-finite coordinate.
+    3. every ``_COARSE_STRIDE``-th dense sample: a point within ``margin``
+       of one is refused, since the exact distance is at most the dense
+       scan's, which is at most this one.  A point whose distance to them
+       minus their gap delta_c = ``_COARSE_STRIDE * _sample_gap`` is more
+       than ``margin`` is signed by the winding number of their polygon, as
+       ``signed_boundary_distance`` signs it.
+    4. the full dense scan: a point within ``margin`` of a sample is
+       refused.  A point more than ``_sample_gap`` past ``margin`` is signed
+       by winding number; only the shell within one gap of ``margin`` runs
+       the Newton refinement of the exact query (``_signed_scan``).
+
+    So every verdict is the one ``signed_boundary_distance(points, margin)
+    > margin`` gives, which is that of the exact distance."""
+    if not margin >= 0:
         raise ValueError("margin must be >= 0")
-    return domain.signed_boundary_distance(points, margin) > margin
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 2)
+    if domain._circle is not None:
+        center, radius = domain._circle
+        inside = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1]) > margin
+        return bool(inside[0]) if pts.ndim == 1 else inside
+    # both disks are about the dense samples' centroid
+    curve = domain.boundary
+    offset = flat - curve.centroid
+    r = np.hypot(offset[:, 0], offset[:, 1])
+    disk = domain._inscribed_disk
+    if disk is not None:
+        inside = disk[1] - r > margin
+        # every point settles here (a non-finite one does not)
+        if inside.all():
+            return bool(inside[0]) if pts.ndim == 1 else inside
+    else:
+        inside = np.zeros(len(flat), dtype=bool)
+    # a NaN or infinite radius fails the comparison
+    rest = np.flatnonzero(~inside & (r <= domain._circumscribed_radius))
+    if len(rest):
+        p = flat[rest]
+        coarse = curve._dense_scan(p, _COARSE_STRIDE)[1]
+        deep = coarse - _COARSE_STRIDE * curve._sample_gap > margin
+        if deep.any():
+            inside[rest[deep]] = curve.winding_number(p[deep], _COARSE_STRIDE) == 1
+        rest = rest[~deep & (coarse > margin)]
+    if len(rest):
+        p = flat[rest]
+        t, coarse = curve._dense_scan(p)
+        beyond = coarse > margin
+        if beyond.any():
+            inside[rest[beyond]] = curve._signed_scan(p[beyond], t[beyond], coarse[beyond],
+                                                      margin) > margin
+    return bool(inside[0]) if pts.ndim == 1 else inside
 
 
 def sample_interior(domain: DomainSpec, count: int, margin: float, seed: int) -> np.ndarray:

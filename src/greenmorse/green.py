@@ -52,16 +52,17 @@ engines the complex arrays become (S, N, N) and each configuration's
 Cauchy product is made on its own, so every row equals that
 configuration's sum alone; the integral engine sums one configuration after
 another.  The sums take points that ``kr`` has admitted and check nothing.
-The rule of where a point may be is ``interior``, one batched
-boundary-distance query for all the points of a stack, with one verdict per
-configuration: a point is admissible iff its boundary distance
-d > ``eval_margin``.  ``require_interior`` is its raising form for one
-configuration (OutsideDomainError for d <= 0 or NaN, else
-AccuracyDegradedError), which ``blocks``, ``robin`` and the traces apply.
-The query is exact within ``eval_margin``
-(``DomainSpec.signed_boundary_distance``): a deep point is admitted on a
-lower bound, and every decision, the point named and the message are those
-of the exact distance.
+The rule of where a point may be is ``interior``, one batched verdict
+query (``geometry.contains``) for all the points of a stack, with one
+verdict per configuration: a point is admissible iff its boundary distance
+d > ``eval_margin``.  The query decides as the exact distance does but
+measures no distance it does not need: a deep point is admitted on a lower
+bound and a refused one on the cheapest test that refuses it.
+``require_interior`` is its raising form for one configuration
+(OutsideDomainError for d <= 0 or NaN, else AccuracyDegradedError), which
+``blocks``, ``robin`` and the traces apply; it measures the distances only
+when it raises, and the point named and the message are those of the exact
+distance.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
 conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
 ``blocks`` computes the j <= k blocks.  The integral engine computes all of
@@ -446,36 +447,33 @@ class _EngineBase:
         self._velocity = d1[:, 0] + 1j * d1[:, 1]      # z'(t) at the nodes
         self.weights = self.speeds * TWO_PI / n
 
-    def interior(self, points) -> tuple:
+    def interior(self, points) -> np.ndarray:
         """The boundary rule for a (..., N, 2) stack of configurations, from
-        one batched boundary-distance query for all its points: a
+        one ``contains`` query for all its points at ``eval_margin``: a
         configuration is admitted iff each of its points has boundary
         distance d > ``eval_margin``, so one with a NaN point is not.
-        Returns the verdicts, shape (...), and the distances, (..., N),
-        exact wherever they are at most ``eval_margin`` (see
-        ``require_interior``)."""
+        Returns the verdicts, shape (...).  The query measures no distance
+        it does not need to decide, so a refused point costs the cheapest
+        test that refuses it."""
         pts = np.asarray(points, dtype=float)
-        dists = self.domain.signed_boundary_distance(pts.reshape(-1, 2), self.eval_margin)
-        dists = dists.reshape(pts.shape[:-1])
-        return dists.min(axis=-1) > self.eval_margin, dists
+        inside = contains(self.domain, pts.reshape(-1, 2), self.eval_margin)
+        return inside.reshape(pts.shape[:-1]).all(axis=-1)
 
     def require_interior(self, points) -> np.ndarray:
         """``interior`` for one configuration, raising: the points as an
-        (N, 2) array, after one batched boundary-distance query, the boundary
-        rule of every evaluation.  The lowest-index point
-        with boundary distance d <= 0 (or NaN) is OutsideDomainError; else the
-        point nearest the boundary, if d <= ``eval_margin`` (each engine's
-        accuracy contract), is AccuracyDegradedError.  The query is exact
-        within ``eval_margin``: a point farther inside is admitted on a lower
-        bound, from the domain's inscribed disk or else from every 8th
-        boundary sample, whichever first clears ``eval_margin``
-        (``DomainSpec.signed_boundary_distance``), so the rule and its
-        messages are those of the exact distance.  Points whose smallest
-        distance clears ``eval_margin`` are admitted on that one comparison."""
+        (N, 2) array, the boundary rule of every evaluation.  Only when the
+        rule refuses does it measure the distances, for its message, in one
+        ``signed_boundary_distance`` query exact within ``eval_margin``: the
+        lowest-index point with boundary distance d <= 0 (or NaN) is
+        OutsideDomainError; else the point nearest the boundary, with
+        d <= ``eval_margin`` (each engine's accuracy contract), is
+        AccuracyDegradedError.  Points farther inside report lower bounds
+        beyond ``eval_margin``, so the point named and the message are those
+        of the exact distance."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        admitted, dists = self.interior(pts)
-        if admitted:
+        if self.interior(pts):
             return pts
+        dists = self.domain.signed_boundary_distance(pts, self.eval_margin)
         outside = np.flatnonzero(~(dists > 0.0))
         if len(outside):
             i = outside[0]

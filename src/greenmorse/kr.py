@@ -13,9 +13,9 @@ log sum and the double sum in one pass where the engine can (``green_sum``).
 Evaluation takes a stack: ``f_omega_stack`` evaluates S configurations,
 given as an (S, N, 2) array, at once.  The collision rule ``apart`` and the
 engine's boundary rule ``interior`` each give one verdict per
-configuration, from one gap comparison and one batched boundary-distance
-query, and the configurations both admit are evaluated together.
-``f_omega`` is the raising S = 1 form, as ``require_apart`` and
+configuration, from one gap comparison and one batched verdict query
+(``geometry.contains``), and the configurations both admit are evaluated
+together.  ``f_omega`` is the raising S = 1 form, as ``require_apart`` and
 ``engine.require_interior`` are of the two rules, with the messages of the
 rule that refused.  The collision rule forms the pair differences x_j - x_k
 once, as complex numbers, and the log sum and ``green_sum`` reuse them.
@@ -122,12 +122,12 @@ def require_apart(points, margin: float) -> tuple:
 def admitted(engine, points, collision_margin: float) -> tuple:
     """Both rules of ``f_omega`` for a (..., N, 2) stack: the verdicts of
     ``apart`` at the margin (checked by ``check_collision_margin``) and of
-    ``engine.interior``, one boundary-distance query for all the points,
+    ``engine.interior``, one verdict query for all the points,
     with the pair differences d and r2 of ``apart``."""
     check_collision_margin(collision_margin)
     pts = np.asarray(points, dtype=float)
     ok, d, r2 = apart(pts, collision_margin)
-    return ok & engine.interior(pts)[0], d, r2
+    return ok & engine.interior(pts), d, r2
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,8 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     check that there are as many strengths as points: ``require_apart`` at
     the margin ``resolve_collision_margin`` gives (ValueError for a margin
     not >= 0, CollisionError for pairs not more than the margin apart); then
-    the engine's ``require_interior``, one boundary-distance query for all
-    points (OutsideDomainError for a point not inside, AccuracyDegradedError
+    the engine's ``require_interior``, one verdict query for all points
+    (OutsideDomainError for a point not inside, AccuracyDegradedError
     for one not more than ``engine.eval_margin`` inside).
     ``check_admissible`` applies the same two rules.
 

@@ -66,6 +66,48 @@ def test_cli_import_does_not_load_openssl():
     assert result.stdout.strip() == "False"
 
 
+def _lobed_search_inputs(tmp_path, lobed_domain):
+    """The lobed domain and the search benchmark's N = 3 strengths, as files."""
+    domain, vortex = tmp_path / "lobed.json", tmp_path / "vortex.json"
+    gm.save_domain(lobed_domain, domain)
+    gm.save_vortex(gm.VortexStrengths([1.0, 1.0, -1.0]),
+                   gm.Configuration([[0.3, 0.0], [-0.15, 0.25], [-0.15, -0.25]]),
+                   gm.kirchhoff_routh_interaction(), vortex)
+    return str(domain), str(vortex)
+
+
+def test_find_critical_does_not_load_numpy_random(tmp_path, lobed_domain):
+    # importing numpy.random (and through it secrets and OpenSSL) costs a
+    # fresh command several ms; the Halton scramble draws its permutations
+    # from a private PCG64 instead
+    domain, vortex = _lobed_search_inputs(tmp_path, lobed_domain)
+    env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
+    code = ("import sys, greenmorse.cli as cli; code = cli.main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, "find-critical", domain, vortex,
+                             "--starts", "4", "--out", str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "False"]
+
+
+def test_find_critical_manifest_counts_the_candidates(tmp_path, lobed_domain):
+    # a collision margin wider than the domain refuses every candidate: the
+    # search draws its whole budget, max(200 starts, 4000) in blocks of 128,
+    # and exits 0 with no start; the manifest says how many it drew
+    domain, vortex = _lobed_search_inputs(tmp_path, lobed_domain)
+    for flags, starts, candidates in ((["--collision-margin", "5"], 0, 4096), ([], 4, 128)):
+        out = tmp_path / f"out{starts}"
+        assert cli.main(["find-critical", domain, vortex, "--starts", "4", *flags,
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert report["stats"]["starts"] == starts
+        assert manifest["stats"]["candidates"] == candidates
+        assert (manifest["stats"]["rounds"] == 0) == (starts == 0)
+        # the report is unchanged by the count
+        assert "candidates" not in report["stats"]
+
+
 def _write_field(path, mode):
     cos = [0.0] * mode + [1.0]
     path.write_text(json.dumps({"type": "normal_fourier", "cos": cos}), encoding="utf-8")

@@ -254,6 +254,24 @@ def test_scrambled_halton_equals_scipy_stream(d, seed):
         assert np.array_equal(sampler.random(128), reference.random(128))
 
 
+def test_private_pcg64_shuffles_as_default_rng():
+    # the scramble's permutations come from a private PCG64 so that a search
+    # does not import numpy.random; it must shuffle as default_rng(seed)
+    # does, seeding (one to five 32-bit seed words), the masked rejection
+    # draws and the buffered 32-bit halves carried from one shuffle to the
+    # next included
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**96 + 12345,
+             2**128 - 1, 2**128 + 7, 2**160 + 3]
+    seeds += np.random.default_rng(2017).integers(0, 2**63, 300).tolist()
+    bases = [2, 3, 5, 7, 11, 13, 127, 131, 2, 3, 131]
+    for seed in seeds:
+        ours, numpy_rng = gm.critical._PCG64(seed), np.random.default_rng(seed)
+        for base in bases:
+            perm = np.arange(base)
+            numpy_rng.shuffle(perm)
+            assert ours.permutation(base) == perm.tolist(), (seed, base)
+
+
 def _halton_starts_one_by_one(engine, search, n_points):
     """Reference: the starts drawn candidate by candidate, each tested with
     ``check_admissible``."""
@@ -286,7 +304,7 @@ def test_halton_block_starts_equal_one_by_one(request, engine_name, seed, n_poin
     # a wide collision margin, so the pair test rejects candidates too
     for search in (gm.SearchConfig(starts=32, seed=seed),
                    gm.SearchConfig(starts=32, seed=seed, collision_margin=0.6)):
-        starts = _halton_starts(engine, search, n_points)
+        starts, _ = _halton_starts(engine, search, n_points)
         reference = _halton_starts_one_by_one(engine, search, n_points)
         assert len(starts) == len(reference) > 0
         assert all(np.array_equal(a, b) for a, b in zip(starts, reference))
@@ -425,7 +443,7 @@ def test_polish_start_of_wrong_size(disk_engine):
 def _search_and_serial(monkeypatch, engine, strengths, spec, search):
     """Each start's result in the search, as ``find_critical_points`` hands
     it over, with ``newton_polish`` run alone from the same start."""
-    starts = gm.critical._halton_starts(engine, search, len(strengths))
+    starts, _ = gm.critical._halton_starts(engine, search, len(strengths))
     polish = gm.critical.newton_polish
     results = []
 
@@ -468,8 +486,8 @@ def test_lockstep_matches_serial_polishing_where_starts_fail(monkeypatch, lobed_
     lam = gm.VortexStrengths([1.0, 1.0, -1.0])
     band = point_at_distance(lobed_engine.domain, 0.3, 0.7 * lobed_engine.eval_margin)
     halton = gm.critical._halton_starts
-    monkeypatch.setattr(gm.critical, "_halton_starts", lambda *args: halton(*args)[:5] + [
-        np.concatenate([band, [0.1, 0.0, -0.1, 0.2]])])
+    monkeypatch.setattr(gm.critical, "_halton_starts", lambda *args: (halton(*args)[0][:5] + [
+        np.concatenate([band, [0.1, 0.0, -0.1, 0.2]])], 128))
     report, runs = _search_and_serial(monkeypatch, lobed_engine, lam,
                                       gm.kirchhoff_routh_interaction(),
                                       gm.SearchConfig(starts=6, seed=1))
@@ -489,7 +507,7 @@ def test_lockstep_matches_serial_polishing_where_starts_fail(monkeypatch, lobed_
 
     starts = [np.array(p) for p in ([0.0, 0.0], [1.5, 0.5], [-1.4, -0.3], [0.0, 0.7],
                                     [3.0, 0.0], [1.2, -0.1])]
-    monkeypatch.setattr(gm.critical, "_halton_starts", lambda *args: starts)
+    monkeypatch.setattr(gm.critical, "_halton_starts", lambda *args: (starts, len(starts)))
     monkeypatch.setattr(gm.critical, "f_omega_stack", fake_f_omega_stack)
     report, runs = _search_and_serial(monkeypatch, lobed_engine, gm.VortexStrengths([1.0]),
                                       gm.zero_interaction(), gm.SearchConfig(starts=6))

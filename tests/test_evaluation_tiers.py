@@ -191,23 +191,23 @@ def test_green_sum_equals_interaction_minus_regular_sum(disk_engine, lobed_engin
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_integral_evaluation_is_one_solve(monkeypatch, lobed_integral_engine, n):
-    # one distance query and one lu_solve for all 6N density columns; the
-    # Hessian read solves nothing more
+    # one boundary verdict query and one lu_solve for all 6N density
+    # columns; the Hessian read solves nothing more
     solves = []
     queries = []
     lu_solve_ = green.lu_solve
-    distance = gm.DomainSpec.signed_boundary_distance
+    contains = green.contains
 
     def counting_lu_solve(lu_and_piv, b, *args, **kwargs):
         solves.append(b.shape[1])
         return lu_solve_(lu_and_piv, b, *args, **kwargs)
 
-    def counting_distance(self, points, *args, **kwargs):
+    def counting_contains(domain, points, *args, **kwargs):
         queries.append(len(points))
-        return distance(self, points, *args, **kwargs)
+        return contains(domain, points, *args, **kwargs)
 
     monkeypatch.setattr(green, "lu_solve", counting_lu_solve)
-    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counting_distance)
+    monkeypatch.setattr(green, "contains", counting_contains)
     config = gm.Configuration(_ring(lobed_integral_engine.domain, n))
     res = gm.f_omega(lobed_integral_engine, gm.VortexStrengths(np.ones(n)),
                      gm.kirchhoff_routh_interaction(), config)
@@ -222,18 +222,18 @@ def test_integral_evaluation_is_one_solve(monkeypatch, lobed_integral_engine, n)
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_conformal_evaluation_solves_nothing(monkeypatch, lobed_engine, n):
     # the map was built once; an evaluation is one Cauchy product and one
-    # batched boundary-distance query, with or without its Hessian
+    # batched boundary verdict query, with or without its Hessian
     solves = []
     queries = []
-    distance = gm.DomainSpec.signed_boundary_distance
+    contains = green.contains
 
-    def counting_distance(self, points, *args, **kwargs):
+    def counting_contains(domain, points, *args, **kwargs):
         queries.append(len(points))
-        return distance(self, points, *args, **kwargs)
+        return contains(domain, points, *args, **kwargs)
 
     monkeypatch.setattr(green, "lu_solve", lambda *args, **kwargs: solves.append(args))
     monkeypatch.setattr(np.linalg, "solve", lambda *args, **kwargs: solves.append(args))
-    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counting_distance)
+    monkeypatch.setattr(green, "contains", counting_contains)
     config = gm.Configuration(_ring(lobed_engine.domain, n))
     res = gm.f_omega(lobed_engine, gm.VortexStrengths(np.ones(n)),
                      gm.kirchhoff_routh_interaction(), config)

@@ -763,6 +763,52 @@ def test_contains_decides_as_the_exact_distance(name, request):
         assert np.array_equal(gm.contains(domain, pts, m), exact > m)
 
 
+@pytest.mark.parametrize("name", ["lobed_domain", "banana_domain", "tilted_domain",
+                                  "ellipse_domain"])
+def test_contains_refuses_as_the_screened_distance(name, request):
+    # contains measures no distance for a point it refuses; its verdict must
+    # still be the screened query's, d > m, at each level that decides: the
+    # circumscribed disk, the stride-8 scan (refused within m of a sample,
+    # signed past m + 8 gaps), the dense scan (refused within m, signed
+    # past m + 1 gap) and the one-gap shell it refines; and it refuses NaN
+    # and infinite points
+    domain = request.getfixturevalue(name)
+    curve = domain.boundary
+    gap = curve._sample_gap
+    stride = geometry._COARSE_STRIDE
+    center, radius = curve.centroid, domain._circumscribed_radius
+    rng = np.random.default_rng(33)
+    m = len(curve._dense[0])
+    for margin in (0.0, 0.05 * domain.diameter):
+        # depths along the normal through both shells, on both sides, half
+        # of them midway between dense samples
+        t = np.concatenate([2 * np.pi * (rng.integers(0, m, 300) + 0.5) / m,
+                            rng.uniform(0.0, 2 * np.pi, 300)])
+        depth = np.concatenate([margin + rng.uniform(-stride, stride, 300) * gap,
+                                margin + rng.uniform(-1.0, 1.0, 300) * gap])
+        side = rng.choice([-1.0, 1.0], 600)
+        theta = rng.uniform(0.0, 2 * np.pi, 100)
+        beyond = center + (radius + rng.uniform(0.0, 0.5, 100))[:, None] * np.stack(
+            [np.cos(theta), np.sin(theta)], axis=1)
+        pts = np.vstack([point_at_distance(domain, t, (side * depth)[:, None]), beyond,
+                         [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]]])
+        screened = domain.signed_boundary_distance(pts, margin)
+        verdict = gm.contains(domain, pts, margin)
+        assert np.array_equal(verdict, screened > margin)
+        assert np.array_equal(verdict, domain.signed_boundary_distance(pts) > margin)
+        assert not verdict[-3:].any()
+        # every level is reached
+        assert np.sum(np.hypot(*(pts - center).T) > radius) >= 100
+        coarse = curve._dense_scan(pts[:-3], stride)[1]
+        dense = curve._dense_scan(pts[:-3])[1]
+        one_gap = (dense > margin) & (dense - gap <= margin)
+        assert np.any(one_gap & verdict[:-3]) and np.any(one_gap & ~verdict[:-3])
+        if margin > 0:
+            assert np.any(coarse <= margin) and np.any(coarse - stride * gap > margin)
+            shell = (coarse > margin) & (coarse - stride * gap <= margin)
+            assert np.any(shell & (dense <= margin)) and np.any(shell & (dense - gap > margin))
+
+
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------

@@ -442,8 +442,8 @@ def test_blocks_exactly_exchange_symmetric(lobed_engine):
 def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     strengths, config = spread_configuration(6, seed=6)
     calls = {"green_sum": 0, "regular_sum": 0, "blocks": 0, "mirrored": 0, "regular_part": 0,
-             "distance": 0, "admissible": 0, "f_omega_stack": 0}
-    distance_batches = []
+             "verdict": 0, "distance": 0, "admissible": 0, "f_omega_stack": 0}
+    verdict_batches = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -451,10 +451,10 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_distance(domain, points, *args, **kwargs):
-        calls["distance"] += 1
-        distance_batches.append(np.shape(points))
-        return signed_boundary_distance(domain, points, *args, **kwargs)
+    def counted_contains(domain, points, *args, **kwargs):
+        calls["verdict"] += 1
+        verdict_batches.append(np.shape(points))
+        return contains(domain, points, *args, **kwargs)
 
     monkeypatch.setattr(lobed_engine, "green_sum", counted("green_sum", lobed_engine.green_sum))
     monkeypatch.setattr(lobed_engine, "regular_sum",
@@ -463,9 +463,13 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     monkeypatch.setattr(gm.green, "_mirrored", counted("mirrored", gm.green._mirrored))
     monkeypatch.setattr(lobed_engine, "regular_part",
                         counted("regular_part", lobed_engine.regular_part))
+    # the engines' boundary rule queries geometry.contains by green's name,
+    # and measures a distance only for the message of a refusal
+    contains = gm.green.contains
+    monkeypatch.setattr(gm.green, "contains", counted_contains)
     # DomainSpec is a frozen dataclass, so the method is patched on the class
-    signed_boundary_distance = gm.DomainSpec.signed_boundary_distance
-    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
+    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance",
+                        counted("distance", gm.DomainSpec.signed_boundary_distance))
     monkeypatch.setattr(gm.kr, "check_admissible", counted("admissible", gm.kr.check_admissible))
     monkeypatch.setattr(gm.critical, "f_omega_stack",
                         counted("f_omega_stack", gm.critical.f_omega_stack))
@@ -474,19 +478,22 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     res = gm.f_omega(lobed_engine, strengths, gm.kirchhoff_routh_interaction(), config)
     res.hessian
     assert calls == {"green_sum": 1, "regular_sum": 0, "blocks": 0, "mirrored": 0,
-                     "regular_part": 0, "distance": 1, "admissible": 0, "f_omega_stack": 0}
-    assert distance_batches == [(6, 2)]
+                     "regular_part": 0, "verdict": 1, "distance": 0, "admissible": 0,
+                     "f_omega_stack": 0}
+    assert verdict_batches == [(6, 2)]
 
     # Newton polish checks nothing outside its stacked evaluations: one query
     # per evaluation
-    calls.update(distance=0)
+    calls.update(verdict=0)
     a = DIPOLE_RADIUS
     result = gm.newton_polish(lobed_engine, gm.VortexStrengths([1.0, -1.0]),
                               gm.kirchhoff_routh_interaction(), [a, 0.0, -a, 0.0],
                               gm.SearchConfig(starts=1))
     assert result.converged and calls["f_omega_stack"] == result.evaluations >= 2
-    assert calls["distance"] == calls["f_omega_stack"]
+    assert calls["verdict"] == calls["f_omega_stack"]
     assert calls["admissible"] == 0
+
+    assert calls["distance"] == 0
 
     # a search makes one batched query per lockstep round (and one for its
     # starts' first evaluation), evaluates nothing in the per-start polishes
@@ -496,9 +503,9 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     f_omega_stack, newton_polish = gm.critical.f_omega_stack, gm.critical.newton_polish
 
     def recording_stack(*args, **kwargs):
-        before = calls["distance"]
+        before = calls["verdict"]
         result = f_omega_stack(*args, **kwargs)
-        stacks.append((bool(polishing), len(args[3]), calls["distance"] - before))
+        stacks.append((bool(polishing), len(args[3]), calls["verdict"] - before))
         return result
 
     def flagged_polish(*args, **kwargs):
@@ -520,7 +527,7 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     assert not any(inside for inside, _, _ in stacks)
     # every evaluation a start counts is one row of one stack
     assert sum(size for _, size, _ in stacks) == report.stats["evaluations"]
-    assert calls["admissible"] == 0
+    assert calls["admissible"] == 0 and calls["distance"] == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
