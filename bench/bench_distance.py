@@ -1,21 +1,21 @@
-"""Layer micro-benchmark of the boundary-distance queries (L0).
+"""Layer micro-benchmark of the boundary queries (L0).
 
 Times ``DomainSpec.signed_boundary_distance`` on the lobed domain at
-N in {1, 3, 6, 384} points per query, exact (every point refined) and, at
-N in {3, 6, 384}, screened with ``exact_within`` the lobed 256-node engine's
+N in {1, 3, 6, 384} points per query, exact (every point refined), and, at
+N in {3, 6, 384}, the verdict ``contains`` at the lobed 256-node engine's
 ``eval_margin`` (0.05 x diameter, the one boundary threshold an evaluation
-compares).  Those points are drawn from [-1.1, 1.1]^2, so about half of them
-take the full-resolution path.  Three screened cases hold deep points only.
-Two of them the cached inscribed disk settles without reading a boundary
-sample: the ``dynamics`` workload's 6-vortex ring at r = 0.45, and a
-384-point block (128 starts at N = 3) of admissible starts more than twice
-``eval_margin`` inside.  The third, ``lobes``, holds 64 points near the lobe
-tips, 1.5 to 1.7 ``eval_margin`` inside: outside the disk's reach but
-settled by the coarse level, which it keeps timed.  Two screened cases time
-what a refused search trial queries: two points of the dynamics ring and one
-0.04 outside the lobed curve (a point outside the domain) or 0.06 inside it
-(within ``eval_margin``, so accuracy-degraded); the third point takes every
-level, the Newton refinement included.  Last, it times
+compares), the query every evaluation makes.  Those points are drawn from
+[-1.1, 1.1]^2, so about half of them are refused.  Three verdict cases hold
+deep points only.  Two of them the cached inscribed disk admits without
+reading a boundary sample: the ``dynamics`` workload's 6-vortex ring at
+r = 0.45, and a 384-point block (128 starts at N = 3) of admissible starts
+more than twice ``eval_margin`` inside.  The third, ``lobes``, holds 64
+points near the lobe tips, 1.5 to 1.7 ``eval_margin`` inside: outside the
+disk's reach but admitted by the stride-8 scan, which it keeps timed.  Two
+verdict cases time what a refused search trial queries: two points of the
+dynamics ring and one 0.04 outside the lobed curve (a point outside the
+domain) or 0.06 inside it (within ``eval_margin``, so accuracy-degraded),
+which the stride-8 scan refuses.  Last, it times
 ``PerturbationField.evaluate`` at N = 64.  Run from the root of a checkout
 with pytest-benchmark installed:
 
@@ -49,11 +49,10 @@ def test_signed_boundary_distance(benchmark, lobed_domain, n):
 
 
 @pytest.mark.parametrize("n", [3, 6, 384])
-def test_screened_signed_boundary_distance(benchmark, lobed_domain, n):
+def test_contains(benchmark, lobed_domain, n):
     pts = _points(n)
-    dist = benchmark(lobed_domain.signed_boundary_distance, pts,
-                     0.05 * lobed_domain.diameter)
-    assert dist.shape == (n,)
+    inside = benchmark(gm.contains, lobed_domain, pts, 0.05 * lobed_domain.diameter)
+    assert inside.shape == (n,)
 
 
 def _deep_points(domain, case):
@@ -70,26 +69,25 @@ def _deep_points(domain, case):
 
 
 @pytest.mark.parametrize("case", ["ring", "starts", "lobes"])
-def test_deep_signed_boundary_distance(benchmark, lobed_domain, case):
+def test_deep_contains(benchmark, lobed_domain, case):
     pts = _deep_points(lobed_domain, case)
     margin = 0.05 * lobed_domain.diameter
     center, radius = lobed_domain._inscribed_disk
     on_disk = radius - np.hypot(*(pts - center).T) > margin
-    # the level that settles them: the disk for the ring and the starts, the
-    # coarse samples for the lobes
+    # the level that admits them: the disk for the ring and the starts, the
+    # stride-8 samples for the lobes
     assert not on_disk.any() if case == "lobes" else on_disk.mean() > 0.99
-    dist = benchmark(lobed_domain.signed_boundary_distance, pts, margin)
-    assert np.all(dist > margin)
+    assert np.all(benchmark(gm.contains, lobed_domain, pts, margin))
 
 
 @pytest.mark.parametrize("depth", [-0.04, 0.06], ids=["outside", "inside"])
-def test_refused_trial_signed_boundary_distance(benchmark, lobed_domain, depth):
+def test_refused_trial_contains(benchmark, lobed_domain, depth):
     frame = lobed_domain.boundary.frame(0.7)
     pts = np.vstack([_deep_points(lobed_domain, "ring")[:2],
                      frame.point - depth * frame.normal])
     margin = 0.05 * lobed_domain.diameter
-    dist = benchmark(lobed_domain.signed_boundary_distance, pts, margin)
-    assert np.all(dist[:2] > margin) and abs(dist[2] - depth) <= 1e-12
+    inside = benchmark(gm.contains, lobed_domain, pts, margin)
+    assert np.array_equal(inside, [True, True, False])
 
 
 def test_field_evaluate(benchmark, lobed_domain):

@@ -30,8 +30,8 @@ TWO_PI = 2.0 * np.pi
 
 # dense sampling used for distance / winding / self-intersection checks
 _DENSE_MIN = 1024
-# the coarse level of the distance and verdict queries scans every
-# _COARSE_STRIDE-th dense sample
+# the coarse level of ``contains`` scans every _COARSE_STRIDE-th dense
+# sample, and the polygon through them signs the points far from the curve
 _COARSE_STRIDE = 8
 # the chord scan first builds every _CHORD_STRIDE-th index separation
 _CHORD_STRIDE = 8
@@ -308,9 +308,16 @@ class BoundaryCurve:
     def _signed_scan(self, p: np.ndarray, t: np.ndarray, coarse: np.ndarray,
                      exact_within: float) -> np.ndarray:
         """Signed boundary distances of the (N, 2) points from their
-        ``_dense_scan`` (t, coarse), exact where at most ``exact_within``:
-        the full-scan level of ``DomainSpec.signed_boundary_distance``, whose
-        refinement and signs it applies, and of ``contains``.  ``t`` is
+        ``_dense_scan`` (t, coarse), exact where at most ``exact_within``
+        and a lower bound beyond it: ``DomainSpec.signed_boundary_distance``
+        measures with ``np.inf``, every point refined, and ``contains`` with
+        its margin, refining only the shell within one gap of it.  A point
+        at most ``_sample_gap`` from its nearest sample is signed by the
+        outward normal at its nearest boundary point (between a chord and
+        its arc, the dense polygon's winding number is wrong); one more than
+        ``_COARSE_STRIDE * _sample_gap`` from it, so from every sample, by
+        the winding number of the stride-8 polygon, by the argument in
+        ``contains``; the others by the dense polygon's.  ``t`` is
         overwritten."""
         d = coarse - self._sample_gap
         near = np.flatnonzero(d <= exact_within)
@@ -515,10 +522,10 @@ class DomainSpec:
         the domain, or None.  rho = min_i |c - p_i| - ``_sample_gap`` is a
         lower bound of dist(c, boundary).  The disk exists only if rho > 0
         and the dense polygon winds once about c; then the curve does too,
-        by the homotopy argument of the coarse level in
-        ``signed_boundary_distance``, so c is inside, and every x with
-        |x - c| < rho is at least rho - |x - c| from the boundary.  A domain
-        whose centroid lies outside, such as a banana, has none."""
+        by the homotopy argument of the coarse level in ``contains``, so c
+        is inside, and every x with |x - c| < rho is at least rho - |x - c|
+        from the boundary.  A domain whose centroid lies outside, such as a
+        banana, has none.  Only ``contains`` reads it."""
         curve = self.boundary
         center = curve.centroid
         radius = float(curve._dense_scan(center[None])[1][0]) - curve._sample_gap
@@ -532,93 +539,35 @@ class DomainSpec:
         centroid c.  Every curve point lies within ``_sample_gap`` of a
         sample, so the curve lies in the closed disk of radius R about c,
         and so does the domain it bounds: a point farther than R from c is
-        outside."""
+        outside.  Only ``contains`` reads it."""
         curve = self.boundary
         offsets = curve._dense[1].point - curve.centroid
         return float(np.hypot(*offsets.T).max()) + curve._sample_gap
 
-    def signed_boundary_distance(self, points, exact_within: float = np.inf):
+    def signed_boundary_distance(self, points):
         """Distance to the boundary, negative outside the domain: a float for
         one point of shape (2,), an (N,) array for points of shape (N, 2).
 
         All points are measured in one batched query.  On a disk the distance
-        is the closed form.  Otherwise, when ``exact_within`` is finite, up
-        to three levels run, each only for the points the one before left
-        open:
-
-        1. the cached inscribed disk (c, rho) (``_inscribed_disk``, if the
-           domain has one): a point with rho - |x - c| > ``exact_within`` is
-           settled there and reports that lower bound, positive.  When every
-           point settles, the query returns at once and reads no boundary
-           sample.
-        2. every ``_COARSE_STRIDE``-th dense sample, whose gap is delta_c =
-           ``_COARSE_STRIDE * _sample_gap``: a point whose distance d_c to
-           the nearest of those samples has d_c - delta_c > ``exact_within``
-           is settled there.  It reports d_c - delta_c, a lower bound of its
-           distance, signed by the winding number of the polygon through
-           those samples, which is computed for these points only.  That
-           sign is exact: every curve point z(t) and the polygon point at
-           the same parameter lie in the closed disk of radius delta_c about
-           the nearer sample, which the point is outside, so the
-           straight-line homotopy from the curve to the polygon misses the
-           point.
-        3. the full dense scan (``BoundaryCurve._signed_scan``).  The Newton
-           refinement of ``nearest_parameter`` runs only for points that
-           could lie within ``exact_within`` of the boundary: those whose
-           scanned distance minus ``_sample_gap`` is at most
-           ``exact_within``; the rest report that lower bound.  A point at
-           most ``_sample_gap`` from its nearest sample is signed by the
-           outward normal at its nearest boundary point (between a chord and
-           its arc, the dense polygon's winding number is wrong); one more
-           than delta_c from it, so from every sample, by the winding number
-           of the stride-8 polygon, by the argument of level 2; the others
-           by the dense polygon's.
-
-        So the sign is always the exact one, a value of magnitude at most
-        ``exact_within`` is the exact distance, and a larger one is no more
-        than the exact distance: for any threshold m <= ``exact_within``,
-        ``d > m`` decides as the exact query does.  The default, ``np.inf``,
-        skips the first two levels and refines every point.  A point with a
-        non-finite coordinate has distance NaN.  Where only the verdict
-        d > m is wanted, ``contains`` gives it without measuring the points
-        it refuses; the engines' boundary rule uses it, and measures
-        distances here only for the messages of a refusal."""
-        if not exact_within >= 0:
-            raise ValueError("exact_within must be >= 0")
+        is the closed form; otherwise one full dense scan, refined by the
+        Newton steps of ``nearest_parameter`` and signed by
+        ``BoundaryCurve._signed_scan``.  A point with a non-finite
+        coordinate has distance NaN.  Where only the verdict d > m is wanted,
+        ``contains`` gives it without measuring the points it refuses; the
+        engines' boundary rule uses it, and measures distances here only for
+        the messages of a refusal."""
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
-        disk = self._inscribed_disk if exact_within < np.inf and self._circle is None else None
-        if disk is not None:
-            center, radius = disk
-            dist = radius - np.hypot(*(flat - center).T)
-            # every point settles here (a non-finite one does not)
-            if dist.min(initial=np.inf) > exact_within:
-                return float(dist[0]) if pts.ndim == 1 else dist
         if not np.isfinite(flat).all():
             finite = np.isfinite(flat).all(axis=1)
             dist = np.full(len(flat), np.nan)
-            dist[finite] = self.signed_boundary_distance(flat[finite], exact_within)
+            dist[finite] = self.signed_boundary_distance(flat[finite])
         elif self._circle is not None:
             center, radius = self._circle
             dist = radius - np.hypot(flat[:, 0] - center[0], flat[:, 1] - center[1])
         else:
             curve = self.boundary
-            if disk is not None:
-                rest = np.flatnonzero(dist <= exact_within)     # the points not settled yet
-            else:
-                dist = np.empty(len(flat))
-                rest = np.arange(len(flat))
-            if exact_within < np.inf and len(rest):
-                p = flat[rest]
-                d = curve._dense_scan(p, _COARSE_STRIDE)[1] - _COARSE_STRIDE * curve._sample_gap
-                deep = d > exact_within
-                if deep.any():
-                    wound = curve.winding_number(p[deep], _COARSE_STRIDE) == 1
-                    dist[rest[deep]] = np.where(wound, d[deep], -d[deep])
-                    rest = rest[~deep]
-            if len(rest):
-                p = flat[rest]
-                dist[rest] = curve._signed_scan(p, *curve._dense_scan(p), exact_within)
+            dist = curve._signed_scan(flat, *curve._dense_scan(flat), np.inf)
         return float(dist[0]) if pts.ndim == 1 else dist
 
 
@@ -645,17 +594,22 @@ def contains(domain: DomainSpec, points, margin: float = 0.0):
        is outside, and a point with a non-finite coordinate.
     3. every ``_COARSE_STRIDE``-th dense sample: a point within ``margin``
        of one is refused, since the exact distance is at most the dense
-       scan's, which is at most this one.  A point whose distance to them
-       minus their gap delta_c = ``_COARSE_STRIDE * _sample_gap`` is more
-       than ``margin`` is signed by the winding number of their polygon, as
-       ``signed_boundary_distance`` signs it.
+       scan's, which is at most this one.  Their gap is delta_c =
+       ``_COARSE_STRIDE * _sample_gap``, and a point whose distance d_c to
+       the nearest of them has d_c - delta_c > ``margin`` is at least that
+       far from the curve, and is signed by the winding number of their
+       polygon.  That sign is exact: every curve point z(t) and the polygon
+       point at the same parameter lie in the closed disk of radius delta_c
+       about the nearer sample, which the point is outside, so the
+       straight-line homotopy from the curve to the polygon misses the
+       point.
     4. the full dense scan: a point within ``margin`` of a sample is
        refused.  A point more than ``_sample_gap`` past ``margin`` is signed
        by winding number; only the shell within one gap of ``margin`` runs
        the Newton refinement of the exact query (``_signed_scan``).
 
-    So every verdict is the one ``signed_boundary_distance(points, margin)
-    > margin`` gives, which is that of the exact distance."""
+    So every verdict is the one ``signed_boundary_distance(points) >
+    margin`` gives, that of the exact distance."""
     if not margin >= 0:
         raise ValueError("margin must be >= 0")
     pts = np.asarray(points, dtype=float)

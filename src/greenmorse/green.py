@@ -60,9 +60,13 @@ measures no distance it does not need: a deep point is admitted on a lower
 bound and a refused one on the cheapest test that refuses it.
 ``require_interior`` is its raising form for one configuration
 (OutsideDomainError for d <= 0 or NaN, else AccuracyDegradedError), which
-``blocks``, ``robin`` and the traces apply; it measures the distances only
-when it raises, and the point named and the message are those of the exact
-distance.
+``blocks``, ``robin`` and the traces apply; it measures the exact distances
+(``DomainSpec.signed_boundary_distance``) only when it raises, for the
+point it names and its message.  An engine build measures no distance
+where the domain's centroid is ``eval_margin`` inside: ``_map_centre``
+checks that with ``contains``, and the conformal self-test picks its
+outward probes with it too; only a centroid that fails the check makes
+``_map_centre`` measure a grid.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
 conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
 ``blocks`` computes the j <= k blocks.  The integral engine computes all of
@@ -463,17 +467,14 @@ class _EngineBase:
         """``interior`` for one configuration, raising: the points as an
         (N, 2) array, the boundary rule of every evaluation.  Only when the
         rule refuses does it measure the distances, for its message, in one
-        ``signed_boundary_distance`` query exact within ``eval_margin``: the
-        lowest-index point with boundary distance d <= 0 (or NaN) is
-        OutsideDomainError; else the point nearest the boundary, with
-        d <= ``eval_margin`` (each engine's accuracy contract), is
-        AccuracyDegradedError.  Points farther inside report lower bounds
-        beyond ``eval_margin``, so the point named and the message are those
-        of the exact distance."""
+        exact ``signed_boundary_distance`` query: the lowest-index point
+        with boundary distance d <= 0 (or NaN) is OutsideDomainError; else
+        the point nearest the boundary, with d <= ``eval_margin`` (each
+        engine's accuracy contract), is AccuracyDegradedError."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if self.interior(pts):
             return pts
-        dists = self.domain.signed_boundary_distance(pts, self.eval_margin)
+        dists = self.domain.signed_boundary_distance(pts)
         outside = np.flatnonzero(~(dists > 0.0))
         if len(outside):
             i = outside[0]
@@ -777,7 +778,7 @@ class ConformalGreenEngine(_EngineBase):
         step = max(1, self.node_count // 16)
         nu = self.normals[::step]
         near = self.nodes[::step] + self.eval_margin * nu
-        near = near[self.domain.signed_boundary_distance(near, 0.0) < 0]
+        near = near[~contains(self.domain, near)]
         far = a + 1.5 * np.max(np.abs(z - a)) * np.exp(0.25j * np.pi * np.arange(8))
         probes = np.concatenate([near[:, 0] + 1j * near[:, 1], far])
         self.exterior_cauchy_error = float(np.max(np.abs(self._map(probes)[:, 0])))

@@ -352,6 +352,31 @@ def test_centroid_outside_the_domain_moves_the_map_centre(banana_domain):
         assert _relative(getattr(ev, name), getattr(ref, name)) <= TOLERANCE[name], name
 
 
+@pytest.mark.parametrize("eps, nodes", [(0.05, 256), (0.03, 512)], ids=["lobed", "rung"])
+def test_engine_build_measures_no_distance(disk_domain, monkeypatch, eps, nodes):
+    # where the centroid is eval_margin inside, a build decides with two
+    # verdict queries, the map centre's and the self-test's outward probes,
+    # and measures no boundary distance
+    domain = gm.apply_perturbation(disk_domain, gm.cosine_field(3), eps)
+    calls = {"verdict": 0, "distance": 0}
+    contains, distance = green.contains, gm.DomainSpec.signed_boundary_distance
+
+    def counted_contains(*args, **kwargs):
+        calls["verdict"] += 1
+        return contains(*args, **kwargs)
+
+    def counted_distance(*args, **kwargs):
+        calls["distance"] += 1
+        return distance(*args, **kwargs)
+
+    monkeypatch.setattr(green, "contains", counted_contains)
+    # DomainSpec is a frozen dataclass, so the method is patched on the class
+    monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
+    engine = gm.build_engine(domain, nodes)
+    assert isinstance(engine, gm.ConformalGreenEngine)
+    assert calls == {"verdict": 2, "distance": 0}
+
+
 def test_underresolved_map_fails_its_self_test(lobed_domain):
     # at 128 nodes an evaluation eval_margin inside is off by about 1e-5;
     # the Cauchy integral eval_margin outside shows it

@@ -95,6 +95,25 @@ def test_n1_search_stats(n1_report):
     assert stats["evaluations"] >= stats["starts"] + stats["iterations"]
 
 
+@pytest.mark.parametrize("domain", [
+    gm.DomainSpec(gm.BoundaryCurve([0.0, 1.0], [0.0], [0.0], [0.0, 0.5])),
+    gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(3), 0.02),
+    gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(2), 0.05),
+], ids=["ellipse-2:1", "cos3-0.02", "cos2-0.05"])
+def test_robin_function_of_a_convex_domain_has_one_critical_point(domain):
+    # Caffarelli and Friedman: on a convex domain the Robin function is
+    # strictly convex, so N = 1 has exactly one critical point, and the
+    # indices sum to the Euler characteristic of the domain, sum (-1)^index = 1
+    assert np.all(domain.boundary._dense[1].curvature > 0)     # convex
+    engine = gm.build_engine(domain, 256)
+    report = gm.find_critical_points(engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
+                                     gm.SearchConfig(starts=24, seed=1))
+    assert len(report.points) == 1
+    assert all(cp.nullity == 0 for cp in report.points)
+    assert sum((-1) ** cp.morse_index for cp in report.points) == 1
+    assert report.points[0].morse_index == 2
+
+
 def test_dipole_orbit_found(dipole_report):
     assert len(dipole_report.points) >= 20
     for cp in dipole_report.points:

@@ -436,7 +436,7 @@ def test_single_point_distance_is_float(disk_domain, lobed_domain):
 
 
 # ---------------------------------------------------------------------------
-# screened boundary distance: properties on random low-mode domains
+# boundary verdict: properties on random low-mode domains
 # ---------------------------------------------------------------------------
 
 SCREEN_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -467,22 +467,6 @@ def test_screened_contains_equals_exact(domain, seed):
 
 
 @SCREEN_SETTINGS
-@given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1),
-       exact_within=st.floats(0.0, 0.5))
-def test_screened_distance_keeps_sign_and_exact_values(domain, seed, exact_within):
-    pts = _screen_probes(domain, seed)
-    exact = domain.signed_boundary_distance(pts)
-    screened = domain.signed_boundary_distance(pts, exact_within)
-    assert np.array_equal(np.sign(screened), np.sign(exact))
-    close = np.abs(exact) <= exact_within
-    assert np.max(np.abs(screened - exact)[close], initial=0.0) <= 1e-15
-    # elsewhere a lower bound of the distance, beyond exact_within
-    far = ~close
-    assert np.all(np.abs(screened[far]) <= np.abs(exact[far]))
-    assert np.all((np.abs(screened) > exact_within) | close)
-
-
-@SCREEN_SETTINGS
 @given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1))
 def test_sample_gap_bounds_a_finer_sampling(domain, seed):
     curve = domain.boundary
@@ -497,10 +481,14 @@ def test_sample_gap_bounds_a_finer_sampling(domain, seed):
 
 @SCREEN_SETTINGS
 @given(domain=low_mode_domains(), seed=st.integers(0, 2**32 - 1),
-       exact_within=st.floats(0.0, 0.4))
-def test_deep_points_skip_the_newton_refinement(domain, seed, exact_within):
+       margin=st.floats(0.0, 0.4))
+def test_deep_points_skip_the_newton_refinement(domain, seed, margin):
+    # contains refines only the points within about one sample gap of the
+    # margin, on either side of the boundary: a refined point's nearest
+    # dense sample is more than margin and at most margin + gap away
     curve = domain.boundary
-    pts = _screen_probes(domain, seed)
+    gap = curve._sample_gap
+    pts = _screen_probes(domain, seed, (0.0, 0.02, margin, 0.35))
     exact = np.abs(domain.signed_boundary_distance(pts))
     refine = gm.BoundaryCurve._refine
     refined = []
@@ -511,11 +499,26 @@ def test_deep_points_skip_the_newton_refinement(domain, seed, exact_within):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gm.BoundaryCurve, "_refine", counting_refine)
-        domain.signed_boundary_distance(pts, exact_within)
+        verdict = gm.contains(domain, pts, margin)
     refined = np.vstack(refined) if refined else np.zeros((0, 2))
     reached = np.array([np.any(np.all(refined == p, axis=1)) for p in pts])
-    assert not np.any(reached & (exact > exact_within + 2 * curve._sample_gap))
-    assert np.all(reached[exact <= exact_within])
+    assert not np.any(reached & (exact > margin + 2 * gap))
+    assert not np.any(reached & (exact <= margin - gap))
+    # every point in that shell is refined unless a level before the dense
+    # scan settles it: the inscribed disk, the circumscribed one or the
+    # stride-8 scan
+    stride = geometry._COARSE_STRIDE
+    dense = curve._dense_scan(pts)[1]
+    coarse = curve._dense_scan(pts, stride)[1]
+    r = np.hypot(*(pts - curve.centroid).T)
+    disk = domain._inscribed_disk
+    open_ = ((r <= domain._circumscribed_radius) & (coarse > margin)
+             & (coarse - stride * gap <= margin))
+    if disk is not None:
+        open_ &= disk[1] - r <= margin
+    shell = (dense > margin) & (dense - gap <= margin)
+    assert np.array_equal(reached, open_ & shell) and reached.any()
+    assert np.array_equal(verdict, domain.signed_boundary_distance(pts) > margin)
 
 
 @SCREEN_SETTINGS
@@ -557,25 +560,31 @@ def test_inscribed_disk_lies_inside_a_finer_sampling(domain):
 
 
 def test_banana_has_no_inscribed_disk(banana_domain):
-    # its centroid lies outside, so the query works as without the disk: the
-    # screened answers are bit for bit those of the coarse and full levels
+    # its centroid lies outside, so contains works as without the disk: the
+    # verdicts are bit for bit those of the levels below it
     assert banana_domain._inscribed_disk is None
     curve = banana_domain.boundary
+    gap = curve._sample_gap
     stride = geometry._COARSE_STRIDE
     margin = 0.05 * banana_domain.diameter
     pts = _decision_probes(banana_domain, margin, 500, seed=3)
-    # the two levels below the disk, written out
+    # the circumscribed disk, the stride-8 scan and the dense scan, written out
+    within = np.hypot(*(pts - curve.centroid).T) <= banana_domain._circumscribed_radius
     _, coarse = curve._dense_scan(pts, stride)
-    expected = coarse - stride * curve._sample_gap
-    deep = expected > margin
-    expected[deep] *= np.where(curve.winding_number(pts[deep], stride) == 1, 1.0, -1.0)
-    coarse_t, fine = curve._dense_scan(pts[~deep])
-    d = fine - curve._sample_gap
+    deep = within & (coarse - stride * gap > margin)
+    expected = np.zeros(len(pts), dtype=bool)
+    expected[deep] = curve.winding_number(pts[deep], stride) == 1
+    rest = within & ~deep & (coarse > margin)
+    coarse_t, fine = curve._dense_scan(pts[rest])
+    d = fine - gap
     near = d <= margin
-    d[near] = curve._refine(pts[~deep][near], coarse_t[near], fine[near])[1]
-    expected[~deep] = np.where(curve.winding_number(pts[~deep]) == 1, d, -d)
-    assert deep.any() and (~deep).any()
-    assert np.array_equal(banana_domain.signed_boundary_distance(pts, margin), expected)
+    d[near] = curve._refine(pts[rest][near], coarse_t[near], fine[near])[1]
+    expected[rest] = (fine > margin) & (d > margin) & (curve.winding_number(pts[rest]) == 1)
+    assert (~within).any() and deep.any() and (within & ~deep & ~rest).any()
+    assert (near & (d > margin)).any() and (near & (d <= margin)).any()
+    verdict = gm.contains(banana_domain, pts, margin)
+    assert np.array_equal(verdict, expected)
+    assert np.array_equal(verdict, banana_domain.signed_boundary_distance(pts) > margin)
 
 
 def _dynamics_ring(count=6, radius=0.45):
@@ -614,20 +623,27 @@ def test_deep_ring_settles_on_the_inscribed_disk(lobed_domain, lobed_engine, mon
 
 
 def test_mixed_query_winds_each_point_once(lobed_domain, lobed_engine, monkeypatch):
-    # beside the deep ring, a point 0.5 eval_margin inside is the only one
-    # the inscribed disk leaves open: it alone takes the coarse scan, then
-    # the full scan and the refinement, and is signed once, by the stride-8
+    # beside the deep ring, which the inscribed disk admits, three points
+    # take the stride-8 scan: one 0.5 eval_margin inside is refused there,
+    # unsigned; one 1.5 eval_margin inside a lobe is signed there by the
+    # stride-8 polygon; one half a sample gap past eval_margin alone takes
+    # the dense scan and the refinement, and is signed once, by the stride-8
     # polygon, since it is farther than the coarse gap from every sample
     margin = lobed_engine.eval_margin
-    near = point_at_distance(lobed_domain, 0.7, 0.5 * margin)
-    pts = np.vstack([_dynamics_ring(), near])
+    curve = lobed_domain.boundary
+    gap = curve._sample_gap
     stride = geometry._COARSE_STRIDE
-    assert 0.5 * margin > stride * lobed_domain.boundary._sample_gap
+    near = point_at_distance(lobed_domain, 0.7, 0.5 * margin)
+    deep = point_at_distance(lobed_domain, 0.0, 1.5 * margin)
+    shell = point_at_distance(lobed_domain, 0.7, margin + 0.5 * gap)
+    pts = np.vstack([_dynamics_ring(), near, deep, shell])
+    assert margin > stride * gap
     assert lobed_domain._inscribed_disk is not None     # built before the spy
     calls = _spy_on_distance_passes(monkeypatch)
-    lobed_domain.signed_boundary_distance(pts, margin)
-    assert calls == [("_dense_scan", 1, stride),
+    verdict = gm.contains(lobed_domain, pts, margin)
+    assert calls == [("_dense_scan", 3, stride), ("winding_number", 1, stride),
                      ("_dense_scan", 1, 1), ("_refine", 1, 1), ("winding_number", 1, stride)]
+    assert np.array_equal(verdict, [True] * 6 + [False, True, True])
 
 
 @pytest.fixture(scope="module")
@@ -640,12 +656,12 @@ def ellipse_domain():
 @pytest.mark.parametrize("seed", range(5))
 def test_screened_query_near_the_boundary_equals_the_exact_one(request, name, seed):
     # points on both sides, from _sample_gap to eval_margin + 8 _sample_gap
-    # along the normal: those that pass the coarse level reach the full
-    # scan, which signs the ones farther than 8 _sample_gap from every
-    # sample by the stride-8 polygon; the sign and every value in the exact
-    # range must be the unscreened query's.  Half the points lie midway
-    # between the samples of a stride 2 ... 64 polygon, where a chord
-    # strays farthest from its arc, at depths log-uniform up to 32 gaps
+    # along the normal: contains signs those past the stride-8 scan's gap
+    # by the stride-8 polygon, and at eval_margin also those that reach the
+    # dense scan farther than 8 _sample_gap from every sample; its verdict
+    # at 0 and at eval_margin must be the exact query's.  Half the points
+    # lie midway between the samples of a stride 2 ... 64 polygon, where a
+    # chord strays farthest from its arc, at depths log-uniform up to 32 gaps
     domain = request.getfixturevalue(name)
     curve = domain.boundary
     gap = curve._sample_gap
@@ -659,8 +675,8 @@ def test_screened_query_near_the_boundary_equals_the_exact_one(request, name, se
                             rng.uniform(gap, margin + geometry._COARSE_STRIDE * gap, 100)])
     pts = point_at_distance(domain, t, (depth * rng.choice([-1.0, 1.0], 200))[:, None])
     exact = domain.signed_boundary_distance(pts)
-    screened = domain.signed_boundary_distance(pts, margin)
-    assert np.array_equal(np.sign(screened), np.sign(exact))
+    for level in (0.0, margin):
+        assert np.array_equal(gm.contains(domain, pts, level), exact > level)
     # and the sign is the curve's: every point is more than _sample_gap / 8
     # from the polygon through 8 m samples, whose winding number is then the
     # curve's by the same homotopy argument
@@ -669,9 +685,6 @@ def test_screened_query_near_the_boundary_equals_the_exact_one(request, name, se
     turn = np.diff(angle, axis=1, append=angle[:, :1])
     turn -= 2 * np.pi * np.rint(turn / (2 * np.pi))
     assert np.array_equal(exact > 0, np.rint(turn.sum(axis=1) / (2 * np.pi)) == 1)
-    close = np.abs(exact) <= margin
-    assert np.array_equal(screened[close], exact[close])
-    assert np.all(np.abs(screened[~close]) <= np.abs(exact[~close]))
     # the stride-8 sign is exercised on both sides
     _, nearest = curve._dense_scan(pts)
     far = nearest > geometry._COARSE_STRIDE * gap
@@ -679,15 +692,17 @@ def test_screened_query_near_the_boundary_equals_the_exact_one(request, name, se
 
 
 def test_non_finite_point_refused_without_a_warning(lobed_engine, disk_engine):
-    # a NaN or infinite coordinate reads distance NaN at every level, and
-    # the boundary rule refuses it as outside; no step warns (warnings are
-    # errors here, and this makes it explicit)
+    # a NaN or infinite coordinate reads distance NaN, contains refuses it,
+    # and the boundary rule refuses it as outside; no step warns (warnings
+    # are errors here, and this makes it explicit)
     margin = lobed_engine.eval_margin
     pts = np.array([[0.1, 0.0], [np.inf, 0.0], [np.nan, 0.2], [0.0, -np.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist = lobed_engine.domain.signed_boundary_distance(pts, margin)
+        dist = lobed_engine.domain.signed_boundary_distance(pts)
         assert dist[0] > margin and np.all(np.isnan(dist[1:]))
+        assert np.array_equal(gm.contains(lobed_engine.domain, pts, margin),
+                              [True, False, False, False])
         for engine in (lobed_engine, disk_engine):
             for point in pts[1:]:
                 with pytest.raises(gm.OutsideDomainError):
@@ -696,15 +711,15 @@ def test_non_finite_point_refused_without_a_warning(lobed_engine, disk_engine):
 
 def test_near_point_beside_deep_ones_keeps_its_exact_distance(lobed_domain, lobed_engine):
     # in one batch with the deep ring, a point 0.5 eval_margin inside and one
-    # as far outside take the full path and get the exact distance
+    # as far outside get the exact distance they get alone
     margin = lobed_engine.eval_margin
     near = np.array([point_at_distance(lobed_domain, 0.7, 0.5 * margin),
                      point_at_distance(lobed_domain, 2.3, -0.5 * margin)])
     pts = np.vstack([_dynamics_ring(), near])
     exact = lobed_domain.signed_boundary_distance(pts)
-    screened = lobed_domain.signed_boundary_distance(pts, margin)
-    assert np.max(np.abs(screened[6:] - exact[6:])) <= 1e-15
-    assert np.all((margin < screened[:6]) & (screened[:6] <= exact[:6]))
+    assert np.array_equal(exact[6:], lobed_domain.signed_boundary_distance(near))
+    assert np.max(np.abs(exact[6:] - [0.5 * margin, -0.5 * margin])) <= 1e-12
+    assert np.all(exact[:6] > margin)
     assert np.array_equal(gm.contains(lobed_domain, pts, margin), exact > margin)
 
 
@@ -715,15 +730,14 @@ def test_sign_between_a_chord_and_its_arc(request, name, side):
     # samples lie between a chord of the dense polygon and its arc, on the
     # inside where the curve bulges out (the lobed domain) and on the outside
     # where it bends in (the banana); each must read its own side and its
-    # exact distance, with the margin 0 of contains and without a screen
+    # exact distance, and contains at the margin 0 its side
     domain = request.getfixturevalue(name)
     m = len(domain.boundary._dense[0])
     t = 2.0 * np.pi * (np.arange(0, m, 4) + 0.5) / m
     for dist in (1e-9, 1e-8, 1e-7, 1e-6):
         pts = point_at_distance(domain, t, side * dist)
-        for exact_within in (0.0, np.inf):
-            signed = domain.signed_boundary_distance(pts, exact_within)
-            assert np.max(np.abs(signed - side * dist)) <= 1e-14
+        signed = domain.signed_boundary_distance(pts)
+        assert np.max(np.abs(signed - side * dist)) <= 1e-14
         assert np.all(gm.contains(domain, pts) == (side > 0))
 
 
@@ -753,7 +767,7 @@ def _decision_probes(domain, margin, count, seed):
 @pytest.mark.parametrize("name", ["lobed_domain", "tilted_domain", "banana_domain"])
 def test_contains_decides_as_the_exact_distance(name, request):
     # seeded points straddling the boundary and the engines' eval_margin
-    # decide as the unscreened query does, at both thresholds the program
+    # decide as the exact query does, at both thresholds the program
     # compares against
     domain = request.getfixturevalue(name)
     margin = 0.05 * domain.diameter     # the conformal engine's eval_margin
@@ -767,7 +781,7 @@ def test_contains_decides_as_the_exact_distance(name, request):
                                   "ellipse_domain"])
 def test_contains_refuses_as_the_screened_distance(name, request):
     # contains measures no distance for a point it refuses; its verdict must
-    # still be the screened query's, d > m, at each level that decides: the
+    # still be the exact query's, d > m, at each level that decides: the
     # circumscribed disk, the stride-8 scan (refused within m of a sample,
     # signed past m + 8 gaps), the dense scan (refused within m, signed
     # past m + 1 gap) and the one-gap shell it refines; and it refuses NaN
@@ -792,9 +806,7 @@ def test_contains_refuses_as_the_screened_distance(name, request):
             [np.cos(theta), np.sin(theta)], axis=1)
         pts = np.vstack([point_at_distance(domain, t, (side * depth)[:, None]), beyond,
                          [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]]])
-        screened = domain.signed_boundary_distance(pts, margin)
         verdict = gm.contains(domain, pts, margin)
-        assert np.array_equal(verdict, screened > margin)
         assert np.array_equal(verdict, domain.signed_boundary_distance(pts) > margin)
         assert not verdict[-3:].any()
         # every level is reached
