@@ -8,10 +8,13 @@ This times ``apply_perturbation(disk, cosine_field(3), 0.03)``, a rung of the
 rung's curve, recomputed each round past its cache.  The cos 3t rungs are
 nearly of constant width, the hard case of the scan.  It also times the
 rung's 512-node engine build, whose Kerzman-Stein density is resolved on a
-128-node sub-grid, and the 512-node build on an 8:1 ellipse, whose density
-is resolved on no sub-grid: it pays for the refused 64-, 128- and 256-node
-solves before the full one, which takes the most GMRES steps of the test
-domains.  Run from the root of a checkout with pytest-benchmark installed:
+128-node sub-grid, the rung's whole build, ``apply_perturbation`` and then
+the 512-node engine, as ``perturb-study`` makes it, and the 512-node build
+on an 8:1 ellipse, whose density is resolved on no sub-grid: it pays for
+three right-hand-side FFTs, which pass over the 64-, 128- and 256-node
+levels unsolved, before the full solve, which takes the most GMRES steps of
+the test domains.  Run from the root of a checkout with pytest-benchmark
+installed:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest bench/bench_perturb.py
 
@@ -46,6 +49,14 @@ def test_build_rung_engine(benchmark, disk):
     rung = gm.apply_perturbation(disk, gm.cosine_field(3), EPS)
     engine = benchmark(gm.build_engine, rung, 512)
     assert engine.solve_nodes < 512
+
+
+def test_build_rung(benchmark, disk):
+    def build():
+        return gm.build_engine(gm.apply_perturbation(disk, gm.cosine_field(3), EPS), 512)
+
+    engine = benchmark(build)
+    assert engine.solve_nodes == 128
 
 
 def test_build_thin_ellipse(benchmark):

@@ -23,8 +23,12 @@ the integrator's solver iterations and final update sizes, and the number of
 steps whose Newton correction was skipped; find-critical's has ``stats``
 with ``rounds``, the search's lockstep rounds (``MorseReport.rounds``), and
 ``candidates``, the Halton candidates it drew for its starts: a search that
-finds fewer starts than ``--starts`` has drawn its whole budget.  simulate
-exits 2 on a ``--horizon`` that is not a whole number of ``--dt`` steps.
+finds fewer starts than ``--starts`` has drawn its whole budget;
+perturb-study's has ``stats`` with ``solve_nodes``, the density solve's node
+count of each trace row's engine, null where the engine solves none (the
+disk's closed form), so a trace on the disk reads null for eps = 0 and then
+each rung's sub-grid.  simulate exits 2 on a ``--horizon`` that is not a
+whole number of ``--dt`` steps.
 
 Every default or choice list that the library holds comes from there:
 ``--nodes`` from ``green.DEFAULT_NODES``, the search flags from
@@ -319,7 +323,8 @@ def cmd_perturb_study(args, out: Path):
         with open(out / "margin_vs_eps.svg", "w", encoding="utf-8") as fh:
             fh.write(_margin_svg(trace))
         outputs.append("margin_vs_eps.svg")
-    return (1 if trace.truncated else 0), outputs, engine, None
+    return ((1 if trace.truncated else 0), outputs, engine,
+            {"solve_nodes": list(trace.solve_nodes)})
 
 
 def cmd_simulate(args, out: Path):

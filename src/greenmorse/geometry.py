@@ -160,6 +160,18 @@ class BoundaryCurve:
         t = TWO_PI * np.arange(m) / m
         return t, self.frame(t)
 
+    def grid_frame(self, m: int) -> tuple[np.ndarray, BoundaryFrame]:
+        """The uniform grid t_i = 2 pi i / m, i < m, and ``frame(t)`` on it:
+        copies of every q-th sample of the dense frame where m divides the
+        dense count and those samples' parameters equal t bit for bit (so
+        whenever q is a power of two), else ``frame(t)`` itself."""
+        t = TWO_PI * np.arange(m) / m
+        dense_t, dense = self._dense
+        q, rest = divmod(len(dense_t), m)
+        if rest == 0 and np.array_equal(dense_t[::q], t):
+            return t, BoundaryFrame(*(values[::q].copy() for values in dense))
+        return t, self.frame(t)
+
     @cached_property
     def signed_area(self) -> float:
         # the trapezoid rule integrates x y' - y x', of degree 2K, exactly
@@ -901,8 +913,7 @@ def apply_perturbation(domain: DomainSpec, field: PerturbationField, eps: float)
     k_fit = 4 * curve.max_degree + field.max_mode
     while True:
         m = max(16 * (k_fit + 1), 256)
-        t = TWO_PI * np.arange(m) / m
-        frame = curve.frame(t)
+        t, frame = curve.grid_frame(m)
         try:
             new_curve = _trim_trailing(
                 fit_curve(frame.point + eps * field.boundary_values(frame, t), k_fit))

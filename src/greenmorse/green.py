@@ -15,7 +15,8 @@ class, built only by calling it:
   each step two products of the antisymmetric m x m Cauchy matrix, of
   which three blocks are formed, with one column), on the coarsest sub-grid
   of m of the n nodes that resolves the density, which is then interpolated
-  to all n nodes; its derivatives at N points are one (N, n) @ (n, 4)
+  to all n nodes (a sub-grid whose right-hand side is not resolved is
+  passed over unsolved); its derivatives at N points are one (N, n) @ (n, 4)
   Cauchy product.  No evaluation solves a linear system;
 * ``disk-closed-form`` (``DiskGreenEngine``) — the same engine on a circle,
   with its exact map F(x) = (x - c) / R in place of the solve, which makes
@@ -186,15 +187,16 @@ def _kerzman_stein_solve(kernel, rhs) -> tuple:
         f"Kerzman-Stein solve did not converge in {PRODUCT_CAP} operator products")
 
 
-def _szego_density(z, dz, tangent, w, a) -> tuple:
-    """``_kerzman_stein_solve`` of (I - K) S = conj(T / (2 pi i (z - a))) on
-    the nodes z of a uniform parameter grid, with velocities dz = z'(t), unit
-    tangents T and trapezoid weights w (see ``ConformalGreenEngine``): S, the
-    products with K and the relative residual.  R_ij = 1 / (z_i - z_j) (zero diagonal) is
-    antisymmetric, so only three of its blocks are formed, in one allocation:
-    as three arrays, their freed memory went back to the system after every
-    build and was faulted in again by the next (5 times the minor page
-    faults over 40 builds)."""
+def _szego_density(z, dz, tangent, w, rhs) -> tuple:
+    """``_kerzman_stein_solve`` of (I - K) S = rhs, rhs = conj(T / (2 pi i
+    (z - a))) for the map centre a, on the nodes z of a uniform parameter
+    grid, with velocities dz = z'(t), unit tangents T and trapezoid weights
+    w (see ``ConformalGreenEngine``): S, the products with K and the
+    relative residual.  R_ij = 1 / (z_i - z_j) (zero diagonal) is
+    antisymmetric, so only three of its blocks are formed, in one
+    allocation: as three arrays, their freed memory went back to the system
+    after every build and was faulted in again by the next (5 times the
+    minor page faults over 40 builds)."""
     n = len(z)
     h, m = n // 2, n - n // 2
     buffer = np.empty(h * n + m * m, dtype=complex)
@@ -216,7 +218,16 @@ def _szego_density(z, dz, tangent, w, a) -> tuple:
         """K s."""
         return cauchy(c1 * s) - c2 * np.conj(cauchy(np.conj(w * s)))
 
-    return _kerzman_stein_solve(kernel, np.conj(tangent / (2j * np.pi * (z - a))))
+    return _kerzman_stein_solve(kernel, rhs)
+
+
+def _band_resolved(coeffs) -> bool:
+    """Whether the m DFT coefficients ``coeffs`` of index 3m/8 ... 5m/8, the
+    top quarter of their band, are all at most FIXED_POINT_TOL times the
+    largest."""
+    m = len(coeffs)
+    size = np.abs(coeffs)
+    return bool(np.max(size[(3 * m + 7) // 8: 5 * m // 8 + 1]) <= FIXED_POINT_TOL * np.max(size))
 
 
 def _resolved_density(z, dz, tangent, w, a) -> tuple:
@@ -224,25 +235,35 @@ def _resolved_density(z, dz, tangent, w, a) -> tuple:
     coarsest sub-grid that resolves it, with that solve's products and
     residual and its node count m.  The levels are m = n / 2^k >= MIN_NODES,
     the every-(n/m)-th nodes with weights (n/m) w, tried from the smallest.
-    A coarse S is kept when its DFT coefficients of index 3m/8 ... 5m/8, the
-    top quarter of its band, are all at most FIXED_POINT_TOL times the
-    largest, and carried to the n nodes by trigonometric interpolation (its
-    DFT zero-padded, the Nyquist coefficient split in half); a coarse solve
-    past PRODUCT_CAP counts as unresolved.  Level n is the plain solve."""
+    A level whose right-hand side conj(T / (2 pi i (z - a))) is not
+    ``_band_resolved`` is passed over unsolved.  On every level measured
+    (the cos 3t rungs, ellipses up to 8:1, the lobed domain, the banana, at
+    256 to 1,024 nodes) that verdict was the density's, and it costs one
+    m-point FFT, about 20 us, where the refused 64-node solve of a cos 3t
+    rung took 0.45 ms and the 8:1 ellipse's three refused levels 6.6 ms.  A
+    solved coarse S is kept when it is ``_band_resolved`` itself, so the
+    screen can keep a finer level than the density test alone, never a
+    coarser one; it is carried to the n nodes by trigonometric
+    interpolation (its DFT zero-padded, the Nyquist coefficient split in
+    half).  A coarse solve past PRODUCT_CAP counts as unresolved.  Level n
+    is the plain solve."""
     n = m = len(z)
+    rhs = np.conj(tangent / (2j * np.pi * (z - a)))
     while m % 2 == 0 and m // 2 >= MIN_NODES:
         m //= 2
     while m < n:
         q = n // m
+        if not _band_resolved(np.fft.fft(rhs[::q])):
+            m *= 2
+            continue
         try:
             s, products, residual = _szego_density(z[::q], dz[::q], tangent[::q],
-                                                   q * w[::q], a)
+                                                   q * w[::q], rhs[::q])
         except DiscretizationFailureError:
             m *= 2
             continue
         coeffs = np.fft.fft(s)
-        size = np.abs(coeffs)
-        if np.max(size[(3 * m + 7) // 8: 5 * m // 8 + 1]) <= FIXED_POINT_TOL * np.max(size):
+        if _band_resolved(coeffs):
             half = (m + 1) // 2
             padded = np.zeros(n, dtype=complex)
             padded[:half], padded[n - m + half:] = coeffs[:half], coeffs[half:]
@@ -250,7 +271,7 @@ def _resolved_density(z, dz, tangent, w, a) -> tuple:
                 padded[half] = padded[n - half] = 0.5 * coeffs[half]
             return np.fft.ifft(padded) * q, products, residual, m
         m *= 2
-    return (*_szego_density(z, dz, tangent, w, a), n)
+    return (*_szego_density(z, dz, tangent, w, rhs), n)
 
 
 def gamma(x, y) -> float:
@@ -428,7 +449,10 @@ def _mirrored(value, grad_x, grad_y, hessians) -> GreenEvaluation:
 
 
 class _EngineBase:
-    """Shared quadrature geometry for every engine."""
+    """Shared quadrature geometry for every engine: the boundary frame at
+    the n nodes t_i = 2 pi i / n, the curve's ``grid_frame``, which for a
+    power-of-two n up to the dense count slices the dense frame that every
+    validated domain already holds."""
 
     backend = "abstract"
     # ``eval_margin`` is this fraction of the domain diameter
@@ -440,8 +464,7 @@ class _EngineBase:
         self.domain = domain
         self.node_count = n
         self.eval_margin = self._margin_fraction * domain.diameter
-        t = TWO_PI * np.arange(n) / n
-        frame = domain.boundary.frame(t)
+        t, frame = domain.boundary.grid_frame(n)
         d1 = frame.velocity
         self.node_params = t
         self.nodes = frame.point
@@ -699,8 +722,10 @@ class ConformalGreenEngine(_EngineBase):
     coarsest sub-grid of every q-th node that resolves it and interpolated
     to the n nodes (``_resolved_density``); ``solve_nodes`` is that grid's
     size, and ``iterations`` and ``solve_residual`` are those of its solve.
+    A sub-grid whose right-hand side is not resolved is not solved at all.
     The cos 3t rungs of ``perturb-study`` solve on 64 or 128 of 512 nodes,
-    the lobed fixture on 128 of 256, an 8:1 ellipse and any odd n on all n.
+    the lobed fixture on 128 of 256, an 8:1 ellipse and any odd n on all n,
+    the ellipse after three FFTs and no refused solve.
     The map, its jets, |F'| and the self-test are computed at the n nodes.
 
     The derivatives dF/dz up to the third on the boundary come from spectral

@@ -257,6 +257,7 @@ class ContinuationTrace:
     margins: tuple              # min |Hessian eigenvalue| per rung
     predictor_used: tuple       # bool per rung
     corrector_iterations: tuple
+    solve_nodes: tuple          # the rung engine's ``solve_nodes``; None without a solve
     diagnostic: str | None      # why the trace ended early; None if it did not
 
     @property
@@ -282,7 +283,9 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     later rung builds one with ``engine.node_count`` nodes on
     ``apply_perturbation(engine.domain, field, eps)``.  Each accepted rung
     stores the continued configuration, its gradient residual and the
-    Hessian non-degeneracy margin; an eps = 0 grid point stores the start.
+    Hessian non-degeneracy margin, with the node count of its engine's
+    density solve (None on an engine without one, such as the disk's); an
+    eps = 0 grid point stores the start and the caller's engine.
     Each rung is classified once and, unless ``is_degenerate`` holds for its
     spectrum, gives one predictor direction H^-1 (-dGradF): an attempt at
     eps + d starts from x + direction * d.  The corrector is
@@ -303,7 +306,8 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     check_perturbation_size(domain, field, grid[-1])
     search = corrector_search(newton_tol)
 
-    # (eps, configuration, residual, margin, predictor used, corrector iterations)
+    # (eps, configuration, residual, margin, predictor used, corrector
+    # iterations, solve nodes)
     rows = []
     x = np.asarray(start_configuration, dtype=float).reshape(-1).copy()
     res = f_omega(engine, strengths, spec, Configuration(x.reshape(-1, 2)),
@@ -312,7 +316,7 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
     eps = 0.0
     if grid[0] == 0.0:
         rows.append((0.0, x.reshape(-1, 2).copy(), float(np.linalg.norm(res.gradient)),
-                     cls.margin, False, 0))
+                     cls.margin, False, 0, engine.diagnostics.get("solve_nodes")))
     step = None     # eps step of the next attempt; None right after an accepted rung
     diagnostic = None
     while eps < grid[-1]:
@@ -340,7 +344,8 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
                                            engine_next, eps_next)
                 cls = classify(hessian)
                 rows.append((eps, x.reshape(-1, 2).copy(), float(polish.residual),
-                             cls.margin, direction is not None, polish.iterations))
+                             cls.margin, direction is not None, polish.iterations,
+                             engine.diagnostics.get("solve_nodes")))
                 step = None
                 continue
             failure = polish.failure or f"{polish.iterations} iterations"
@@ -349,5 +354,5 @@ def continue_critical_point(engine, field: PerturbationField, eps_grid,
             diagnostic = (f"continuation stalled near eps={eps:.6g} "
                           f"targeting {target:.6g}: {failure}")
             break
-    columns = tuple(zip(*rows)) or ((),) * 6
+    columns = tuple(zip(*rows)) or ((),) * 7
     return ContinuationTrace(*columns, diagnostic)

@@ -205,6 +205,24 @@ def test_perturb_study_writes_the_trace(tmp_path):
     assert manifest["config"]["equivariant"] == "cyclic:3"
 
 
+def test_perturb_study_manifest_records_each_rung_solve(tmp_path):
+    # the disk's closed form solves nothing; the cos 3t rungs eps = 0.0075
+    # and 0.00875 are the last solved on 64 and the first on 128 of 512 nodes
+    domain, vortex, field = _dipole_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["perturb-study", domain, vortex, "--field", field,
+                     "--eps-grid", "0,0.0075,0.00875", "--nodes", "512",
+                     "--out", str(out)]) == 0
+    trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
+    assert trace["eps"] == [0.0, 0.0075, 0.00875]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stats"] == {"solve_nodes": [None, 64, 128]}
+    # the trace files hold the rows alone
+    assert "solve_nodes" not in trace
+    assert (out / "trace.csv").read_text(encoding="utf-8").splitlines()[0] == \
+        "eps,x1,y1,x2,y2,residual,min_abs_eig"
+
+
 def test_perturb_study_start_that_does_not_polish(tmp_path):
     # a vortex outside the domain
     domain, vortex, field = _dipole_inputs(tmp_path, start=[[1.2, 0.0], [-0.5, 0.0]])

@@ -194,7 +194,8 @@ def test_thin_ellipse_in_few_products(thin_ellipse):
 
 
 def test_solve_past_the_product_cap_fails_the_build(monkeypatch, lobed_domain):
-    # the 64- and 128-node levels are refused on the way; level n fails the build
+    # the 64-node level is passed over for its right-hand side and the
+    # 128-node solve refused on the way; level n fails the build
     monkeypatch.setattr(green, "PRODUCT_CAP", 3)
     with pytest.raises(gm.DiscretizationFailureError, match="3 operator products"):
         gm.ConformalGreenEngine(lobed_domain, 256)
@@ -255,6 +256,73 @@ def test_coarse_level_past_the_product_cap_is_refused(monkeypatch, lobed_domain)
 
     monkeypatch.setattr(green, "_kerzman_stein_solve", capped)
     assert gm.ConformalGreenEngine(lobed_domain, 512).solve_nodes == 256
+
+
+def _level_verdicts(domain, n) -> list:
+    """(m, right-hand side resolved, density resolved) at every sub-grid
+    level m < n of an n-node conformal engine, each level solved."""
+    engine = green._EngineBase(domain, n)
+    z = engine.nodes @ np.array([1.0, 1.0j])
+    dz, w = engine._velocity, engine.weights
+    tangent = dz / engine.speeds
+    a = complex(*green._map_centre(domain, engine.eval_margin))
+    rhs = np.conj(tangent / (2j * np.pi * (z - a)))
+    verdicts = []
+    m = n // 2
+    while m >= green.MIN_NODES:
+        q = n // m
+        s = green._szego_density(z[::q], dz[::q], tangent[::q], q * w[::q], rhs[::q])[0]
+        verdicts.append((m, green._band_resolved(np.fft.fft(rhs[::q])),
+                         green._band_resolved(np.fft.fft(s))))
+        m //= 2
+    return verdicts
+
+
+@pytest.fixture(scope="module")
+def rung_00750(disk_domain):
+    return gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.0075)
+
+
+@pytest.fixture(scope="module")
+def rung_00875(disk_domain):
+    return gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.00875)
+
+
+@pytest.fixture(scope="module")
+def rung_003(disk_domain):
+    return gm.apply_perturbation(disk_domain, gm.cosine_field(3), 0.03)
+
+
+# the rungs eps = 0.0075 and 0.00875 of the continuation's cos 3t grid are
+# the last solved on 64 and the first on 128 of 512 nodes
+@pytest.mark.parametrize("name, n, kept", [
+    ("thin_ellipse", 512, 512), ("lobed_domain", 256, 128), ("lobed_domain", 512, 128),
+    ("rung_00750", 512, 64), ("rung_00875", 512, 128)])
+def test_right_hand_side_screen_agrees_with_the_density(request, name, n, kept):
+    # a level is solved only if its right-hand side is resolved, so the
+    # screen keeps the level the density test alone keeps
+    domain = request.getfixturevalue(name)
+    verdicts = _level_verdicts(domain, n)
+    assert [rhs for _, rhs, _ in verdicts] == [density for _, _, density in verdicts]
+    assert min([m for m, _, density in verdicts if density], default=n) == kept
+    assert gm.ConformalGreenEngine(domain, n).solve_nodes == kept
+
+
+@pytest.mark.parametrize("name, solves", [("thin_ellipse", [512]), ("rung_003", [128])])
+def test_levels_with_an_unresolved_right_hand_side_are_not_solved(request, monkeypatch, name,
+                                                                  solves):
+    # the 8:1 ellipse passes over its 64-, 128- and 256-node levels, the
+    # eps = 0.03 rung over its 64-node level, each for one FFT
+    szego, sizes = green._szego_density, []
+
+    def spy(z, *args):
+        sizes.append(len(z))
+        return szego(z, *args)
+
+    monkeypatch.setattr(green, "_szego_density", spy)
+    engine = gm.ConformalGreenEngine(request.getfixturevalue(name), 512)
+    assert sizes == solves
+    assert engine.solve_nodes == solves[-1]
 
 
 # g(u) = u + sum_k c_k u^k with sum k |c_k| < 1: univalent on the disk

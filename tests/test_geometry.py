@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import greenmorse as gm
 from conftest import low_mode_domains, point_at_distance
-from greenmorse import geometry
+from greenmorse import geometry, green
 from greenmorse.geometry import as_circle, fit_curve
 
 
@@ -91,6 +91,59 @@ def test_normal_points_outward_on_convex_curves():
         assert fr.point @ fr.normal > 0
 
 
+def _degree_79_curve():
+    """A unit circle with a small mode 79: its dense count is 1280, not a
+    power of two."""
+    return gm.BoundaryCurve(np.r_[0.0, 1.0, np.zeros(77), 1e-3], [0.0], [0.0], [0.0, 1.0])
+
+
+# 256, 512 and 1024 divide the dense count 1024 of the three fixtures, 320
+# and 255 do not; on the degree-79 curve 320 and 640 divide 1280 with q a
+# power of two, and 256 divides it with q = 5, where some of the dense
+# parameters 2 pi (5 i) / 1280 differ from 2 pi i / 256
+@pytest.mark.parametrize("m", [256, 320, 512, 640, 1024, 255])
+@pytest.mark.parametrize("name", ["disk_domain", "lobed_domain", "tilted_domain", "degree_79"])
+def test_grid_frame_is_the_frame_on_the_grid(request, name, m):
+    curve = (_degree_79_curve() if name == "degree_79"
+             else request.getfixturevalue(name).boundary)
+    t, frame = curve.grid_frame(m)
+    assert np.array_equal(t, 2 * np.pi * np.arange(m) / m)
+    for got, want in zip(frame, curve.frame(t)):
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+        # a copy: the dense frame the curve caches stays its own
+        assert not any(np.shares_memory(got, dense) for dense in curve._dense[1])
+
+
+def test_grid_frame_slices_the_dense_frame(monkeypatch, lobed_domain):
+    # where m divides the dense count by a power of two, no frame is evaluated
+    curve = lobed_domain.boundary
+    expected = {m: curve.frame(2 * np.pi * np.arange(m) / m) for m in (256, 512, 1024)}
+    assert len(curve._dense[0]) == 1024
+
+    def no_frame(self, t):
+        raise AssertionError("frame evaluated")
+
+    monkeypatch.setattr(gm.BoundaryCurve, "frame", no_frame)
+    for m, want in expected.items():
+        for got, value in zip(curve.grid_frame(m)[1], want):
+            assert np.array_equal(got, value)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 255])
+def test_engine_nodes_are_the_frame_on_the_grid(lobed_domain, n):
+    engine = green._EngineBase(lobed_domain, n)
+    t = 2 * np.pi * np.arange(n) / n
+    frame = lobed_domain.boundary.frame(t)
+    speeds = np.hypot(frame.velocity[:, 0], frame.velocity[:, 1])
+    assert np.array_equal(engine.node_params, t)
+    assert np.array_equal(engine.nodes, frame.point)
+    assert np.array_equal(engine.normals, frame.normal)
+    assert np.array_equal(engine.curvatures, frame.curvature)
+    assert np.array_equal(engine.speeds, speeds)
+    assert np.array_equal(engine.weights, speeds * 2 * np.pi / n)
+    assert np.array_equal(engine._velocity, frame.velocity @ np.array([1.0, 1.0j]))
+
+
 # ---------------------------------------------------------------------------
 # apply_perturbation
 # ---------------------------------------------------------------------------
@@ -122,6 +175,21 @@ def test_three_lobe_area(disk_domain):
     out = gm.apply_perturbation(disk_domain, gm.cosine_field(3), eps)
     assert_allclose(out.boundary.signed_area, np.pi * (1 + eps**2 / 2), rtol=1e-12)
     assert out.boundary.signed_area > 0
+
+
+@pytest.mark.parametrize("eps", [0.00125, 0.03, 0.05, -0.02])
+def test_disk_refit_is_the_fit_of_its_frame(disk_domain, eps):
+    # the disk's first fit, degree 4 + 3 on 256 samples, passes; its samples
+    # come from the dense frame and the coefficients are those of the fit
+    # of frame(t) itself
+    field = gm.cosine_field(3)
+    t = 2 * np.pi * np.arange(256) / 256
+    frame = disk_domain.boundary.frame(t)
+    expected = geometry._trim_trailing(
+        fit_curve(frame.point + eps * field.boundary_values(frame, t), 7))
+    moved = gm.apply_perturbation(disk_domain, field, eps).boundary
+    for name in ("cos_x", "sin_x", "cos_y", "sin_y"):
+        assert np.array_equal(getattr(moved, name), getattr(expected, name))
 
 
 def test_margin_violation_raises(disk_domain):
