@@ -4,21 +4,17 @@ Times one ``f_omega`` call for N in {2, 4, 8, 16} same-sign vortices on a ring
 and for the search workload's N = 3, lambda = (1, 1, -1), once reading only
 the value and gradient (what the vortex dynamics and a rejected search trial
 use) and once also reading ``.hessian`` (what an accepted search step and the
-Morse classification use), on three 256-node engines: the conformal-map
+Morse classification use), on two 256-node engines: the conformal-map
 engine on the lobed domain (the default off the disk) and the disk engine on
 the unit disk (every disk command and rung 0 of ``perturb-study``), which
 both return the Kirchhoff-Routh energy from one complex pass
-(``green_sum``), and the Nystrom engine on the lobed domain, which
-contracts per-pair blocks.  The Nystrom engine computes every block in the
-call, so its two rows differ only by the Hessian contraction in
-``regular_sum`` and the subtraction in ``f_omega``; each of its evaluations
-factorises the Dirichlet matrix anew (``lu_solve`` is one numpy LU solve).
-``test_f_omega_near_pair`` times the N = 3 case with points 0 and 1 closer
-than eval_margin / 2 on the conformal-map engine, whose divided differences
-for that pair come from the segment rule (``_segment_quotients``).  It also
-times the construction of the conformal-map and Nystrom engines at 256 nodes
-(every command but ``perturb-study``) and 512 nodes (a ``perturb-study``
-rung); ``bench/bench_perturb.py`` times the conformal-map builds of a rung
+(``green_sum``).  ``test_f_omega_near_pair`` times the N = 3 case with
+points 0 and 1 closer than eval_margin / 2 on the conformal-map engine, whose
+divided differences for that pair come from the segment rule
+(``_segment_quotients``).  It also times the construction of the
+conformal-map and Nystrom engines at 256 nodes (every command but
+``perturb-study``) and 512 nodes (a ``perturb-study`` rung);
+``bench/bench_perturb.py`` times the conformal-map builds of a rung
 and of an 8:1 ellipse.  Run from the root of a checkout with
 pytest-benchmark installed:
 
@@ -41,11 +37,11 @@ def lobed_domain():
     return gm.apply_perturbation(gm.DomainSpec(gm.unit_circle()), gm.cosine_field(3), 0.05)
 
 
-@pytest.fixture(scope="module", params=sorted(ENGINES) + ["disk"])
+@pytest.fixture(scope="module", params=["conformal", "disk"])
 def engine(request, lobed_domain):
     if request.param == "disk":
         return gm.DiskGreenEngine(gm.DomainSpec(gm.unit_circle()), 256)
-    return ENGINES[request.param](lobed_domain, 256)
+    return gm.ConformalGreenEngine(lobed_domain, 256)
 
 
 def _ring(n):

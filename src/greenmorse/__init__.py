@@ -2,8 +2,9 @@
 
 Builds Dirichlet Green functions on smooth planar domains (closed forms on
 disks, closed forms through a numerically computed Riemann map elsewhere,
-and a spectral boundary-integral backend as the reference), assembles
-Kirchhoff-Routh type energies with exact derivatives, locates and classifies
+and a spectral boundary-integral engine as the reference for their
+derivative blocks and boundary traces), assembles Kirchhoff-Routh type
+energies with exact derivatives on the first two, locates and classifies
 their critical points, differentiates them with respect to boundary
 perturbations, and integrates the associated point-vortex dynamics.
 """

@@ -6,10 +6,12 @@ seeds.  Two functions own the file format, and every command builds its
 records' rows and dicts for them: ``_write_csv`` writes float cells at 17
 significant digits, so identical inputs reproduce byte-identical files, and
 ``_write_json`` turns numpy arrays and scalars into lists and numbers.  A
-field file with a non-finite coefficient, amplitude or ``cutoff_width``
-exits 2 before any engine is built.  A run manifest is written last: the
-command, its configuration (every parsed argument but ``--out``, as given, so
-the run can be repeated from it at the same version) and outputs, the
+field file with a non-finite coefficient, amplitude or ``cutoff_width``, and
+a vortex file with a non-finite strength, exit 2 before any engine is built.
+Every command takes a domain file, ``--nodes`` and ``--out``, declared once
+in a parent parser.  A run manifest is written last: the command, its
+configuration (every parsed argument but ``--out``, as given, so the run
+can be repeated from it at the same version) and outputs, the
 diagnostics of the command's base Green engine, the one ``build_engine``
 selects (null for shape-verify, whose engines are rebuilt per rung; on a
 non-circular domain the conformal map's self-test numbers:
@@ -357,59 +359,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Green-function energies on planar domains: oracles, "
                     "critical points, shape derivatives, vortex dynamics.")
     parser.add_argument("--version", action="version", version=__version__)
+    # the arguments every command takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("domain")
+    common.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    common.add_argument("--out", default="greenmorse_out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("green-check", help="run Green engine oracle and property checks")
-    p.add_argument("domain")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    p.add_argument("--out", default="greenmorse_out")
+    p = sub.add_parser("green-check", parents=[common],
+                       help="run Green engine oracle and property checks")
     p.set_defaults(func=cmd_green_check)
 
-    p = sub.add_parser("find-critical", help="multi-start critical point search")
-    p.add_argument("domain")
+    p = sub.add_parser("find-critical", parents=[common],
+                       help="multi-start critical point search")
     p.add_argument("vortex")
     p.add_argument("--starts", type=int, default=SearchConfig.starts)
     p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol,
                    help=_NEWTON_TOL_HELP)
     p.add_argument("--collision-margin", type=float, default=SearchConfig.collision_margin)
-    p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_find_critical)
 
-    p = sub.add_parser("shape-verify", help="validate shape derivatives by finite differences")
-    p.add_argument("domain")
+    p = sub.add_parser("shape-verify", parents=[common],
+                       help="validate shape derivatives by finite differences")
     p.add_argument("--field", required=True)
     p.add_argument("--quantity", choices=QUANTITIES, default="H")
     p.add_argument("--x", default="0.3,0.0")
     p.add_argument("--y", default="0.1,0.2")
     p.add_argument("--vortex", help="vortex file (grad_f quantity)")
     p.add_argument("--eps-ladder", default="1e-2,5e-3,2.5e-3")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_shape_verify)
 
-    p = sub.add_parser("perturb-study", help="continue a critical point under a boundary field")
-    p.add_argument("domain")
+    p = sub.add_parser("perturb-study", parents=[common],
+                       help="continue a critical point under a boundary field")
     p.add_argument("vortex")
     p.add_argument("--field", required=True)
     p.add_argument("--eps-grid", default="0,0.0025,0.005,0.01,0.02,0.03,0.04,0.05")
     p.add_argument("--equivariant", help="project the field, e.g. cyclic:3")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--newton-tol", type=float, default=SearchConfig.newton_tol,
                    help=_NEWTON_TOL_HELP)
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_perturb_study)
 
-    p = sub.add_parser("simulate", help="integrate the point-vortex dynamics")
-    p.add_argument("domain")
+    p = sub.add_parser("simulate", parents=[common],
+                       help="integrate the point-vortex dynamics")
     p.add_argument("vortex")
     p.add_argument("--dt", type=float, default=DynamicsConfig.dt)
     p.add_argument("--horizon", type=float, default=DynamicsConfig.horizon)
     p.add_argument("--integrator", choices=INTEGRATORS, default=DynamicsConfig.integrator)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    p.add_argument("--out", default="greenmorse_out")
     p.set_defaults(func=cmd_simulate)
     return parser
 

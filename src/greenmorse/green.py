@@ -22,37 +22,38 @@ class, built only by calling it:
   with its exact map F(x) = (x - c) / R in place of the solve, which makes
   those formulas the image method's;
 * ``boundary-integral`` (``IntegralGreenEngine``) — a Nystrom discretization
-  on the curve's uniform parameter grid, the reference the tests and
-  ``green-check`` compare against.  The Dirichlet solve uses a second-kind
-  double-layer equation (the kernel is smooth on smooth curves, so the plain
-  trapezoid rule is spectrally accurate).  Boundary traces solve the adjoint
-  equation (1/2 I - K') v = b for the normal derivative of G, which avoids
-  hypersingular operators; the discrete K' is W^-1 K^T W, W = diag(weights),
-  so with the Dirichlet matrix D = K - 1/2 I a trace is the transposed solve
-  v = -D^-T (W b) / W.  Derivatives in the source point come from auxiliary
-  right-hand sides solved with D; derivatives in the field point
-  differentiate the representation kernel, which is smooth at interior
-  points.  It keeps D and solves through the module-level ``lu_solve``, one
-  numpy LU solve per call.
+  on the curve's uniform parameter grid, the blocks-and-traces reference
+  that ``green-check`` and the tests compare against: it has ``blocks`` and
+  the traces but no sum of H, so no energy is evaluated on it.  The
+  Dirichlet solve uses a second-kind double-layer equation (the kernel is
+  smooth on smooth curves, so the plain trapezoid rule is spectrally
+  accurate).  Boundary traces solve the adjoint equation (1/2 I - K') v = b
+  for the normal derivative of G, which avoids hypersingular operators; the
+  discrete K' is W^-1 K^T W, W = diag(weights), so with the Dirichlet matrix
+  D = K - 1/2 I a trace is the transposed solve v = -D^-T (W b) / W.
+  Derivatives in the source point come from auxiliary right-hand sides
+  solved with D; derivatives in the field point differentiate the
+  representation kernel, which is smooth at interior points.  It keeps D
+  and solves through the module-level ``lu_solve``, one numpy LU solve per
+  call.
 
 Each engine evaluates H at N points in batched calls.  ``blocks(points)``
-gives every H(x_j, x_k) with its derivatives, as a ``GreenEvaluation`` with
-two leading (j, k) axes.  ``regular_sum(points, lam)`` gives the double sum
+gives every H(x_j, x_k) with its first and second derivatives, as a
+``GreenEvaluation`` with two leading (j, k) axes, all computed with the call;
+``green-check``, ``regular_part`` and the tests read it, and no command
+evaluates an energy through it.  The conformal and disk engines sum H in
+complex form, with no per-pair blocks, and these two sums are the program's
+only way to sum it.  ``regular_sum(points, lam)`` gives the double sum
 S = sum_{j,k} lam_j lam_k H(x_j, x_k) as a thunk for its value, its gradient
-and a thunk for its Hessian: on the integral engine the contraction of one
-``_blocks`` call, on the conformal and disk engines a complex form that
-builds no per-pair blocks.  Those two engines also have
-``green_sum(points, lam, diff)``, the Kirchhoff-Routh energy that
-``kr.f_omega`` returns, the log sum of the pairs minus S, in the same
-complex pass, from the pair differences ``diff`` that ``kr.apart`` formed
-(``_lin_terms`` and ``_quotients`` read the same array).  Each sum gives its
-gradient with the call and its value and Hessian through thunks.  Both sums
-also take a stack of S configurations, (S, N, 2), and return values (S,),
-gradients (S, 2N) and Hessians (S, 2N, 2N): on the conformal and disk
-engines the complex arrays become (S, N, N) and each configuration's
-Cauchy product is made on its own, so every row equals that
-configuration's sum alone; the integral engine sums one configuration after
-another.  The sums take points that ``kr`` has admitted and check nothing.
+and a thunk for its Hessian.  ``green_sum(points, lam, diff)`` gives the
+Kirchhoff-Routh energy that ``kr.f_omega`` returns, the log sum of the pairs
+minus S, in the same complex pass, from the pair differences ``diff`` that
+``kr.apart`` formed (``_lin_terms`` and ``_quotients`` read the same
+array).  Both sums also take a stack of S configurations, (S, N, 2), and
+return values (S,), gradients (S, 2N) and Hessians (S, 2N, 2N): the complex
+arrays become (S, N, N) and each configuration's Cauchy product is made on
+its own, so every row equals that configuration's sum alone.  The sums take
+points that ``kr`` has admitted and check nothing.
 The rule of where a point may be is ``interior``, one batched verdict
 query (``geometry.contains``) for all the points of a stack, with one
 verdict per configuration: a point is admissible iff its boundary distance
@@ -70,32 +71,28 @@ outward probes with it too; only a centroid that fails the check makes
 ``_map_centre`` measure a grid.
 ``eval_margin`` is ``EVAL_MARGIN_FRACTION`` (0.05) of the diameter on the
 conformal and integral engines, 1e-4 of it on the disk (``DiskGreenEngine``).
-``blocks`` computes the j <= k blocks.  The integral engine computes all of
-them with the call, from one solve for 6N right-hand sides, Gamma(., x_k)
-and its two first and three second derivatives in x_k for every source, and
-one product for the moments of orders 0, 1 and 2.  The conformal and disk
-engines compute the value and first-derivative blocks with the call, from F
-and its first three derivatives at the points, and the second-derivative
-blocks on the first read of any of them, from what the call kept; the
-result is cached.  Each j > k block is copied from the (k, j) block with x
-and y exchanged.
+``blocks`` computes the j <= k blocks.  The integral engine computes them
+from one solve for 6N right-hand sides, Gamma(., x_k) and its two first and
+three second derivatives in x_k for every source, and one product for the
+moments of orders 0, 1 and 2; the conformal and disk engines from F and its
+first three derivatives at the points.  Each j > k block is copied from the
+(k, j) block with x and y exchanged.
 ``regular_part(x, y)`` is the computed (0, 1) entry of ``blocks([x, y])``
-and ``robin(x)`` is ``regular_sum([x], [1.0])`` of its checked point.
+and, on the conformal and disk engines, ``robin(x)`` is
+``regular_sum([x], [1.0])`` of its checked point.
 ``_traces(points)`` gives the traces of N points and their gradients from
 one query and one evaluation (the integral engine with one solve for 3N
 right-hand sides); ``boundary_normal_derivative`` and ``trace_gradient`` are
 its single-point forms.
 
 Engines are immutable after construction and all evaluations are pure; a
-second-derivative read fills a cache of the evaluation and never raises, and
-neither does a call of a Hessian thunk.
+call of a Hessian thunk never raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -285,41 +282,21 @@ def gamma(x, y) -> float:
 
 @dataclass(frozen=True)
 class GreenEvaluation:
-    """Regular part H(x, y) with its first and second derivative blocks; for
-    N points every field has two leading (j, k) axes, x = x_j and y = x_k.
-
-    ``value``, ``grad_x`` and ``grad_y`` are computed when the evaluation is
-    made; ``hess_xx``, ``hess_yy`` and ``hess_xy`` come from the private thunk
-    ``_hessians`` on the first read of any of them and are then cached.
-    """
+    """Regular part H(x, y) with its first and second derivative blocks, all
+    computed when the evaluation is made; for N points every field has two
+    leading (j, k) axes, x = x_j and y = x_k."""
 
     value: np.ndarray       # (...)
     grad_x: np.ndarray      # (..., 2)
     grad_y: np.ndarray      # (..., 2)
-    # () -> (hess_xx (..., 2, 2), hess_yy (..., 2, 2), hess_xy (..., 2, 2)),
-    # hess_xy[i, j] = d^2 H / dx_i dy_j
-    _hessians: Callable = field(repr=False, compare=False)
-
-    @cached_property
-    def _hessian_blocks(self) -> tuple:
-        return self._hessians()
-
-    @property
-    def hess_xx(self) -> np.ndarray:
-        return self._hessian_blocks[0]
-
-    @property
-    def hess_yy(self) -> np.ndarray:
-        return self._hessian_blocks[1]
-
-    @property
-    def hess_xy(self) -> np.ndarray:
-        return self._hessian_blocks[2]
+    hess_xx: np.ndarray     # (..., 2, 2)
+    hess_yy: np.ndarray     # (..., 2, 2)
+    hess_xy: np.ndarray     # (..., 2, 2), hess_xy[i, j] = d^2 H / dx_i dy_j
 
     def pair(self, j: int, k: int) -> "GreenEvaluation":
         """The (j, k) entry of a block evaluation: H(x_j, x_k)."""
         return GreenEvaluation(float(self.value[j, k]), self.grad_x[j, k], self.grad_y[j, k],
-                               lambda: tuple(h[j, k] for h in self._hessian_blocks))
+                               self.hess_xx[j, k], self.hess_yy[j, k], self.hess_xy[j, k])
 
 
 @dataclass(frozen=True)
@@ -383,18 +360,6 @@ def _weighted_sum(c, logs, a, second_order) -> tuple:
     return value, g.conj().view(float), hessian
 
 
-def _stack_terms(terms, m: int) -> tuple:
-    """One (value thunk, gradient, Hessian thunk) for a stack from those of
-    its K configurations, in 2N = ``m`` coordinates: values (K,), gradients
-    (K, m) and Hessians (K, m, m)."""
-    k = len(terms)
-    values = [value for value, _, _ in terms]
-    hessians = [hessian for _, _, hessian in terms]
-    return (lambda: np.array([value() for value in values], dtype=float).reshape(k),
-            np.array([grad for _, grad, _ in terms], dtype=float).reshape(k, m),
-            lambda: np.array([hessian() for hessian in hessians], dtype=float).reshape(k, m, m))
-
-
 @cache
 def _gauss_legendre() -> tuple:
     """Read-only nodes s on [0, 1] and weights of 10-point Gauss-Legendre."""
@@ -429,23 +394,17 @@ def _set_diagonal(a: np.ndarray, values) -> None:
         a.reshape(-1, n * n)[:, :: n + 1] = values
 
 
-def _mirrored(value, grad_x, grad_y, hessians) -> GreenEvaluation:
-    """Blocks with each j > k entry copied from the (k, j) entry, x and y
-    exchanged: the first-order blocks now, the Hessian blocks that the thunk
-    ``hessians`` returns on first read."""
+def _mirrored(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy) -> GreenEvaluation:
+    """The blocks with each j > k entry copied from the (k, j) entry, x and y
+    exchanged."""
     k = np.arange(len(value))
     lower = np.nonzero(k[:, None] > k)     # np.tril_indices(N, -1), in a fifth of the time
     upper = lower[::-1]
     value[lower] = value[upper]
     grad_x[lower], grad_y[lower] = grad_y[upper], grad_x[upper]
-
-    def mirrored_hessians():
-        hess_xx, hess_yy, hess_xy = hessians()
-        hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
-        hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
-        return hess_xx, hess_yy, hess_xy
-
-    return GreenEvaluation(value, grad_x, grad_y, mirrored_hessians)
+    hess_xx[lower], hess_yy[lower] = hess_yy[upper], hess_xx[upper]
+    hess_xy[lower] = hess_xy[upper].swapaxes(-1, -2)
+    return GreenEvaluation(value, grad_x, grad_y, hess_xx, hess_yy, hess_xy)
 
 
 class _EngineBase:
@@ -519,40 +478,6 @@ class _EngineBase:
         checks, with its derivative blocks."""
         return self._blocks(self.require_interior(points))
 
-    def regular_sum(self, points, lam) -> tuple:
-        """S = sum_{j,k} lam_j lam_k H(x_j, x_k) over all pairs, the diagonal
-        included, at N admitted points (``kr.f_omega`` applies the rules; this
-        checks nothing): a thunk for the value, the gradient (2N,) and a
-        thunk for the Hessian (2N, 2N), or for an (S, N, 2) stack the same
-        with a leading axis S, one configuration after another.  It
-        contracts the blocks of one ``_blocks`` call: the gradient of x_m
-        collects lam_m lam_k grad_x H(x_m, x_k) and lam_j lam_m
-        grad_y H(x_j, x_m) over all j, k, and the Hessian assembles the same
-        way from the second-derivative blocks, which the thunk reads."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 3:
-            return _stack_terms([self.regular_sum(p, lam) for p in pts], 2 * pts.shape[1])
-        ev = self._blocks(pts.reshape(-1, 2))
-        n = len(ev.value)
-        c = np.outer(lam, lam)
-        grad = np.einsum("jk,jka->ja", c, ev.grad_x) + np.einsum("jk,jka->ka", c, ev.grad_y)
-
-        def hessian():
-            cross = np.einsum("jk,jkab->jakb", c, ev.hess_xy)
-            hess = cross + cross.transpose(2, 3, 0, 1)
-            diag = np.arange(n)
-            hess[diag, :, diag, :] += (np.einsum("jk,jkab->jab", c, ev.hess_xx)
-                                       + np.einsum("jk,jkab->kab", c, ev.hess_yy))
-            return hess.reshape(2 * n, 2 * n)
-
-        return lambda: float(np.sum(c * ev.value)), grad.reshape(2 * n), hessian
-
-    def robin(self, x) -> RobinEvaluation:
-        """h(x) = H(x, x): ``regular_sum`` of the one point x, which
-        ``require_interior`` checks, with strength 1."""
-        value, grad, hessian = self.regular_sum(self.require_interior([x]), [1.0])
-        return RobinEvaluation(value(), grad, hessian())
-
     def green(self, x, y) -> float:
         """G(x, y) = Gamma(x, y) - H(x, y); positive for interior points."""
         return gamma(x, y) - self.regular_part(x, y).value
@@ -569,11 +494,14 @@ class _EngineBase:
 
 
 class IntegralGreenEngine(_EngineBase):
-    """Nystrom boundary-integral engine on the curve's uniform parameter grid.
-    It keeps the Dirichlet matrix D, which each ``lu_solve`` factorises, and
-    builds only if D's exact 1-norm condition number, ``condition_estimate``,
-    is at most CONDITION_LIMIT (it is inf for a singular D, NaN for one with a
-    non-finite entry)."""
+    """Nystrom boundary-integral engine on the curve's uniform parameter grid:
+    the blocks-and-traces reference that ``green-check`` and the tests
+    compare against.  It evaluates ``blocks``, ``regular_part`` and the
+    traces, and has no sum of H, so ``kr.f_omega`` takes a conformal or disk
+    engine, not this one.  It keeps the Dirichlet matrix D, which each
+    ``lu_solve`` factorises, and builds only if D's exact 1-norm condition
+    number, ``condition_estimate``, is at most CONDITION_LIMIT (it is inf for
+    a singular D, NaN for one with a non-finite entry)."""
 
     backend = "boundary-integral"
 
@@ -660,16 +588,13 @@ class IntegralGreenEngine(_EngineBase):
         mu = lu_solve(self._dirichlet, columns.reshape(self.node_count, 6 * n_pts))
         # [j, k, c]: moment at field point x_j of density column c for source x_k
         f0, f1, f2 = self._moments(pts, mu).reshape(3, n_pts, n_pts, 6)
-        hessians = (
-            _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
-            _matrix2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
-            _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
-        )
         return _mirrored(
             f0[..., 0].real.copy(),
             np.stack([f1[..., 0].real, -f1[..., 0].imag], axis=-1),
             np.stack([f0[..., 1].real, f0[..., 2].real], axis=-1),
-            lambda: hessians,
+            _matrix2(f2[..., 0].real, -f2[..., 0].imag, -f2[..., 0].imag, -f2[..., 0].real),
+            _matrix2(f0[..., 3].real, f0[..., 4].real, f0[..., 4].real, f0[..., 5].real),
+            _matrix2(f1[..., 1].real, f1[..., 2].real, -f1[..., 1].imag, -f1[..., 2].imag),
         )
 
     def _traces(self, points):
@@ -895,24 +820,30 @@ class ConformalGreenEngine(_EngineBase):
 
     def _blocks(self, pts) -> GreenEvaluation:
         _, logs, a, second_order = self._lin_terms(pts)
-
-        def hessians():
-            own, hol, mix = second_order()
-            hess_xx = _complex_block(own, 0.0) / TWO_PI
-            return hess_xx, hess_xx.swapaxes(0, 1).copy(), _complex_block(hol, mix) / TWO_PI
-
+        own, hol, mix = second_order()
         grad_x = np.stack([a.real, -a.imag], axis=-1) / TWO_PI
-        return _mirrored(logs() / TWO_PI, grad_x, grad_x.swapaxes(0, 1).copy(), hessians)
+        hess_xx = _complex_block(own, 0.0) / TWO_PI
+        return _mirrored(logs() / TWO_PI, grad_x, grad_x.swapaxes(0, 1).copy(),
+                         hess_xx, hess_xx.swapaxes(0, 1).copy(), _complex_block(hol, mix) / TWO_PI)
 
     def regular_sum(self, points, lam) -> tuple:
-        """``_EngineBase.regular_sum`` in complex form, with no per-pair real
-        blocks, for one configuration or a stack at once.  H is symmetric, so
-        grad_{x_m} S = (Re g_m, -Im g_m) with g_m = 2 sum_k c_mk dA/dx(x_m, x_k),
-        c = lam lam^T; g_m is holomorphic
+        """S = sum_{j,k} lam_j lam_k H(x_j, x_k) over all pairs, the diagonal
+        included, at N admitted points (``kr.f_omega`` applies the rules; this
+        checks nothing), for one configuration or a stack at once: a thunk
+        for the value, the gradient (2N,) and a thunk for the Hessian
+        (2N, 2N), each with a leading axis S for an (S, N, 2) stack.  H is
+        symmetric, so grad_{x_m} S = (Re g_m, -Im g_m) with
+        g_m = 2 sum_k c_mk dA/dx(x_m, x_k), c = lam lam^T; g_m is holomorphic
         in x_m through every term (c own, summed onto the diagonal of c hol)
         and depends on x_k through hol and mix."""
         _, logs, a, second_order = self._lin_terms(points)
         return _weighted_sum(np.multiply.outer(lam, lam), logs, a, second_order)
+
+    def robin(self, x) -> RobinEvaluation:
+        """h(x) = H(x, x): ``regular_sum`` of the one point x, which
+        ``require_interior`` checks, with strength 1."""
+        value, grad, hessian = self.regular_sum(self.require_interior([x]), [1.0])
+        return RobinEvaluation(value(), grad, hessian())
 
     def green_sum(self, points, lam, diff=None) -> tuple:
         """E = sum_{j != k} c_jk Gamma(x_j, x_k) - S, with c and S as in

@@ -7,8 +7,11 @@ The assembled function is
 with the double sum running over all pairs including j = k, so the diagonal
 contributes the Robin terms -lambda_k^2 h(x_k).  The interaction f is either
 the point-vortex log sum -(1/2pi) sum_{j != k} lambda_j lambda_k ln|x_j - x_k|,
-identically zero, or a caller-supplied C^2 evaluator.  ``f_omega`` sums the
-log sum and the double sum in one pass where the engine can (``green_sum``).
+identically zero, or a caller-supplied C^2 evaluator.  The engine sums H
+(the conformal and disk engines, ``green.ConformalGreenEngine``):
+``f_omega`` sums the log sum and the double sum in one pass
+(``engine.green_sum``), and any other interaction minus the double sum
+(``engine.regular_sum``).
 
 Evaluation takes a stack: ``f_omega_stack`` evaluates S configurations,
 given as an (S, N, 2) array, at once.  The collision rule ``apart`` and the
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import AccuracyDegradedError, CollisionError, OutsideDomainError
 from .geometry import DomainSpec
-from .green import _set_diagonal, _stack_terms
+from .green import _set_diagonal
 
 # the collision margin defaults to this fraction of the domain diameter
 DEFAULT_MARGIN_FRACTION = 1e-3
@@ -41,7 +44,7 @@ DEFAULT_MARGIN_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class VortexStrengths:
-    """Nonzero circulation strengths lambda_1..lambda_N."""
+    """Finite, nonzero circulation strengths lambda_1..lambda_N."""
 
     values: np.ndarray
 
@@ -49,6 +52,8 @@ class VortexStrengths:
         arr = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError("strengths must be a nonempty 1-d list")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("all strengths must be finite")
         if np.any(np.abs(arr) < 1e-12):
             raise ValueError("all strengths must be nonzero")
         arr.setflags(write=False)
@@ -221,6 +226,18 @@ def _log_pair_terms(d: np.ndarray, r2: np.ndarray, lam: np.ndarray):
             grad.reshape(grad.shape[:-2] + (m,)), hessian)
 
 
+def _stack_terms(terms, m: int) -> tuple:
+    """One (value thunk, gradient, Hessian thunk) for a stack from those of
+    its K configurations, in 2N = ``m`` coordinates: values (K,), gradients
+    (K, m) and Hessians (K, m, m)."""
+    k = len(terms)
+    values = [value for value, _, _ in terms]
+    hessians = [hessian for _, _, hessian in terms]
+    return (lambda: np.array([value() for value in values], dtype=float).reshape(k),
+            np.array([grad for _, grad, _ in terms], dtype=float).reshape(k, m),
+            lambda: np.array([hessian() for hessian in hessians], dtype=float).reshape(k, m, m))
+
+
 def _interaction_terms(spec: InteractionSpec, lam: np.ndarray, pts: np.ndarray, d, r2) -> tuple:
     """The interaction's value thunk, gradient and Hessian thunk at one
     configuration (N, 2) or a stack (S, N, 2) of configurations that
@@ -294,10 +311,10 @@ def resolve_collision_margin(domain: DomainSpec, spec: InteractionSpec,
 def _energy(engine, spec: InteractionSpec, lam: np.ndarray, pts: np.ndarray, d, r2) -> tuple:
     """The value thunk, gradient and Hessian thunk of one admitted
     configuration (N, 2) or of an admitted stack (S, N, 2), from the pair
-    differences d and r2 of ``apart``: one ``green_sum`` call where
-    ``f_omega`` says, else the interaction minus one ``engine.regular_sum``
-    call."""
-    if spec.variant == "kirchhoff_routh" and hasattr(engine, "green_sum"):
+    differences d and r2 of ``apart``: one ``engine.green_sum`` call for the
+    Kirchhoff-Routh interaction, else the interaction minus one
+    ``engine.regular_sum`` call."""
+    if spec.variant == "kirchhoff_routh":
         return engine.green_sum(pts, lam, d)
     inter_value, inter_grad, inter_hessian = _interaction_terms(spec, lam, pts, d, r2)
     value, grad, regular_hessian = engine.regular_sum(pts, lam)
@@ -323,16 +340,15 @@ def f_omega(engine, strengths: VortexStrengths, spec: InteractionSpec,
     for one not more than ``engine.eval_margin`` inside).
     ``check_admissible`` applies the same two rules.
 
-    With the Kirchhoff-Routh interaction on an engine with ``green_sum``
-    (the conformal-map and disk engines), the result is one ``green_sum``
-    call, which sums the log sum and S = sum_{j,k} lambda_j lambda_k
-    H(x_j, x_k) in one complex pass, from the pair differences that
-    ``require_apart`` formed.  Otherwise it is ``interaction`` minus S from
-    one ``engine.regular_sum`` call (on the integral engine, the contraction
-    of one ``blocks`` call, whose ``lu_solve`` solves for 6N right-hand
-    sides).  The gradient is computed by the call; the value on the first
-    read of ``.value`` and the Hessian on the first read of ``.hessian``,
-    then cached, so callers that need only the gradient, such as the search
+    The engine is a conformal-map or disk engine, the engines that sum H
+    (``build_engine`` gives one).  With the Kirchhoff-Routh interaction the
+    result is one ``engine.green_sum`` call, which sums the log sum and
+    S = sum_{j,k} lambda_j lambda_k H(x_j, x_k) in one complex pass, from
+    the pair differences that ``require_apart`` formed.  Otherwise it is
+    ``interaction`` minus S from one ``engine.regular_sum`` call, in the same
+    complex form.  The gradient is computed by the call; the value on the
+    first read of ``.value`` and the Hessian on the first read of
+    ``.hessian``, then cached, so callers that need only the gradient, such as the search
     trials and the vortex dynamics' velocity, never pay for them.  The
     Hessian is symmetric bit for bit.
     """

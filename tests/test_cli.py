@@ -295,6 +295,29 @@ def test_commands_reject_a_non_finite_field(tmp_path, capsys, monkeypatch, entry
         assert built == [] and not any(out.iterdir())
 
 
+@pytest.mark.parametrize("strength", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_commands_reject_a_non_finite_strength(tmp_path, capsys, monkeypatch, strength):
+    # refused when the vortex file is read, before any engine is built;
+    # json writes and reads NaN and +-Infinity
+    domain, _, field = _dipole_inputs(tmp_path)
+    vortex = tmp_path / "vortex.json"
+    vortex.write_text(json.dumps({"lambda": [strength, -1.0],
+                                  "points": [[0.3, 0.0], [-0.3, 0.0]]}), encoding="utf-8")
+    built = []
+    monkeypatch.setattr(shape, "build_engine", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "build_engine", lambda *args: built.append(args))
+    for command in (["find-critical", domain, str(vortex)],
+                    ["perturb-study", domain, str(vortex), "--field", field],
+                    ["simulate", domain, str(vortex)],
+                    ["shape-verify", domain, "--field", field, "--quantity", "grad_f",
+                     "--vortex", str(vortex)]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--out", str(out)]) == 2
+        assert "error: all strengths must be finite" in capsys.readouterr().err
+        assert built == [] and not any(out.iterdir())
+
+
 def test_find_critical_writes_the_points_csv(tmp_path):
     domain, vortex, _ = _dipole_inputs(tmp_path)
     out = tmp_path / "out"

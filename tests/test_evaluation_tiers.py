@@ -1,12 +1,13 @@
-"""Value-and-gradient evaluations with Hessians computed on first read.
+"""The complex-form sums of the conformal-map engines against the blocks.
 
-The references below are the eager evaluation path that computed every
-derivative block in one pass: every block of a fresh evaluation read at once,
-and the regular-part double sum contracted from them with its value and
-gradient.  The split path must reproduce them bit for bit; the complex-form
-``regular_sum`` of the conformal-map engines, the disk among them, must
-reproduce the block contraction to round-off, and their ``green_sum`` the
-interaction minus ``regular_sum``.
+The references below are eager: every block of a fresh evaluation read at
+once, the regular-part double sum contracted from them with its value,
+gradient and Hessian, and ``f_omega`` assembled from that contraction.  A
+``blocks`` call must give the same blocks bit for bit each time; the
+complex-form ``regular_sum`` of the conformal-map engines, the disk among
+them, must reproduce the block contraction to round-off, their ``f_omega``
+the eager one, and their ``green_sum`` the interaction minus
+``regular_sum``.
 """
 
 import numpy as np
@@ -108,26 +109,16 @@ def test_split_evaluation_equals_eager_path(request, engine_name, n):
     ref = eager_blocks(engine, pts)
     for name in BLOCK_FIELDS:
         assert np.array_equal(getattr(ev, name), ref[name]), name
+    if not isinstance(engine, gm.ConformalGreenEngine):
+        return
 
-    # the generic regular_sum is the block contraction, on every engine
-    value, grad, hessian = green._EngineBase.regular_sum(engine, pts, lam.values)
-    ref_value, ref_grad, ref_hess = eager_regular_sum(engine, lam.values, pts)
-    assert value() == ref_value
-    assert np.array_equal(grad, ref_grad)
-    assert np.array_equal(hessian(), ref_hess)
-
-    # f_omega goes through it on the integral engine; the conformal-map
-    # engines, the disk among them, sum in complex form, equal to round-off
+    # the conformal-map engines, the disk among them, sum in complex form,
+    # equal to the block contraction to round-off
     res = gm.f_omega(engine, lam, gm.kirchhoff_routh_interaction(), config)
     value, grad, hess = eager_f_omega(engine, lam, config)
-    if isinstance(engine, gm.ConformalGreenEngine):
-        assert _relative_error(res.value, value) <= 1e-13
-        assert _relative_error(res.gradient, grad) <= 1e-13
-        assert _relative_error(res.hessian, hess) <= 1e-13
-    else:
-        assert res.value == value
-        assert np.array_equal(res.gradient, grad)
-        assert np.array_equal(res.hessian, hess)
+    assert _relative_error(res.value, value) <= 1e-13
+    assert _relative_error(res.gradient, grad) <= 1e-13
+    assert _relative_error(res.hessian, hess) <= 1e-13
 
 
 @pytest.mark.parametrize("engine_name", ["lobed_engine", "tilted_engine"])
@@ -149,10 +140,10 @@ def test_conformal_regular_sum_equals_block_contraction(monkeypatch, request, en
     value, grad, hessian = engine.regular_sum(pts, lam)
     hess = hessian()
     assert segments == ([] if n == 1 else [2])
-    ref_value, ref_grad, ref_hessian = green._EngineBase.regular_sum(engine, pts, lam)
-    assert _relative_error(value(), ref_value()) <= 1e-13
+    ref_value, ref_grad, ref_hess = eager_regular_sum(engine, lam, pts)
+    assert _relative_error(value(), ref_value) <= 1e-13
     assert _relative_error(grad, ref_grad) <= 1e-13
-    assert _relative_error(hess, ref_hessian()) <= 1e-13
+    assert _relative_error(hess, ref_hess) <= 1e-13
     assert np.array_equal(hess, hess.T)
 
 
@@ -191,8 +182,8 @@ def test_green_sum_equals_interaction_minus_regular_sum(disk_engine, lobed_engin
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_integral_evaluation_is_one_solve(monkeypatch, lobed_integral_engine, n):
-    # one boundary verdict query and one lu_solve for all 6N density
-    # columns; the Hessian read solves nothing more
+    # a blocks call is one boundary verdict query and one lu_solve for all
+    # 6N density columns; reading its Hessian blocks solves nothing more
     solves = []
     queries = []
     lu_solve_ = green.lu_solve
@@ -208,13 +199,11 @@ def test_integral_evaluation_is_one_solve(monkeypatch, lobed_integral_engine, n)
 
     monkeypatch.setattr(green, "lu_solve", counting_lu_solve)
     monkeypatch.setattr(green, "contains", counting_contains)
-    config = gm.Configuration(_ring(lobed_integral_engine.domain, n))
-    res = gm.f_omega(lobed_integral_engine, gm.VortexStrengths(np.ones(n)),
-                     gm.kirchhoff_routh_interaction(), config)
+    ev = lobed_integral_engine.blocks(_ring(lobed_integral_engine.domain, n))
     assert solves == [6 * n]
     assert queries == [n]
-    first = res.hessian
-    assert res.hessian is first
+    for hess in (ev.hess_xx, ev.hess_yy, ev.hess_xy):
+        assert hess.shape == (n, n, 2, 2) and np.all(np.isfinite(hess))
     assert solves == [6 * n]
     assert queries == [n]
 
