@@ -59,7 +59,6 @@ pair.  Every command runs on numpy alone; none imports scipy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -260,7 +259,17 @@ def cmd_shape_verify(args, out: Path):
     else:
         kwargs.update(x=_parse_point(args.x), y=_parse_point(args.y))
     report = fd_check(domain, args.quantity, field, ladder, **kwargs)
-    _write_json(out / "report.json", dataclasses.asdict(report))
+    _write_json(out / "report.json", {
+        "quantity": report.quantity,
+        "eps_ladder": report.eps_ladder,
+        "fd_values": report.fd_values,
+        "analytic": report.analytic,
+        "richardson": report.richardson,
+        "observed_order": report.observed_order,
+        "rel_error": report.rel_error,
+        "passed": report.passed,
+        "failures": report.failures,
+    })
     _write_csv(out / "fd_ladder.csv", header,
                ([eps, *np.ravel(val)] for eps, val in zip(report.eps_ladder, report.fd_values)))
     return (0 if report.passed else 1), ["report.json", "fd_ladder.csv"], None, None

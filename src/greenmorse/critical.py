@@ -32,11 +32,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, SymmetryMismatchError, UndefinedOrbitError
+from .frozen import Frozen
 from .geometry import domain_to_dict
 from .kr import (
     Configuration,
@@ -57,42 +58,44 @@ MAX_ITERATIONS = 60
 DEDUP_RADIUS = 1e-6
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Frozen):
     """The settings a search varies; 10 ``newton_tol`` < ``DEDUP_RADIUS``.
 
     A Newton polish converges where |grad f| <= ``newton_tol``.  The
     gradient has a round-off floor, about 1e-16 on the lobed N = 3 search:
     a ``newton_tol`` near or below it is accepted, but whether a start
-    converges there is decided by rounding, not by the start."""
+    converges there is decided by rounding, not by the start.  The class
+    attributes are the defaults."""
 
-    starts: int = 100
-    seed: int = 0
-    collision_margin: float = 0.05
-    newton_tol: float = 1e-10
+    _fields = ("starts", "seed", "collision_margin", "newton_tol")
+    starts = 100
+    seed = 0
+    collision_margin = 0.05
+    newton_tol = 1e-10
 
-    def __post_init__(self):
-        if self.starts < 1:
+    def __init__(self, starts: int = starts, seed: int = seed,
+                 collision_margin: float = collision_margin, newton_tol: float = newton_tol):
+        if starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.newton_tol <= 0:
+        if newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        check_collision_margin(self.collision_margin)
-        if not 10.0 * self.newton_tol < DEDUP_RADIUS:
+        check_collision_margin(collision_margin)
+        if not 10.0 * newton_tol < DEDUP_RADIUS:
             raise ValueError("newton_tol must stay below DEDUP_RADIUS / 10")
+        self._set(starts=starts, seed=seed, collision_margin=collision_margin,
+                  newton_tol=newton_tol)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     spectrum: np.ndarray     # ascending eigenvalues
     morse_index: int         # count of negative eigenvalues outside the null band
     nullity: int             # count of eigenvalues in it (see ``is_degenerate``)
     margin: float            # min |eigenvalue|
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     configuration: Configuration
     residual: float
     spectrum: np.ndarray
@@ -104,8 +107,7 @@ class CriticalPoint:
     alignment: float | None = None
 
 
-@dataclass(frozen=True)
-class MorseReport:
+class MorseReport(NamedTuple):
     points: tuple
     stats: dict
     domain_fingerprint: str
@@ -180,8 +182,7 @@ def detect_rotation_orbit(engine, point: CriticalPoint) -> tuple[str, float]:
     return "isolated", alignment
 
 
-@dataclass
-class PolishResult:
+class PolishResult(NamedTuple):
     """Outcome of one ``newton_polish`` run.
 
     ``iterations`` counts accepted steps; ``evaluations`` counts evaluated
@@ -209,7 +210,6 @@ class PolishResult:
 _STACK_ELEMENTS = 1 << 15
 
 
-@dataclass
 class _Runs:
     """The Levenberg-Marquardt state of S runs, one row each, as
     ``newton_polish`` defines the iteration and ``_polish`` advances it: the
@@ -218,15 +218,20 @@ class _Runs:
     and the failure reason (None while running or converged), Python
     numbers as in a run of its own."""
 
-    x: np.ndarray               # (S, 2N)
-    gradient: np.ndarray        # (S, 2N)
-    hessian: np.ndarray         # (S, 2N, 2N)
-    gnorm: list                 # inf for a refused start
-    mu: list
-    iterations: list            # accepted steps
-    evaluations: list           # evaluated points
-    stagnant: list
-    failure: list
+    __slots__ = ("x", "gradient", "hessian", "gnorm", "mu", "iterations", "evaluations",
+                 "stagnant", "failure")
+
+    def __init__(self, x, gradient, hessian, gnorm, mu, iterations, evaluations, stagnant,
+                 failure):
+        self.x = x                      # (S, 2N)
+        self.gradient = gradient        # (S, 2N)
+        self.hessian = hessian          # (S, 2N, 2N)
+        self.gnorm = gnorm              # inf for a refused start
+        self.mu = mu
+        self.iterations = iterations    # accepted steps
+        self.evaluations = evaluations  # evaluated points
+        self.stagnant = stagnant
+        self.failure = failure
 
     @classmethod
     def start(cls, engine, strengths, spec, search, x0) -> "_Runs":
@@ -630,22 +635,15 @@ def find_critical_points(engine, strengths: VortexStrengths, spec: InteractionSp
     can_tag = engine.domain.is_disk() or engine.domain.symmetry is not None
     for result in unique:
         cls = classify(result.hessian)
-        cp = CriticalPoint(
-            configuration=Configuration(result.configuration.reshape(-1, 2)),
-            residual=result.residual,
-            spectrum=cls.spectrum,
-            morse_index=cls.morse_index,
-            nullity=cls.nullity,
-            margin=cls.margin,
-            hessian=result.hessian,
-        )
+        fields = (Configuration(result.configuration.reshape(-1, 2)), result.residual,
+                  cls.spectrum, cls.morse_index, cls.nullity, cls.margin, result.hessian)
+        tag = ()                        # (orbit_tag, alignment), if the orbit is defined
         if can_tag:
             try:
-                tag, alignment = detect_rotation_orbit(engine, cp)
-                cp = replace(cp, orbit_tag=tag, alignment=alignment)
+                tag = detect_rotation_orbit(engine, CriticalPoint(*fields))
             except UndefinedOrbitError:
                 pass
-        points.append(cp)
+        points.append(CriticalPoint(*fields, *tag))
 
     stats = {
         "starts": len(starts),

@@ -30,11 +30,12 @@ i - 1 fixed-point iterations.  An rk4 step makes 4, three of them in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GreenMorseError, NumericError
+from .frozen import Frozen
 from .kr import Configuration, InteractionSpec, VortexStrengths, f_omega
 
 # the midpoint rule's fixed-point iteration stops once an update's max-norm
@@ -47,23 +48,27 @@ INTEGRATORS = ("midpoint", "rk4")
 STEP_COUNT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DynamicsConfig:
-    integrator: str = "midpoint"      # one of INTEGRATORS
-    dt: float = 1e-3
-    horizon: float = 1.0
+class DynamicsConfig(Frozen):
+    """The integrator, time step and horizon of a run; the class attributes
+    are the defaults."""
 
-    def __post_init__(self):
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not 0.0 < self.dt < np.inf:
+    _fields = ("integrator", "dt", "horizon")
+    integrator = "midpoint"      # one of INTEGRATORS
+    dt = 1e-3
+    horizon = 1.0
+
+    def __init__(self, integrator: str = integrator, dt: float = dt, horizon: float = horizon):
+        if integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {integrator!r}")
+        if not 0.0 < dt < np.inf:
             raise ValueError("time step must be positive and finite")
-        if not self.dt <= self.horizon < np.inf:
+        if not dt <= horizon < np.inf:
             raise ValueError("horizon must be finite and at least one time step")
-        ratio = self.horizon / self.dt
+        ratio = horizon / dt
         if abs(ratio - round(ratio)) > STEP_COUNT_RTOL * ratio:
             raise ValueError(f"horizon must be a whole number of time steps, "
-                             f"got {self.horizon!r} / {self.dt!r} = {ratio!r}")
+                             f"got {horizon!r} / {dt!r} = {ratio!r}")
+        self._set(integrator=integrator, dt=dt, horizon=horizon)
 
     @property
     def steps(self) -> int:
@@ -71,8 +76,7 @@ class DynamicsConfig:
         return round(self.horizon / self.dt)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Samples at every step.  For each of the M - 1 steps taken,
     ``solver_iterations`` counts the midpoint rule's velocity evaluations,
     the Newton evaluation and the fixed-point iterations after it;
@@ -86,9 +90,9 @@ class Trajectory:
     angular_impulse: np.ndarray  # (M,)
     rotation_symmetric: bool
     diagnostic: str | None = None    # why the run stopped early; None if it did not
-    solver_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    solver_updates: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    newton_skipped: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    solver_iterations: np.ndarray = np.zeros(0, dtype=int)
+    solver_updates: np.ndarray = np.zeros(0)
+    newton_skipped: np.ndarray = np.zeros(0, dtype=bool)
 
     @property
     def truncated(self) -> bool:

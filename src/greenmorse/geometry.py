@@ -12,7 +12,6 @@ function, safe for concurrent use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -25,6 +24,7 @@ from .errors import (
     RefitFailureError,
     SymmetryMismatchError,
 )
+from .frozen import Frozen
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,8 +65,7 @@ class BoundaryFrame(NamedTuple):
     velocity: np.ndarray    # z'(t), the unnormalised tangent
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryCurve:
+class BoundaryCurve(Frozen):
     """Closed simple curve t -> sum_k a_k cos(kt) + b_k sin(kt), per coordinate.
 
     ``cos_x[k]`` multiplies cos(kt) in x(t) and so on; ``sin_*[0]`` is unused.
@@ -74,13 +73,10 @@ class BoundaryCurve:
     counterclockwise (positive signed area).
     """
 
-    cos_x: np.ndarray
-    sin_x: np.ndarray
-    cos_y: np.ndarray
-    sin_y: np.ndarray
+    _fields = ("cos_x", "sin_x", "cos_y", "sin_y")
 
-    def __post_init__(self):
-        arrays = [_as_coeffs(a) for a in (self.cos_x, self.sin_x, self.cos_y, self.sin_y)]
+    def __init__(self, cos_x, sin_x, cos_y, sin_y):
+        arrays = [_as_coeffs(a) for a in (cos_x, sin_x, cos_y, sin_y)]
         degree = max(len(a) for a in arrays)
         degree = max(degree, 2)  # hold at least wavenumbers {0, 1}
         padded = []
@@ -91,9 +87,9 @@ class BoundaryCurve:
         # sin coefficients at wavenumber 0 are meaningless; force them to zero
         padded[1][0] = 0.0
         padded[3][0] = 0.0
-        for name, arr in zip(("cos_x", "sin_x", "cos_y", "sin_y"), padded):
+        for arr in padded:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set(**dict(zip(self._fields, padded)))
 
     @property
     def max_degree(self) -> int:
@@ -418,23 +414,21 @@ def as_circle(curve: BoundaryCurve):
     return np.array([cos_x[0], cos_y[0]]), float(r)
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
+class SymmetryGroup(Frozen):
     """Finite subgroup of O(2): cyclic rotations or a dihedral group.
 
     ``kind`` is "cyclic" or "dihedral"; ``order`` is the rotation order p;
     ``axis_angle`` fixes the first reflection axis of a dihedral group.
     """
 
-    kind: str
-    order: int
-    axis_angle: float = 0.0
+    _fields = ("kind", "order", "axis_angle")
 
-    def __post_init__(self):
-        if self.kind not in ("cyclic", "dihedral"):
-            raise ValueError(f"unknown symmetry kind {self.kind!r}")
-        if self.order < 1:
+    def __init__(self, kind: str, order: int, axis_angle: float = 0.0):
+        if kind not in ("cyclic", "dihedral"):
+            raise ValueError(f"unknown symmetry kind {kind!r}")
+        if order < 1:
             raise ValueError("group order must be >= 1")
+        self._set(kind=kind, order=order, axis_angle=axis_angle)
 
     def elements(self):
         """List of (matrix, is_reflection) covering the whole group."""
@@ -486,8 +480,7 @@ def _parameter_maps(curve: BoundaryCurve, group: SymmetryGroup):
     return maps
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(Frozen):
     """A smooth bounded planar domain, optionally tagged with a symmetry group.
 
     ``perturbation_margin``, computed on first read, bounds the sup-norm of
@@ -496,14 +489,14 @@ class DomainSpec:
     boundary arcs, the minimal radius of curvature).
     """
 
-    boundary: BoundaryCurve
-    symmetry: SymmetryGroup | None = None
+    _fields = ("boundary", "symmetry")
 
-    def __post_init__(self):
-        self.boundary.validate()
-        if self.symmetry is not None and _parameter_maps(self.boundary, self.symmetry) is None:
+    def __init__(self, boundary: BoundaryCurve, symmetry: SymmetryGroup | None = None):
+        boundary.validate()
+        if symmetry is not None and _parameter_maps(boundary, symmetry) is None:
             raise SymmetryMismatchError(
                 "boundary is not invariant under the declared symmetry group")
+        self._set(boundary=boundary, symmetry=symmetry)
 
     @property
     def diameter(self) -> float:
@@ -700,8 +693,7 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u**3 * (u * (6.0 * u - 15.0) + 10.0)
 
 
-@dataclass(frozen=True)
-class PerturbationField:
+class PerturbationField(Frozen):
     """Domain-variation field, primarily defined by its boundary trace.
 
     * ``normal_fourier``: psi = g(t) nu(t) on the boundary with
@@ -712,17 +704,15 @@ class PerturbationField:
     ``amplitude`` scales the whole field.
     """
 
-    kind: str
-    cos_coeffs: np.ndarray = dc_field(default_factory=lambda: np.zeros(1))
-    sin_coeffs: np.ndarray = dc_field(default_factory=lambda: np.zeros(1))
-    cutoff_width: float = DEFAULT_CUTOFF_WIDTH
-    amplitude: float = 1.0
+    _fields = ("kind", "cos_coeffs", "sin_coeffs", "cutoff_width", "amplitude")
 
-    def __post_init__(self):
-        if self.kind not in ("normal_fourier", "identity_dilation"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        n = max(len(np.atleast_1d(self.cos_coeffs)), len(np.atleast_1d(self.sin_coeffs)), 1)
-        for name, val in (("cos_coeffs", self.cos_coeffs), ("sin_coeffs", self.sin_coeffs)):
+    def __init__(self, kind: str, cos_coeffs=(0.0,), sin_coeffs=(0.0,),
+                 cutoff_width: float = DEFAULT_CUTOFF_WIDTH, amplitude: float = 1.0):
+        if kind not in ("normal_fourier", "identity_dilation"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        n = max(len(np.atleast_1d(cos_coeffs)), len(np.atleast_1d(sin_coeffs)), 1)
+        coeffs = {}
+        for name, val in (("cos_coeffs", cos_coeffs), ("sin_coeffs", sin_coeffs)):
             arr = np.zeros(n)
             flat = np.atleast_1d(np.asarray(val, dtype=float))
             arr[: len(flat)] = flat
@@ -731,11 +721,12 @@ class PerturbationField:
             if name == "sin_coeffs":
                 arr[0] = 0.0    # sin(0 t) vanishes; its coefficient is meaningless
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not 0 < self.cutoff_width < np.inf:
+            coeffs[name] = arr
+        if not 0 < cutoff_width < np.inf:
             raise ValueError("cutoff_width must be positive and finite")
-        if not np.isfinite(self.amplitude):
+        if not np.isfinite(amplitude):
             raise ValueError("field amplitude must be finite")
+        self._set(kind=kind, **coeffs, cutoff_width=cutoff_width, amplitude=amplitude)
 
     @property
     def max_mode(self) -> int:

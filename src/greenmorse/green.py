@@ -91,8 +91,8 @@ call of a Hessian thunk never raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,8 +280,7 @@ def gamma(x, y) -> float:
     return -np.log(r) / TWO_PI
 
 
-@dataclass(frozen=True)
-class GreenEvaluation:
+class GreenEvaluation(NamedTuple):
     """Regular part H(x, y) with its first and second derivative blocks, all
     computed when the evaluation is made; for N points every field has two
     leading (j, k) axes, x = x_j and y = x_k."""
@@ -299,8 +298,7 @@ class GreenEvaluation:
                                self.hess_xx[j, k], self.hess_yy[j, k], self.hess_xy[j, k])
 
 
-@dataclass(frozen=True)
-class RobinEvaluation:
+class RobinEvaluation(NamedTuple):
     """Robin function h(x) = H(x, x) with gradient and Hessian."""
 
     value: float
@@ -308,8 +306,7 @@ class RobinEvaluation:
     hessian: np.ndarray     # (2, 2)
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
+class BoundaryTrace(NamedTuple):
     """Values of d_{nu_z} G(x, z) at all quadrature nodes z."""
 
     values: np.ndarray      # (n,)
@@ -460,7 +457,8 @@ class _EngineBase:
         outside = np.flatnonzero(~(dists > 0.0))
         if len(outside):
             i = outside[0]
-            raise OutsideDomainError(f"point {i} at {tuple(pts[i])} is not inside the domain")
+            raise OutsideDomainError(
+                f"point {i} at {tuple(pts[i].tolist())} is not inside the domain")
         i = int(np.argmin(dists))
         bound = float(np.exp(-np.pi * self.node_count * dists[i]
                              / self.domain.boundary.perimeter))

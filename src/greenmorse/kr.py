@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyDegradedError, CollisionError, OutsideDomainError
+from .frozen import Frozen
 from .geometry import DomainSpec
 from .green import _set_diagonal
 
@@ -42,14 +42,13 @@ from .green import _set_diagonal
 DEFAULT_MARGIN_FRACTION = 1e-3
 
 
-@dataclass(frozen=True)
-class VortexStrengths:
+class VortexStrengths(Frozen):
     """Finite, nonzero circulation strengths lambda_1..lambda_N."""
 
-    values: np.ndarray
+    _fields = ("values",)
 
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
+    def __init__(self, values):
+        arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError("strengths must be a nonempty 1-d list")
         if not np.all(np.isfinite(arr)):
@@ -57,24 +56,23 @@ class VortexStrengths:
         if np.any(np.abs(arr) < 1e-12):
             raise ValueError("all strengths must be nonzero")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        self._set(values=arr)
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """N planar points."""
 
-    points: np.ndarray
+    _fields = ("points",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.points, dtype=float).reshape(-1, 2).copy()
+    def __init__(self, points):
+        arr = np.asarray(points, dtype=float).reshape(-1, 2).copy()
         if len(arr) < 1:
             raise ValueError("configuration must contain at least one point")
         arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
+        self._set(points=arr)
 
     def __len__(self):
         return len(self.points)
@@ -135,8 +133,7 @@ def admitted(engine, points, collision_margin: float) -> tuple:
     return ok & engine.interior(pts), d, r2
 
 
-@dataclass(frozen=True)
-class InteractionSpec:
+class InteractionSpec(Frozen):
     """Interaction term: "kirchhoff_routh", "zero", or "custom".
 
     A custom evaluator maps (points (N,2), strengths (N,)) to
@@ -144,17 +141,18 @@ class InteractionSpec:
     domain, described by ``collision_margin``.
     """
 
-    variant: str
-    custom_evaluator: Callable | None = None
-    collision_margin: float | None = None
+    _fields = ("variant", "custom_evaluator", "collision_margin")
 
-    def __post_init__(self):
-        if self.variant not in ("kirchhoff_routh", "zero", "custom"):
-            raise ValueError(f"unknown interaction variant {self.variant!r}")
-        if self.variant == "custom" and self.custom_evaluator is None:
+    def __init__(self, variant: str, custom_evaluator: Callable | None = None,
+                 collision_margin: float | None = None):
+        if variant not in ("kirchhoff_routh", "zero", "custom"):
+            raise ValueError(f"unknown interaction variant {variant!r}")
+        if variant == "custom" and custom_evaluator is None:
             raise ValueError("custom interaction requires an evaluator")
-        if self.collision_margin is not None:
-            check_collision_margin(self.collision_margin)
+        if collision_margin is not None:
+            check_collision_margin(collision_margin)
+        self._set(variant=variant, custom_evaluator=custom_evaluator,
+                  collision_margin=collision_margin)
 
 
 def kirchhoff_routh_interaction() -> InteractionSpec:
@@ -169,16 +167,17 @@ def custom_interaction(evaluator: Callable, collision_margin: float) -> Interact
     return InteractionSpec("custom", evaluator, collision_margin)
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(Frozen):
     """The gradient, computed when the result is made, and the value and the
     Hessian, computed by the private thunks ``_value`` and ``_hessian`` on
     first read of ``value`` and ``hessian`` and then cached.  Admissibility
     is decided when the result is made, so neither read raises."""
 
-    _value: Callable = field(repr=False, compare=False)     # () -> float
-    gradient: np.ndarray    # (2N,)
-    _hessian: Callable = field(repr=False, compare=False)   # () -> (2N, 2N)
+    _fields = ("gradient",)
+
+    def __init__(self, _value: Callable, gradient: np.ndarray, _hessian: Callable):
+        # _value: () -> float; gradient: (2N,); _hessian: () -> (2N, 2N)
+        self._set(_value=_value, gradient=gradient, _hessian=_hessian)
 
     @cached_property
     def value(self) -> float:
@@ -190,8 +189,7 @@ class EvaluationResult:
         return self._hessian()
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(NamedTuple):
     ok: bool
     diagnostics: tuple
 

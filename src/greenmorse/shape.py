@@ -24,7 +24,7 @@ makes the two conventions agree there.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +104,8 @@ def dGradF_shape(engine, strengths: VortexStrengths, spec: InteractionSpec,
     near = np.flatnonzero(~field.vanishes_near(engine.domain, config.points))
     if len(near):
         raise UnsupportedFieldError(
-            f"field does not vanish near configuration point {tuple(config.points[near[0]])}")
+            f"field does not vanish near configuration point "
+            f"{tuple(config.points[near[0]].tolist())}")
     lam = strengths.values
     values, grads = engine._traces(config.points)     # (N, nodes), (N, nodes, 2)
     common = engine.weights * _field_normal_at_nodes(engine, field) * (lam @ values)
@@ -115,8 +116,7 @@ def dGradF_shape(engine, strengths: VortexStrengths, spec: InteractionSpec,
 # finite-difference validation harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeDerivativeReport:
+class ShapeDerivativeReport(NamedTuple):
     quantity: str
     eps_ladder: tuple
     fd_values: tuple            # central differences per rung (scalar or vector)
@@ -249,8 +249,7 @@ def fd_check(domain: DomainSpec, quantity: str, field: PerturbationField,
 # critical-point continuation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuationTrace:
+class ContinuationTrace(NamedTuple):
     eps_values: tuple
     configurations: tuple       # (N, 2) arrays
     residuals: tuple

@@ -66,6 +66,16 @@ def test_cli_import_does_not_load_openssl():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # the records are NamedTuples and plain classes: a dataclass generates its
+    # methods with exec when its class is created, ms of every command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(gm.__file__).parents[1]))
+    code = "import sys, greenmorse.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def _lobed_search_inputs(tmp_path, lobed_domain):
     """The lobed domain and the search benchmark's N = 3 strengths, as files."""
     domain, vortex = tmp_path / "lobed.json", tmp_path / "vortex.json"

@@ -438,7 +438,7 @@ def test_engine_build_measures_no_distance(disk_domain, monkeypatch, eps, nodes)
         return distance(*args, **kwargs)
 
     monkeypatch.setattr(green, "contains", counted_contains)
-    # DomainSpec is a frozen dataclass, so the method is patched on the class
+    # DomainSpec refuses attribute assignment, so the method is patched on the class
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance", counted_distance)
     engine = gm.build_engine(domain, nodes)
     assert isinstance(engine, gm.ConformalGreenEngine)

@@ -177,6 +177,14 @@ def test_require_interior_names_first_offending_point(disk_engine, lobed_engine)
             engine.blocks(pts)
 
 
+def test_require_interior_prints_the_point_as_plain_floats(disk_engine, lobed_engine):
+    # the message reads Python floats, not numpy scalar reprs such as np.float64(nan)
+    for engine in (disk_engine, lobed_engine):
+        with pytest.raises(gm.OutsideDomainError) as info:
+            engine.require_interior([[np.nan, 0.0]])
+        assert str(info.value) == "point 0 at (nan, 0.0) is not inside the domain"
+
+
 def test_engine_diagnostics(disk_engine, lobed_integral_engine):
     assert disk_engine.diagnostics == {"eval_margin": 2e-4}
     diag = lobed_integral_engine.diagnostics

@@ -470,7 +470,7 @@ def test_f_omega_one_engine_call_one_check_per_point(lobed_engine, monkeypatch):
     # and measures a distance only for the message of a refusal
     contains = gm.green.contains
     monkeypatch.setattr(gm.green, "contains", counted_contains)
-    # DomainSpec is a frozen dataclass, so the method is patched on the class
+    # DomainSpec refuses attribute assignment, so the method is patched on the class
     monkeypatch.setattr(gm.DomainSpec, "signed_boundary_distance",
                         counted("distance", gm.DomainSpec.signed_boundary_distance))
     monkeypatch.setattr(gm.kr, "check_admissible", counted("admissible", gm.kr.check_admissible))

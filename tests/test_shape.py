@@ -166,7 +166,9 @@ def test_dGradF_rejects_field_overlapping_points(disk_engine, dipole_setup):
     with pytest.raises(gm.UnsupportedFieldError):
         gm.dGradF_shape(disk_engine, lam, spec, config, wide)
     off_center = gm.Configuration([[0.3, 0.0]])
-    with pytest.raises(gm.UnsupportedFieldError):
+    # the message reads Python floats, not numpy scalar reprs
+    with pytest.raises(gm.UnsupportedFieldError,
+                       match=r"^field does not vanish near configuration point \(0\.3, 0\.0\)$"):
         gm.dGradF_shape(disk_engine, gm.VortexStrengths([1.0]), gm.zero_interaction(),
                         off_center, gm.identity_dilation())
 
